@@ -48,6 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cliffords import MEAN_PULSES_PER_CLIFFORD
 from .noise import IdleRates
 
 __all__ = [
@@ -70,8 +71,6 @@ __all__ = [
     "estimate_idle_rates",
     "IDLE_SCHEMES",
 ]
-
-MEAN_PULSES_PER_CLIFFORD = 52 / 24
 
 HARMONIC_COEFFICIENTS = {"rb": 4.0, "single_pulse": (3 * np.pi / 4) ** 2}
 ZEEMAN_CONVENTIONS = {"twirl": 1 / 6, "worst_case": 1 / 4}

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
+from .cliffords import apply_ab, pulse_ab
 from .noise import LANE_CAL, QuantizerConfig, rng_stream
 
 __all__ = [
@@ -168,21 +169,15 @@ class SimulatedQubitTestbed:
         )
         delta = self._detunings(times)
 
-        omega = self.omega_nominal * mult
+        a, b = pulse_ab(self.omega_nominal * mult, -delta, self.t_half_pi)
+        # the z rotation over the following gap folds into each pulse
+        g = np.exp(0.5j * delta * self.gap_time)
+        a, b = g * a, np.conj(g) * b
+        b_of = {phase: b * np.exp(1j * phase) for phase in np.unique(phases)}
         alpha = np.ones(shots, dtype=complex)
         beta = np.zeros(shots, dtype=complex)
         for phase in phases:
-            w = np.sqrt(omega**2 + delta**2)
-            half = 0.5 * w * self.t_half_pi
-            c, s = np.cos(half), np.sin(half)
-            inv = np.where(w > 0, 1.0 / np.where(w > 0, w, 1.0), 0.0)
-            a = c + 1j * delta * inv * s  # vz = -delta
-            b = -1j * omega * inv * s * np.exp(1j * phase)
-            alpha, beta = a * alpha - np.conj(b) * beta, b * alpha + np.conj(a) * beta
-            if self.gap_time:
-                rot = np.exp(0.5j * delta * self.gap_time)
-                alpha = alpha * rot
-                beta = beta * np.conj(rot)
+            apply_ab(a, b_of[phase], alpha, beta)
         p_zero = np.abs(alpha) ** 2
 
         bright = rng.random(shots) < p_zero
@@ -262,13 +257,10 @@ def _freq_model_p_zero(
     delta: float, n_pairs: int, omega: float, t_pulse: float, gap: float
 ) -> float:
     """Exact bright probability of the N-pair + quadrature-pulse train."""
+    a, b0 = pulse_ab(omega, -delta, t_pulse)
 
     def step(phase: float) -> np.ndarray:
-        w = np.sqrt(omega**2 + delta**2)
-        half = 0.5 * w * t_pulse
-        c, s = np.cos(half), np.sin(half)
-        a = c + 1j * delta / w * s
-        b = -1j * omega / w * s * np.exp(1j * phase)
+        b = b0 * np.exp(1j * phase)
         u = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
         if gap:
             g = np.exp(0.5j * delta * gap)
@@ -295,28 +287,27 @@ def frequency_cal_step(
     p = bright / shots
     linear_ok = abs(p - 0.5) <= 0.35
 
-    omega, t_pulse, gap = testbed.omega_nominal, testbed.t_half_pi, testbed.gap_time
+    omega = testbed.omega_nominal
+
+    def model(d: float) -> float:
+        return _freq_model_p_zero(d, n_pairs, omega, testbed.t_half_pi, testbed.gap_time)
+
+    def slope(d: float) -> float:
+        return (model(d + h) - model(d - h)) / (2 * h)
+
     # Newton iteration on the exact model, starting from the small-signal
     # linearization
     h = 0.02 * omega / max(n_pairs, 1)
     delta = 0.0
     for _ in range(60):
-        p0 = _freq_model_p_zero(delta, n_pairs, omega, t_pulse, gap)
-        dp = (
-            _freq_model_p_zero(delta + h, n_pairs, omega, t_pulse, gap)
-            - _freq_model_p_zero(delta - h, n_pairs, omega, t_pulse, gap)
-        ) / (2 * h)
+        dp = slope(delta)
         if abs(dp) < 1e-12:
             break
-        step_d = (p - p0) / dp
+        step_d = (p - model(delta)) / dp
         delta += step_d
         if abs(step_d) < 1e-9 * omega:
             break
-    p0 = _freq_model_p_zero(delta, n_pairs, omega, t_pulse, gap)
-    dp = (
-        _freq_model_p_zero(delta + h, n_pairs, omega, t_pulse, gap)
-        - _freq_model_p_zero(delta - h, n_pairs, omega, t_pulse, gap)
-    ) / (2 * h)
+    dp = slope(delta)
     sigma_p = np.sqrt(max(p * (1 - p), 0.25 / shots) / shots)
     sigma = float(sigma_p / max(abs(dp), 1e-12))
     return p, float(delta), sigma, linear_ok
@@ -335,32 +326,16 @@ def _run_loop(
         t = testbed.clock
         p, estimate, sigma, linear_ok = measure(n, config.shots)
         significant = abs(estimate) > config.significance * sigma
-        corrected = False
+        corrected = converged = False
         if not linear_ok:
             # outside the invertible fringe region: shorten the train
             n = max(n // 2, config.n_start)
         elif significant:
-            setting = apply_correction(estimate)
+            apply_correction(estimate)
             corrected = True
+        elif n >= config.n_max:
+            converged = True
         else:
-            if n >= config.n_max:
-                records.append(
-                    CalRecord(
-                        kind=kind,
-                        step=step,
-                        time=t,
-                        n_group=n,
-                        shots=config.shots,
-                        p_zero=p,
-                        estimate=estimate,
-                        sigma=sigma,
-                        linear_ok=linear_ok,
-                        significant=significant,
-                        corrected=False,
-                        setting_after=apply_correction(0.0),
-                    )
-                )
-                break
             n = min(2 * n, config.n_max)
         records.append(
             CalRecord(
@@ -378,6 +353,8 @@ def _run_loop(
                 setting_after=apply_correction(0.0),
             )
         )
+        if converged:
+            break
     return records
 
 

@@ -41,11 +41,11 @@ from .calibration import (
     records_to_jsonl,
     walsh_fit,
 )
-from .cliffords import build_clifford_table
+from .cliffords import MEAN_PULSES_PER_CLIFFORD, build_clifford_table
 from .filterfunc import PhasePSD, SSBCurve, chi_echo, chi_ramsey, predict_irmb, predict_t2
 from .fitting import bootstrap_ci
-from .noise import IdleRates, NoiseConfig, rng_stream
-from .rb import RBTiming, generate_plan, irmb_slope, run_rb
+from .noise import LANE_BOOTSTRAP, LANE_IDLE, IdleRates, NoiseConfig, rng_stream
+from .rb import RBDataset, RBTiming, generate_plan, irmb_slope, run_rb
 
 CONFIG_SCHEMA = "qubitbench.config.v1"
 
@@ -136,6 +136,13 @@ _PARAMS = {
     "clifford-table": {},
 }
 
+# --format choices of the commands that can write more than the JSON document
+_FORMATS = {
+    "rb": ("json", "csv"),
+    "calibrate": ("json", "jsonl"),
+    "budget": ("json", "csv"),
+}
+
 
 def _parse_float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip() != ""]
@@ -157,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="strict JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed (env QUBITBENCH_SEED)")
         p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
-        p.add_argument("--format", type=str, default="json", choices=("json", "csv", "jsonl"))
+        p.add_argument("--format", type=str, default="json", choices=_FORMATS.get(command, ("json",)))
         p.add_argument("--workers", type=int, default=None, help="parallel workers (env QUBITBENCH_WORKERS)")
         for name, (typ, default, help_text) in params.items():
             p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ, default=None, help=help_text)
@@ -305,15 +312,11 @@ def _cmd_rb(resolved: dict, seed: int, workers: int, fmt: str) -> str:
     else:
         parts = [run_one(l) for l in sorted(lengths)]
 
-    import numpy as _np
-
-    from .rb import RBDataset
-
     dataset = RBDataset(
-        lengths=_np.concatenate([p.lengths for p in parts]),
-        seq_ids=_np.concatenate([p.seq_ids for p in parts]),
-        errors=_np.concatenate([p.errors for p in parts]),
-        shots=_np.concatenate([p.shots for p in parts]),
+        lengths=np.concatenate([p.lengths for p in parts]),
+        seq_ids=np.concatenate([p.seq_ids for p in parts]),
+        errors=np.concatenate([p.errors for p in parts]),
+        shots=np.concatenate([p.shots for p in parts]),
         meta=parts[0].meta,
     )
     if fmt == "csv":
@@ -333,7 +336,7 @@ def _cmd_rb(resolved: dict, seed: int, workers: int, fmt: str) -> str:
                 dataset.lengths,
                 dataset.successes,
                 dataset.shots,
-                rng_stream(seed, 7),
+                rng_stream(seed, LANE_BOOTSTRAP),
                 n_resamples=resolved["bootstrap"],
             )
             fit_doc["epsilon_ci68"] = [lo, hi]
@@ -362,13 +365,12 @@ def _cmd_irmb(resolved: dict, seed: int, workers: int, fmt: str) -> dict:
         fit = ds.fit()
         results.append({"delay": delay, "epsilon": fit.epsilon, "converged": fit.converged})
     slope = irmb_slope([r["delay"] for r in results], [r["epsilon"] for r in results])
-    mu = 52 / 24
     return {
         "points": results,
         "slope_per_s": slope.slope_per_s,
         "slope_stderr": slope.slope_stderr,
         "intercept": slope.intercept,
-        "predicted_slope_per_s": mu / (3 * resolved["t2"]),
+        "predicted_slope_per_s": MEAN_PULSES_PER_CLIFFORD / (3 * resolved["t2"]),
     }
 
 
@@ -524,7 +526,7 @@ def _cmd_idle_rates(resolved: dict, seed: int, workers: int, fmt: str) -> dict:
     )
     durations = np.array(_parse_float_list(resolved["durations"]))
     shots = resolved["shots"]
-    rng = rng_stream(seed, 6)
+    rng = rng_stream(seed, LANE_IDLE)
     data = {}
     for scheme in IDLE_SCHEMES:
         for prep in (0, 1):

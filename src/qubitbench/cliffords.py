@@ -36,6 +36,7 @@ import numpy as np
 
 __all__ = [
     "GENERATOR_LABELS",
+    "MEAN_PULSES_PER_CLIFFORD",
     "QubitState",
     "UnitaryOp",
     "PulseSpec",
@@ -57,6 +58,9 @@ _ID = np.eye(2, dtype=complex)
 #: Expansion / tie-break order for the generator search (lexicographic).
 GENERATOR_LABELS = ("+X90", "+Y90", "-X90", "-Y90")
 
+#: ``build_clifford_table().mean_pulses_per_clifford``, without building the table
+MEAN_PULSES_PER_CLIFFORD = 52 / 24
+
 _PHASE_TOL = 1e-9
 
 
@@ -67,6 +71,32 @@ def _axis_matrix(phase: float) -> np.ndarray:
 def rotation_matrix(phase: float, angle: float) -> np.ndarray:
     """2x2 propagator for a rotation by `angle` about the equatorial axis `phase`."""
     return np.cos(angle / 2) * _ID - 1j * np.sin(angle / 2) * _axis_matrix(phase)
+
+
+def pulse_ab(omega, vz, duration: float):
+    """Cayley-Klein pair ``(a, b)`` of an exact rectangle pulse at drive phase 0.
+
+    Holding ``(omega/2) sx + (vz/2) sz`` for `duration` gives the propagator
+    ``[[a, -conj(b)], [b, conj(a)]]``; driving at phase ``phi`` multiplies
+    ``b`` by ``exp(1j * phi)``.  Elementwise over broadcastable arrays.
+    """
+    if not np.any(vz):
+        half = 0.5 * omega * duration
+        return np.cos(half), -1j * np.sin(half)
+    w = np.sqrt(omega**2 + vz**2)
+    half = 0.5 * w * duration
+    s = np.sin(half)
+    w = np.where(w > 0, w, 1.0)  # s vanishes with w
+    return np.cos(half) - 1j * (vz / w * s), -1j * (omega / w * s)
+
+
+def apply_ab(a, b, alpha, beta) -> None:
+    """Apply ``[[a, -conj(b)], [b, conj(a)]]`` to the amplitude arrays in place."""
+    t = b * alpha
+    alpha *= a
+    alpha -= np.conj(b) * beta
+    beta *= np.conj(a)
+    beta += t
 
 
 _GENERATOR_MATRICES = {
@@ -275,13 +305,10 @@ class GateSequence:
     cliffords: tuple[int, ...]
     recovery: int
     prepared_state: int = 0
-    shelve_choice: str = "expected"
 
     def __post_init__(self):
         if self.prepared_state not in (0, 1):
             raise ValueError("prepared_state must be 0 or 1")
-        if self.shelve_choice not in ("expected", "other"):
-            raise ValueError("shelve_choice must be 'expected' or 'other'")
 
     @property
     def length(self) -> int:
@@ -488,6 +515,14 @@ def min_pulse_decomposition(
 
 
 def recovery_gate(cliffords: Sequence[int], group: CliffordGroup | None = None) -> int:
-    """Index of the element that closes the sequence back to the identity."""
+    """Index of the element that closes the sequence back to the identity.
+
+    Composes neighbouring pairs through the table (a tree equal to ``fold``).
+    """
     group = group or build_clifford_table()
-    return group.inverse(group.fold(cliffords))
+    acc = np.asarray(cliffords, dtype=int)
+    while len(acc) > 1:
+        if len(acc) % 2:
+            acc = np.append(acc, group.identity_index)
+        acc = group.compose_table[acc[0::2], acc[1::2]]
+    return group.inverse(acc[0] if len(acc) else group.identity_index)

@@ -41,6 +41,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .cliffords import MEAN_PULSES_PER_CLIFFORD
+
 __all__ = [
     "SSBCurve",
     "PhasePSD",
@@ -425,7 +427,7 @@ def predict_t2(psd: PhasePSD, kind: str = "ramsey", bracket: tuple[float, float]
 def predict_irmb(
     psd: PhasePSD,
     delays: Sequence[float],
-    pulses_per_clifford: float = 52 / 24,
+    pulses_per_clifford: float = MEAN_PULSES_PER_CLIFFORD,
     baseline: float = 0.0,
 ) -> np.ndarray:
     """Benchmarking error per group element versus per-pulse idle delay.

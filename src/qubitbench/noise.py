@@ -37,8 +37,6 @@ __all__ = [
     "LANE_IDLE",
     "LANE_BOOTSTRAP",
     "LANE_CAL",
-    "LANE_DRIFT",
-    "LANE_WALSH",
     "AmplitudeNoiseModel",
     "MotionalMode",
     "QuantizerConfig",
@@ -56,8 +54,6 @@ LANE_READOUT = 5
 LANE_IDLE = 6
 LANE_BOOTSTRAP = 7
 LANE_CAL = 8
-LANE_DRIFT = 9
-LANE_WALSH = 10
 
 
 def rng_stream(master_seed: int, lane: int, *ids: int) -> np.random.Generator:
@@ -123,14 +119,6 @@ class MotionalMode:
     def depth_at(self, t: float) -> float:
         return self.depth(self.n_bar_at(t))
 
-    def multiplier(self, depth: float, phase: float) -> Callable[[float], float]:
-        """Time-domain amplitude multiplier for the full simulation tier."""
-
-        def trace(t: float) -> float:
-            return 1.0 + depth * np.cos(self.omega_m * t + phase)
-
-        return trace
-
     def mean_area_factor(
         self, depth: float | np.ndarray, phase: float | np.ndarray, duration: float
     ) -> np.ndarray:
@@ -141,6 +129,12 @@ class MotionalMode:
         """
         wt = self.omega_m * duration
         return 1.0 + depth * (np.sin(wt + phase) - np.sin(phase)) / wt
+
+    def area_phasor(self, t_start: float | np.ndarray, duration: float) -> np.ndarray:
+        """Phasor ``s`` of a pulse starting at `t_start`, independent of the shot:
+        ``mean_area_factor(d, phi0 + omega_m t_start, duration) == 1 + d Im(e^{i phi0} s)``."""
+        wt = self.omega_m * duration
+        return np.exp(1j * self.omega_m * np.asarray(t_start)) * (np.exp(1j * wt) - 1.0) / wt
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .budget import MEAN_PULSES_PER_CLIFFORD, BudgetInput
+from .budget import BudgetInput
+from .cliffords import MEAN_PULSES_PER_CLIFFORD
 from .filterfunc import PhasePSD, SSBCurve
 from .noise import AmplitudeNoiseModel, IdleRates, MotionalMode, NoiseConfig, QuantizerConfig
 

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cliffords import PulseSpec, QubitState, UnitaryOp, rotation_matrix
+from .cliffords import MEAN_PULSES_PER_CLIFFORD, PulseSpec, QubitState, UnitaryOp
 
 __all__ = [
     "DriveParams",
@@ -425,7 +425,7 @@ def spectator_error_per_gate(
     ramp_time: float = 40e-9,
     gap_time: float = 40e-9,
     config: SpectatorConfig | None = None,
-    pulses_per_clifford: float = 52 / 24,
+    pulses_per_clifford: float = MEAN_PULSES_PER_CLIFFORD,
     n_pulses: int = 24,
     seed: int = 20260825,
     ramp_substeps: int = 512,
@@ -481,7 +481,7 @@ def counter_rotating_error(
     omega_q_factors: Sequence[float] = (50.0, 100.0),
     physical_omega_q: float = 2 * np.pi * 3.123e9,
     substeps_per_period: int = 64,
-    pulses_per_clifford: float = 52 / 24,
+    pulses_per_clifford: float = MEAN_PULSES_PER_CLIFFORD,
 ) -> CounterRotatingResult:
     """Estimate the error contributed by the counter-rotating drive term.
 

@@ -4,13 +4,13 @@ A plan fixes the random Clifford sequences (drawn from deterministic,
 lane-separated RNG streams); the engine then replays them through one of
 two physics tiers:
 
-* ``fast`` — each pulse is a rectangle of duration ``t_half_pi``.  Pulse
-  propagators are exact 2x2 rotations for the per-shot effective Rabi rate
-  and detuning, composed with vectorization over every sequence and shot of
-  a given length.  Amplitude noise is quasi-static per shot, residual
-  harmonic motion scales each pulse area by the exact average of its
-  sinusoidal modulation, slow dephasing enters as Gaussian phase kicks
-  between pulses, and depolarizing/idle/readout errors act on outcomes.
+* ``fast`` — each pulse is a rectangle of duration ``t_half_pi`` whose
+  exact propagator, in Cayley-Klein ``(a, b)`` form, is applied to every
+  sequence and shot of a given length at once.  Amplitude noise is
+  quasi-static per shot, residual harmonic motion scales each pulse area
+  by the exact average of its sinusoidal modulation, slow dephasing
+  enters as Gaussian phase kicks between pulses, and
+  depolarizing/idle/readout errors act on outcomes.
 * ``full`` — pulses are ramped waveforms integrated piecewise-exactly by
   the pulse simulator, sharing the same noise draws as the fast tier so
   the two can be compared realization by realization.
@@ -33,9 +33,10 @@ from . import noise as noise_mod
 from .cliffords import (
     CliffordGroup,
     GateSequence,
-    PulseSpec,
     QubitState,
+    apply_ab,
     build_clifford_table,
+    pulse_ab,
     pulse_from_label,
     recovery_gate,
 )
@@ -65,12 +66,11 @@ __all__ = [
 
 DATASET_FORMAT = "qubitbench.rb_dataset.v1"
 
-_LABEL_PHASE = {
-    "+X90": 0.0,
-    "+Y90": np.pi / 2,
-    "-X90": np.pi,
-    "-Y90": 3 * np.pi / 2,
-}
+_LABEL_QUARTERS = {"+X90": 0, "+Y90": 1, "-X90": 2, "-Y90": 3}
+#: exp(1j * q * pi / 2) for q quarter turns, exactly
+_PHASORS = np.array([1, 1j, -1, -1j])
+#: pulses whose noise the fast tier evaluates at once (bounds its temporaries)
+_STEP_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ class RBPlan:
     def sequence(self, length: int, seq_id: int, group: CliffordGroup | None = None) -> GateSequence:
         group = group or build_clifford_table()
         idx = self.clifford_indices(length, seq_id, group)
-        rec = recovery_gate([int(i) for i in idx], group=group)
+        rec = recovery_gate(idx, group=group)
         return GateSequence(
             cliffords=tuple(int(i) for i in idx),
             recovery=int(rec),
@@ -265,9 +265,9 @@ class RBDataset:
 
 
 def _phase_table(group: CliffordGroup) -> list[np.ndarray]:
-    """Effective pulse phase array for each group element's pulse word."""
+    """Drive phase of each pulse in each group element's word, in quarter turns."""
     return [
-        np.array([_LABEL_PHASE[label] for label in el.pulses], dtype=float)
+        np.array([_LABEL_QUARTERS[label] for label in el.pulses], dtype=np.int8)
         for el in group.elements
     ]
 
@@ -281,22 +281,29 @@ def _has_coherent_noise(noise: NoiseConfig) -> bool:
     )
 
 
-def _rot_apply(alpha, beta, omega, delta_z, phase, duration):
-    """Apply the exact rectangle-pulse propagator to state arrays in place.
+def _draw_shot_noise(plan: RBPlan, length: int, noise: NoiseConfig):
+    """Per-shot amplitude multipliers and motional phases, and the dephasing-kick
+    generator, each from its own lane; ``None`` for an absent noise source."""
+    n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
+    seed = plan.master_seed
+    if noise.amplitude is not None:
+        amp_rng = rng_stream(seed, LANE_AMPLITUDE, length)
+        mult = noise.amplitude.sample_multipliers(amp_rng, n_seq * n_shot).reshape(n_seq, n_shot)
+    else:
+        mult = np.ones((n_seq, n_shot))
+    mot_phase0 = None
+    if noise.motional is not None:
+        mot_rng = rng_stream(seed, LANE_MOTIONAL, length)
+        mot_phase0 = mot_rng.uniform(0.0, 2 * np.pi, (n_seq, n_shot))
+    deph_rng = rng_stream(seed, LANE_DEPHASING, length) if noise.dephasing_t2 else None
+    return mult, mot_phase0, deph_rng
 
-    The Hamiltonian is (omega/2)(cos(phase) sx + sin(phase) sy)
-    + (delta_z/2) sz, constant over `duration`.
-    """
-    w = np.sqrt(omega**2 + delta_z**2)
-    half = 0.5 * w * duration
-    c = np.cos(half)
-    s = np.where(w > 0, np.sin(half), 0.0)
-    inv = np.where(w > 0, 1.0 / np.where(w > 0, w, 1.0), 0.0)
-    a = c - 1j * delta_z * inv * s
-    b = -1j * omega * inv * s * np.exp(1j * phase)
-    new_alpha = a * alpha - np.conj(b) * beta
-    new_beta = b * alpha + np.conj(a) * beta
-    return new_alpha, new_beta
+
+def _kick_std(noise: NoiseConfig, timing: RBTiming) -> float:
+    """Std dev of the dephasing kick drawn after every pulse (0 without dephasing)."""
+    if not noise.dephasing_t2:
+        return 0.0
+    return float(noise_mod.brownian_phase_std(timing.pulse_spacing, noise.dephasing_t2))
 
 
 def _coherent_survival_fast(
@@ -309,77 +316,66 @@ def _coherent_survival_fast(
     compensate_idle_phase: bool,
     zeeman: ZeemanModel | None = None,
 ) -> np.ndarray:
-    """Survival probability of each (sequence, shot) before readout effects."""
-    n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
-    seq_phases = []
-    for s in range(n_seq):
-        idx = plan.clifford_indices(length, s, group)
-        rec = recovery_gate([int(i) for i in idx], group=group)
-        parts = [phase_table[int(i)] for i in idx] + [phase_table[rec]]
-        seq_phases.append(np.concatenate(parts))
-    n_pulses = np.array([len(p) for p in seq_phases])
-    p_max = int(n_pulses.max())
-    phases = np.zeros((n_seq, p_max))
-    valid = np.zeros((n_seq, p_max), dtype=bool)
-    for s, ph in enumerate(seq_phases):
-        phases[s, : len(ph)] = ph
-        valid[s, : len(ph)] = True
+    """Survival probability of each (sequence, shot) before readout effects.
 
-    seed = plan.master_seed
-    if noise.amplitude is not None:
-        amp_rng = rng_stream(seed, LANE_AMPLITUDE, length)
-        mult = noise.amplitude.sample_multipliers(amp_rng, n_seq * n_shot).reshape(n_seq, n_shot)
-    else:
-        mult = np.ones((n_seq, n_shot))
+    Rows are sorted by pulse count, longest first, so the sequences still
+    playing at pulse k are the leading ``n_active[k]`` rows.  The dephasing
+    stream yields one ``(n_seq, n_shot)`` draw per pulse, finished rows included.
+    """
+    n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
+    words = [
+        np.concatenate([phase_table[i] for i in plan.sequence(length, s, group).all_indices()])
+        for s in range(n_seq)
+    ]
+    n_pulses = np.array([len(w) for w in words])
+    order = np.argsort(-n_pulses, kind="stable")
+    p_max = int(n_pulses[order[0]])
+    quarters = np.zeros((n_seq, p_max), dtype=np.int8)
+    for row, s in enumerate(order):
+        quarters[row, : n_pulses[s]] = words[s]
+    n_active = np.searchsorted(-n_pulses[order], -np.arange(p_max))
+
+    mult, mot_phase0, deph_rng = _draw_shot_noise(plan, length, noise)
+    mult = mult[order]
+    omega0 = (np.pi / 2) / timing.t_half_pi * mult
+    delta = noise.detuning_offset
+    # drive-induced shift scales with the played power
+    vz = -delta + (zeeman.shift(mult) if zeeman is not None else np.zeros_like(mult))
     motional = noise.motional
     if motional is not None:
-        mot_rng = rng_stream(seed, LANE_MOTIONAL, length)
-        mot_phase0 = mot_rng.uniform(0.0, 2 * np.pi, (n_seq, n_shot))
-    deph_rng = rng_stream(seed, LANE_DEPHASING, length) if noise.dephasing_t2 else None
-
-    omega_r = (np.pi / 2) / timing.t_half_pi
-    delta = noise.detuning_offset
-    spacing = timing.pulse_spacing
-    idle_time = timing.gap_time + timing.delay_per_pulse
-    kick_std = (
-        float(noise_mod.brownian_phase_std(spacing, noise.dephasing_t2))
-        if noise.dephasing_t2
-        else 0.0
-    )
+        # mean_area_factor(depth, phi0 + omega_m t, T) == 1 + depth Im(e^{i phi0} s)
+        e_phase0 = np.exp(1j * mot_phase0[order])
+    kick_std = _kick_std(noise, timing)
+    idle_phase = delta * (timing.gap_time + timing.delay_per_pulse) if not compensate_idle_phase else 0.0
 
     alpha = np.full((n_seq, n_shot), 1.0 + 0.0j if plan.prepared_state == 0 else 0.0j)
     beta = np.full((n_seq, n_shot), 1.0 + 0.0j if plan.prepared_state == 1 else 0.0j)
-
-    for k in range(p_max):
-        col_phase = phases[:, k][:, None]
-        omega = omega_r * mult
+    for k0 in range(0, p_max, _STEP_BLOCK):
+        k1 = min(k0 + _STEP_BLOCK, p_max)
+        rows = n_active[k0]
+        omega = omega0[:rows]
         if motional is not None:
-            t_k = k * spacing
-            depth = motional.depth_at(t_k)
-            area = motional.mean_area_factor(depth, mot_phase0 + motional.omega_m * t_k, timing.t_half_pi)
-            omega = omega * area
-        vz = -delta
-        if zeeman is not None:
-            # drive-induced shift scales with the played power
-            vz = vz + zeeman.shift(mult)
-        a_new, b_new = _rot_apply(alpha, beta, omega, vz, col_phase, timing.t_half_pi)
-        mask = valid[:, k][:, None]
-        alpha = np.where(mask, a_new, alpha)
-        beta = np.where(mask, b_new, beta)
-
-        theta = np.zeros((n_seq, n_shot))
-        if kick_std:
-            theta = theta + kick_std * deph_rng.standard_normal((n_seq, n_shot))
-        if delta and not compensate_idle_phase:
-            theta = theta - delta * idle_time
-        if kick_std or (delta and not compensate_idle_phase):
+            t_k = timing.pulse_spacing * np.arange(k0, k1)
+            u = motional.depth_at(t_k) * motional.area_phasor(t_k, timing.t_half_pi)
+            omega = omega * (1.0 + (e_phase0[:rows] * u[:, None, None]).imag)
+        a, b = pulse_ab(omega, vz[:rows], timing.t_half_pi)
+        if kick_std or idle_phase:
+            theta = -idle_phase
+            if kick_std:
+                kicks = deph_rng.standard_normal((k1 - k0, n_seq, n_shot))
+                theta = kick_std * kicks[:, order[:rows]] - idle_phase
+            # the z rotation after each pulse folds into its (a, b)
             rot = np.exp(-0.5j * theta)
-            alpha = np.where(mask, alpha * rot, alpha)
-            beta = np.where(mask, beta * np.conj(rot), beta)
+            a, b = rot * a, np.conj(rot) * b
+        b = b * _PHASORS[quarters[:rows, k0:k1].T][:, :, None]
+        a = np.broadcast_to(a, b.shape)
+        for j, k in enumerate(range(k0, k1)):
+            n = n_active[k]
+            apply_ab(a[j, :n], b[j, :n], alpha[:n], beta[:n])
 
-    if plan.prepared_state == 0:
-        return np.abs(alpha) ** 2
-    return np.abs(beta) ** 2
+    survival = np.empty((n_seq, n_shot))
+    survival[order] = np.abs(alpha if plan.prepared_state == 0 else beta) ** 2
+    return survival
 
 
 def _coherent_survival_full(
@@ -398,34 +394,17 @@ def _coherent_survival_full(
     tiers can be compared on identical noise realizations.
     """
     n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
-    seed = plan.master_seed
-    if noise.amplitude is not None:
-        amp_rng = rng_stream(seed, LANE_AMPLITUDE, length)
-        mult = noise.amplitude.sample_multipliers(amp_rng, n_seq * n_shot).reshape(n_seq, n_shot)
-    else:
-        mult = np.ones((n_seq, n_shot))
+    mult, mot_phase0, deph_rng = _draw_shot_noise(plan, length, noise)
     motional = noise.motional
-    if motional is not None:
-        mot_rng = rng_stream(seed, LANE_MOTIONAL, length)
-        mot_phase0 = mot_rng.uniform(0.0, 2 * np.pi, (n_seq, n_shot))
-    deph_rng = rng_stream(seed, LANE_DEPHASING, length) if noise.dephasing_t2 else None
-
     drive = DriveParams.nominal(timing.t_half_pi, timing.ramp_time, detuning=noise.detuning_offset)
     base_gap = timing.gap_time + timing.delay_per_pulse
     spacing = timing.pulse_spacing
-    kick_std = (
-        float(noise_mod.brownian_phase_std(spacing, noise.dephasing_t2))
-        if noise.dephasing_t2
-        else 0.0
-    )
+    kick_std = _kick_std(noise, timing)
 
-    seqs = [plan.sequence(length, s, group) for s in range(n_seq)]
-    seq_labels = []
-    for seq in seqs:
-        labels = []
-        for i in (*seq.cliffords, seq.recovery):
-            labels.extend(group.elements[i].pulses)
-        seq_labels.append(labels)
+    seq_labels = [
+        [lab for i in plan.sequence(length, s, group).all_indices() for lab in group.elements[i].pulses]
+        for s in range(n_seq)
+    ]
     p_max = max(len(lab) for lab in seq_labels)
     if kick_std:
         # drawn pulse-index-major so both tiers assign the same stream

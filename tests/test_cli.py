@@ -188,6 +188,16 @@ class TestErrorsAndOutput:
         doc = json.loads(target.read_text())
         assert doc["run"]["command"] == "rb"
 
+    @pytest.mark.parametrize(
+        "args", [(*TINY_RB, "--format", "jsonl"), ("clifford-table", "--format", "csv")]
+    )
+    def test_format_the_command_cannot_write_is_rejected(self, args):
+        # only calibrate streams JSONL; rb used to print JSON for --format jsonl
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "invalid choice" in proc.stderr
+
     def test_rb_csv_format(self):
         proc = run_cli(*TINY_RB, "--seed", "11", "--format", "csv")
         lines = proc.stdout.splitlines()

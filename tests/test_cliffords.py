@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from qubitbench import budget, filterfunc, pulsesim
 from qubitbench.cliffords import (
+    MEAN_PULSES_PER_CLIFFORD,
     CliffordGroup,
     GateSequence,
     QubitState,
@@ -122,6 +124,16 @@ class TestComposition:
         for i, el in enumerate(group.elements):
             phase = np.exp(0.731j)
             assert group.find_index(phase * el.matrix) == i
+
+
+class TestMeanPulses:
+    def test_constant_equals_the_table_mean(self, group):
+        assert MEAN_PULSES_PER_CLIFFORD == group.mean_pulses_per_clifford
+
+    def test_every_module_uses_the_one_constant(self):
+        assert budget.MEAN_PULSES_PER_CLIFFORD is MEAN_PULSES_PER_CLIFFORD
+        assert filterfunc.MEAN_PULSES_PER_CLIFFORD is MEAN_PULSES_PER_CLIFFORD
+        assert pulsesim.MEAN_PULSES_PER_CLIFFORD is MEAN_PULSES_PER_CLIFFORD
 
 
 class TestRecovery:

@@ -1,0 +1,227 @@
+"""Property tests for the shared SU(2) pulse kernel and the code built on it.
+
+Each kernel is checked against a plain reference: the Cayley-Klein pulse
+against the matrix exponential, the tree recovery against the sequential
+fold, the motional area phasor against ``mean_area_factor``, and the
+prefix-sorted fast engine against a masked engine that steps every
+sequence with explicit 2x2 matrices.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+
+from qubitbench.cliffords import apply_ab, build_clifford_table, pulse_ab, recovery_gate
+from qubitbench.noise import (
+    LANE_AMPLITUDE,
+    LANE_DEPHASING,
+    LANE_MOTIONAL,
+    AmplitudeNoiseModel,
+    MotionalMode,
+    NoiseConfig,
+    brownian_phase_std,
+    rng_stream,
+)
+from qubitbench.pulsesim import ZeemanModel
+from qubitbench.rb import RBPlan, RBTiming, _coherent_survival_fast, _phase_table
+
+GROUP = build_clifford_table()
+EPS = np.finfo(float).eps
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]])
+_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+_LABEL_PHASE = {"+X90": 0.0, "+Y90": np.pi / 2, "-X90": np.pi, "-Y90": 3 * np.pi / 2}
+
+rates = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+def _ab_matrix(a, b) -> np.ndarray:
+    return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+
+
+class TestPulseKernel:
+    @given(
+        omega=rates,
+        vz=st.one_of(st.just(0.0), rates),
+        quarter=st.integers(0, 3),
+        duration=st.floats(1e-8, 2e-5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_matrix_exponential(self, omega, vz, quarter, duration):
+        phase = quarter * np.pi / 2
+        hamiltonian = 0.5 * omega * (np.cos(phase) * _SX + np.sin(phase) * _SY) + 0.5 * vz * _SZ
+        a, b = pulse_ab(omega, vz, duration)
+        u = _ab_matrix(a, b * 1j**quarter)
+        assert abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-12
+        assert np.max(np.abs(u - expm(-1j * duration * hamiltonian))) <= 1e-12
+
+    @given(
+        omega=st.lists(rates, min_size=1, max_size=6),
+        vz=rates,
+        quarter=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_apply_matches_matrix_product(self, omega, vz, quarter, seed):
+        omega = np.array(omega)
+        rng = np.random.default_rng(seed)
+        state = rng.standard_normal((2, len(omega))) + 1j * rng.standard_normal((2, len(omega)))
+        state /= np.linalg.norm(state, axis=0)
+        a, b = pulse_ab(omega, vz, 6e-6)
+        b = b * 1j**quarter
+        alpha, beta = state.copy()
+        apply_ab(a, b, alpha, beta)
+        for n in range(len(omega)):
+            expected = _ab_matrix(a[n], b[n]) @ state[:, n]
+            assert np.max(np.abs([alpha[n], beta[n]] - expected)) <= 1e-12
+        assert np.allclose(np.abs(alpha) ** 2 + np.abs(beta) ** 2, 1.0, rtol=0, atol=1e-12)
+
+
+class TestTreeRecovery:
+    @given(st.lists(st.integers(0, len(GROUP) - 1), max_size=300))
+    @example([])
+    @example([7])
+    def test_equals_sequential_fold(self, indices):
+        expected = GROUP.inverse(GROUP.fold(indices))
+        assert recovery_gate(indices, group=GROUP) == expected
+        assert recovery_gate(np.array(indices, dtype=int), group=GROUP) == expected
+
+
+class TestMotionalAreaPhasor:
+    @given(
+        depth=st.floats(0.0, 0.2),
+        phase0=st.floats(0.0, 2 * np.pi),
+        t_start=st.floats(0.0, 1e-3),
+        duration=st.floats(1e-7, 5e-5),
+        omega_m=st.floats(2 * np.pi * 1e4, 2 * np.pi * 1e7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_phasor_form_equals_reference(self, depth, phase0, t_start, duration, omega_m):
+        mode = MotionalMode(omega_m=omega_m)
+        phase = phase0 + omega_m * t_start
+        wt = omega_m * duration
+        reference = mode.mean_area_factor(depth, phase, duration)
+        phasor_form = 1.0 + depth * np.imag(np.exp(1j * phase0) * mode.area_phasor(t_start, duration))
+        # both forms take a difference of sines at arguments up to
+        # |phase| + wt and divide it by wt
+        tol = 1e-14 + 8 * EPS * depth * (phase + wt + 1.0) / wt
+        assert abs(phasor_form - reference) <= tol
+
+    def test_array_times_give_one_phasor_per_pulse(self):
+        mode = MotionalMode()
+        t = 6.08e-6 * np.arange(5)
+        expected = [mode.area_phasor(x, 6e-6) for x in t]
+        np.testing.assert_allclose(mode.area_phasor(t, 6e-6), expected, rtol=1e-14, atol=0)
+
+
+def _masked_survival(plan, length, noise, timing, compensate_idle_phase, zeeman):
+    """The fast tier as a masked engine: every sequence steps p_max times,
+    with explicit 2x2 propagators and per-pulse noise draws."""
+    n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
+    phases = []
+    for s in range(n_seq):
+        idx = [int(i) for i in plan.clifford_indices(length, s, GROUP)]
+        word = [p for i in (*idx, GROUP.inverse(GROUP.fold(idx))) for p in GROUP.elements[i].pulses]
+        phases.append([_LABEL_PHASE[p] for p in word])
+    p_max = max(len(p) for p in phases)
+    phase = np.zeros((n_seq, p_max))
+    valid = np.zeros((n_seq, p_max), dtype=bool)
+    for s, p in enumerate(phases):
+        phase[s, : len(p)] = p
+        valid[s, : len(p)] = True
+
+    seed = plan.master_seed
+    mult = np.ones((n_seq, n_shot))
+    if noise.amplitude is not None:
+        rng = rng_stream(seed, LANE_AMPLITUDE, length)
+        mult = noise.amplitude.sample_multipliers(rng, n_seq * n_shot).reshape(n_seq, n_shot)
+    if noise.motional is not None:
+        phase0 = rng_stream(seed, LANE_MOTIONAL, length).uniform(0.0, 2 * np.pi, (n_seq, n_shot))
+    deph_rng = rng_stream(seed, LANE_DEPHASING, length) if noise.dephasing_t2 else None
+    kick_std = brownian_phase_std(timing.pulse_spacing, noise.dephasing_t2) if deph_rng else 0.0
+    delta = noise.detuning_offset
+    idle_time = timing.gap_time + timing.delay_per_pulse
+
+    state = np.zeros((n_seq, n_shot, 2), dtype=complex)
+    state[..., plan.prepared_state] = 1.0
+    for k in range(p_max):
+        omega = (np.pi / 2) / timing.t_half_pi * mult
+        if noise.motional is not None:
+            mode, t_k = noise.motional, k * timing.pulse_spacing
+            omega = omega * mode.mean_area_factor(
+                mode.depth_at(t_k), phase0 + mode.omega_m * t_k, timing.t_half_pi
+            )
+        vz = -delta + (zeeman.shift(mult) if zeeman is not None else 0.0)
+        vz = np.broadcast_to(vz, omega.shape)
+        ph = np.broadcast_to(phase[:, k, None], omega.shape)
+        u = np.array(
+            [
+                [
+                    expm(-0.5j * timing.t_half_pi * (w * (np.cos(p) * _SX + np.sin(p) * _SY) + z * _SZ))
+                    for w, z, p in zip(omega[s], vz[s], ph[s])
+                ]
+                for s in range(n_seq)
+            ]
+        )
+        mask = valid[:, k, None, None]
+        state = np.where(mask, np.einsum("sqij,sqj->sqi", u, state), state)
+        theta = np.zeros((n_seq, n_shot))
+        if kick_std:
+            theta = theta + kick_std * deph_rng.standard_normal((n_seq, n_shot))
+        if delta and not compensate_idle_phase:
+            theta = theta - delta * idle_time
+        rz = np.stack([np.exp(-0.5j * theta), np.exp(0.5j * theta)], axis=-1)
+        state = np.where(mask, state * rz, state)
+    return np.abs(state[..., plan.prepared_state]) ** 2
+
+
+class TestPrefixSortedEngine:
+    @given(
+        seed=st.integers(0, 2**16),
+        length=st.integers(2, 12),
+        n_seq=st.integers(2, 4),
+        shots=st.integers(1, 3),
+        amplitude=st.booleans(),
+        motional=st.booleans(),
+        dephasing=st.booleans(),
+        detuning_hz=st.sampled_from([0.0, 3e3]),
+        zeeman=st.booleans(),
+        compensate=st.booleans(),
+        prep=st.integers(0, 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_masked_matrix_engine(
+        self, seed, length, n_seq, shots, amplitude, motional, dephasing, detuning_hz, zeeman,
+        compensate, prep,
+    ):
+        plan = RBPlan(seed, (length,), n_sequences=n_seq, shots_per_sequence=shots, prepared_state=prep)
+        counts = [
+            sum(GROUP.elements[i].pulse_count for i in plan.sequence(length, s, GROUP).all_indices())
+            for s in range(n_seq)
+        ]
+        assume(len(set(counts)) > 1)
+        noise = NoiseConfig(
+            amplitude=AmplitudeNoiseModel(sigma_rel=0.02) if amplitude else None,
+            # strong, slow modulation so that a wrong area factor would show
+            motional=MotionalMode(eta=0.03, omega_m=2 * np.pi * 3e5) if motional else None,
+            dephasing_t2=1e-3 if dephasing else None,
+            detuning_offset=2 * np.pi * detuning_hz,
+        )
+        timing = RBTiming(delay_per_pulse=2e-6)
+        z = ZeemanModel(shift_at_full_amp=2 * np.pi * 2e3) if zeeman else None
+        fast = _coherent_survival_fast(plan, length, GROUP, _phase_table(GROUP), noise, timing, compensate, z)
+        reference = _masked_survival(plan, length, noise, timing, compensate, z)
+        assert np.max(np.abs(fast - reference)) <= 1e-11
+
+
+@pytest.mark.parametrize("length", [1, 5, 40])
+def test_engine_without_noise_keeps_every_sequence_at_identity(length):
+    plan = RBPlan(3, (length,), n_sequences=5, shots_per_sequence=2)
+    survival = _coherent_survival_fast(
+        plan, length, GROUP, _phase_table(GROUP), NoiseConfig(), RBTiming(), True
+    )
+    assert np.allclose(survival, 1.0, rtol=0, atol=1e-12)
