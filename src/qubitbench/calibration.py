@@ -234,11 +234,12 @@ def records_to_jsonl(records: Sequence[CalRecord]) -> str:
 
 
 def amplitude_cal_step(
-    testbed: SimulatedQubitTestbed, n_group: int, shots: int
+    testbed: SimulatedQubitTestbed, n_group: int, shots: int, linear_threshold: float = 0.35
 ) -> tuple[float, float, float, bool]:
     """Measure the relative amplitude error with a 4N+1 pulse train.
 
-    Returns (p_zero, estimate, sigma, linear_ok).
+    Returns (p_zero, estimate, sigma, linear_ok); `linear_ok` holds when
+    ``|p_zero - 1/2| <= linear_threshold``.
     """
     n_pulses = 4 * n_group + 1
     bright = testbed.run_train(np.zeros(n_pulses), shots)
@@ -246,7 +247,7 @@ def amplitude_cal_step(
     c = (4 * n_group + 1) * np.pi / 4
     arg = np.clip(1.0 - 2.0 * p, -1.0, 1.0)
     estimate = float(np.arcsin(arg) / (2 * c))
-    linear_ok = abs(p - 0.5) <= 0.35
+    linear_ok = abs(p - 0.5) <= linear_threshold
     sigma_p = np.sqrt(max(p * (1 - p), 0.25 / shots) / shots)
     slope = 2 * c * np.sqrt(max(1.0 - arg**2, 1e-2))  # |dP(-2)/dx| guard
     sigma = float(2 * sigma_p / slope)
@@ -273,19 +274,19 @@ def _freq_model_p_zero(
 
 
 def frequency_cal_step(
-    testbed: SimulatedQubitTestbed, n_pairs: int, shots: int
+    testbed: SimulatedQubitTestbed, n_pairs: int, shots: int, linear_threshold: float = 0.35
 ) -> tuple[float, float, float, bool]:
     """Measure the drive-qubit detuning with N opposite-phase pulse pairs.
 
     The final quadrature pulse converts the pair-accumulated z-rotation
     into a population signal.  Returns (p_zero, estimate, sigma,
-    linear_ok); the estimate is the detuning in rad/s, found by Newton
-    inversion of the exact propagator model.
+    linear_ok) as ``amplitude_cal_step`` does; the estimate is the detuning
+    in rad/s, found by Newton inversion of the exact propagator model.
     """
     phases = np.concatenate([np.tile([0.0, np.pi], n_pairs), [np.pi / 2]])
     bright = testbed.run_train(phases, shots)
     p = bright / shots
-    linear_ok = abs(p - 0.5) <= 0.35
+    linear_ok = abs(p - 0.5) <= linear_threshold
 
     omega = testbed.omega_nominal
 
@@ -380,7 +381,7 @@ def amplitude_cal_loop(
         testbed,
         config,
         "amplitude",
-        lambda n, shots: amplitude_cal_step(testbed, n, shots),
+        lambda n, shots: amplitude_cal_step(testbed, n, shots, config.linear_threshold),
         correct,
     )
 
@@ -400,7 +401,7 @@ def frequency_cal_loop(
         testbed,
         config,
         "frequency",
-        lambda n, shots: frequency_cal_step(testbed, n, shots),
+        lambda n, shots: frequency_cal_step(testbed, n, shots, config.linear_threshold),
         correct,
     )
 

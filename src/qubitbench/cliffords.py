@@ -73,12 +73,14 @@ def rotation_matrix(phase: float, angle: float) -> np.ndarray:
     return np.cos(angle / 2) * _ID - 1j * np.sin(angle / 2) * _axis_matrix(phase)
 
 
-def pulse_ab(omega, vz, duration: float):
+def pulse_ab(omega, vz, duration):
     """Cayley-Klein pair ``(a, b)`` of an exact rectangle pulse at drive phase 0.
 
     Holding ``(omega/2) sx + (vz/2) sz`` for `duration` gives the propagator
     ``[[a, -conj(b)], [b, conj(a)]]``; driving at phase ``phi`` multiplies
-    ``b`` by ``exp(1j * phi)``.  Elementwise over broadcastable arrays.
+    ``b`` by ``exp(1j * phi)``.  Elementwise over broadcastable arrays:
+    `omega`, `vz` and `duration` may each be a scalar or an array.  A zero
+    `duration` gives the identity exactly.
     """
     if not np.any(vz):
         half = 0.5 * omega * duration

@@ -28,7 +28,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cliffords import MEAN_PULSES_PER_CLIFFORD, PulseSpec, QubitState, UnitaryOp
+from .cliffords import (
+    MEAN_PULSES_PER_CLIFFORD,
+    PulseSpec,
+    QubitState,
+    UnitaryOp,
+    apply_ab,
+    pulse_ab,
+)
 
 __all__ = [
     "DriveParams",
@@ -45,11 +52,11 @@ __all__ = [
     "CARDINAL_STATES",
 ]
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_ID = np.eye(2, dtype=complex)
-
 RAMP_SHAPES = ("sin2", "linear")
+
+# relative drive amplitude: a constant, or a function of the time from pulse
+# start that is called once per pulse on an array of times
+AmplitudeTrace = float | Callable[[np.ndarray], np.ndarray | float]
 
 
 @dataclass(frozen=True)
@@ -116,9 +123,14 @@ class SpectatorConfig:
 
 @dataclass(frozen=True)
 class PulseNoise:
-    """Per-pulse noise overrides fed to ``evolve_sequence`` via hooks."""
+    """Per-pulse noise overrides fed to ``evolve_sequence`` via hooks.
 
-    amp_multiplier: float | Callable[[float], float] = 1.0
+    ``amp_multiplier`` is a constant or a callable trace; a callable gets
+    the array of all quadrature times of the pulse in one call and returns
+    an array of that shape, or a scalar.
+    """
+
+    amp_multiplier: AmplitudeTrace = 1.0
     detuning_extra: float = 0.0
     phase_offset: float = 0.0
 
@@ -130,49 +142,47 @@ def _ramp_profile(shape: str, s: np.ndarray) -> np.ndarray:
     return np.sin(0.5 * np.pi * s) ** 2
 
 
-def _segment_propagator(omega: float, phi: float, delta_z: float, dt: float) -> np.ndarray:
-    """Exact propagator of the constant two-level Hamiltonian over dt.
+def _ab_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2x2 matrix of the time-ordered product of the Cayley-Klein pairs ``(a[k], b[k])``.
 
-    delta_z is the coefficient of sz/2 (i.e. z(t) - Delta).
+    Pair ``k`` acts before pair ``k + 1``.  Neighbours are multiplied as a
+    pairwise tree; ``apply_ab`` on the first column of the earlier factor
+    gives the first column, and so the pair, of the product.
     """
-    vx = omega * np.cos(phi)
-    vy = omega * np.sin(phi)
-    vz = delta_z
-    norm = np.sqrt(vx * vx + vy * vy + vz * vz)
-    if norm == 0.0:
-        return _ID.copy()
-    half = norm * dt / 2
-    c, s = np.cos(half), np.sin(half)
-    n = np.array([vx, vy, vz]) / norm
-    return c * _ID - 1j * s * (n[0] * _SX + n[1] * _SY + n[2] * np.array([[1, 0], [0, -1]], dtype=complex))
+    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+    while len(a) > 1:
+        even = len(a) - len(a) % 2
+        apply_ab(a[1::2], b[1::2], a[:even:2], b[:even:2])
+        a, b = a[::2], b[::2]  # an odd last factor is carried up unchanged
+    return np.array([[a[0], -np.conj(b[0])], [b[0], np.conj(a[0])]])
 
 
 def _pulse_cells(
     pulse: PulseSpec,
     drive: DriveParams,
-    amplitude_trace: float | Callable[[float], float] | None,
+    amplitude_trace: AmplitudeTrace | None,
     ramp_substeps: int,
     flat_substeps: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed discretization grid of the pulse window (excluding the gap).
 
     Returns (edges, relative_amplitudes): cell edges in seconds from pulse
-    start and the relative drive amplitude (fraction of omega_q) evaluated
-    at each cell midpoint.  The grid does not depend on the evaluation
+    start and the relative drive amplitude (fraction of omega_q) on each
+    cell: the ramp shape at the cell midpoint times the cell average of the
+    trace.  A callable trace is called once, on the ``(n_cells, 4)`` array
+    of quadrature times.  The grid does not depend on the evaluation
     interval, so propagators over adjacent sub-intervals compose exactly.
     """
     if ramp_substeps < 64:
         raise ValueError("ramp_substeps must be at least 64")
     tr, tf = pulse.ramp_time, pulse.flat_time
-    if callable(amplitude_trace):
-        n_flat = flat_substeps if flat_substeps is not None else 256
-    else:
-        n_flat = flat_substeps if flat_substeps is not None else 1
+    if flat_substeps is None:
+        flat_substeps = 256 if callable(amplitude_trace) else 1
 
     edges = [np.array([0.0])]
     if tr > 0:
         edges.append(np.linspace(0.0, tr, ramp_substeps + 1)[1:])
-    edges.append(np.linspace(tr, tr + tf, n_flat + 1)[1:])
+    edges.append(np.linspace(tr, tr + tf, flat_substeps + 1)[1:])
     if tr > 0:
         edges.append(np.linspace(tr + tf, 2 * tr + tf, ramp_substeps + 1)[1:])
     edges = np.concatenate(edges)
@@ -185,9 +195,7 @@ def _pulse_cells(
         shape[up] = _ramp_profile(drive.ramp_shape, mids[up] / tr)
         shape[down] = _ramp_profile(drive.ramp_shape, (pulse.t_half_pi - mids[down]) / tr)
 
-    if amplitude_trace is None:
-        trace = np.ones_like(mids)
-    elif callable(amplitude_trace):
+    if callable(amplitude_trace):
         # cell-average the trace (4-point Gauss-Legendre) so that slowly
         # oscillating multipliers contribute their exact pulse area even on
         # a coarse grid
@@ -195,13 +203,10 @@ def _pulse_cells(
                                 0.3399810435848563, 0.8611363115940526]) + 0.5
         weights = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                                   0.6521451548625461, 0.3478548451374538])
-        trace = np.empty_like(mids)
-        for k in range(len(mids)):
-            a, b = edges[k], edges[k + 1]
-            ts = a + (b - a) * nodes
-            trace[k] = float(sum(w * float(amplitude_trace(t)) for w, t in zip(weights, ts)))
+        ts = edges[:-1, None] + np.diff(edges)[:, None] * nodes
+        trace = np.broadcast_to(amplitude_trace(ts), ts.shape) @ weights
     else:
-        trace = float(amplitude_trace) * np.ones_like(mids)
+        trace = 1.0 if amplitude_trace is None else float(amplitude_trace)
 
     rel_amp = pulse.amp_scale * shape * trace
     return edges, rel_amp
@@ -210,7 +215,7 @@ def _pulse_cells(
 def pulse_propagator(
     pulse: PulseSpec,
     drive: DriveParams,
-    amplitude_trace: float | Callable[[float], float] | None = None,
+    amplitude_trace: AmplitudeTrace | None = None,
     zeeman: ZeemanModel | None = None,
     t_start: float = 0.0,
     t_end: float | None = None,
@@ -223,7 +228,10 @@ def pulse_propagator(
     Times are measured from the start of the pulse.  The underlying
     piecewise-constant Hamiltonian is defined on a fixed grid, so splitting
     the interval and composing the pieces reproduces the whole to machine
-    precision.
+    precision.  A callable `amplitude_trace` gets the array of all
+    quadrature times of the pulse in one call.  Every cell's exact
+    propagator comes from one ``pulse_ab`` call on arrays, and the cells
+    are multiplied as a pairwise tree.
     """
     window = pulse.total_time if include_gap else pulse.t_half_pi
     t_end = window if t_end is None else t_end
@@ -231,29 +239,23 @@ def pulse_propagator(
         raise ValueError("evaluation interval must lie inside the pulse window")
 
     edges, rel_amp = _pulse_cells(pulse, drive, amplitude_trace, ramp_substeps, flat_substeps)
-    phi = pulse.effective_phase + drive.phase
-    mat = _ID.copy()
-    for k in range(len(rel_amp)):
-        a, b = edges[k], edges[k + 1]
-        lo, hi = max(a, t_start), min(b, t_end)
-        if hi <= lo:
-            continue
-        omega = drive.omega_q * rel_amp[k]
-        zshift = zeeman.shift(rel_amp[k]) if zeeman is not None else 0.0
-        mat = _segment_propagator(omega, phi, zshift - drive.detuning, hi - lo) @ mat
-    # trailing gap: free evolution at zero amplitude
-    gap_lo = max(pulse.t_half_pi, t_start)
-    gap_hi = min(window, t_end)
-    if include_gap and gap_hi > gap_lo:
-        mat = _segment_propagator(0.0, 0.0, -drive.detuning, gap_hi - gap_lo) @ mat
-    return UnitaryOp(mat)
+    starts, ends = edges[:-1], edges[1:]
+    if include_gap:
+        # trailing gap: free evolution at zero amplitude, so no ac Zeeman shift
+        starts, ends = np.append(starts, pulse.t_half_pi), np.append(ends, window)
+        rel_amp = np.append(rel_amp, 0.0)
+    # cells outside [t_start, t_end] get zero length, i.e. the identity
+    dt = np.maximum(np.minimum(ends, t_end) - np.maximum(starts, t_start), 0.0)
+    vz = -drive.detuning if zeeman is None else zeeman.shift(rel_amp) - drive.detuning
+    a, b = pulse_ab(drive.omega_q * rel_amp, vz, dt)
+    return UnitaryOp(_ab_product(a, b * np.exp(1j * (pulse.effective_phase + drive.phase))))
 
 
 def evolve_pulse(
     state: QubitState,
     pulse: PulseSpec,
     drive: DriveParams,
-    amplitude_trace: float | Callable[[float], float] | None = None,
+    amplitude_trace: AmplitudeTrace | None = None,
     zeeman: ZeemanModel | None = None,
     ramp_substeps: int = 64,
     flat_substeps: int | None = None,
@@ -281,10 +283,15 @@ def evolve_sequence(
     ramp_substeps: int = 64,
     flat_substeps: int | None = None,
 ) -> QubitState:
-    """Evolve through a pulse train, applying optional per-pulse noise hooks."""
+    """Evolve through a pulse train, applying optional per-pulse noise hooks.
+
+    ``noise_hook(k, pulse)`` is called once per pulse; a callable
+    ``amp_multiplier`` it returns is called once per pulse too, on the
+    array of that pulse's quadrature times (see ``pulse_propagator``).
+    """
     for k, pulse in enumerate(pulses):
         eff_drive = drive
-        trace: float | Callable[[float], float] | None = None
+        trace: AmplitudeTrace | None = None
         if noise_hook is not None:
             noise = noise_hook(k, pulse)
             if noise is not None:
@@ -503,22 +510,11 @@ def counter_rotating_error(
         period = np.pi / omega_q_scaled  # of the 2*omega_q oscillation
         n_steps = int(np.ceil(duration / period)) * substeps_per_period
         dt = duration / n_steps
-        mat = _ID.copy()
-        for k in range(n_steps):
-            t = (k + 0.5) * dt
-            theta = 2 * omega_q_scaled * t
-            vx = 0.5 * omega * (1 + np.cos(theta))
-            vy = 0.5 * omega * np.sin(theta)
-            norm = np.hypot(vx, vy)
-            if norm == 0:
-                continue
-            half = norm * dt
-            c, s = np.cos(half), np.sin(half)
-            nx, ny = vx / norm, vy / norm
-            mat = (
-                c * _ID - 1j * s * (nx * _SX + ny * _SY)
-            ) @ mat
-        err = avg_pulse_error(UnitaryOp(mat), ideal)
+        # the Rabi vector omega (1 + e^{i theta}), theta = 2 omega_q t, is a
+        # drive of rate 2 omega cos(theta/2) at phase theta/2
+        half_theta = omega_q_scaled * (np.arange(n_steps) + 0.5) * dt
+        a, b = pulse_ab(2 * omega * np.cos(half_theta), 0.0, dt)
+        err = avg_pulse_error(UnitaryOp(_ab_product(a, b * np.exp(1j * half_theta))), ideal)
         ratios.append(omega / omega_q_scaled)
         errors.append(err)
 

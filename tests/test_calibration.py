@@ -134,6 +134,27 @@ class TestLoops:
         assert abs(residual) < 2 * np.pi * 3.0
         assert sigma < 2 * np.pi * 1.0
 
+    @pytest.mark.parametrize(
+        "loop, drift",
+        [
+            (amplitude_cal_loop, {"amp_drift": _const(1.2e-3)}),
+            (frequency_cal_loop, {"freq_drift": _const(2 * np.pi * 150.0)}),
+        ],
+    )
+    def test_linear_threshold_decides_linear_ok(self, loop, drift):
+        first = {
+            threshold: loop(
+                _quiet_testbed(6, **drift), CalLoopConfig(n_start=64, linear_threshold=threshold)
+            )[0]
+            for threshold in (0.35, 0.1)
+        }
+        # the same measurement, judged against two thresholds
+        assert first[0.35].p_zero == first[0.1].p_zero
+        assert 0.1 < abs(first[0.35].p_zero - 0.5) < 0.35
+        assert first[0.35].linear_ok
+        assert not first[0.1].linear_ok
+        assert not first[0.1].corrected
+
     def test_records_serialize_to_jsonl(self):
         tb = SimulatedQubitTestbed(master_seed=9, amp_drift=_const(-3e-4))
         records = amplitude_cal_loop(tb)

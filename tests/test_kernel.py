@@ -2,9 +2,10 @@
 
 Each kernel is checked against a plain reference: the Cayley-Klein pulse
 against the matrix exponential, the tree recovery against the sequential
-fold, the motional area phasor against ``mean_area_factor``, and the
-prefix-sorted fast engine against a masked engine that steps every
-sequence with explicit 2x2 matrices.
+fold, the motional area phasor against ``mean_area_factor``, the
+vectorized pulse propagator against a cell-by-cell product of matrix
+exponentials, and the prefix-sorted fast engine against a masked engine
+that steps every sequence with explicit 2x2 matrices.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qubitbench.cliffords import apply_ab, build_clifford_table, pulse_ab, recovery_gate
+from qubitbench.cliffords import (
+    PulseSpec,
+    apply_ab,
+    build_clifford_table,
+    pulse_ab,
+    recovery_gate,
+)
 from qubitbench.noise import (
     LANE_AMPLITUDE,
     LANE_DEPHASING,
@@ -26,7 +33,13 @@ from qubitbench.noise import (
     brownian_phase_std,
     rng_stream,
 )
-from qubitbench.pulsesim import ZeemanModel
+from qubitbench.pulsesim import (
+    DriveParams,
+    ZeemanModel,
+    _ab_product,
+    _pulse_cells,
+    pulse_propagator,
+)
 from qubitbench.rb import RBPlan, RBTiming, _coherent_survival_fast, _phase_table
 
 GROUP = build_clifford_table()
@@ -116,6 +129,99 @@ class TestMotionalAreaPhasor:
         t = 6.08e-6 * np.arange(5)
         expected = [mode.area_phasor(x, 6e-6) for x in t]
         np.testing.assert_allclose(mode.area_phasor(t, 6e-6), expected, rtol=1e-14, atol=0)
+
+
+_GL_NODES = 0.5 + 0.5 * np.array(
+    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
+)
+_GL_WEIGHTS = 0.5 * np.array(
+    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
+)
+
+
+def _sequential_propagator(pulse, drive, trace, zeeman, t_start, t_end, flat_substeps, gap):
+    """Cell-by-cell product of matrix exponentials on the propagator's grid,
+    with the trace averaged by scalar calls at each quadrature node."""
+    edges, shape = _pulse_cells(pulse, drive, None, 64, flat_substeps)
+    phi = pulse.effective_phase + drive.phase
+    cells = []
+    for lo, hi, amp in zip(edges[:-1], edges[1:], shape):
+        if callable(trace):
+            amp *= sum(w * float(trace(lo + (hi - lo) * x)) for w, x in zip(_GL_WEIGHTS, _GL_NODES))
+        elif trace is not None:
+            amp *= trace
+        cells.append((lo, hi, amp))
+    if gap:
+        cells.append((pulse.t_half_pi, pulse.total_time, 0.0))
+    u = np.eye(2, dtype=complex)
+    for lo, hi, amp in cells:
+        lo, hi = max(lo, t_start), min(hi, t_end)
+        if hi <= lo:
+            continue
+        vz = (zeeman.shift(amp) if zeeman else 0.0) - drive.detuning
+        omega = drive.omega_q * amp
+        h = 0.5 * (omega * (np.cos(phi) * _SX + np.sin(phi) * _SY) + vz * _SZ)
+        u = expm(-1j * (hi - lo) * h) @ u
+    return u
+
+
+class TestPulsePropagator:
+    @given(
+        rate_factor=st.floats(0.5, 2.0),
+        detuning=st.floats(-2 * np.pi * 5e4, 2 * np.pi * 5e4),
+        phase=st.floats(0.0, 2 * np.pi),
+        sign=st.sampled_from([1, -1]),
+        ramp_shape=st.sampled_from(["sin2", "linear"]),
+        ramp_time=st.sampled_from([0.0, 40e-9, 300e-9]),
+        zeeman_hz=st.one_of(st.none(), st.floats(-1e4, 1e4)),
+        trace_kind=st.sampled_from(["none", "scalar", "array", "scalar-callable"]),
+        trace_level=st.floats(0.98, 1.02),
+        window=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+        flat_substeps=st.integers(1, 24),
+        gap=st.booleans(),
+    )
+    @example(1.0, 0.0, 0.0, 1, "sin2", 40e-9, None, "array", 1.0, [0.0, 1.0], 8, True)
+    @example(1.0, 1e5, 0.3, -1, "linear", 40e-9, 9.0, "scalar", 1.0, [0.41, 0.41], 1, False)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sequential_matrix_exponentials(
+        self, rate_factor, detuning, phase, sign, ramp_shape, ramp_time, zeeman_hz,
+        trace_kind, trace_level, window, flat_substeps, gap,
+    ):
+        pulse = PulseSpec(phase=0.7, sign=sign, t_half_pi=6e-6, ramp_time=ramp_time, gap_time=1e-6)
+        drive = DriveParams(
+            omega_q=rate_factor * (np.pi / 2) / (6e-6 - ramp_time),
+            detuning=detuning,
+            phase=phase,
+            ramp_shape=ramp_shape,
+        )
+        zeeman = None if zeeman_hz is None else ZeemanModel(shift_at_full_amp=2 * np.pi * zeeman_hz)
+        trace = {
+            "none": None,
+            "scalar": trace_level,
+            "array": lambda t: trace_level + 0.01 * np.cos(2 * np.pi * 3e5 * t + phase),
+            "scalar-callable": lambda t: trace_level,
+        }[trace_kind]
+        span = pulse.total_time if gap else pulse.t_half_pi
+        t_start, t_end = span * window[0], span * window[1]
+        u = pulse_propagator(
+            pulse, drive, amplitude_trace=trace, zeeman=zeeman, t_start=t_start, t_end=t_end,
+            flat_substeps=flat_substeps, include_gap=gap,
+        ).matrix
+        expected = _sequential_propagator(
+            pulse, drive, trace, zeeman, t_start, t_end, flat_substeps, gap
+        )
+        assert np.max(np.abs(u - expected)) <= 1e-12
+
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_tree_product_equals_sequential_product(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a, b = pulse_ab(rng.normal(0.0, 1e6, n), rng.normal(0.0, 1e6, n), 6e-6)
+        b = b * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+        expected = np.eye(2, dtype=complex)
+        for k in range(n):
+            expected = _ab_matrix(a[k], b[k]) @ expected
+        assert np.max(np.abs(_ab_product(a, b) - expected)) <= 1e-12
 
 
 def _masked_survival(plan, length, noise, timing, compensate_idle_phase, zeeman):

@@ -202,6 +202,15 @@ class TestErrorProbes:
         # frozen regression window for the extrapolated coefficient
         assert 0.017 < res.coefficient < 0.025
 
+    def test_counter_rotating_errors_match_extended_precision(self):
+        # 40-digit (mpmath) products of the same 1600 and 3200 midpoint steps;
+        # double-precision runs of this discretization land ~1e-8 relative
+        # away, the rounding floor of a ~2e-6 infidelity
+        res = counter_rotating_error(DriveParams(omega_q=(np.pi / 2) / 5.96e-6))
+        np.testing.assert_allclose(
+            res.sampled_errors, [8.36202009335326e-6, 2.09015132738797e-6], rtol=1e-7, atol=0
+        )
+
     def test_counter_rotating_rejects_small_separation_factors(self):
         with pytest.raises(ValueError):
             counter_rotating_error(

@@ -191,6 +191,27 @@ class TestTierAgreement:
         assert self._mismatch(group, NoiseConfig(motional=MotionalMode())) < 1e-7
         assert self._mismatch(group, default_noise_config()) < 1e-6
 
+    def test_tiers_agree_at_length_1000(self, group):
+        plan = RBPlan(master_seed=33, lengths=(1000,), n_sequences=2, shots_per_sequence=2)
+
+        def tiers(cfg, zeeman=None):
+            fast = _coherent_survival_fast(
+                plan, 1000, group, _phase_table(group), cfg, RBTiming(), True, zeeman
+            )
+            full = _coherent_survival_full(plan, 1000, group, cfg, RBTiming(), True, zeeman, 64)
+            return fast, full
+
+        fast, full = tiers(default_noise_config())
+        assert np.abs(fast - full).max() <= 1e-4
+        # the coherent error of the ramps grows with length, so the detuning
+        # and shift channels are compared by their infidelities
+        for cfg, zeeman in (
+            (NoiseConfig(detuning_offset=2 * np.pi * 200.0), None),
+            (NoiseConfig(), ZeemanModel(shift_at_full_amp=2 * np.pi * 200.0)),
+        ):
+            fast, full = tiers(cfg, zeeman)
+            assert np.all(np.abs(fast - full) <= 0.05 * (1.0 - full))
+
     def test_outcome_counts_identical_across_tiers(self):
         cfg = NoiseConfig(amplitude=AmplitudeNoiseModel(sigma_rel=4e-4), spam=0.05)
         fast = run_rb(self.PLAN, noise=cfg, tier="fast")
