@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .cliffords import apply_ab, pulse_ab
 from .noise import LANE_CAL, QuantizerConfig, rng_stream
@@ -589,6 +588,7 @@ def walsh_fit(
         )
         return model - ps
 
+    from scipy.optimize import least_squares  # here, not at module level: ~0.5 s import
     sol = least_squares(resid, x0=np.array([np.log(1e-4)]), method="lm")
     sigma_rel = float(np.exp(sol.x[0]))
 

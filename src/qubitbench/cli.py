@@ -9,17 +9,19 @@ byte-identical output.
 Config files are strict JSON: ``{"schema": "qubitbench.config.v1",
 "command": "<name>", <param>: <value>, ...}``.  Unknown keys are rejected.
 The environment variables ``QUBITBENCH_SEED`` and ``QUBITBENCH_WORKERS``
-supply fallback values for ``--seed`` and ``--workers``.
+supply fallback values for ``--seed`` and ``--workers``.  ``--workers`` must
+be at least 1, but every command runs serially (a thread pool was slower).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -44,7 +46,7 @@ from .calibration import (
 from .cliffords import MEAN_PULSES_PER_CLIFFORD, build_clifford_table
 from .filterfunc import PhasePSD, SSBCurve, chi_echo, chi_ramsey, predict_irmb, predict_t2
 from .fitting import bootstrap_ci
-from .noise import LANE_BOOTSTRAP, LANE_IDLE, IdleRates, NoiseConfig, rng_stream
+from .noise import LANE_BOOTSTRAP, LANE_IDLE, AmplitudeNoiseModel, IdleRates, NoiseConfig, rng_stream
 from .rb import RBDataset, RBTiming, generate_plan, irmb_slope, run_rb
 
 CONFIG_SCHEMA = "qubitbench.config.v1"
@@ -165,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed (env QUBITBENCH_SEED)")
         p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
         p.add_argument("--format", type=str, default="json", choices=_FORMATS.get(command, ("json",)))
-        p.add_argument("--workers", type=int, default=None, help="parallel workers (env QUBITBENCH_WORKERS)")
+        p.add_argument("--workers", type=int, default=None, help="must be >= 1; runs serially (env QUBITBENCH_WORKERS)")
         for name, (typ, default, help_text) in params.items():
             p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ, default=None, help=help_text)
     return parser
@@ -213,14 +215,11 @@ def _seed_of(args) -> int:
     return int(env) if env else 20260825
 
 
-def _workers_of(args) -> int:
-    if args.workers is not None:
-        n = args.workers
-    else:
-        n = int(os.environ.get("QUBITBENCH_WORKERS", "1"))
+def _check_workers(args) -> None:
+    """Validate ``--workers`` (env ``QUBITBENCH_WORKERS``); every command runs serially."""
+    n = args.workers if args.workers is not None else int(os.environ.get("QUBITBENCH_WORKERS", "1"))
     if n < 1:
         raise ValueError("workers must be at least 1")
-    return n
 
 
 def _config_hash(command: str, resolved: dict, seed: int) -> str:
@@ -264,11 +263,8 @@ def _noise_from(resolved: dict) -> NoiseConfig:
         raise ValueError("noise must be default, none, or depol")
     if preset != "depol":
         if resolved["sigma0"] is not None:
-            amp = replace(noise.amplitude, sigma_rel=resolved["sigma0"]) if noise.amplitude else None
-            if amp is None:
-                from .noise import AmplitudeNoiseModel
-
-                amp = AmplitudeNoiseModel(sigma_rel=resolved["sigma0"])
+            sigma0, amp = resolved["sigma0"], noise.amplitude
+            amp = replace(amp, sigma_rel=sigma0) if amp else AmplitudeNoiseModel(sigma_rel=sigma0)
             noise = replace(noise, amplitude=amp)
         if resolved["t2"] is not None:
             noise = replace(noise, dephasing_t2=resolved["t2"])
@@ -284,7 +280,7 @@ def _noise_from(resolved: dict) -> NoiseConfig:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_rb(resolved: dict, seed: int, workers: int, fmt: str) -> str:
+def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str:
     lengths = _parse_int_list(resolved["lengths"])
     plan = generate_plan(
         seed,
@@ -302,15 +298,11 @@ def _cmd_rb(resolved: dict, seed: int, workers: int, fmt: str) -> str:
     )
     group = build_clifford_table()
 
-    def run_one(length: int):
-        sub = replace(plan, lengths=(length,))
-        return run_rb(sub, noise=noise, timing=timing, tier=resolved["tier"], group=group)
-
-    if workers > 1 and len(lengths) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_one, sorted(lengths)))
-    else:
-        parts = [run_one(l) for l in sorted(lengths)]
+    tier = resolved["tier"]
+    parts = [
+        run_rb(replace(plan, lengths=(length,)), noise=noise, timing=timing, tier=tier, group=group)
+        for length in sorted(lengths)
+    ]
 
     dataset = RBDataset(
         lengths=np.concatenate([p.lengths for p in parts]),
@@ -344,7 +336,7 @@ def _cmd_rb(resolved: dict, seed: int, workers: int, fmt: str) -> str:
     return payload
 
 
-def _cmd_irmb(resolved: dict, seed: int, workers: int, fmt: str) -> dict:
+def _cmd_irmb(resolved: dict, seed: int, fmt: str) -> dict:
     delays = _parse_float_list(resolved["delays"])
     lengths = _parse_int_list(resolved["lengths"])
     noise = NoiseConfig(dephasing_t2=resolved["t2"], spam=resolved["spam"])
@@ -400,7 +392,7 @@ def _cal_record_doc(records) -> list[dict]:
     return json.loads("[" + ",".join(records_to_jsonl(records).splitlines()) + "]") if records else []
 
 
-def _cmd_calibrate(resolved: dict, seed: int, workers: int, fmt: str):
+def _cmd_calibrate(resolved: dict, seed: int, fmt: str):
     testbed = _make_testbed(resolved, seed)
     config = CalLoopConfig(
         n_start=resolved["n_start"], n_max=resolved["n_max"], shots=resolved["shots"]
@@ -426,7 +418,7 @@ def _cmd_calibrate(resolved: dict, seed: int, workers: int, fmt: str):
     }
 
 
-def _cmd_walsh(resolved: dict, seed: int, workers: int, fmt: str) -> dict:
+def _cmd_walsh(resolved: dict, seed: int, fmt: str) -> dict:
     local = dict(resolved)
     local.setdefault("freq_drift_hz_per_s", 0.0)
     testbed = _make_testbed(local, seed)
@@ -453,7 +445,7 @@ def _cmd_walsh(resolved: dict, seed: int, workers: int, fmt: str) -> dict:
     }
 
 
-def _cmd_phase_noise(resolved: dict, seed: int, workers: int, fmt: str) -> dict:
+def _cmd_phase_noise(resolved: dict, seed: int, fmt: str) -> dict:
     if resolved["ssb"]:
         with open(resolved["ssb"]) as fh:
             curve = SSBCurve.from_csv(fh.read())
@@ -487,7 +479,7 @@ def _cmd_phase_noise(resolved: dict, seed: int, workers: int, fmt: str) -> dict:
     return payload
 
 
-def _cmd_budget(resolved: dict, seed: int, workers: int, fmt: str):
+def _cmd_budget(resolved: dict, seed: int, fmt: str):
     inputs = BudgetInput(
         gate_time=resolved["gate_time"],
         t2=resolved["t2"],
@@ -500,11 +492,8 @@ def _cmd_budget(resolved: dict, seed: int, workers: int, fmt: str):
         times = np.linspace(resolved["curve_min"], resolved["curve_max"], resolved["curve_points"])
         curve = budget_curve(inputs, times)
         if fmt == "csv":
-            import csv as _csv
-            import io as _io
-
-            buf = _io.StringIO()
-            w = _csv.writer(buf, lineterminator="\n")
+            buf = io.StringIO()
+            w = csv.writer(buf, lineterminator="\n")
             keys = list(curve.keys())
             w.writerow(keys)
             for i in range(len(curve["gate_time"])):
@@ -517,7 +506,7 @@ def _cmd_budget(resolved: dict, seed: int, workers: int, fmt: str):
     return {"budget": table.as_dict()}
 
 
-def _cmd_idle_rates(resolved: dict, seed: int, workers: int, fmt: str) -> dict:
+def _cmd_idle_rates(resolved: dict, seed: int, fmt: str) -> dict:
     true = IdleRates(
         bright_per_s=resolved["bright"],
         dark_plus_leak_prep0_per_s=resolved["combo0"],
@@ -558,7 +547,7 @@ def _cmd_idle_rates(resolved: dict, seed: int, workers: int, fmt: str) -> dict:
     }
 
 
-def _cmd_clifford_table(resolved: dict, seed: int, workers: int, fmt: str) -> str:
+def _cmd_clifford_table(resolved: dict, seed: int, fmt: str) -> str:
     return build_clifford_table().to_json()
 
 
@@ -568,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
     resolved = _resolve(args, parser)
     seed = _seed_of(args)
     try:
-        workers = _workers_of(args)
+        _check_workers(args)
         handler = {
             "rb": _cmd_rb,
             "irmb": _cmd_irmb,
@@ -579,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
             "idle-rates": _cmd_idle_rates,
             "clifford-table": _cmd_clifford_table,
         }[args.command]
-        result = handler(resolved, seed, workers, args.format)
+        result = handler(resolved, seed, args.format)
         if isinstance(result, str):
             _emit(result, args.out)
         else:

@@ -394,9 +394,8 @@ def coherence_decay(psd: PhasePSD, taus: Sequence[float], kind: str = "ramsey") 
 
 
 def predict_t2(psd: PhasePSD, kind: str = "ramsey", bracket: tuple[float, float] = (1e-3, 1e4)) -> float:
-    """Time at which the coherence exponent reaches 1 (decay to 1/e)."""
-    from scipy.optimize import brentq
-
+    """Time at which the coherence exponent, which grows with tau, reaches 1
+    (decay to 1/e): bisection on log tau down to a 1e-12 wide bracket."""
     fn = chi_ramsey if kind == "ramsey" else chi_echo
 
     def f(log_tau):
@@ -406,9 +405,12 @@ def predict_t2(psd: PhasePSD, kind: str = "ramsey", bracket: tuple[float, float]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         lo, hi = np.log(bracket[0]), np.log(bracket[1])
-        if f(lo) > 0 or f(hi) < 0:
+        if not np.isfinite(hi - lo) or f(lo) > 0 or f(hi) < 0:
             raise ValueError("coherence time not bracketed; adjust the bracket")
-        result = float(np.exp(brentq(f, lo, hi, xtol=1e-10)))
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if f(mid) > 0 else (mid, hi)
+        result = float(np.exp(0.5 * (lo + hi)))
         edge_hit = any(issubclass(w.category, RuntimeWarning) for w in caught)
     for w in caught:
         if not issubclass(w.category, RuntimeWarning):

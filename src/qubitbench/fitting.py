@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 __all__ = ["DecayFit", "survival_model", "mle_fit", "bootstrap_ci"]
 
@@ -91,6 +90,7 @@ def mle_fit(
     grid_points:
         Resolution of the initial logarithmic grid over ``epsilon``.
     """
+    from scipy.optimize import minimize  # here, not at module level: ~0.5 s import
     uniq, k, n = _pool(lengths, successes, shots)
 
     identifiable = len(uniq) >= 2

@@ -24,6 +24,7 @@ counter-rotating drive term.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,7 +56,7 @@ __all__ = [
 RAMP_SHAPES = ("sin2", "linear")
 
 # relative drive amplitude: a constant, or a function of the time from pulse
-# start that is called once per pulse on an array of times
+# start that is called once per pulse on a read-only (cached) array of times
 AmplitudeTrace = float | Callable[[np.ndarray], np.ndarray | float]
 
 
@@ -157,6 +158,37 @@ def _ab_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([[a[0], -np.conj(b[0])], [b[0], np.conj(a[0])]])
 
 
+# 4-point Gauss-Legendre nodes on [0, 1] and their weights
+_GL_NODES = 0.5 * np.array([-0.8611363115940526, -0.3399810435848563,
+                            0.3399810435848563, 0.8611363115940526]) + 0.5
+_GL_WEIGHTS = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
+                              0.6521451548625461, 0.3478548451374538])
+
+
+@lru_cache(maxsize=64)
+def _pulse_grid(tr, tf, t_half_pi, ramp_shape, ramp_substeps, flat_substeps):
+    """Read-only (edges, ramp shape at cell midpoints, quadrature times) of a
+    pulse window; the same for every pulse of a train, so cached."""
+    edges = [np.array([0.0])]
+    if tr > 0:
+        edges.append(np.linspace(0.0, tr, ramp_substeps + 1)[1:])
+    edges.append(np.linspace(tr, tr + tf, flat_substeps + 1)[1:])
+    if tr > 0:
+        edges.append(np.linspace(tr + tf, 2 * tr + tf, ramp_substeps + 1)[1:])
+    edges = np.concatenate(edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    shape = np.ones_like(mids)
+    if tr > 0:
+        up = mids < tr
+        down = mids > tr + tf
+        shape[up] = _ramp_profile(ramp_shape, mids[up] / tr)
+        shape[down] = _ramp_profile(ramp_shape, (t_half_pi - mids[down]) / tr)
+    ts = edges[:-1, None] + np.diff(edges)[:, None] * _GL_NODES
+    for arr in (edges, shape, ts):
+        arr.flags.writeable = False
+    return edges, shape, ts
+
+
 def _pulse_cells(
     pulse: PulseSpec,
     drive: DriveParams,
@@ -175,41 +207,18 @@ def _pulse_cells(
     """
     if ramp_substeps < 64:
         raise ValueError("ramp_substeps must be at least 64")
-    tr, tf = pulse.ramp_time, pulse.flat_time
     if flat_substeps is None:
         flat_substeps = 256 if callable(amplitude_trace) else 1
-
-    edges = [np.array([0.0])]
-    if tr > 0:
-        edges.append(np.linspace(0.0, tr, ramp_substeps + 1)[1:])
-    edges.append(np.linspace(tr, tr + tf, flat_substeps + 1)[1:])
-    if tr > 0:
-        edges.append(np.linspace(tr + tf, 2 * tr + tf, ramp_substeps + 1)[1:])
-    edges = np.concatenate(edges)
-
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    shape = np.ones_like(mids)
-    if tr > 0:
-        up = mids < tr
-        down = mids > tr + tf
-        shape[up] = _ramp_profile(drive.ramp_shape, mids[up] / tr)
-        shape[down] = _ramp_profile(drive.ramp_shape, (pulse.t_half_pi - mids[down]) / tr)
-
+    edges, shape, ts = _pulse_grid(
+        pulse.ramp_time, pulse.flat_time, pulse.t_half_pi, drive.ramp_shape, ramp_substeps, flat_substeps
+    )
     if callable(amplitude_trace):
-        # cell-average the trace (4-point Gauss-Legendre) so that slowly
-        # oscillating multipliers contribute their exact pulse area even on
-        # a coarse grid
-        nodes = 0.5 * np.array([-0.8611363115940526, -0.3399810435848563,
-                                0.3399810435848563, 0.8611363115940526]) + 0.5
-        weights = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
-                                  0.6521451548625461, 0.3478548451374538])
-        ts = edges[:-1, None] + np.diff(edges)[:, None] * nodes
-        trace = np.broadcast_to(amplitude_trace(ts), ts.shape) @ weights
+        # cell-average the trace (Gauss-Legendre) so that slowly oscillating
+        # multipliers contribute their exact pulse area even on a coarse grid
+        trace = np.broadcast_to(amplitude_trace(ts), ts.shape) @ _GL_WEIGHTS
     else:
         trace = 1.0 if amplitude_trace is None else float(amplitude_trace)
-
-    rel_amp = pulse.amp_scale * shape * trace
-    return edges, rel_amp
+    return edges, pulse.amp_scale * shape * trace
 
 
 def pulse_propagator(

@@ -152,6 +152,42 @@ class TestPredictions:
             t2 = predict_t2(default_phase_psd())
         assert t2 == pytest.approx(69.98, rel=0.01)
 
+    @pytest.mark.parametrize(
+        "psd, kind, bracket",
+        [
+            (default_phase_psd(), "ramsey", (1e-2, 1e4)),
+            (default_phase_psd(), "echo", (1e-3, 1e4)),
+            (PhasePSD.white_fm(69.0), "ramsey", (1e-3, 1e4)),
+            (PhasePSD.white_fm(1.0), "ramsey", (1e-3, 1e4)),
+        ],
+        ids=["default-ramsey", "default-echo", "white-69s", "white-1s"],
+    )
+    def test_predict_t2_bisection_matches_brentq(self, psd, kind, bracket):
+        import warnings
+
+        from scipy.optimize import brentq
+
+        fn = chi_ramsey if kind == "ramsey" else chi_echo
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            log_root = brentq(
+                lambda x: fn(psd, float(np.exp(x))) - 1.0, np.log(bracket[0]), np.log(bracket[1]), xtol=1e-10
+            )
+            t2 = predict_t2(psd, kind, bracket=bracket)
+        assert t2 == pytest.approx(float(np.exp(log_root)), rel=1e-10, abs=0)
+
+    def test_predict_t2_rejects_an_unbracketed_root(self):
+        with pytest.raises(ValueError, match="not bracketed"):
+            predict_t2(PhasePSD.white_fm(69.0), bracket=(1e-3, 1.0))
+        with pytest.raises(ValueError, match="not bracketed"):
+            predict_t2(PhasePSD.white_fm(69.0), bracket=(1e3, 1e4))
+        with pytest.raises(ValueError, match="not bracketed"):
+            predict_t2(PhasePSD.white_fm(69.0), bracket=(0.0, 1e4))  # log 0 = -inf
+
+    def test_predict_t2_reports_spectral_mass_past_the_edges(self):
+        with pytest.warns(RuntimeWarning, match="outside the tabulated frequency range"):
+            predict_t2(default_phase_psd(), "ramsey", bracket=(1e-2, 1e4))
+
     def test_predict_irmb_is_linear_in_chi(self):
         psd = PhasePSD.white_fm(69.0)
         baseline = 1.5e-7

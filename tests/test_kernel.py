@@ -38,6 +38,7 @@ from qubitbench.pulsesim import (
     ZeemanModel,
     _ab_product,
     _pulse_cells,
+    _pulse_grid,
     pulse_propagator,
 )
 from qubitbench.rb import RBPlan, RBTiming, _coherent_survival_fast, _phase_table
@@ -222,6 +223,35 @@ class TestPulsePropagator:
         for k in range(n):
             expected = _ab_matrix(a[k], b[k]) @ expected
         assert np.max(np.abs(_ab_product(a, b) - expected)) <= 1e-12
+
+    def test_cached_grid_matches_a_fresh_grid_for_every_key(self):
+        # one process walks through grids that differ in a single key field;
+        # each must come back as if computed afresh, and read-only
+        configs = [
+            (6e-6, 40e-9, "sin2", 64, None, None),
+            (6e-6, 40e-9, "linear", 64, None, None),
+            (6e-6, 300e-9, "sin2", 64, None, None),
+            (8e-6, 40e-9, "sin2", 64, None, None),
+            (6e-6, 40e-9, "sin2", 128, None, None),
+            (6e-6, 40e-9, "sin2", 64, 8, None),
+            (6e-6, 40e-9, "sin2", 64, None, lambda t: 1.0 + 1e3 * t),
+            (6e-6, 40e-9, "sin2", 64, None, None),
+        ]
+        for t_half_pi, ramp_time, ramp_shape, ramp_substeps, flat_substeps, trace in configs:
+            pulse = PulseSpec(phase=0.0, t_half_pi=t_half_pi, ramp_time=ramp_time, amp_scale=0.9)
+            drive = DriveParams(omega_q=1e6, ramp_shape=ramp_shape)
+            edges, rel_amp = _pulse_cells(pulse, drive, trace, ramp_substeps, flat_substeps)
+            flat = flat_substeps or (256 if trace else 1)
+            fresh_edges, shape, ts = _pulse_grid.__wrapped__(
+                ramp_time, pulse.flat_time, t_half_pi, ramp_shape, ramp_substeps, flat
+            )
+            expected = 0.9 * shape * (1.0 if trace is None else trace(ts) @ _GL_WEIGHTS)
+            np.testing.assert_array_equal(edges, fresh_edges)
+            np.testing.assert_array_equal(rel_amp, expected)
+            assert len(edges) == 1 + flat + (2 * ramp_substeps if ramp_time else 0)
+            assert not edges.flags.writeable
+            with pytest.raises(ValueError):
+                edges[0] = 1.0
 
 
 def _masked_survival(plan, length, noise, timing, compensate_idle_phase, zeeman):

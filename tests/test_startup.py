@@ -1,0 +1,84 @@
+"""Start-up cost of the package and the CLI.
+
+Importing ``scipy.optimize`` takes about half a second, so it is imported
+only inside the functions that fit (``mle_fit`` and ``walsh_fit``).  These
+tests run each case in a fresh interpreter and look at ``sys.modules``:
+importing the package and running the commands that never fit must leave
+scipy unloaded, while the fitting commands still produce their fits.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# runs the CLI in-process, then reports the exit code and whether scipy was loaded
+CHILD = """
+import json, sys
+from qubitbench import cli
+rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "scipy": "scipy" in sys.modules}), file=sys.stderr)
+"""
+
+
+def run_python(*args):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QUBITBENCH_")}
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(*args):
+    """(document, scipy loaded) of one CLI run in a fresh interpreter."""
+    proc = run_python("-c", CHILD, *args)
+    assert proc.returncode == 0, proc.stderr
+    status = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert status["rc"] == 0, proc.stderr
+    return proc.stdout, status["scipy"]
+
+
+def test_importing_the_package_and_cli_leaves_scipy_out():
+    proc = run_python("-c", "import sys, qubitbench, qubitbench.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("budget",),
+        ("clifford-table",),
+        ("calibrate", "--kind", "both", "--n-max", "16", "--shots", "100"),
+        ("phase-noise", "--taus", "1,10"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_commands_that_do_not_fit_never_import_scipy(args):
+    document, scipy_loaded = run_cli(*args)
+    assert document
+    assert not scipy_loaded
+
+
+def test_rb_still_fits():
+    document, scipy_loaded = run_cli(
+        "rb", "--lengths", "20,60", "--sequences", "3", "--shots", "20", "--noise", "depol", "--depol", "1e-3"
+    )
+    fit = json.loads(document)["fit"]
+    assert 0 < fit["epsilon"] < 0.49 and 0 < fit["amplitude"] <= 0.6
+    assert fit["converged"]
+    assert scipy_loaded
+
+
+def test_walsh_still_fits():
+    document, scipy_loaded = run_cli(
+        "walsh", "--max-order", "2", "--n-pulses", "16", "--shots", "200", "--sweep", "4,16"
+    )
+    doc = json.loads(document)
+    assert np.isfinite(doc["sigma_rel"]) and doc["sigma_rel"] > 0
+    assert set(doc["coefficients"]) == {"1", "2"}
+    assert scipy_loaded
