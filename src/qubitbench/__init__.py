@@ -55,7 +55,6 @@ from .pulsesim import (
     ZeemanModel,
     avg_pulse_error,
     counter_rotating_error,
-    evolve_pulse,
     evolve_sequence,
     simulate_spectator,
 )

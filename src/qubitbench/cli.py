@@ -47,7 +47,7 @@ from .cliffords import MEAN_PULSES_PER_CLIFFORD, build_clifford_table
 from .filterfunc import PhasePSD, SSBCurve, chi_echo, chi_ramsey, predict_irmb, predict_t2
 from .fitting import bootstrap_ci
 from .noise import LANE_BOOTSTRAP, LANE_IDLE, AmplitudeNoiseModel, IdleRates, NoiseConfig, rng_stream
-from .rb import RBDataset, RBTiming, generate_plan, irmb_slope, run_rb
+from .rb import RBTiming, generate_plan, irmb_slope, run_rb
 
 CONFIG_SCHEMA = "qubitbench.config.v1"
 
@@ -281,10 +281,9 @@ def _noise_from(resolved: dict) -> NoiseConfig:
 
 
 def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str:
-    lengths = _parse_int_list(resolved["lengths"])
     plan = generate_plan(
         seed,
-        lengths=lengths,
+        lengths=_parse_int_list(resolved["lengths"]),
         n_sequences=resolved["sequences"],
         shots_per_sequence=resolved["shots"],
         prepared_state=resolved["prep"],
@@ -296,21 +295,7 @@ def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str:
         gap_time=resolved["gap_time"],
         delay_per_pulse=resolved["delay"],
     )
-    group = build_clifford_table()
-
-    tier = resolved["tier"]
-    parts = [
-        run_rb(replace(plan, lengths=(length,)), noise=noise, timing=timing, tier=tier, group=group)
-        for length in sorted(lengths)
-    ]
-
-    dataset = RBDataset(
-        lengths=np.concatenate([p.lengths for p in parts]),
-        seq_ids=np.concatenate([p.seq_ids for p in parts]),
-        errors=np.concatenate([p.errors for p in parts]),
-        shots=np.concatenate([p.shots for p in parts]),
-        meta=parts[0].meta,
-    )
+    dataset = run_rb(plan, noise=noise, timing=timing, tier=resolved["tier"])
     if fmt == "csv":
         return dataset.to_csv()
     payload: dict = {"dataset": json.loads(dataset.to_json())}

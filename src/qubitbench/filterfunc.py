@@ -316,8 +316,10 @@ def chi_overlap(
     The trapezoid rule is applied in log-frequency and the grid is refined
     until the integral changes by less than ``refine_tol`` relatively.  A
     warning is raised when either boundary decade carries more than
-    ``edge_fraction_warn`` of the result, which signals that the
-    integration range truncates real spectral mass.
+    ``edge_fraction_warn`` of the result.  It names the edge; where that
+    edge is the spectrum's own ``f_range`` bound, the weight sits at the
+    tabulated support and widening the range cannot remove it, otherwise
+    the integration range truncates spectral mass.
     """
     f_lo = psd.f_range[0] if f_min is None else f_min
     f_hi = psd.f_range[1] if f_max is None else f_max
@@ -347,10 +349,20 @@ def chi_overlap(
         hi_edge = f >= f_hi / 10
         lo_mass = float(np.trapezoid(np.where(lo_edge, mass, 0.0), u))
         hi_mass = float(np.trapezoid(np.where(hi_edge, mass, 0.0), u))
-        if max(lo_mass, hi_mass) > edge_fraction_warn * chi:
+        notes = [
+            f"at the {name} edge, the spectrum's tabulated support: widening the range cannot remove it"
+            if bound == support
+            else f"at the {name} edge: widen the range"
+            for name, edge_mass, bound, support in (
+                ("low", lo_mass, f_lo, psd.f_range[0]),
+                ("high", hi_mass, f_hi, psd.f_range[1]),
+            )
+            if edge_mass > edge_fraction_warn * chi
+        ]
+        if notes:
             warnings.warn(
-                "overlap integral has significant weight at the edge of the "
-                f"frequency range [{f_lo:g}, {f_hi:g}] Hz; widen the range",
+                "overlap integral over the frequency range "
+                f"[{f_lo:g}, {f_hi:g}] Hz has significant weight " + "; and ".join(notes),
                 RuntimeWarning,
                 stacklevel=2,
             )

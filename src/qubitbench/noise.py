@@ -125,7 +125,9 @@ class MotionalMode:
         """Exact average of the multiplier over a flat top of `duration`.
 
         This is the factor by which the rotation angle of a rectangular
-        pulse is scaled, used by the fast simulation tier.
+        pulse is scaled.  The fast tier evaluates it through ``area_phasor``;
+        this closed form is kept as the tests' reference for that phasor, and
+        the traced benchmark wraps it by name.
         """
         wt = self.omega_m * duration
         return 1.0 + depth * (np.sin(wt + phase) - np.sin(phase)) / wt
@@ -331,7 +333,6 @@ class NoiseConfig:
 
     amplitude: AmplitudeNoiseModel | None = None
     motional: MotionalMode | None = None
-    quantizer: QuantizerConfig | None = None
     idle: IdleRates | None = None
     dephasing_t2: float | None = None
     depolarizing_per_gate: float | None = None

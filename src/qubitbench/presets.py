@@ -30,7 +30,7 @@ import numpy as np
 from .budget import BudgetInput
 from .cliffords import MEAN_PULSES_PER_CLIFFORD
 from .filterfunc import PhasePSD, SSBCurve
-from .noise import AmplitudeNoiseModel, IdleRates, MotionalMode, NoiseConfig, QuantizerConfig
+from .noise import AmplitudeNoiseModel, IdleRates, MotionalMode, NoiseConfig
 
 __all__ = [
     "GATE_TIME",
@@ -98,7 +98,6 @@ def default_noise_config(include_motional: bool = True) -> NoiseConfig:
         )
         if include_motional
         else None,
-        quantizer=QuantizerConfig(bits=AWG_BITS),
         dephasing_t2=T2_STAR_STAR,
         spam=SPAM,
     )

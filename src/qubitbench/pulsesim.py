@@ -23,7 +23,7 @@ counter-rotating drive term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -42,8 +42,6 @@ __all__ = [
     "DriveParams",
     "ZeemanModel",
     "SpectatorConfig",
-    "PulseNoise",
-    "evolve_pulse",
     "evolve_sequence",
     "pulse_propagator",
     "avg_pulse_error",
@@ -55,8 +53,9 @@ __all__ = [
 
 RAMP_SHAPES = ("sin2", "linear")
 
-# relative drive amplitude: a constant, or a function of the time from pulse
-# start that is called once per pulse on a read-only (cached) array of times
+# relative drive amplitude: a constant, or a function of time (from the start
+# of the pulse, or of the train in ``evolve_sequence``) that is called once per
+# pulse on an array of times
 AmplitudeTrace = float | Callable[[np.ndarray], np.ndarray | float]
 
 
@@ -120,20 +119,6 @@ class SpectatorConfig:
     detuning_s: float = 2 * np.pi * 104e6
     rabi_ratio: float = 1.4
     t2_s: float = 40e-3
-
-
-@dataclass(frozen=True)
-class PulseNoise:
-    """Per-pulse noise overrides fed to ``evolve_sequence`` via hooks.
-
-    ``amp_multiplier`` is a constant or a callable trace; a callable gets
-    the array of all quadrature times of the pulse in one call and returns
-    an array of that shape, or a scalar.
-    """
-
-    amp_multiplier: AmplitudeTrace = 1.0
-    detuning_extra: float = 0.0
-    phase_offset: float = 0.0
 
 
 def _ramp_profile(shape: str, s: np.ndarray) -> np.ndarray:
@@ -260,67 +245,39 @@ def pulse_propagator(
     return UnitaryOp(_ab_product(a, b * np.exp(1j * (pulse.effective_phase + drive.phase))))
 
 
-def evolve_pulse(
-    state: QubitState,
-    pulse: PulseSpec,
-    drive: DriveParams,
-    amplitude_trace: AmplitudeTrace | None = None,
-    zeeman: ZeemanModel | None = None,
-    ramp_substeps: int = 64,
-    flat_substeps: int | None = None,
-    include_gap: bool = True,
-) -> QubitState:
-    """Evolve `state` through one pulse (ramps, flat top, trailing gap)."""
-    prop = pulse_propagator(
-        pulse,
-        drive,
-        amplitude_trace=amplitude_trace,
-        zeeman=zeeman,
-        ramp_substeps=ramp_substeps,
-        flat_substeps=flat_substeps,
-        include_gap=include_gap,
-    )
-    return prop.apply(state)
-
-
 def evolve_sequence(
     state: QubitState,
     pulses: Sequence[PulseSpec],
     drive: DriveParams,
     zeeman: ZeemanModel | None = None,
-    noise_hook: Callable[[int, PulseSpec], PulseNoise | None] | None = None,
+    amplitude_trace: AmplitudeTrace | None = None,
+    z_phases: Sequence[float] | np.ndarray | None = None,
     ramp_substeps: int = 64,
     flat_substeps: int | None = None,
 ) -> QubitState:
-    """Evolve through a pulse train, applying optional per-pulse noise hooks.
+    """Evolve `state` through a pulse train (each pulse with its trailing gap).
 
-    ``noise_hook(k, pulse)`` is called once per pulse; a callable
-    ``amp_multiplier`` it returns is called once per pulse too, on the
-    array of that pulse's quadrature times (see ``pulse_propagator``).
+    A callable `amplitude_trace` is a function of the time since the start
+    of the train; each pulse's ``pulse_propagator`` call gets it shifted by
+    that pulse's start time and calls it once, on the array of the pulse's
+    quadrature times.  ``z_phases[k]`` is the angle of the z rotation
+    (``UnitaryOp.rz``) applied after pulse k and its gap.
     """
+    starts = np.cumsum([0.0] + [p.total_time for p in pulses[:-1]])
+    if z_phases is not None:
+        rz = np.exp(0.5j * np.multiply.outer(np.asarray(z_phases, dtype=float), [-1.0, 1.0]))
+    psi = state.amplitudes
     for k, pulse in enumerate(pulses):
-        eff_drive = drive
-        trace: AmplitudeTrace | None = None
-        if noise_hook is not None:
-            noise = noise_hook(k, pulse)
-            if noise is not None:
-                trace = noise.amp_multiplier
-                if noise.detuning_extra or noise.phase_offset:
-                    eff_drive = replace(
-                        drive,
-                        detuning=drive.detuning + noise.detuning_extra,
-                        phase=drive.phase + noise.phase_offset,
-                    )
-        state = evolve_pulse(
-            state,
-            pulse,
-            eff_drive,
-            amplitude_trace=trace,
-            zeeman=zeeman,
-            ramp_substeps=ramp_substeps,
-            flat_substeps=flat_substeps,
+        trace = amplitude_trace
+        if callable(amplitude_trace):
+            trace = lambda t, t0=starts[k]: amplitude_trace(t0 + t)
+        prop = pulse_propagator(
+            pulse, drive, trace, zeeman, ramp_substeps=ramp_substeps, flat_substeps=flat_substeps
         )
-    return state
+        psi = prop.matrix @ psi
+        if z_phases is not None:
+            psi = rz[k] * psi
+    return QubitState(psi)
 
 
 # ---------------------------------------------------------------------------

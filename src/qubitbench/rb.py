@@ -13,7 +13,11 @@ two physics tiers:
   depolarizing/idle/readout errors act on outcomes.
 * ``full`` — pulses are ramped waveforms integrated piecewise-exactly by
   the pulse simulator, sharing the same noise draws as the fast tier so
-  the two can be compared realization by realization.
+  the two can be compared realization by realization.  Each shot is one
+  ``pulsesim.evolve_sequence`` call over plain arrays: the amplitude
+  multiplier and motional modulation form the amplitude trace, and the
+  dephasing kicks (and the idle-phase cancellation) are z rotations after
+  each pulse, as in the fast tier.
 
 Benchmarking with a per-pulse idle delay (used to probe slow dephasing and
 idle-time error rates) reuses the same machinery with stretched gaps.
@@ -50,7 +54,7 @@ from .noise import (
     NoiseConfig,
     rng_stream,
 )
-from .pulsesim import DriveParams, PulseNoise, ZeemanModel, evolve_sequence
+from .pulsesim import DriveParams, ZeemanModel, evolve_sequence
 
 __all__ = [
     "RBPlan",
@@ -398,72 +402,45 @@ def _coherent_survival_full(
     motional = noise.motional
     drive = DriveParams.nominal(timing.t_half_pi, timing.ramp_time, detuning=noise.detuning_offset)
     base_gap = timing.gap_time + timing.delay_per_pulse
-    spacing = timing.pulse_spacing
-    kick_std = _kick_std(noise, timing)
-
-    seq_labels = [
-        [lab for i in plan.sequence(length, s, group).all_indices() for lab in group.elements[i].pulses]
+    specs = {
+        label: pulse_from_label(
+            label, t_half_pi=timing.t_half_pi, ramp_time=timing.ramp_time, gap_time=base_gap
+        )
+        for label in _LABEL_QUARTERS
+    }
+    seq_pulses = [
+        [specs[lab] for i in plan.sequence(length, s, group).all_indices() for lab in group.elements[i].pulses]
         for s in range(n_seq)
     ]
-    p_max = max(len(lab) for lab in seq_labels)
+    p_max = max(len(pulses) for pulses in seq_pulses)
+    # the z rotation after each pulse: the cancellation of the phase the
+    # detuning accrues during the programmed idle, plus the dephasing kick,
+    # drawn pulse-index-major as in the fast tier
+    idle_phase = drive.detuning * base_gap if compensate_idle_phase else 0.0
+    z_phases = np.full((p_max, n_seq, n_shot), idle_phase)
+    kick_std = _kick_std(noise, timing)
     if kick_std:
-        # drawn pulse-index-major so both tiers assign the same stream
-        # values to the same (pulse, sequence, shot) slots
-        all_kicks = kick_std * np.stack(
-            [deph_rng.standard_normal((n_seq, n_shot)) for _ in range(p_max)]
-        )
+        z_phases += kick_std * deph_rng.standard_normal((p_max, n_seq, n_shot))
 
     survival = np.zeros((n_seq, n_shot))
-    for s in range(n_seq):
-        labels = seq_labels[s]
-        pulses = [
-            pulse_from_label(
-                lab,
-                t_half_pi=timing.t_half_pi,
-                ramp_time=timing.ramp_time,
-                gap_time=base_gap,
-            )
-            for lab in labels
-        ]
-        spacing_times = spacing * np.arange(len(pulses))
+    for s, pulses in enumerate(seq_pulses):
         for q in range(n_shot):
             m = mult[s, q]
-            if motional is not None:
+            if motional is None:
+                trace = m
+            else:
                 phi0 = mot_phase0[s, q]
 
-                def make_trace(t0, scale):
-                    def trace(t_local):
-                        t_abs = t0 + t_local
-                        depth = motional.depth_at(t_abs)
-                        return scale * (1.0 + depth * np.cos(motional.omega_m * t_abs + phi0))
+                def trace(t):
+                    return m * (1.0 + motional.depth_at(t) * np.cos(motional.omega_m * t + phi0))
 
-                    return trace
-
-                hooks = [
-                    PulseNoise(amp_multiplier=make_trace(spacing_times[k], m))
-                    for k in range(len(pulses))
-                ]
-            else:
-                hooks = [PulseNoise(amp_multiplier=m)] * len(pulses)
-            # accumulated z-phase before pulse k enters as a drive-phase
-            # offset -c_k: Rz(c) U(phi) = U(phi - c) Rz(c), and the leading
-            # Rz does not change populations in the measurement basis
-            cum = np.zeros(len(pulses))
-            if kick_std:
-                kicks = all_kicks[: len(pulses), s, q]
-                cum = cum + np.concatenate([[0.0], np.cumsum(kicks)[:-1]])
-            if compensate_idle_phase and drive.detuning:
-                # cancel the phase the detuning accrues during programmed idles
-                cum = cum + drive.detuning * base_gap * np.arange(len(pulses))
-            if np.any(cum):
-                hooks = [replace(h, phase_offset=-float(cum[k])) for k, h in enumerate(hooks)]
-            state = QubitState.basis(plan.prepared_state)
             state = evolve_sequence(
-                state,
+                QubitState.basis(plan.prepared_state),
                 pulses,
                 drive,
                 zeeman=zeeman,
-                noise_hook=lambda k, p, hooks=hooks: hooks[k],
+                amplitude_trace=trace,
+                z_phases=z_phases[: len(pulses), s, q],
                 ramp_substeps=ramp_substeps,
             )
             survival[s, q] = state.probability(plan.prepared_state)

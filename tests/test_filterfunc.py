@@ -125,6 +125,15 @@ class TestOverlapIntegral:
         with pytest.warns(RuntimeWarning):
             chi_ramsey(psd, 1.0)
 
+    def test_warning_names_the_edge_and_whether_the_range_can_widen(self):
+        # a 1 s Ramsey overlap of white frequency noise peaks near 1 Hz
+        with pytest.warns(RuntimeWarning, match="at the high edge: widen the range"):
+            chi_overlap(PhasePSD.white_fm(69.0), lambda w: g_free(w, 1.0), f_max=0.1)
+        narrow = PhasePSD.white_fm(69.0, f_range=(1e-3, 1e-1))
+        with pytest.warns(RuntimeWarning, match="at the high edge, the spectrum's tabulated support") as caught:
+            chi_ramsey(narrow, 1.0)
+        assert len(caught) == 1
+
     def test_no_warning_when_the_range_is_wide_enough(self):
         import warnings
 

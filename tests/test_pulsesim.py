@@ -9,12 +9,10 @@ from scipy.linalg import expm
 from qubitbench.cliffords import PulseSpec, QubitState, UnitaryOp
 from qubitbench.pulsesim import (
     DriveParams,
-    PulseNoise,
     SpectatorConfig,
     ZeemanModel,
     avg_pulse_error,
     counter_rotating_error,
-    evolve_pulse,
     evolve_sequence,
     pulse_propagator,
     simulate_spectator,
@@ -141,28 +139,51 @@ class TestZeeman:
 
 
 class TestEvolution:
-    def test_evolve_pulse_matches_propagator(self):
+    def test_one_pulse_train_matches_propagator(self):
         pulse = PulseSpec(phase=1.1, t_half_pi=6e-6, ramp_time=40e-9, gap_time=40e-9)
         drive = DriveParams(omega_q=(np.pi / 2) / 5.96e-6, detuning=2 * np.pi * 100.0)
-        state = evolve_pulse(QubitState.zero(), pulse, drive, ramp_substeps=128)
+        state = evolve_sequence(QubitState.zero(), [pulse], drive, ramp_substeps=128)
         expected = pulse_propagator(pulse, drive, ramp_substeps=128).apply(QubitState.zero())
-        assert abs(state.overlap(expected)) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(state.amplitudes - expected.amplitudes).max() < 1e-15
 
-    def test_noise_hook_phase_offset_reverses_pulses(self):
-        pulses = [PulseSpec(phase=0.0, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)] * 2
-        drive = DriveParams(omega_q=_OMEGA)
-        hook = lambda i, p: PulseNoise(phase_offset=np.pi)
-        flipped = evolve_sequence(QubitState.zero(), pulses, drive, noise_hook=hook)
-        reverse = [PulseSpec(phase=0.0, sign=-1, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)] * 2
-        expected = evolve_sequence(QubitState.zero(), reverse, drive)
-        assert abs(flipped.overlap(expected)) == pytest.approx(1.0, abs=1e-12)
+    def test_z_phase_is_rz_after_each_pulse(self):
+        pulses = [
+            PulseSpec(phase=phase, t_half_pi=6e-6, ramp_time=40e-9, gap_time=40e-9)
+            for phase in (0.0, np.pi / 2, 0.3)
+        ]
+        drive = DriveParams(omega_q=(np.pi / 2) / 5.96e-6, detuning=2 * np.pi * 100.0)
+        z_phases = [0.7, -1.9, np.pi]
+        state = evolve_sequence(QubitState.zero(), pulses, drive, z_phases=z_phases)
+        expected = QubitState.zero()
+        for pulse, angle in zip(pulses, z_phases):
+            expected = UnitaryOp.rz(angle).apply(pulse_propagator(pulse, drive).apply(expected))
+        assert np.abs(state.amplitudes - expected.amplitudes).max() < 1e-14
 
-    def test_noise_hook_zero_amplitude_freezes_the_state(self):
+    def test_zero_amplitude_freezes_the_state(self):
         pulses = [PulseSpec(phase=0.0, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)] * 3
         drive = DriveParams(omega_q=_OMEGA)
-        hook = lambda i, p: PulseNoise(amp_multiplier=0.0)
-        state = evolve_sequence(QubitState.zero(), pulses, drive, noise_hook=hook)
+        state = evolve_sequence(QubitState.zero(), pulses, drive, amplitude_trace=0.0)
         assert state.probability(0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_trace_time_is_measured_from_the_train_start(self):
+        pulses = [
+            PulseSpec(phase=0.0, t_half_pi=6e-6, ramp_time=40e-9, gap_time=t_gap)
+            for t_gap in (40e-9, 1e-6, 40e-9)
+        ]
+        drive = DriveParams(omega_q=(np.pi / 2) / 5.96e-6)
+        trace = lambda t: 1.0 + 3e-2 * np.sin(2 * np.pi * t / 15e-6)
+        state = evolve_sequence(QubitState.zero(), pulses, drive, amplitude_trace=trace)
+        expected, t0 = QubitState.zero(), 0.0
+        for pulse in pulses:
+            shifted = lambda t, t0=t0: trace(t0 + t)
+            expected = pulse_propagator(pulse, drive, amplitude_trace=shifted).apply(expected)
+            t0 += pulse.total_time
+        assert np.abs(state.amplitudes - expected.amplitudes).max() < 1e-14
+        # a trace read from each pulse's own start plays a different train
+        unshifted = QubitState.zero()
+        for pulse in pulses:
+            unshifted = pulse_propagator(pulse, drive, amplitude_trace=trace).apply(unshifted)
+        assert np.abs(state.amplitudes - unshifted.amplitudes).max() > 1e-3
 
 
 class TestErrorProbes:

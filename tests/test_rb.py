@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qubitbench import pulsesim
+from qubitbench.cliffords import pulse_from_label
 from qubitbench.noise import (
+    LANE_AMPLITUDE,
+    LANE_DEPHASING,
+    LANE_MOTIONAL,
     AmplitudeNoiseModel,
     IdleRates,
     MotionalMode,
     NoiseConfig,
+    brownian_phase_std,
     rng_stream,
 )
 from qubitbench.presets import default_noise_config
-from qubitbench.pulsesim import ZeemanModel
+from qubitbench.pulsesim import DriveParams, ZeemanModel, pulse_propagator
 from qubitbench.rb import (
     RBDataset,
     RBPlan,
@@ -217,6 +225,104 @@ class TestTierAgreement:
         fast = run_rb(self.PLAN, noise=cfg, tier="fast")
         full = run_rb(self.PLAN, noise=cfg, tier="full")
         assert np.array_equal(fast.errors, full.errors)
+
+
+def _reference_full_survival(plan, length, group, noise, timing, compensate_idle_phase, zeeman):
+    """Full-tier survival from per-pulse matrices, drawn and derived independently.
+
+    The z phase ``c_k`` accumulated before pulse k (dephasing kicks drawn one
+    pulse at a time, plus the idle-phase cancellation) enters as the drive
+    phase ``-c_k``: ``Rz(c) U(phi) = U(phi - c) Rz(c)``, and the leading
+    ``Rz`` does not change populations.  Each pulse gets its own motional
+    trace, read from its start time ``k * pulse_spacing``.
+    """
+    n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
+    seed, prep = plan.master_seed, plan.prepared_state
+    mult = np.ones((n_seq, n_shot))
+    if noise.amplitude is not None:
+        amp_rng = rng_stream(seed, LANE_AMPLITUDE, length)
+        mult = noise.amplitude.sample_multipliers(amp_rng, n_seq * n_shot).reshape(n_seq, n_shot)
+    mode = noise.motional
+    if mode is not None:
+        phase0 = rng_stream(seed, LANE_MOTIONAL, length).uniform(0.0, 2 * np.pi, (n_seq, n_shot))
+    base_gap = timing.gap_time + timing.delay_per_pulse
+    drive = DriveParams.nominal(timing.t_half_pi, timing.ramp_time, detuning=noise.detuning_offset)
+    labels = [
+        [lab for i in plan.sequence(length, s, group).all_indices() for lab in group.elements[i].pulses]
+        for s in range(n_seq)
+    ]
+    p_max = max(len(lab) for lab in labels)
+    kicks = np.zeros((p_max, n_seq, n_shot))
+    if noise.dephasing_t2:
+        deph_rng = rng_stream(seed, LANE_DEPHASING, length)
+        kick_std = brownian_phase_std(timing.pulse_spacing, noise.dephasing_t2)
+        kicks = kick_std * np.stack([deph_rng.standard_normal((n_seq, n_shot)) for _ in range(p_max)])
+    idle_phase = drive.detuning * base_gap if compensate_idle_phase else 0.0
+
+    survival = np.empty((n_seq, n_shot))
+    for s in range(n_seq):
+        for q in range(n_shot):
+            u, c_k = np.eye(2, dtype=complex), 0.0
+            for k, lab in enumerate(labels[s]):
+                pulse = pulse_from_label(
+                    lab, t_half_pi=timing.t_half_pi, ramp_time=timing.ramp_time, gap_time=base_gap
+                )
+                trace = mult[s, q]
+                if mode is not None:
+                    t0 = timing.pulse_spacing * k
+
+                    def trace(t, t0=t0, m=mult[s, q], phi0=phase0[s, q]):
+                        t_abs = t0 + t
+                        return m * (1.0 + mode.depth_at(t_abs) * np.cos(mode.omega_m * t_abs + phi0))
+
+                step = pulse_propagator(pulse, replace(drive, phase=-c_k), trace, zeeman, ramp_substeps=64)
+                u = step.matrix @ u
+                c_k += kicks[k, s, q] + idle_phase
+            survival[s, q] = abs(u[prep, prep]) ** 2
+    return survival
+
+
+_FULL_TIER_CASES = {
+    "default-noise": (default_noise_config(), None, RBTiming()),
+    "detuning-20kHz": (NoiseConfig(detuning_offset=2 * np.pi * 2e4), None, RBTiming()),
+    "detuning-200Hz-delay": (
+        NoiseConfig(detuning_offset=2 * np.pi * 200.0),
+        None,
+        RBTiming(delay_per_pulse=3e-6),
+    ),
+    "zeeman-200Hz": (NoiseConfig(), ZeemanModel(shift_at_full_amp=2 * np.pi * 200.0), RBTiming()),
+}
+
+
+class TestFullTier:
+    @pytest.mark.parametrize("length", [8, 24])
+    @pytest.mark.parametrize("compensate", [True, False], ids=["compensated", "uncompensated"])
+    @pytest.mark.parametrize("case", sorted(_FULL_TIER_CASES))
+    def test_matches_per_pulse_drive_phase_reference(self, group, case, compensate, length):
+        noise, zeeman, timing = _FULL_TIER_CASES[case]
+        plan = RBPlan(master_seed=33, lengths=(length,), n_sequences=2, shots_per_sequence=2)
+        full = _coherent_survival_full(plan, length, group, noise, timing, compensate, zeeman, 64)
+        reference = _reference_full_survival(plan, length, group, noise, timing, compensate, zeeman)
+        assert np.abs(full - reference).max() <= 1e-12
+
+    def test_one_propagator_per_pulse_and_shot(self, group, monkeypatch):
+        calls = []
+        counted = pulsesim.pulse_propagator
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(pulsesim, "pulse_propagator", counting)
+        plan = RBPlan(master_seed=4, lengths=(3, 5), n_sequences=2, shots_per_sequence=3)
+        run_rb(plan, noise=NoiseConfig(spam=0.01), tier="full", group=group)
+        pulses = sum(
+            group.elements[i].pulse_count
+            for length in plan.lengths
+            for s in range(plan.n_sequences)
+            for i in plan.sequence(length, s, group).all_indices()
+        )
+        assert len(calls) == pulses * plan.shots_per_sequence
 
 
 class TestDataset:
