@@ -280,7 +280,7 @@ def _noise_from(resolved: dict) -> NoiseConfig:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str:
+def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str | dict:
     plan = generate_plan(
         seed,
         lengths=_parse_int_list(resolved["lengths"]),

@@ -30,15 +30,19 @@ def tracer():
     return module
 
 
-def test_every_extra_name_resolves(tracer):
-    wrapped = {(layer, fn.__qualname__) for layer, _, _, fn in tracer._targets()}
+@pytest.fixture(scope="module")
+def wrapped(tracer):
+    """(layer, qualified name) of every function the tracer would wrap."""
+    return {(layer, fn.__qualname__) for layer, _, _, fn in tracer._targets()}
+
+
+def test_every_extra_name_resolves(tracer, wrapped):
     missing = [
         (layer, name) for layer, names in tracer.EXTRA.items() for name in names if (layer, name) not in wrapped
     ]
     assert not missing
 
 
-def test_full_tier_functions_are_wrapped(tracer):
+def test_full_tier_functions_are_wrapped(wrapped):
     # the rb-full workload's pulsesim metrics read these two spans
-    wrapped = {(layer, fn.__qualname__) for layer, _, _, fn in tracer._targets()}
     assert {("pulsesim", "pulse_propagator"), ("pulsesim", "evolve_sequence")} <= wrapped
