@@ -404,9 +404,7 @@ def _cmd_calibrate(resolved: dict, seed: int, fmt: str):
 
 
 def _cmd_walsh(resolved: dict, seed: int, fmt: str) -> dict:
-    local = dict(resolved)
-    local.setdefault("freq_drift_hz_per_s", 0.0)
-    testbed = _make_testbed(local, seed)
+    testbed = _make_testbed(resolved, seed)
     sweep = _parse_int_list(resolved["sweep"])
     result = walsh_fit(
         testbed,

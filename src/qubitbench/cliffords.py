@@ -277,7 +277,7 @@ class PulseSpec:
 
 def pulse_from_label(label: str, **kwargs) -> PulseSpec:
     """Build the PulseSpec for a generator label such as '+X90' or '-Y90'."""
-    if label not in GENERATOR_LABELS and label not in ("-X90", "-Y90"):
+    if label not in GENERATOR_LABELS:
         raise ValueError(f"unknown generator label {label!r}")
     sign = 1 if label[0] == "+" else -1
     phase = 0.0 if label[1] == "X" else np.pi / 2

@@ -369,15 +369,20 @@ def chi_overlap(
     return chi
 
 
+def _tau_matched(psd: PhasePSD, tau: float, kwargs: dict) -> dict:
+    """`kwargs` with the range defaulted to [1e-6/tau, 1e6/tau] Hz, within the spectrum's support."""
+    kwargs.setdefault("f_min", max(psd.f_range[0], 1e-6 / tau))
+    kwargs.setdefault("f_max", min(psd.f_range[1], 1e6 / tau))
+    return kwargs
+
+
 def chi_ramsey(psd: PhasePSD, tau: float, **kwargs) -> float:
     """Free-precession exponent over `tau`, range auto-matched to tau."""
     if tau < 0:
         raise ValueError("tau must be non-negative")
     if tau == 0:
         return 0.0
-    kwargs.setdefault("f_min", max(psd.f_range[0], 1e-6 / tau))
-    kwargs.setdefault("f_max", min(psd.f_range[1], 1e6 / tau))
-    return chi_overlap(psd, lambda w: g_free(w, tau), **kwargs)
+    return chi_overlap(psd, lambda w: g_free(w, tau), **_tau_matched(psd, tau, kwargs))
 
 
 def chi_echo(psd: PhasePSD, tau: float, **kwargs) -> float:
@@ -385,30 +390,33 @@ def chi_echo(psd: PhasePSD, tau: float, **kwargs) -> float:
         raise ValueError("tau must be non-negative")
     if tau == 0:
         return 0.0
-    kwargs.setdefault("f_min", max(psd.f_range[0], 1e-6 / tau))
-    kwargs.setdefault("f_max", min(psd.f_range[1], 1e6 / tau))
-    return chi_overlap(psd, lambda w: g_echo(w, tau), **kwargs)
+    return chi_overlap(psd, lambda w: g_echo(w, tau), **_tau_matched(psd, tau, kwargs))
 
 
 def chi_timeline(psd: PhasePSD, timeline: ControlTimeline, init_axis: str = "x", **kwargs) -> float:
     tau = max(timeline.total_time, 1e-12)
-    kwargs.setdefault("f_min", max(psd.f_range[0], 1e-6 / tau))
-    kwargs.setdefault("f_max", min(psd.f_range[1], 1e6 / tau))
+    kwargs = _tau_matched(psd, tau, kwargs)
     return chi_overlap(psd, lambda w: filter_function(timeline, w, init_axis), **kwargs)
+
+
+def _chi_of_kind(kind: str) -> Callable[..., float]:
+    """The coherence exponent of a 'ramsey' (free precession) or 'echo' experiment."""
+    chi = {"ramsey": chi_ramsey, "echo": chi_echo}.get(kind)
+    if chi is None:
+        raise ValueError("kind must be 'ramsey' or 'echo'")
+    return chi
 
 
 def coherence_decay(psd: PhasePSD, taus: Sequence[float], kind: str = "ramsey") -> np.ndarray:
     """exp(-chi(tau)) for free precession or a single echo."""
-    if kind not in ("ramsey", "echo"):
-        raise ValueError("kind must be 'ramsey' or 'echo'")
-    fn = chi_ramsey if kind == "ramsey" else chi_echo
+    fn = _chi_of_kind(kind)
     return np.array([np.exp(-fn(psd, float(t))) for t in taus])
 
 
 def predict_t2(psd: PhasePSD, kind: str = "ramsey", bracket: tuple[float, float] = (1e-3, 1e4)) -> float:
     """Time at which the coherence exponent, which grows with tau, reaches 1
     (decay to 1/e): bisection on log tau down to a 1e-12 wide bracket."""
-    fn = chi_ramsey if kind == "ramsey" else chi_echo
+    fn = _chi_of_kind(kind)
 
     def f(log_tau):
         return fn(psd, float(np.exp(log_tau))) - 1.0

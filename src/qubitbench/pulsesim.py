@@ -42,7 +42,6 @@ __all__ = [
     "DriveParams",
     "ZeemanModel",
     "SpectatorConfig",
-    "evolve_sequence",
     "pulse_propagator",
     "avg_pulse_error",
     "simulate_spectator",
@@ -53,9 +52,8 @@ __all__ = [
 
 RAMP_SHAPES = ("sin2", "linear")
 
-# relative drive amplitude: a constant, or a function of time (from the start
-# of the pulse, or of the train in ``evolve_sequence``) that is called once per
-# pulse on an array of times
+# relative drive amplitude: a constant, or a function of the time since the
+# start of the pulse that is called once per pulse on an array of times
 AmplitudeTrace = float | Callable[[np.ndarray], np.ndarray | float]
 
 
@@ -151,9 +149,11 @@ _GL_WEIGHTS = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
 
 
 @lru_cache(maxsize=64)
-def _pulse_grid(tr, tf, t_half_pi, ramp_shape, ramp_substeps, flat_substeps):
-    """Read-only (edges, ramp shape at cell midpoints, quadrature times) of a
-    pulse window; the same for every pulse of a train, so cached."""
+def _pulse_grid(tr, t_half_pi, gap_time, ramp_shape, ramp_substeps, flat_substeps):
+    """Read-only (cell starts, cell ends, ramp shape at cell midpoints,
+    quadrature times) of a pulse window; the same for every pulse of a
+    train, so cached.  Starts and ends have one more cell, the trailing gap."""
+    tf = t_half_pi - 2 * tr  # PulseSpec.flat_time
     edges = [np.array([0.0])]
     if tr > 0:
         edges.append(np.linspace(0.0, tr, ramp_substeps + 1)[1:])
@@ -169,9 +169,11 @@ def _pulse_grid(tr, tf, t_half_pi, ramp_shape, ramp_substeps, flat_substeps):
         shape[up] = _ramp_profile(ramp_shape, mids[up] / tr)
         shape[down] = _ramp_profile(ramp_shape, (t_half_pi - mids[down]) / tr)
     ts = edges[:-1, None] + np.diff(edges)[:, None] * _GL_NODES
-    for arr in (edges, shape, ts):
+    starts = np.append(edges[:-1], t_half_pi)
+    ends = np.append(edges[1:], t_half_pi + gap_time)
+    for arr in (starts, ends, shape, ts):
         arr.flags.writeable = False
-    return edges, shape, ts
+    return starts, ends, shape, ts
 
 
 def _pulse_cells(
@@ -180,22 +182,23 @@ def _pulse_cells(
     amplitude_trace: AmplitudeTrace | None,
     ramp_substeps: int,
     flat_substeps: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed discretization grid of the pulse window (excluding the gap).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed discretization grid of the pulse window.
 
-    Returns (edges, relative_amplitudes): cell edges in seconds from pulse
-    start and the relative drive amplitude (fraction of omega_q) on each
-    cell: the ramp shape at the cell midpoint times the cell average of the
-    trace.  A callable trace is called once, on the ``(n_cells, 4)`` array
-    of quadrature times.  The grid does not depend on the evaluation
-    interval, so propagators over adjacent sub-intervals compose exactly.
+    Returns (starts, ends, relative_amplitudes): cell bounds in seconds from
+    pulse start, the last cell the trailing gap, and the relative drive
+    amplitude (fraction of omega_q) on each cell before the gap: the ramp
+    shape at the cell midpoint times the cell average of the trace.  A
+    callable trace is called once, on the ``(n_cells, 4)`` array of
+    quadrature times.  The grid does not depend on the evaluation interval,
+    so propagators over adjacent sub-intervals compose exactly.
     """
     if ramp_substeps < 64:
         raise ValueError("ramp_substeps must be at least 64")
     if flat_substeps is None:
         flat_substeps = 256 if callable(amplitude_trace) else 1
-    edges, shape, ts = _pulse_grid(
-        pulse.ramp_time, pulse.flat_time, pulse.t_half_pi, drive.ramp_shape, ramp_substeps, flat_substeps
+    starts, ends, shape, ts = _pulse_grid(
+        pulse.ramp_time, pulse.t_half_pi, pulse.gap_time, drive.ramp_shape, ramp_substeps, flat_substeps
     )
     if callable(amplitude_trace):
         # cell-average the trace (Gauss-Legendre) so that slowly oscillating
@@ -203,7 +206,7 @@ def _pulse_cells(
         trace = np.broadcast_to(amplitude_trace(ts), ts.shape) @ _GL_WEIGHTS
     else:
         trace = 1.0 if amplitude_trace is None else float(amplitude_trace)
-    return edges, pulse.amp_scale * shape * trace
+    return starts, ends, pulse.amp_scale * shape * trace
 
 
 def pulse_propagator(
@@ -232,52 +235,17 @@ def pulse_propagator(
     if not 0.0 <= t_start <= t_end <= window + 1e-18:
         raise ValueError("evaluation interval must lie inside the pulse window")
 
-    edges, rel_amp = _pulse_cells(pulse, drive, amplitude_trace, ramp_substeps, flat_substeps)
-    starts, ends = edges[:-1], edges[1:]
+    starts, ends, rel_amp = _pulse_cells(pulse, drive, amplitude_trace, ramp_substeps, flat_substeps)
     if include_gap:
         # trailing gap: free evolution at zero amplitude, so no ac Zeeman shift
-        starts, ends = np.append(starts, pulse.t_half_pi), np.append(ends, window)
         rel_amp = np.append(rel_amp, 0.0)
+    else:
+        starts, ends = starts[:-1], ends[:-1]
     # cells outside [t_start, t_end] get zero length, i.e. the identity
     dt = np.maximum(np.minimum(ends, t_end) - np.maximum(starts, t_start), 0.0)
     vz = -drive.detuning if zeeman is None else zeeman.shift(rel_amp) - drive.detuning
     a, b = pulse_ab(drive.omega_q * rel_amp, vz, dt)
     return UnitaryOp(_ab_product(a, b * np.exp(1j * (pulse.effective_phase + drive.phase))))
-
-
-def evolve_sequence(
-    state: QubitState,
-    pulses: Sequence[PulseSpec],
-    drive: DriveParams,
-    zeeman: ZeemanModel | None = None,
-    amplitude_trace: AmplitudeTrace | None = None,
-    z_phases: Sequence[float] | np.ndarray | None = None,
-    ramp_substeps: int = 64,
-    flat_substeps: int | None = None,
-) -> QubitState:
-    """Evolve `state` through a pulse train (each pulse with its trailing gap).
-
-    A callable `amplitude_trace` is a function of the time since the start
-    of the train; each pulse's ``pulse_propagator`` call gets it shifted by
-    that pulse's start time and calls it once, on the array of the pulse's
-    quadrature times.  ``z_phases[k]`` is the angle of the z rotation
-    (``UnitaryOp.rz``) applied after pulse k and its gap.
-    """
-    starts = np.cumsum([0.0] + [p.total_time for p in pulses[:-1]])
-    if z_phases is not None:
-        rz = np.exp(0.5j * np.multiply.outer(np.asarray(z_phases, dtype=float), [-1.0, 1.0]))
-    psi = state.amplitudes
-    for k, pulse in enumerate(pulses):
-        trace = amplitude_trace
-        if callable(amplitude_trace):
-            trace = lambda t, t0=starts[k]: amplitude_trace(t0 + t)
-        prop = pulse_propagator(
-            pulse, drive, trace, zeeman, ramp_substeps=ramp_substeps, flat_substeps=flat_substeps
-        )
-        psi = prop.matrix @ psi
-        if z_phases is not None:
-            psi = rz[k] * psi
-    return QubitState(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -360,32 +328,16 @@ def simulate_spectator(
         state[0] = 1.0
     state = np.asarray(state, dtype=complex)
 
-    tr, tf = pulse.ramp_time, pulse.flat_time
     phi = pulse.effective_phase + drive.phase
 
     def step(omega: float, dt: float, vec: np.ndarray) -> np.ndarray:
         return _expm_hermitian(_spectator_hamiltonian(omega, phi, config), dt) @ vec
 
-    if tr > 0:
-        dt = tr / ramp_substeps
-        mids = (np.arange(ramp_substeps) + 0.5) * dt
-        for m in mids:
-            omega = drive.omega_q * pulse.amp_scale * float(
-                _ramp_profile(drive.ramp_shape, np.array([m / tr]))[0]
-            )
-            state = step(omega, dt, state)
-    if tf > 0:
-        dtf = tf / flat_substeps
-        for _ in range(flat_substeps):
-            state = step(drive.omega_q * pulse.amp_scale, dtf, state)
-    if tr > 0:
-        dt = tr / ramp_substeps
-        mids = (np.arange(ramp_substeps) + 0.5) * dt
-        for m in mids:
-            omega = drive.omega_q * pulse.amp_scale * float(
-                _ramp_profile(drive.ramp_shape, np.array([(tr - m) / tr]))[0]
-            )
-            state = step(omega, dt, state)
+    starts, ends, shape, _ = _pulse_grid(
+        pulse.ramp_time, pulse.t_half_pi, pulse.gap_time, drive.ramp_shape, ramp_substeps, flat_substeps
+    )
+    for amp, dt in zip(shape, (ends - starts)[:-1]):
+        state = step(drive.omega_q * pulse.amp_scale * amp, dt, state)
     if pulse.gap_time > 0:
         state = step(0.0, pulse.gap_time, state)
 
@@ -412,10 +364,8 @@ def spectator_error_per_gate(
     config = config or SpectatorConfig()
     drive = DriveParams.nominal(t_half_pi, ramp_time)
     rng = np.random.default_rng(seed)
-    state = np.zeros(_N_LEVELS, dtype=complex)
-    state[0] = 1.0
+    state = None  # simulate_spectator starts from |0>
     dressed = (config.rabi_ratio * drive.omega_q / config.detuning_s) ** 2
-    leak_total = 0.0
     for _ in range(n_pulses):
         pulse = PulseSpec(
             phase=float(rng.choice([0.0, np.pi / 2])),
@@ -427,8 +377,7 @@ def spectator_error_per_gate(
         state, leak = simulate_spectator(
             pulse, drive, config, state=state, ramp_substeps=ramp_substeps
         )
-    leak_total = leak
-    leak_per_pulse = leak_total / n_pulses
+    leak_per_pulse = leak / n_pulses
     deco_per_pulse = dressed * t_half_pi / (3 * config.t2_s)
     return pulses_per_clifford * (leak_per_pulse + deco_per_pulse)
 

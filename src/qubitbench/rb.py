@@ -11,13 +11,13 @@ two physics tiers:
   by the exact average of its sinusoidal modulation, slow dephasing
   enters as Gaussian phase kicks between pulses, and
   depolarizing/idle/readout errors act on outcomes.
-* ``full`` — pulses are ramped waveforms integrated piecewise-exactly by
-  the pulse simulator, sharing the same noise draws as the fast tier so
-  the two can be compared realization by realization.  Each shot is one
-  ``pulsesim.evolve_sequence`` call over plain arrays: the amplitude
-  multiplier and motional modulation form the amplitude trace, and the
-  dephasing kicks (and the idle-phase cancellation) are z rotations after
-  each pulse, as in the fast tier.
+* ``full`` — ramped waveforms integrated piecewise-exactly, one
+  ``pulsesim.pulse_propagator`` call per pulse and shot.
+
+Both tiers replay the plan through one loop: it sorts the sequences by
+pulse count, draws the noise and folds the dephasing kicks, idle phase and
+drive phase into each pulse, so a tier supplies only the propagators at
+drive phase 0 and both tiers see identical noise realizations.
 
 Benchmarking with a per-pulse idle delay (used to probe slow dephasing and
 idle-time error rates) reuses the same machinery with stretched gaps.
@@ -29,15 +29,15 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import noise as noise_mod
+from . import pulsesim
 from .cliffords import (
     CliffordGroup,
     GateSequence,
-    QubitState,
     apply_ab,
     build_clifford_table,
     pulse_ab,
@@ -54,7 +54,7 @@ from .noise import (
     NoiseConfig,
     rng_stream,
 )
-from .pulsesim import DriveParams, ZeemanModel, evolve_sequence
+from .pulsesim import DriveParams, ZeemanModel
 
 __all__ = [
     "RBPlan",
@@ -73,7 +73,7 @@ DATASET_FORMAT = "qubitbench.rb_dataset.v1"
 _LABEL_QUARTERS = {"+X90": 0, "+Y90": 1, "-X90": 2, "-Y90": 3}
 #: exp(1j * q * pi / 2) for q quarter turns, exactly
 _PHASORS = np.array([1, 1j, -1, -1j])
-#: pulses whose noise the fast tier evaluates at once (bounds its temporaries)
+#: pulses whose noise the replay evaluates at once (bounds its temporaries)
 _STEP_BLOCK = 4
 
 
@@ -303,28 +303,25 @@ def _draw_shot_noise(plan: RBPlan, length: int, noise: NoiseConfig):
     return mult, mot_phase0, deph_rng
 
 
-def _kick_std(noise: NoiseConfig, timing: RBTiming) -> float:
-    """Std dev of the dephasing kick drawn after every pulse (0 without dephasing)."""
-    if not noise.dephasing_t2:
-        return 0.0
-    return float(noise_mod.brownian_phase_std(timing.pulse_spacing, noise.dephasing_t2))
-
-
-def _coherent_survival_fast(
+def _replay(
     plan: RBPlan,
     length: int,
     group: CliffordGroup,
     phase_table: list[np.ndarray],
     noise: NoiseConfig,
     timing: RBTiming,
-    compensate_idle_phase: bool,
-    zeeman: ZeemanModel | None = None,
+    z_offset: float,
+    tier_ab: Callable,
 ) -> np.ndarray:
     """Survival probability of each (sequence, shot) before readout effects.
 
     Rows are sorted by pulse count, longest first, so the sequences still
-    playing at pulse k are the leading ``n_active[k]`` rows.  The dephasing
-    stream yields one ``(n_seq, n_shot)`` draw per pulse, finished rows included.
+    playing at pulse k are the leading ``n_active[k]`` rows.  ``tier_ab(mult,
+    phase0)`` gets the rows' amplitude multipliers and motional phases and
+    returns ``ab(k0, k1, n_active)``: the (a, b) at drive phase 0 of pulses
+    ``k0:k1``, shape ``(k1 - k0, n_active[k0], n_shot)`` (a row's pairs past
+    its last pulse are ignored).  Each pulse is followed by a z rotation by
+    ``z_offset`` plus a dephasing kick, one draw per pulse for every row.
     """
     n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
     words = [
@@ -340,34 +337,22 @@ def _coherent_survival_fast(
     n_active = np.searchsorted(-n_pulses[order], -np.arange(p_max))
 
     mult, mot_phase0, deph_rng = _draw_shot_noise(plan, length, noise)
-    mult = mult[order]
-    omega0 = (np.pi / 2) / timing.t_half_pi * mult
-    delta = noise.detuning_offset
-    # drive-induced shift scales with the played power
-    vz = -delta + (zeeman.shift(mult) if zeeman is not None else np.zeros_like(mult))
-    motional = noise.motional
-    if motional is not None:
-        # mean_area_factor(depth, phi0 + omega_m t, T) == 1 + depth Im(e^{i phi0} s)
-        e_phase0 = np.exp(1j * mot_phase0[order])
-    kick_std = _kick_std(noise, timing)
-    idle_phase = delta * (timing.gap_time + timing.delay_per_pulse) if not compensate_idle_phase else 0.0
+    ab = tier_ab(mult[order], None if mot_phase0 is None else mot_phase0[order])
+    kick_std = 0.0
+    if noise.dephasing_t2:
+        kick_std = float(noise_mod.brownian_phase_std(timing.pulse_spacing, noise.dephasing_t2))
 
     alpha = np.full((n_seq, n_shot), 1.0 + 0.0j if plan.prepared_state == 0 else 0.0j)
     beta = np.full((n_seq, n_shot), 1.0 + 0.0j if plan.prepared_state == 1 else 0.0j)
     for k0 in range(0, p_max, _STEP_BLOCK):
         k1 = min(k0 + _STEP_BLOCK, p_max)
         rows = n_active[k0]
-        omega = omega0[:rows]
-        if motional is not None:
-            t_k = timing.pulse_spacing * np.arange(k0, k1)
-            u = motional.depth_at(t_k) * motional.area_phasor(t_k, timing.t_half_pi)
-            omega = omega * (1.0 + (e_phase0[:rows] * u[:, None, None]).imag)
-        a, b = pulse_ab(omega, vz[:rows], timing.t_half_pi)
-        if kick_std or idle_phase:
-            theta = -idle_phase
+        a, b = ab(k0, k1, n_active)
+        if kick_std or z_offset:
+            theta = z_offset
             if kick_std:
                 kicks = deph_rng.standard_normal((k1 - k0, n_seq, n_shot))
-                theta = kick_std * kicks[:, order[:rows]] - idle_phase
+                theta = kick_std * kicks[:, order[:rows]] + z_offset
             # the z rotation after each pulse folds into its (a, b)
             rot = np.exp(-0.5j * theta)
             a, b = rot * a, np.conj(rot) * b
@@ -382,6 +367,42 @@ def _coherent_survival_fast(
     return survival
 
 
+def _coherent_survival_fast(
+    plan: RBPlan,
+    length: int,
+    group: CliffordGroup,
+    phase_table: list[np.ndarray],
+    noise: NoiseConfig,
+    timing: RBTiming,
+    compensate_idle_phase: bool,
+    zeeman: ZeemanModel | None = None,
+) -> np.ndarray:
+    """Survival of each (sequence, shot), every pulse an exact rectangle."""
+    delta, motional = noise.detuning_offset, noise.motional
+
+    def tier_ab(mult, phase0):
+        omega0 = (np.pi / 2) / timing.t_half_pi * mult
+        # drive-induced shift scales with the played power
+        vz = -delta + (zeeman.shift(mult) if zeeman is not None else np.zeros_like(mult))
+        if motional is not None:
+            # mean_area_factor(depth, phi0 + omega_m t, T) == 1 + depth Im(e^{i phi0} s)
+            e_phase0 = np.exp(1j * phase0)
+
+        def ab(k0, k1, n_active):
+            rows = n_active[k0]
+            omega = omega0[:rows]
+            if motional is not None:
+                t_k = timing.pulse_spacing * np.arange(k0, k1)
+                u = motional.depth_at(t_k) * motional.area_phasor(t_k, timing.t_half_pi)
+                omega = omega * (1.0 + (e_phase0[:rows] * u[:, None, None]).imag)
+            return pulse_ab(omega, vz[:rows], timing.t_half_pi)
+
+        return ab
+
+    z_offset = 0.0 if compensate_idle_phase else -delta * (timing.gap_time + timing.delay_per_pulse)
+    return _replay(plan, length, group, phase_table, noise, timing, z_offset, tier_ab)
+
+
 def _coherent_survival_full(
     plan: RBPlan,
     length: int,
@@ -394,57 +415,43 @@ def _coherent_survival_full(
 ) -> np.ndarray:
     """Pulse-level (ramped-waveform) version of the survival computation.
 
-    Shares the quasi-static noise draws with the fast tier so that the two
-    tiers can be compared on identical noise realizations.
+    Shares the noise draws and the replay with the fast tier so that the two
+    tiers can be compared on identical noise realizations.  Each pulse of
+    each shot is one ``pulse_propagator`` call on the ``+X90`` pulse, with
+    the motional modulation read from the pulse's start in train time.
     """
-    n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
-    mult, mot_phase0, deph_rng = _draw_shot_noise(plan, length, noise)
-    motional = noise.motional
+    n_shot, motional = plan.shots_per_sequence, noise.motional
     drive = DriveParams.nominal(timing.t_half_pi, timing.ramp_time, detuning=noise.detuning_offset)
     base_gap = timing.gap_time + timing.delay_per_pulse
-    specs = {
-        label: pulse_from_label(
-            label, t_half_pi=timing.t_half_pi, ramp_time=timing.ramp_time, gap_time=base_gap
-        )
-        for label in _LABEL_QUARTERS
-    }
-    seq_pulses = [
-        [specs[lab] for i in plan.sequence(length, s, group).all_indices() for lab in group.elements[i].pulses]
-        for s in range(n_seq)
-    ]
-    p_max = max(len(pulses) for pulses in seq_pulses)
-    # the z rotation after each pulse: the cancellation of the phase the
-    # detuning accrues during the programmed idle, plus the dephasing kick,
-    # drawn pulse-index-major as in the fast tier
-    idle_phase = drive.detuning * base_gap if compensate_idle_phase else 0.0
-    z_phases = np.full((p_max, n_seq, n_shot), idle_phase)
-    kick_std = _kick_std(noise, timing)
-    if kick_std:
-        z_phases += kick_std * deph_rng.standard_normal((p_max, n_seq, n_shot))
+    spec = pulse_from_label(
+        "+X90", t_half_pi=timing.t_half_pi, ramp_time=timing.ramp_time, gap_time=base_gap
+    )
 
-    survival = np.zeros((n_seq, n_shot))
-    for s, pulses in enumerate(seq_pulses):
-        for q in range(n_shot):
-            m = mult[s, q]
-            if motional is None:
-                trace = m
-            else:
-                phi0 = mot_phase0[s, q]
+    def tier_ab(mult, phase0):
+        def ab(k0, k1, n_active):
+            a = np.ones((k1 - k0, n_active[k0], n_shot), dtype=complex)
+            b = np.zeros_like(a)
+            for j, k in enumerate(range(k0, k1)):
+                for r, q in np.ndindex(n_active[k], n_shot):
+                    m, t0 = mult[r, q], timing.pulse_spacing * k
+                    if motional is None:
+                        trace = m
+                    else:
+                        phi0 = phase0[r, q]
 
-                def trace(t):
-                    return m * (1.0 + motional.depth_at(t) * np.cos(motional.omega_m * t + phi0))
+                        def trace(t):
+                            t = t0 + t
+                            return m * (1.0 + motional.depth_at(t) * np.cos(motional.omega_m * t + phi0))
 
-            state = evolve_sequence(
-                QubitState.basis(plan.prepared_state),
-                pulses,
-                drive,
-                zeeman=zeeman,
-                amplitude_trace=trace,
-                z_phases=z_phases[: len(pulses), s, q],
-                ramp_substeps=ramp_substeps,
-            )
-            survival[s, q] = state.probability(plan.prepared_state)
-    return survival
+                    u = pulsesim.pulse_propagator(spec, drive, trace, zeeman, ramp_substeps=ramp_substeps)
+                    a[j, r, q], b[j, r, q] = u.matrix[0, 0], u.matrix[1, 0]
+            return a, b
+
+        return ab
+
+    # cancel the phase the detuning accrues during the programmed idle
+    z_offset = drive.detuning * base_gap if compensate_idle_phase else 0.0
+    return _replay(plan, length, group, _phase_table(group), noise, timing, z_offset, tier_ab)
 
 
 def run_rb(

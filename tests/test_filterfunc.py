@@ -193,6 +193,14 @@ class TestPredictions:
         with pytest.raises(ValueError, match="not bracketed"):
             predict_t2(PhasePSD.white_fm(69.0), bracket=(0.0, 1e4))  # log 0 = -inf
 
+    @pytest.mark.parametrize("kind", ["Ramsey", "hahn", ""])
+    def test_unknown_kind_is_rejected_by_decay_and_t2(self, kind):
+        psd = PhasePSD.white_fm(69.0)
+        with pytest.raises(ValueError, match="kind must be"):
+            coherence_decay(psd, [6.9], kind=kind)
+        with pytest.raises(ValueError, match="kind must be"):
+            predict_t2(psd, kind)
+
     def test_predict_t2_reports_spectral_mass_past_the_edges(self):
         with pytest.warns(RuntimeWarning, match="outside the tabulated frequency range"):
             predict_t2(default_phase_psd(), "ramsey", bracket=(1e-2, 1e4))

@@ -143,10 +143,10 @@ _GL_WEIGHTS = 0.5 * np.array(
 def _sequential_propagator(pulse, drive, trace, zeeman, t_start, t_end, flat_substeps, gap):
     """Cell-by-cell product of matrix exponentials on the propagator's grid,
     with the trace averaged by scalar calls at each quadrature node."""
-    edges, shape = _pulse_cells(pulse, drive, None, 64, flat_substeps)
+    starts, ends, shape = _pulse_cells(pulse, drive, None, 64, flat_substeps)
     phi = pulse.effective_phase + drive.phase
     cells = []
-    for lo, hi, amp in zip(edges[:-1], edges[1:], shape):
+    for lo, hi, amp in zip(starts[:-1], ends[:-1], shape):
         if callable(trace):
             amp *= sum(w * float(trace(lo + (hi - lo) * x)) for w, x in zip(_GL_WEIGHTS, _GL_NODES))
         elif trace is not None:
@@ -228,30 +228,40 @@ class TestPulsePropagator:
         # one process walks through grids that differ in a single key field;
         # each must come back as if computed afresh, and read-only
         configs = [
-            (6e-6, 40e-9, "sin2", 64, None, None),
-            (6e-6, 40e-9, "linear", 64, None, None),
-            (6e-6, 300e-9, "sin2", 64, None, None),
-            (8e-6, 40e-9, "sin2", 64, None, None),
-            (6e-6, 40e-9, "sin2", 128, None, None),
-            (6e-6, 40e-9, "sin2", 64, 8, None),
-            (6e-6, 40e-9, "sin2", 64, None, lambda t: 1.0 + 1e3 * t),
-            (6e-6, 40e-9, "sin2", 64, None, None),
+            (6e-6, 40e-9, 40e-9, "sin2", 64, None, None),
+            (6e-6, 40e-9, 40e-9, "linear", 64, None, None),
+            (6e-6, 300e-9, 40e-9, "sin2", 64, None, None),
+            (8e-6, 40e-9, 40e-9, "sin2", 64, None, None),
+            (6e-6, 40e-9, 1e-6, "sin2", 64, None, None),
+            (6e-6, 40e-9, 0.0, "sin2", 64, None, None),
+            (6e-6, 40e-9, 40e-9, "sin2", 128, None, None),
+            (6e-6, 40e-9, 40e-9, "sin2", 64, 8, None),
+            (6e-6, 40e-9, 40e-9, "sin2", 64, None, lambda t: 1.0 + 1e3 * t),
+            (6e-6, 40e-9, 40e-9, "sin2", 64, None, None),
         ]
-        for t_half_pi, ramp_time, ramp_shape, ramp_substeps, flat_substeps, trace in configs:
-            pulse = PulseSpec(phase=0.0, t_half_pi=t_half_pi, ramp_time=ramp_time, amp_scale=0.9)
+        for t_half_pi, ramp_time, gap_time, ramp_shape, ramp_substeps, flat_substeps, trace in configs:
+            pulse = PulseSpec(
+                phase=0.0, t_half_pi=t_half_pi, ramp_time=ramp_time, gap_time=gap_time, amp_scale=0.9
+            )
             drive = DriveParams(omega_q=1e6, ramp_shape=ramp_shape)
-            edges, rel_amp = _pulse_cells(pulse, drive, trace, ramp_substeps, flat_substeps)
+            starts, ends, rel_amp = _pulse_cells(pulse, drive, trace, ramp_substeps, flat_substeps)
             flat = flat_substeps or (256 if trace else 1)
-            fresh_edges, shape, ts = _pulse_grid.__wrapped__(
-                ramp_time, pulse.flat_time, t_half_pi, ramp_shape, ramp_substeps, flat
+            fresh_starts, fresh_ends, shape, ts = _pulse_grid.__wrapped__(
+                ramp_time, t_half_pi, gap_time, ramp_shape, ramp_substeps, flat
             )
             expected = 0.9 * shape * (1.0 if trace is None else trace(ts) @ _GL_WEIGHTS)
-            np.testing.assert_array_equal(edges, fresh_edges)
+            np.testing.assert_array_equal(starts, fresh_starts)
+            np.testing.assert_array_equal(ends, fresh_ends)
             np.testing.assert_array_equal(rel_amp, expected)
-            assert len(edges) == 1 + flat + (2 * ramp_substeps if ramp_time else 0)
-            assert not edges.flags.writeable
-            with pytest.raises(ValueError):
-                edges[0] = 1.0
+            # the pulse's cells, then the trailing gap
+            n_cells = flat + (2 * ramp_substeps if ramp_time else 0)
+            assert len(rel_amp) == n_cells and len(starts) == len(ends) == n_cells + 1
+            assert (starts[-1], ends[-1]) == (t_half_pi, pulse.total_time)
+            np.testing.assert_array_equal(starts[1:-1], ends[:-2])
+            for arr in (starts, ends):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
 
 
 def _masked_survival(plan, length, noise, timing, compensate_idle_phase, zeeman):

@@ -44,5 +44,5 @@ def test_every_extra_name_resolves(tracer, wrapped):
 
 
 def test_full_tier_functions_are_wrapped(wrapped):
-    # the rb-full workload's pulsesim metrics read these two spans
-    assert {("pulsesim", "pulse_propagator"), ("pulsesim", "evolve_sequence")} <= wrapped
+    # the rb-full workload's pulsesim metrics read this span
+    assert ("pulsesim", "pulse_propagator") in wrapped

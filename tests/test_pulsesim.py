@@ -13,7 +13,6 @@ from qubitbench.pulsesim import (
     ZeemanModel,
     avg_pulse_error,
     counter_rotating_error,
-    evolve_sequence,
     pulse_propagator,
     simulate_spectator,
     spectator_error_per_gate,
@@ -118,6 +117,11 @@ class TestRampedPulse:
         ref = UnitaryOp.rotation(0.0, 1.001 * np.pi / 2)
         assert scaled.equal_up_to_phase(ref, tol=1e-10)
 
+    def test_zero_amplitude_freezes_the_state(self):
+        pulse = PulseSpec(phase=0.0, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)
+        u = pulse_propagator(pulse, DriveParams(omega_q=_OMEGA), amplitude_trace=0.0)
+        assert u.apply(QubitState.zero()).probability(0) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestZeeman:
     def test_shift_is_quadratic_in_amplitude(self):
@@ -136,54 +140,6 @@ class TestZeeman:
         )
         clean = pulse_propagator(pulse, DriveParams(omega_q=_OMEGA), include_gap=False)
         assert np.abs(with_both.matrix - clean.matrix).max() < 1e-10
-
-
-class TestEvolution:
-    def test_one_pulse_train_matches_propagator(self):
-        pulse = PulseSpec(phase=1.1, t_half_pi=6e-6, ramp_time=40e-9, gap_time=40e-9)
-        drive = DriveParams(omega_q=(np.pi / 2) / 5.96e-6, detuning=2 * np.pi * 100.0)
-        state = evolve_sequence(QubitState.zero(), [pulse], drive, ramp_substeps=128)
-        expected = pulse_propagator(pulse, drive, ramp_substeps=128).apply(QubitState.zero())
-        assert np.abs(state.amplitudes - expected.amplitudes).max() < 1e-15
-
-    def test_z_phase_is_rz_after_each_pulse(self):
-        pulses = [
-            PulseSpec(phase=phase, t_half_pi=6e-6, ramp_time=40e-9, gap_time=40e-9)
-            for phase in (0.0, np.pi / 2, 0.3)
-        ]
-        drive = DriveParams(omega_q=(np.pi / 2) / 5.96e-6, detuning=2 * np.pi * 100.0)
-        z_phases = [0.7, -1.9, np.pi]
-        state = evolve_sequence(QubitState.zero(), pulses, drive, z_phases=z_phases)
-        expected = QubitState.zero()
-        for pulse, angle in zip(pulses, z_phases):
-            expected = UnitaryOp.rz(angle).apply(pulse_propagator(pulse, drive).apply(expected))
-        assert np.abs(state.amplitudes - expected.amplitudes).max() < 1e-14
-
-    def test_zero_amplitude_freezes_the_state(self):
-        pulses = [PulseSpec(phase=0.0, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)] * 3
-        drive = DriveParams(omega_q=_OMEGA)
-        state = evolve_sequence(QubitState.zero(), pulses, drive, amplitude_trace=0.0)
-        assert state.probability(0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_trace_time_is_measured_from_the_train_start(self):
-        pulses = [
-            PulseSpec(phase=0.0, t_half_pi=6e-6, ramp_time=40e-9, gap_time=t_gap)
-            for t_gap in (40e-9, 1e-6, 40e-9)
-        ]
-        drive = DriveParams(omega_q=(np.pi / 2) / 5.96e-6)
-        trace = lambda t: 1.0 + 3e-2 * np.sin(2 * np.pi * t / 15e-6)
-        state = evolve_sequence(QubitState.zero(), pulses, drive, amplitude_trace=trace)
-        expected, t0 = QubitState.zero(), 0.0
-        for pulse in pulses:
-            shifted = lambda t, t0=t0: trace(t0 + t)
-            expected = pulse_propagator(pulse, drive, amplitude_trace=shifted).apply(expected)
-            t0 += pulse.total_time
-        assert np.abs(state.amplitudes - expected.amplitudes).max() < 1e-14
-        # a trace read from each pulse's own start plays a different train
-        unshifted = QubitState.zero()
-        for pulse in pulses:
-            unshifted = pulse_propagator(pulse, drive, amplitude_trace=trace).apply(unshifted)
-        assert np.abs(state.amplitudes - unshifted.amplitudes).max() > 1e-3
 
 
 class TestErrorProbes:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qubitbench import pulsesim
+from qubitbench import pulsesim, rb
 from qubitbench.cliffords import pulse_from_label
 from qubitbench.noise import (
     LANE_AMPLITUDE,
@@ -295,18 +295,27 @@ _FULL_TIER_CASES = {
 
 
 class TestFullTier:
+    @pytest.mark.parametrize("prepared_state", [0, 1])
     @pytest.mark.parametrize("length", [8, 24])
     @pytest.mark.parametrize("compensate", [True, False], ids=["compensated", "uncompensated"])
     @pytest.mark.parametrize("case", sorted(_FULL_TIER_CASES))
-    def test_matches_per_pulse_drive_phase_reference(self, group, case, compensate, length):
+    def test_matches_per_pulse_drive_phase_reference(self, group, case, compensate, length, prepared_state):
         noise, zeeman, timing = _FULL_TIER_CASES[case]
-        plan = RBPlan(master_seed=33, lengths=(length,), n_sequences=2, shots_per_sequence=2)
+        plan = RBPlan(
+            master_seed=33,
+            lengths=(length,),
+            n_sequences=2,
+            shots_per_sequence=2,
+            prepared_state=prepared_state,
+        )
         full = _coherent_survival_full(plan, length, group, noise, timing, compensate, zeeman, 64)
         reference = _reference_full_survival(plan, length, group, noise, timing, compensate, zeeman)
         assert np.abs(full - reference).max() <= 1e-12
 
     def test_one_propagator_per_pulse_and_shot(self, group, monkeypatch):
-        calls = []
+        # and never a fast-tier call: the traced rb-full benchmark expects its
+        # pulse-shot counter, read from the fast engine, to stay at zero
+        calls, fast_calls = [], []
         counted = pulsesim.pulse_propagator
 
         def counting(*args, **kwargs):
@@ -314,6 +323,7 @@ class TestFullTier:
             return counted(*args, **kwargs)
 
         monkeypatch.setattr(pulsesim, "pulse_propagator", counting)
+        monkeypatch.setattr(rb, "_coherent_survival_fast", lambda *a, **kw: fast_calls.append(1))
         plan = RBPlan(master_seed=4, lengths=(3, 5), n_sequences=2, shots_per_sequence=3)
         run_rb(plan, noise=NoiseConfig(spam=0.01), tier="full", group=group)
         pulses = sum(
@@ -323,6 +333,7 @@ class TestFullTier:
             for i in plan.sequence(length, s, group).all_indices()
         )
         assert len(calls) == pulses * plan.shots_per_sequence
+        assert fast_calls == []
 
 
 class TestDataset:
