@@ -49,6 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .cliffords import MEAN_PULSES_PER_CLIFFORD
+from .fitting import binomial_variance, inverse_variance_mean, weighted_line
 from .noise import IdleRates
 
 __all__ = [
@@ -211,6 +212,10 @@ class BudgetInput:
     spectator_bound: float = 1e-9
     ramp_bound: float = 1e-9
     counter_rotating_bound: float = 1e-10
+
+    def __post_init__(self):
+        if self.gate_time <= 0 or self.t2 <= 0:
+            raise ValueError("gate_time and t2 must be positive")
 
     @property
     def t_half_pi(self) -> float:
@@ -420,23 +425,17 @@ class IdleRatesEstimate:
 
 def _wls_slope(durations: np.ndarray, errors: np.ndarray, shots: np.ndarray) -> tuple[float, float]:
     """Weighted straight-line fit (free intercept); returns (slope, sigma)."""
-    t = np.asarray(durations, dtype=float)
-    p = np.asarray(errors, dtype=float) / np.asarray(shots, dtype=float)
-    var = np.maximum(p * (1 - p), 0.25 / np.asarray(shots)) / np.asarray(shots)
-    w = 1.0 / var
-    sw = w.sum()
-    tm = (w * t).sum() / sw
-    pm = (w * p).sum() / sw
-    sxx = (w * (t - tm) ** 2).sum()
-    if sxx <= 0:
-        raise ValueError("need at least two distinct durations")
-    slope = float((w * (t - tm) * (p - pm)).sum() / sxx)
-    return slope, float(np.sqrt(1.0 / sxx))
+    shots = np.asarray(shots, dtype=float)
+    p = np.asarray(errors, dtype=float) / shots
+    slope, _, sxx = weighted_line(durations, p, 1.0 / binomial_variance(p, shots))
+    return float(slope), float(np.sqrt(1.0 / sxx))
+
+
+_FLIP_SIGNIFICANCE = 3.0  # combined standard deviations
 
 
 def estimate_idle_rates(
     data: dict[tuple[str, int], tuple[np.ndarray, np.ndarray, np.ndarray]],
-    significance: float = 3.0,
 ) -> IdleRatesEstimate:
     """Invert shelving-scheme measurements into idle error rates.
 
@@ -445,18 +444,14 @@ def estimate_idle_rates(
     preparation and the 'expected' scheme for both preparations.  The
     spin-flip rate has one estimate per preparation (slope difference of
     'other' and 'none'); ``flip_consistent`` is False when the two
-    disagree by more than ``significance`` combined standard deviations.
+    disagree by more than three combined standard deviations.
     """
     slopes = {key: _wls_slope(*vals) for key, vals in data.items()}
 
-    eb_parts = [(s, v) for (s, p), v in slopes.items() if s == "none"]
+    eb_parts = [v for (s, _), v in slopes.items() if s == "none"]
     if not eb_parts:
         raise ValueError("need at least one 'none' scheme measurement")
-    eb_vals = np.array([v[0] for _, v in eb_parts])
-    eb_sigs = np.array([v[1] for _, v in eb_parts])
-    w = 1.0 / eb_sigs**2
-    eps_b = float((w * eb_vals).sum() / w.sum())
-    sigma_b = float(np.sqrt(1.0 / w.sum()))
+    eps_b, sigma_b = inverse_variance_mean(*zip(*eb_parts))
 
     flips, flip_sigs = [], []
     for p in (0, 1):
@@ -466,12 +461,10 @@ def estimate_idle_rates(
             flips.append(s_o - s_n)
             flip_sigs.append(np.hypot(g_o, g_n))
     if flips:
-        w = 1.0 / np.array(flip_sigs) ** 2
-        flip = float((w * np.array(flips)).sum() / w.sum())
-        sigma_f = float(np.sqrt(1.0 / w.sum()))
+        flip, sigma_f = inverse_variance_mean(flips, flip_sigs)
         if len(flips) == 2:
             diff = abs(flips[0] - flips[1])
-            consistent = diff <= significance * float(np.hypot(*flip_sigs))
+            consistent = diff <= _FLIP_SIGNIFICANCE * float(np.hypot(*flip_sigs))
         else:
             consistent = True
     else:

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cliffords import apply_ab, pulse_ab
+from .fitting import binomial_variance, inverse_variance_mean
 from .noise import LANE_CAL, QuantizerConfig, rng_stream
 
 __all__ = [
@@ -232,6 +233,20 @@ def records_to_jsonl(records: Sequence[CalRecord]) -> str:
     return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records)
 
 
+def _fringe(
+    testbed: SimulatedQubitTestbed, phases: np.ndarray, gain: float, shots: int
+) -> tuple[float, float, float]:
+    """Play ``phases`` plus one phase-0 bias pulse and invert the fringe.
+
+    The bright fraction is ``p = (1 - sin(gain x)) / 2``; returns
+    ``(p, x, sigma_x)``.
+    """
+    p = testbed.run_train(np.concatenate([phases, [0.0]]), shots) / shots
+    arg = np.clip(1.0 - 2.0 * p, -1.0, 1.0)
+    slope = gain * np.sqrt(max(1.0 - arg**2, 1e-2))  # |dP(-2)/dx| guard
+    return p, float(np.arcsin(arg) / gain), float(2 * np.sqrt(binomial_variance(p, shots)) / slope)
+
+
 def amplitude_cal_step(
     testbed: SimulatedQubitTestbed, n_group: int, shots: int, linear_threshold: float = 0.35
 ) -> tuple[float, float, float, bool]:
@@ -240,17 +255,8 @@ def amplitude_cal_step(
     Returns (p_zero, estimate, sigma, linear_ok); `linear_ok` holds when
     ``|p_zero - 1/2| <= linear_threshold``.
     """
-    n_pulses = 4 * n_group + 1
-    bright = testbed.run_train(np.zeros(n_pulses), shots)
-    p = bright / shots
-    c = (4 * n_group + 1) * np.pi / 4
-    arg = np.clip(1.0 - 2.0 * p, -1.0, 1.0)
-    estimate = float(np.arcsin(arg) / (2 * c))
-    linear_ok = abs(p - 0.5) <= linear_threshold
-    sigma_p = np.sqrt(max(p * (1 - p), 0.25 / shots) / shots)
-    slope = 2 * c * np.sqrt(max(1.0 - arg**2, 1e-2))  # |dP(-2)/dx| guard
-    sigma = float(2 * sigma_p / slope)
-    return p, estimate, sigma, linear_ok
+    p, estimate, sigma = _fringe(testbed, np.zeros(4 * n_group), (4 * n_group + 1) * np.pi / 2, shots)
+    return p, estimate, sigma, abs(p - 0.5) <= linear_threshold
 
 
 def _freq_model_p_zero(
@@ -308,8 +314,7 @@ def frequency_cal_step(
         if abs(step_d) < 1e-9 * omega:
             break
     dp = slope(delta)
-    sigma_p = np.sqrt(max(p * (1 - p), 0.25 / shots) / shots)
-    sigma = float(sigma_p / max(abs(dp), 1e-12))
+    sigma = float(np.sqrt(binomial_variance(p, shots)) / max(abs(dp), 1e-12))
     return p, float(delta), sigma, linear_ok
 
 
@@ -494,6 +499,11 @@ def constant_train_p_zero_gaussian(
     return float(0.5 + 0.5 * np.cos(phi * mean_rel) * damp)
 
 
+# stage 1 of walsh_fit: six 4N+1 offset trains of N = 256
+_MEAN_N_GROUP = 256
+_MEAN_REPEATS = 6
+
+
 @dataclass(frozen=True)
 class WalshEstimate:
     order: int
@@ -515,22 +525,9 @@ def measure_walsh_coefficient(
     """
     if order == 0:
         raise ValueError("order 0 is the unmodulated train; use amplitude_cal_step")
-    signs = walsh_sign_train(order, n_pulses)
-    phases = np.where(signs > 0, 0.0, np.pi)
-    phases = np.concatenate([phases, [0.0]])
-    bright = testbed.run_train(phases, shots)
-    p = bright / shots
-    arg = np.clip(1.0 - 2.0 * p, -1.0, 1.0)
-    coeff = float(np.arcsin(arg) * 2 / (np.pi * n_pulses))
-    sigma_p = np.sqrt(max(p * (1 - p), 0.25 / shots) / shots)
-    slope = 0.5 * np.pi * n_pulses * np.sqrt(max(1.0 - arg**2, 1e-2))
-    return WalshEstimate(
-        order=order,
-        coefficient=coeff,
-        sigma=float(2 * sigma_p / slope),
-        n_pulses=n_pulses,
-        p_zero=p,
-    )
+    phases = np.where(walsh_sign_train(order, n_pulses) > 0, 0.0, np.pi)
+    p, coeff, sigma = _fringe(testbed, phases, n_pulses * np.pi / 2, shots)
+    return WalshEstimate(order=order, coefficient=coeff, sigma=sigma, n_pulses=n_pulses, p_zero=p)
 
 
 def walsh_fit(
@@ -539,17 +536,15 @@ def walsh_fit(
     n_pulses: int = 64,
     shots: int = 400,
     n_sweep: Sequence[int] = (64, 256, 1024, 2048, 4096),
-    mean_n_group: int = 256,
-    mean_repeats: int = 6,
 ) -> dict:
     """Hierarchical drift characterization.
 
     Three stages, from slowest to fastest time scale:
 
-    1. the signed static offset, averaged over ``mean_repeats`` 4N+1
-       bias-pulse trains.  The sine fringe is linear in the offset, and
-       the next stage needs the offset pinned well below the period of
-       the longest sweep train, hence the averaging;
+    1. the signed static offset, the inverse-variance mean of six 4N+1
+       bias-pulse trains with N = 256.  The sine fringe is linear in the
+       offset, and the next stage needs the offset pinned well below the
+       period of the longest sweep train, hence the averaging;
     2. the shot-to-shot spread from the contrast decay of unmodulated
        trains swept over length, fit to the Gaussian closed form with the
        offset held fixed (the contrast only collapses once
@@ -561,14 +556,8 @@ def walsh_fit(
     Returns a dict with keys ``mean_rel``, ``mean_sigma``, ``sigma_rel``
     and ``coefficients`` (order -> WalshEstimate).
     """
-    ests = np.empty(mean_repeats)
-    weights = np.empty(mean_repeats)
-    for rep in range(mean_repeats):
-        _, est, sig, _ = amplitude_cal_step(testbed, mean_n_group, shots)
-        ests[rep] = est
-        weights[rep] = 1.0 / sig**2
-    mean_rel = float(np.sum(weights * ests) / np.sum(weights))
-    mean_sigma = float(1.0 / np.sqrt(np.sum(weights)))
+    _, ests, sigmas, _ = zip(*(amplitude_cal_step(testbed, _MEAN_N_GROUP, shots) for _ in range(_MEAN_REPEATS)))
+    mean_rel, mean_sigma = inverse_variance_mean(ests, sigmas)
 
     ps, ns = [], []
     for n4 in n_sweep:

@@ -46,7 +46,7 @@ from .calibration import (
 from .cliffords import MEAN_PULSES_PER_CLIFFORD, build_clifford_table
 from .filterfunc import PhasePSD, SSBCurve, chi_echo, chi_ramsey, predict_irmb, predict_t2
 from .fitting import bootstrap_ci
-from .noise import LANE_BOOTSTRAP, LANE_IDLE, AmplitudeNoiseModel, IdleRates, NoiseConfig, rng_stream
+from .noise import LANE_BOOTSTRAP, LANE_IDLE, AmplitudeNoiseModel, IdleRates, NoiseConfig, QuantizerConfig, rng_stream
 from .rb import RBTiming, generate_plan, irmb_slope, run_rb
 
 CONFIG_SCHEMA = "qubitbench.config.v1"
@@ -245,7 +245,8 @@ def _json_doc(command: str, resolved: dict, seed: int, payload: dict) -> str:
         },
         **payload,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # NaN and infinity are not JSON: refuse them rather than print them
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _noise_from(resolved: dict) -> NoiseConfig:
@@ -366,6 +367,7 @@ def _make_testbed(resolved: dict, seed: int) -> SimulatedQubitTestbed:
         master_seed=seed,
         t_half_pi=resolved["t_half_pi"],
         amp_fraction=resolved.get("amp_fraction", presets.AWG_FRACTION),
+        quantizer=QuantizerConfig(bits=resolved.get("bits", presets.AWG_BITS)),
         sigma0_rel=resolved["sigma0"],
         spam=resolved["spam"],
         amp_drift=amp_drift,

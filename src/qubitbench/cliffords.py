@@ -147,32 +147,9 @@ class QubitState:
     def zero(cls) -> "QubitState":
         return cls(np.array([1.0, 0.0], dtype=complex))
 
-    @classmethod
-    def one(cls) -> "QubitState":
-        return cls(np.array([0.0, 1.0], dtype=complex))
-
-    @classmethod
-    def basis(cls, index: int) -> "QubitState":
-        return cls.zero() if index == 0 else cls.one()
-
     def probability(self, basis_state: int) -> float:
         return float(abs(self.amplitudes[basis_state]) ** 2)
 
-    def overlap(self, other: "QubitState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "QubitState") -> float:
-        return float(abs(self.overlap(other)) ** 2)
-
-    def bloch_vector(self) -> np.ndarray:
-        a = self.amplitudes
-        return np.array(
-            [
-                2 * (a[0].conjugate() * a[1]).real,
-                2 * (a[0].conjugate() * a[1]).imag,
-                abs(a[0]) ** 2 - abs(a[1]) ** 2,
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -271,9 +248,6 @@ class PulseSpec:
     def total_time(self) -> float:
         return self.t_half_pi + self.gap_time
 
-    def ideal_unitary(self) -> UnitaryOp:
-        return UnitaryOp.rotation(self.phase, self.sign * np.pi / 2)
-
 
 def pulse_from_label(label: str, **kwargs) -> PulseSpec:
     """Build the PulseSpec for a generator label such as '+X90' or '-Y90'."""
@@ -291,9 +265,6 @@ class CliffordElement:
     index: int
     matrix: np.ndarray  # canonical-phase 2x2
     pulses: tuple[str, ...]
-
-    def unitary(self) -> UnitaryOp:
-        return UnitaryOp(self.matrix)
 
     @property
     def pulse_count(self) -> int:

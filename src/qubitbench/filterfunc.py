@@ -195,35 +195,6 @@ class ControlTimeline:
         implicit: the timeline starts with the Bloch vector along x)."""
         return cls(segments=(Segment(duration=tau),))
 
-    @classmethod
-    def spin_echo(cls, tau: float, pulse_phase: float = 0.0) -> "ControlTimeline":
-        return cls(
-            segments=(
-                Segment(duration=tau / 2),
-                Segment(duration=0.0, phase=pulse_phase, angle=np.pi),
-                Segment(duration=tau / 2),
-            )
-        )
-
-    @classmethod
-    def pulse_train(
-        cls,
-        phases: Sequence[float],
-        t_half_pi: float,
-        gap_time: float = 0.0,
-        delay: float = 0.0,
-    ) -> "ControlTimeline":
-        """Train of pi/2 pulses with inter-pulse idles, as used in
-        benchmarking sequences."""
-        omega = (np.pi / 2) / t_half_pi
-        segs: list[Segment] = []
-        for ph in phases:
-            segs.append(Segment(duration=t_half_pi, rabi=omega, phase=float(ph)))
-            idle = gap_time + delay
-            if idle > 0:
-                segs.append(Segment(duration=idle))
-        return cls(segments=tuple(segs))
-
     @property
     def total_time(self) -> float:
         return float(sum(s.duration for s in self.segments))
@@ -301,22 +272,24 @@ def g_echo(omega: np.ndarray, tau: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_REFINE_TOL = 1e-4
+_MAX_REFINEMENTS = 4
+_EDGE_FRACTION_WARN = 0.02
+
+
 def chi_overlap(
     psd: PhasePSD,
     g_of_omega: Callable[[np.ndarray], np.ndarray],
     f_min: float | None = None,
     f_max: float | None = None,
     points_per_decade: int = 200,
-    refine_tol: float = 1e-4,
-    max_refinements: int = 4,
-    edge_fraction_warn: float = 0.02,
 ) -> float:
     """Decoherence exponent 2 * Int S_phi(f) G(2 pi f) df on a log grid.
 
-    The trapezoid rule is applied in log-frequency and the grid is refined
-    until the integral changes by less than ``refine_tol`` relatively.  A
-    warning is raised when either boundary decade carries more than
-    ``edge_fraction_warn`` of the result.  It names the edge; where that
+    The trapezoid rule is applied in log-frequency and the grid is doubled,
+    at most four times, until the integral changes by less than 1e-4
+    relatively.  A warning is raised when either boundary decade carries
+    more than 2% of the result.  It names the edge; where that
     edge is the spectrum's own ``f_range`` bound, the weight sits at the
     tabulated support and widening the range cannot remove it, otherwise
     the integration range truncates spectral mass.
@@ -334,10 +307,10 @@ def chi_overlap(
         return float(np.trapezoid(y * f, u)), f, y
 
     chi, f, y = integrate(points_per_decade)
-    for _ in range(max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         points_per_decade *= 2
         chi_new, f, y = integrate(points_per_decade)
-        if abs(chi_new - chi) <= refine_tol * max(abs(chi_new), 1e-300):
+        if abs(chi_new - chi) <= _REFINE_TOL * max(abs(chi_new), 1e-300):
             chi = chi_new
             break
         chi = chi_new
@@ -357,7 +330,7 @@ def chi_overlap(
                 ("low", lo_mass, f_lo, psd.f_range[0]),
                 ("high", hi_mass, f_hi, psd.f_range[1]),
             )
-            if edge_mass > edge_fraction_warn * chi
+            if edge_mass > _EDGE_FRACTION_WARN * chi
         ]
         if notes:
             warnings.warn(

@@ -10,6 +10,11 @@ are pooled and treated as binomial draws from ``p(l)``; the likelihood is
 maximized over ``(eps, A)`` with a coarse logarithmic grid over ``eps``
 followed by bounded quasi-Newton refinement.  Uncertainties come from a
 parametric bootstrap.
+
+The module also holds the small estimators shared by the calibration,
+idle-rate and delay-scan analyses, each written once: ``binomial_variance``
+(the floored variance of a measured frequency), ``inverse_variance_mean``
+and ``weighted_line`` (weighted least squares with a free intercept).
 """
 
 from __future__ import annotations
@@ -18,11 +23,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DecayFit", "survival_model", "mle_fit", "bootstrap_ci"]
+__all__ = [
+    "DecayFit",
+    "survival_model",
+    "mle_fit",
+    "bootstrap_ci",
+    "binomial_variance",
+    "inverse_variance_mean",
+    "weighted_line",
+]
 
 _EPS_BOUNDS = (1e-12, 0.49)
 _AMP_BOUNDS = (1e-3, 0.6)
 _P_CLIP = 1e-9
+# start grid of the fit: 80 log-spaced errors by 13 amplitudes
+_GRID_EPS = np.logspace(np.log10(_EPS_BOUNDS[0]), np.log10(_EPS_BOUNDS[1]), 80)
+_GRID_AMP = np.linspace(0.25, 0.55, 13)
+_MAX_FAILURE_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -67,43 +84,29 @@ def _pool(lengths, successes, shots):
     return uniq, k, n
 
 
+def _nll(log_eps, amplitude, lengths, k, n):
+    """Binomial negative log-likelihood of pooled counts, summed over the
+    last axis; ``log_eps`` and ``amplitude`` broadcast against it."""
+    p = np.clip(amplitude * (1.0 - 2.0 * np.exp(log_eps)) ** lengths + 0.5, _P_CLIP, 1.0 - _P_CLIP)
+    return -(k * np.log(p) + (n - k) * np.log1p(-p)).sum(axis=-1)
+
+
 def _neg_log_likelihood(params, lengths, k, n):
-    log_eps, amplitude = params
-    p = survival_model(lengths, np.exp(log_eps), amplitude)
-    p = np.clip(p, _P_CLIP, 1.0 - _P_CLIP)
-    return -float(np.sum(k * np.log(p) + (n - k) * np.log1p(-p)))
+    return float(_nll(params[0], params[1], lengths, k, n))
 
 
-def mle_fit(
-    lengths: np.ndarray,
-    successes: np.ndarray,
-    shots: np.ndarray,
-    grid_points: int = 80,
-) -> DecayFit:
+def mle_fit(lengths: np.ndarray, successes: np.ndarray, shots: np.ndarray) -> DecayFit:
     """Fit the decay model to pooled binomial counts.
 
-    Parameters
-    ----------
-    lengths, successes, shots:
-        Per-record sequence length, number of surviving shots, and shots
-        taken.  Records sharing a length are pooled.
-    grid_points:
-        Resolution of the initial logarithmic grid over ``epsilon``.
+    ``lengths``, ``successes`` and ``shots`` give each record's sequence
+    length, number of surviving shots, and shots taken; records sharing a
+    length are pooled.
     """
     from scipy.optimize import minimize  # here, not at module level: ~0.5 s import
     uniq, k, n = _pool(lengths, successes, shots)
 
     identifiable = len(uniq) >= 2
-    grid_eps = np.logspace(np.log10(_EPS_BOUNDS[0]), np.log10(_EPS_BOUNDS[1]), grid_points)
-    grid_amp = np.linspace(0.25, 0.55, 13)
-    log_eps_grid = np.log(grid_eps)[:, None, None]
-    amp_grid = grid_amp[None, :, None]
-    p_grid = np.clip(
-        amp_grid * (1.0 - 2.0 * np.exp(log_eps_grid)) ** uniq[None, None, :] + 0.5,
-        _P_CLIP,
-        1.0 - _P_CLIP,
-    )
-    nll_grid = -(k * np.log(p_grid) + (n - k) * np.log1p(-p_grid)).sum(axis=-1)
+    nll_grid = _nll(np.log(_GRID_EPS)[:, None, None], _GRID_AMP[:, None], uniq, k, n)
     i_best, j_best = np.unravel_index(np.argmin(nll_grid), nll_grid.shape)
 
     bounds = [
@@ -112,7 +115,7 @@ def mle_fit(
     ]
     res = minimize(
         _neg_log_likelihood,
-        x0=np.array([np.log(grid_eps[i_best]), grid_amp[j_best]]),
+        x0=np.array([np.log(_GRID_EPS[i_best]), _GRID_AMP[j_best]]),
         args=(uniq, k, n),
         method="L-BFGS-B",
         bounds=bounds,
@@ -167,13 +170,12 @@ def bootstrap_ci(
     rng: np.random.Generator,
     n_resamples: int = 1000,
     level: float = 0.68,
-    max_failure_fraction: float = 0.05,
 ) -> tuple[float, float, np.ndarray]:
     """Parametric-bootstrap confidence interval for the per-element error.
 
     Counts are redrawn from the fitted model and refit; the interval is the
     central ``level`` quantile range of the refitted errors.  Raises if more
-    than ``max_failure_fraction`` of refits fail to converge.
+    than 5% of refits fail to converge.
     """
     fit = mle_fit(lengths, successes, shots)
     uniq, _, n = _pool(lengths, successes, shots)
@@ -188,10 +190,43 @@ def bootstrap_ci(
             estimates.append(refit.epsilon)
         else:
             failures += 1
-    if failures > max_failure_fraction * n_resamples:
+    if failures > _MAX_FAILURE_FRACTION * n_resamples:
         raise RuntimeError(
             f"bootstrap unstable: {failures}/{n_resamples} refits failed to converge"
         )
     estimates = np.array(estimates)
     lo, hi = np.quantile(estimates, [(1 - level) / 2, (1 + level) / 2])
     return float(lo), float(hi), estimates
+
+
+def binomial_variance(p, shots):
+    """Variance of a measured frequency ``p`` over ``shots`` trials.
+
+    ``p (1 - p)`` is floored at ``1/4`` of one shot, so that a frequency of
+    0 or 1 keeps a finite weight of ``4 shots**2``.
+    """
+    return np.maximum(p * (1 - p), 0.25 / shots) / shots
+
+
+def inverse_variance_mean(values, sigmas) -> tuple[float, float]:
+    """Inverse-variance weighted mean of ``values`` and its standard error."""
+    w = 1.0 / np.asarray(sigmas, dtype=float) ** 2
+    return float((w * np.asarray(values, dtype=float)).sum() / w.sum()), float(np.sqrt(1.0 / w.sum()))
+
+
+def weighted_line(x, y, w):
+    """Weighted least-squares line through ``(x, y)`` with weights ``w``.
+
+    Returns ``(slope, intercept, sxx)`` with ``sxx = sum w (x - x_mean)**2``;
+    callers form the slope error of their own noise model from it.  Raises
+    ``ValueError`` unless ``x`` holds at least two distinct values.
+    """
+    x, y, w = (np.asarray(a, dtype=float) for a in (x, y, w))
+    if np.unique(x).size < 2:
+        raise ValueError("a line fit needs at least two distinct x values")
+    sw = w.sum()
+    xm = (w * x).sum() / sw
+    ym = (w * y).sum() / sw
+    sxx = (w * (x - xm) ** 2).sum()
+    slope = (w * (x - xm) * (y - ym)).sum() / sxx
+    return slope, ym - slope * xm, sxx

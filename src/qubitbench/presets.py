@@ -12,10 +12,11 @@ Derivations of the non-obvious numbers:
   ``mu sigma^2 / 2`` equal 2.3e-9.
 * ``AWG_FRACTION`` makes the 15-bit half-LSB rounding term
   ``mu (2^-16 / a)^2 / 6`` equal 1.5e-10.
-* The sub-second idle rates scale the directly measured long-delay rates
-  by 0.33468 (idle errors grow sub-linearly, so short-delay rates are
-  smaller), pinning the idle/leakage budget term at 6.2e-9 for a 13 us
-  gate.
+* The sub-second idle rates of ``BudgetInput.idle`` scale the directly
+  measured long-delay rates (bright 1.6e-2 /s, dark plus leakage 1.3e-2 /s
+  from 0 and 1.2e-2 /s from 1, no spin flips) by 0.33468 (idle errors grow
+  sub-linearly, so short-delay rates are smaller), pinning the idle/leakage
+  budget term at 6.2e-9 for a 13 us gate.
 * The synthetic local-oscillator phase-noise curve is pure
   1/f^2 at -31.34 dBc/Hz at 1 Hz — exactly white frequency noise with a
   69 s coherence time — plus a -140 dBc/Hz amplifier floor.  It is a
@@ -30,7 +31,7 @@ import numpy as np
 from .budget import BudgetInput
 from .cliffords import MEAN_PULSES_PER_CLIFFORD
 from .filterfunc import PhasePSD, SSBCurve
-from .noise import AmplitudeNoiseModel, IdleRates, MotionalMode, NoiseConfig
+from .noise import AmplitudeNoiseModel, MotionalMode, NoiseConfig
 
 __all__ = [
     "GATE_TIME",
@@ -47,11 +48,7 @@ __all__ = [
     "OMEGA_MOTIONAL",
     "N_BAR0",
     "HEATING_RATE",
-    "ZEEMAN_FULL_AMP_HZ",
     "ZEEMAN_RESIDUAL_HZ",
-    "IDLE_RATES_LONG_DELAY",
-    "IDLE_RATES_SUB_SECOND",
-    "SUB_SECOND_SCALE",
     "default_noise_config",
     "default_ssb_curve",
     "default_phase_psd",
@@ -76,17 +73,7 @@ OMEGA_MOTIONAL = 2 * np.pi * 5.6e6
 N_BAR0 = 2.6
 HEATING_RATE = 370.0
 
-ZEEMAN_FULL_AMP_HZ = 9.0
 ZEEMAN_RESIDUAL_HZ = 2.5
-
-IDLE_RATES_LONG_DELAY = IdleRates(
-    bright_per_s=1.6e-2,
-    dark_plus_leak_prep0_per_s=1.3e-2,
-    dark_plus_leak_prep1_per_s=1.2e-2,
-    flip_per_s=0.0,
-)
-SUB_SECOND_SCALE = 0.33468
-IDLE_RATES_SUB_SECOND = IDLE_RATES_LONG_DELAY.scaled(SUB_SECOND_SCALE)
 
 
 def default_noise_config(include_motional: bool = True) -> NoiseConfig:

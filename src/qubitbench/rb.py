@@ -44,7 +44,7 @@ from .cliffords import (
     pulse_from_label,
     recovery_gate,
 )
-from .fitting import DecayFit, mle_fit
+from .fitting import DecayFit, mle_fit, weighted_line
 from .noise import (
     LANE_AMPLITUDE,
     LANE_DEPHASING,
@@ -577,18 +577,15 @@ class IRMBResult:
 
 
 def irmb_slope(delays: Sequence[float], epsilons: Sequence[float], sigmas: Sequence[float] | None = None) -> IRMBResult:
-    """Weighted linear fit of per-element error versus per-pulse delay."""
+    """Weighted linear fit of per-element error versus per-pulse delay.
+
+    The slope error is scaled by the residual scatter; fewer than two
+    distinct delays raise ``ValueError``.
+    """
     delays = np.asarray(delays, dtype=float)
     eps = np.asarray(epsilons, dtype=float)
-    if len(delays) < 2:
-        raise ValueError("need at least two delays")
     w = np.ones_like(delays) if sigmas is None else 1.0 / np.asarray(sigmas, dtype=float) ** 2
-    sw = w.sum()
-    xm = (w * delays).sum() / sw
-    ym = (w * eps).sum() / sw
-    sxx = (w * (delays - xm) ** 2).sum()
-    slope = (w * (delays - xm) * (eps - ym)).sum() / sxx
-    intercept = ym - slope * xm
+    slope, intercept, sxx = weighted_line(delays, eps, w)
     resid = eps - (intercept + slope * delays)
     dof = max(len(delays) - 2, 1)
     var = (w * resid**2).sum() / dof / sxx

@@ -247,3 +247,15 @@ class TestIdleRateEstimation:
         del data[("expected", 1)]
         with pytest.raises(ValueError):
             estimate_idle_rates(data)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("field", ["gate_time", "t2"])
+    @pytest.mark.parametrize("value", [0.0, -5.0])
+    def test_non_positive_times_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be positive"):
+            BudgetInput(**{field: value})
+
+    def test_curve_rejects_a_zero_gate_time(self):
+        with pytest.raises(ValueError):
+            budget_curve(gate_times=[0.0, 13e-6])

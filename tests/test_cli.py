@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from qubitbench.cli import _json_doc
 from qubitbench.cliffords import build_clifford_table
 
 # a deliberately tiny randomized-benchmarking run for fast CLI round trips
@@ -180,6 +181,28 @@ class TestErrorsAndOutput:
         assert proc.returncode == 1
         assert "qubitbench: error:" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("irmb", "--delays", "1e-6,1e-6", "--lengths", "10,100", "--sequences", "2", "--shots", "10"),
+            ("budget", "--t2", "0"),
+            ("budget", "--t2", "-5"),
+            ("budget", "--gate-time", "0", "--curve", "1"),
+        ],
+    )
+    def test_bad_input_exits_one_with_one_error_line(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert [line for line in proc.stderr.splitlines() if line.startswith("qubitbench: error:")] == [
+            proc.stderr.strip()
+        ]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_documents_refuse_non_json_floats(self, value):
+        with pytest.raises(ValueError):
+            _json_doc("irmb", {}, 1, {"slope_per_s": value})
+
     def test_out_writes_a_file(self, tmp_path):
         target = tmp_path / "result.json"
         proc = run_cli(*TINY_RB, "--seed", "11", "--out", str(target))
@@ -246,6 +269,15 @@ class TestSubcommands:
         assert {"amp_setting", "detuning_setting", "wall_clock",
                 "residual_relative_error"} <= set(final)
         assert final["wall_clock"] > 0
+
+    def test_calibrate_bits_sets_the_quantizer(self):
+        base = ("calibrate", "--seed", "6", "--kind", "amplitude", "--n-max", "16", "--shots", "100")
+        records = {
+            bits: json.loads(run_cli(*base, *(("--bits", bits) if bits else ())).stdout)["records"]
+            for bits in (None, "15", "8")
+        }
+        assert records["15"] == records[None]  # the default is the 15-bit generator
+        assert records["8"] != records[None]
 
     def test_walsh_reports_coefficients(self):
         proc = run_cli("walsh", "--seed", "5", "--max-order", "3",

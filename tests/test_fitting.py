@@ -4,8 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qubitbench.fitting import bootstrap_ci, mle_fit, survival_model
+from qubitbench import fitting
+from qubitbench.fitting import (
+    binomial_variance,
+    bootstrap_ci,
+    inverse_variance_mean,
+    mle_fit,
+    survival_model,
+    weighted_line,
+)
 from qubitbench.noise import rng_stream
 
 
@@ -125,3 +135,65 @@ class TestBootstrap:
         _, _, est1 = bootstrap_ci(lengths, successes, shots, rng_stream(1, 2), n_resamples=50)
         _, _, est2 = bootstrap_ci(lengths, successes, shots, rng_stream(1, 2), n_resamples=50)
         assert np.array_equal(est1, est2)
+
+
+class TestLikelihood:
+    def test_start_grid_matches_the_objective_bit_for_bit(self):
+        rng = rng_stream(404, 7)
+        lengths, successes, shots = _synthetic_counts(rng, [30, 300, 1000, 3000], 500, 2e-4, 0.5)
+        log_eps = np.log(fitting._GRID_EPS)
+        grid = fitting._nll(log_eps[:, None, None], fitting._GRID_AMP[:, None], lengths, successes, shots)
+        assert grid.shape == (len(log_eps), len(fitting._GRID_AMP))
+        for i, le in enumerate(log_eps):
+            for j, amp in enumerate(fitting._GRID_AMP):
+                assert grid[i, j] == fitting._neg_log_likelihood(
+                    np.array([le, amp]), lengths, successes, shots
+                )
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+class TestSharedEstimators:
+    @given(
+        x=st.lists(st.floats(-1e3, 1e3, **_finite), min_size=2, max_size=12, unique=True),
+        slope=st.floats(-1e3, 1e3, **_finite),
+        intercept=st.floats(-1e3, 1e3, **_finite),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_weighted_line_recovers_an_exact_line(self, x, slope, intercept, seed):
+        x = np.array(x)
+        if np.ptp(x) < 1e-3:
+            x = np.append(x, x[0] + 1.0)
+        w = np.random.default_rng(seed).uniform(0.1, 10.0, x.size)
+        fit_slope, fit_intercept, sxx = weighted_line(x, intercept + slope * x, w)
+        scale = 1e-9 * (1.0 + abs(slope) + abs(intercept))
+        assert fit_slope == pytest.approx(slope, abs=scale * 1e3 / np.ptp(x))
+        assert fit_intercept == pytest.approx(intercept, abs=scale * 1e6)
+        assert sxx > 0
+
+    @given(x0=st.floats(-1e3, 1e3, **_finite), n=st.integers(1, 6))
+    def test_weighted_line_needs_two_distinct_x(self, x0, n):
+        with pytest.raises(ValueError, match="two distinct"):
+            weighted_line(np.full(n, x0), np.arange(n, dtype=float), np.ones(n))
+
+    @given(
+        values=st.lists(st.floats(-1e6, 1e6, **_finite), min_size=1, max_size=20),
+        sigma=st.floats(1e-6, 1e6, **_finite),
+    )
+    def test_equal_sigmas_give_the_plain_mean(self, values, sigma):
+        mean, err = inverse_variance_mean(values, np.full(len(values), sigma))
+        assert mean == pytest.approx(np.mean(values), rel=1e-12, abs=1e-12 * np.max(np.abs(values)))
+        assert err == pytest.approx(sigma / np.sqrt(len(values)), rel=1e-12)
+
+    @given(bright=st.integers(0, 10_000), shots=st.integers(1, 10_000))
+    def test_binomial_variance_and_its_floor(self, bright, shots):
+        bright = min(bright, shots)
+        p = bright / shots
+        var = binomial_variance(p, shots)
+        if p * (1 - p) >= 0.25 / shots:
+            assert var == p * (1 - p) / shots
+        else:
+            assert var == 0.25 / shots / shots
+        assert binomial_variance(0.0, shots) == binomial_variance(1.0, shots) == 0.25 / shots / shots

@@ -399,3 +399,9 @@ class TestInterleavedSlope:
         a = irmb_slope(delays, eps, sigmas=np.full(4, 1e-9))
         b = irmb_slope(delays, eps, sigmas=np.full(4, 2e-9))
         assert b.slope_stderr == pytest.approx(2 * a.slope_stderr, rel=1e-6)
+
+
+    @pytest.mark.parametrize("delays", [[1e-6, 1e-6], [2e-6], [3e-6, 3e-6, 3e-6]])
+    def test_repeated_delays_are_rejected(self, delays):
+        with pytest.raises(ValueError, match="two distinct"):
+            irmb_slope(delays, np.linspace(1e-7, 2e-7, len(delays)))
