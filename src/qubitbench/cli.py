@@ -325,6 +325,9 @@ def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str | dict:
 def _cmd_irmb(resolved: dict, seed: int, fmt: str) -> dict:
     delays = _parse_float_list(resolved["delays"])
     lengths = _parse_int_list(resolved["lengths"])
+    # checked here, not after the last of the (slow) runs
+    if len(set(delays)) < 2 or not all(0 <= d < np.inf for d in delays):
+        raise ValueError("irmb needs at least two distinct, finite, non-negative delays")
     noise = NoiseConfig(dephasing_t2=resolved["t2"], spam=resolved["spam"])
     results = []
     for i, delay in enumerate(delays):
@@ -474,6 +477,8 @@ def _cmd_budget(resolved: dict, seed: int, fmt: str):
         harmonic_coefficient=resolved["harmonic_coefficient"],
     )
     if resolved["curve"]:
+        if resolved["curve_points"] < 1:
+            raise ValueError("curve_points must be at least 1")
         times = np.linspace(resolved["curve_min"], resolved["curve_max"], resolved["curve_points"])
         curve = budget_curve(inputs, times)
         if fmt == "csv":

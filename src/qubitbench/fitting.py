@@ -211,7 +211,10 @@ def binomial_variance(p, shots):
 def inverse_variance_mean(values, sigmas) -> tuple[float, float]:
     """Inverse-variance weighted mean of ``values`` and its standard error."""
     w = 1.0 / np.asarray(sigmas, dtype=float) ** 2
-    return float((w * np.asarray(values, dtype=float)).sum() / w.sum()), float(np.sqrt(1.0 / w.sum()))
+    # a power-of-two scale leaves every rounding as it was, but keeps w * values
+    # out of the subnormal range when the values are tiny
+    wn = np.ldexp(w, -np.frexp(w.max())[1])
+    return float((wn * np.asarray(values, dtype=float)).sum() / wn.sum()), float(np.sqrt(1.0 / w.sum()))
 
 
 def weighted_line(x, y, w):

@@ -22,7 +22,7 @@ Models collected here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -236,15 +236,6 @@ class IdleRates:
             0.5 * self.bright_per_s
             + 0.25 * (self.dark_plus_leak_prep0_per_s + self.dark_plus_leak_prep1_per_s)
             + self.flip_per_s
-        )
-
-    def scaled(self, factor: float) -> "IdleRates":
-        return replace(
-            self,
-            bright_per_s=factor * self.bright_per_s,
-            dark_plus_leak_prep0_per_s=factor * self.dark_plus_leak_prep0_per_s,
-            dark_plus_leak_prep1_per_s=factor * self.dark_plus_leak_prep1_per_s,
-            flip_per_s=factor * self.flip_per_s,
         )
 
 

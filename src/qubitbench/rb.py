@@ -19,6 +19,12 @@ pulse count, draws the noise and folds the dephasing kicks, idle phase and
 drive phase into each pulse, so a tier supplies only the propagators at
 drive phase 0 and both tiers see identical noise realizations.
 
+The fast tier takes the small per-pulse angles (dephasing half-kick, motional
+correction to the pulse half-angle) through degree-6/7 Taylor polynomials in
+real arithmetic, and a block of pulses with any angle at or above
+``_SMALL_ANGLE`` through ``np.cos``/``np.sin``.  A detuning or a drive-induced
+shift keeps ``pulse_ab``.
+
 Benchmarking with a per-pulse idle delay (used to probe slow dephasing and
 idle-time error rates) reuses the same machinery with stretched gaps.
 """
@@ -75,6 +81,8 @@ _LABEL_QUARTERS = {"+X90": 0, "+Y90": 1, "-X90": 2, "-Y90": 3}
 _PHASORS = np.array([1, 1j, -1, -1j])
 #: pulses whose noise the replay evaluates at once (bounds its temporaries)
 _STEP_BLOCK = 4
+#: below this |angle| ``_cos_sin`` uses degree-6/7 polynomials (error < 3e-21)
+_SMALL_ANGLE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -276,6 +284,38 @@ def _phase_table(group: CliffordGroup) -> list[np.ndarray]:
     ]
 
 
+def _cos_sin(x):
+    """``(cos x, sin x)`` of an array: Taylor polynomials evaluated in place when
+    every ``|x|`` is below ``_SMALL_ANGLE``, else exactly ``np.cos``/``np.sin``."""
+    if np.ndim(x) == 0 or not np.max(np.abs(x)) < _SMALL_ANGLE:
+        return np.cos(x), np.sin(x)
+    # Horner's rule in x^2: c = 1 - x^2/2! + x^4/4! - x^6/6!, s = x - x^3/3! + ... - x^7/7!
+    x2 = x * x
+    c, s = x2 * (-1 / 720), x2 * (-1 / 5040)
+    for p, coefs in ((c, (1 / 24, -1 / 2)), (s, (1 / 120, -1 / 6))):
+        for k in coefs:
+            p += k
+            p *= x2
+    c += 1.0
+    s *= x
+    s += x
+    return c, s
+
+
+def _z_fold(a, b, c, s):
+    """``(e^{it} a, e^{-it} b)`` for ``c, s = cos t, sin t``: the pulse ``(a, b)``
+    then a z rotation by ``-2t``.  Real ``a``, ``b`` stand for the pulse
+    ``(a, 1j * b)`` about x and fold in real arithmetic."""
+    if np.iscomplexobj(b):
+        rot = c + 1j * s
+        return rot * a, np.conj(rot) * b
+    shape = np.broadcast_shapes(np.shape(c), a.shape)
+    fa, fb = np.empty(shape, complex), np.empty(shape, complex)
+    for x, y, out in ((c, a, fa.real), (s, a, fa.imag), (s, b, fb.real), (c, b, fb.imag)):
+        np.multiply(x, y, out=out)
+    return fa, fb
+
+
 def _has_coherent_noise(noise: NoiseConfig) -> bool:
     return (
         noise.amplitude is not None
@@ -320,7 +360,8 @@ def _replay(
     phase0)`` gets the rows' amplitude multipliers and motional phases and
     returns ``ab(k0, k1, n_active)``: the (a, b) at drive phase 0 of pulses
     ``k0:k1``, shape ``(k1 - k0, n_active[k0], n_shot)`` (a row's pairs past
-    its last pulse are ignored).  Each pulse is followed by a z rotation by
+    its last pulse are ignored); real arrays ``(c, s)`` stand for the pulse
+    ``(c, 1j * s)`` about x.  Each pulse is followed by a z rotation by
     ``z_offset`` plus a dephasing kick, one draw per pulse for every row.
     """
     n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
@@ -347,15 +388,13 @@ def _replay(
     for k0 in range(0, p_max, _STEP_BLOCK):
         k1 = min(k0 + _STEP_BLOCK, p_max)
         rows = n_active[k0]
-        a, b = ab(k0, k1, n_active)
-        if kick_std or z_offset:
-            theta = z_offset
-            if kick_std:
-                kicks = deph_rng.standard_normal((k1 - k0, n_seq, n_shot))
-                theta = kick_std * kicks[:, order[:rows]] + z_offset
-            # the z rotation after each pulse folds into its (a, b)
-            rot = np.exp(-0.5j * theta)
-            a, b = rot * a, np.conj(rot) * b
+        # the z rotation after each pulse folds into its (a, b); at default
+        # noise every half-angle is far below _SMALL_ANGLE
+        half = -0.5 * z_offset
+        if kick_std:
+            kicks = deph_rng.standard_normal((k1 - k0, n_seq, n_shot))
+            half = (-0.5 * kick_std) * kicks[:, order[:rows]] + half
+        a, b = _z_fold(*ab(k0, k1, n_active), *_cos_sin(half))
         b = b * _PHASORS[quarters[:rows, k0:k1].T][:, :, None]
         a = np.broadcast_to(a, b.shape)
         for j, k in enumerate(range(k0, k1)):
@@ -384,18 +423,32 @@ def _coherent_survival_fast(
         omega0 = (np.pi / 2) / timing.t_half_pi * mult
         # drive-induced shift scales with the played power
         vz = -delta + (zeeman.shift(mult) if zeeman is not None else np.zeros_like(mult))
+        detuned = np.any(vz)
+        # without vz a pulse is the real pair (cos h, -sin h), h = h0 + d_k by angle
+        # addition: h0 is rounded as in pulse_ab and d_k = h0 Im(e^{i phi0} u_k) is
+        # small, since 1 + Im(e^{i phi0} u_k) = mean_area_factor(depth, phi0 + omega_m t_k, T)
+        h0 = 0.5 * omega0 * timing.t_half_pi
+        c0, s0 = np.cos(h0), -np.sin(h0)
         if motional is not None:
-            # mean_area_factor(depth, phi0 + omega_m t, T) == 1 + depth Im(e^{i phi0} s)
             e_phase0 = np.exp(1j * phase0)
+            d_im, d_re = h0 * e_phase0.real, h0 * e_phase0.imag  # weights of Im u_k, Re u_k
 
         def ab(k0, k1, n_active):
             rows = n_active[k0]
-            omega = omega0[:rows]
-            if motional is not None:
-                t_k = timing.pulse_spacing * np.arange(k0, k1)
-                u = motional.depth_at(t_k) * motional.area_phasor(t_k, timing.t_half_pi)
-                omega = omega * (1.0 + (e_phase0[:rows] * u[:, None, None]).imag)
-            return pulse_ab(omega, vz[:rows], timing.t_half_pi)
+            if motional is None:
+                return pulse_ab(omega0[:rows], vz[:rows], timing.t_half_pi) if detuned else (c0[:rows], s0[:rows])
+            t_k = timing.pulse_spacing * np.arange(k0, k1)
+            u = (motional.depth_at(t_k) * motional.area_phasor(t_k, timing.t_half_pi))[:, None, None]
+            if detuned:
+                return pulse_ab(omega0[:rows] * (1.0 + (e_phase0[:rows] * u).imag), vz[:rows], timing.t_half_pi)
+            cos_d, sin_d = _cos_sin(d_im[:rows] * u.imag + d_re[:rows] * u.real)
+            c, s = c0[:rows], s0[:rows]
+            s_h = s * cos_d
+            s_h -= c * sin_d
+            cos_d *= c
+            sin_d *= s
+            cos_d += sin_d
+            return cos_d, s_h
 
         return ab
 

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from qubitbench import cli
 from qubitbench.cli import _json_doc
 from qubitbench.cliffords import build_clifford_table
 
@@ -188,6 +189,7 @@ class TestErrorsAndOutput:
             ("budget", "--t2", "0"),
             ("budget", "--t2", "-5"),
             ("budget", "--gate-time", "0", "--curve", "1"),
+            ("budget", "--curve", "1", "--curve-points", "0"),
         ],
     )
     def test_bad_input_exits_one_with_one_error_line(self, args):
@@ -197,6 +199,15 @@ class TestErrorsAndOutput:
         assert [line for line in proc.stderr.splitlines() if line.startswith("qubitbench: error:")] == [
             proc.stderr.strip()
         ]
+
+    @pytest.mark.parametrize("delays", ["1e-6,1e-6", "0,1e-5,-1e-6", "0,nan", "0,inf"])
+    def test_irmb_rejects_bad_delays_before_any_run(self, delays, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(cli, "run_rb", lambda *a, **kw: runs.append(1))
+        code = cli.main(["irmb", "--delays", delays, "--lengths", "10,100", "--sequences", "2", "--shots", "10"])
+        assert code == 1
+        assert runs == []
+        assert capsys.readouterr().err.startswith("qubitbench: error:")
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_documents_refuse_non_json_floats(self, value):

@@ -4,8 +4,10 @@ Each kernel is checked against a plain reference: the Cayley-Klein pulse
 against the matrix exponential, the tree recovery against the sequential
 fold, the motional area phasor against ``mean_area_factor``, the
 vectorized pulse propagator against a cell-by-cell product of matrix
-exponentials, and the prefix-sorted fast engine against a masked engine
-that steps every sequence with explicit 2x2 matrices.
+exponentials, the small-angle cos/sin against numpy's, and the
+prefix-sorted fast engine against a masked engine that steps every sequence
+with explicit 2x2 matrices, both with strong noise (exact cos/sin) and at
+the preset strengths (small-angle polynomials).
 """
 
 from __future__ import annotations
@@ -41,7 +43,17 @@ from qubitbench.pulsesim import (
     _pulse_grid,
     pulse_propagator,
 )
-from qubitbench.rb import RBPlan, RBTiming, _coherent_survival_fast, _phase_table
+from qubitbench import presets, rb
+from qubitbench.rb import (
+    _SMALL_ANGLE,
+    RBPlan,
+    RBTiming,
+    _coherent_survival_fast,
+    _cos_sin,
+    _phase_table,
+    generate_plan,
+    run_rb,
+)
 
 GROUP = build_clifford_table()
 EPS = np.finfo(float).eps
@@ -93,6 +105,65 @@ class TestPulseKernel:
             expected = _ab_matrix(a[n], b[n]) @ state[:, n]
             assert np.max(np.abs([alpha[n], beta[n]] - expected)) <= 1e-12
         assert np.allclose(np.abs(alpha) ** 2 + np.abs(beta) ** 2, 1.0, rtol=0, atol=1e-12)
+
+
+class _CountingNumpy:
+    """numpy, with the elements passed to ``cos``, ``sin`` and ``exp`` counted."""
+
+    def __init__(self):
+        self.elements = dict.fromkeys(("cos", "sin", "exp"), 0)
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in self.elements:
+            return fn
+
+        def counted(x, *args, **kwargs):
+            self.elements[name] += np.size(x)
+            return fn(x, *args, **kwargs)
+
+        return counted
+
+
+def _counted_cos_sin(x):
+    counting = _CountingNumpy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rb, "np", counting)
+        c, s = _cos_sin(x)
+    return c, s, counting.elements
+
+
+small_angles = st.floats(-_SMALL_ANGLE, _SMALL_ANGLE, exclude_min=True, exclude_max=True)
+
+
+class TestSmallAngleCosSin:
+    @given(st.lists(small_angles, min_size=1, max_size=40))
+    @example([_SMALL_ANGLE * (1 - EPS)])
+    @example([0.0, -0.0, 5e-324])
+    @settings(max_examples=200, deadline=None)
+    def test_polynomials_match_numpy_below_the_bound(self, angles):
+        x = np.array(angles)
+        c, s, libm = _counted_cos_sin(x)
+        assert libm == {"cos": 0, "sin": 0, "exp": 0}
+        assert np.max(np.abs(c - np.cos(x))) <= 2e-16
+        assert np.max(np.abs(s - np.sin(x))) <= 2e-16
+
+    @given(
+        st.lists(st.floats(-1e3, 1e3), max_size=20),
+        st.floats(_SMALL_ANGLE, 1e3),
+        st.sampled_from([1.0, -1.0]),
+        st.integers(0, 20),
+    )
+    @example([], _SMALL_ANGLE, 1.0, 0)
+    @example([1e-3], _SMALL_ANGLE, -1.0, 1)
+    @settings(max_examples=100, deadline=None)
+    def test_numpy_at_or_above_the_bound(self, angles, big, sign, where):
+        angles.insert(min(where, len(angles)), sign * big)
+        for x in (np.array(angles), sign * big):
+            c, s, libm = _counted_cos_sin(x)
+            assert libm["cos"] == libm["sin"] == np.size(x)
+            np.testing.assert_array_equal(c, np.cos(x))
+            np.testing.assert_array_equal(s, np.sin(x))
 
 
 class TestTreeRecovery:
@@ -362,6 +433,56 @@ class TestPrefixSortedEngine:
         fast = _coherent_survival_fast(plan, length, GROUP, _phase_table(GROUP), noise, timing, compensate, z)
         reference = _masked_survival(plan, length, noise, timing, compensate, z)
         assert np.max(np.abs(fast - reference)) <= 1e-11
+
+    @given(
+        seed=st.integers(0, 2**16),
+        length=st.integers(2, 12),
+        n_seq=st.integers(2, 4),
+        shots=st.integers(1, 3),
+        amplitude=st.booleans(),
+        motional=st.booleans(),
+        dephasing=st.booleans(),
+        detuning_hz=st.sampled_from([0.0, 3.0]),
+        zeeman=st.booleans(),
+        delay=st.sampled_from([0.0, 1e-5]),
+        compensate=st.booleans(),
+        prep=st.integers(0, 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_masked_matrix_engine_at_preset_strength(
+        self, seed, length, n_seq, shots, amplitude, motional, dephasing, detuning_hz, zeeman,
+        delay, compensate, prep,
+    ):
+        # every small angle stays below _SMALL_ANGLE here, so the engine
+        # takes the polynomials that the strong-noise case above never does
+        plan = RBPlan(seed, (length,), n_sequences=n_seq, shots_per_sequence=shots, prepared_state=prep)
+        preset = presets.default_noise_config()
+        noise = NoiseConfig(
+            amplitude=preset.amplitude if amplitude else None,
+            motional=preset.motional if motional else None,
+            dephasing_t2=preset.dephasing_t2 if dephasing else None,
+            detuning_offset=2 * np.pi * detuning_hz,
+        )
+        timing = RBTiming(delay_per_pulse=delay)
+        z = ZeemanModel(shift_at_full_amp=2 * np.pi * presets.ZEEMAN_RESIDUAL_HZ) if zeeman else None
+        fast = _coherent_survival_fast(plan, length, GROUP, _phase_table(GROUP), noise, timing, compensate, z)
+        reference = _masked_survival(plan, length, noise, timing, compensate, z)
+        assert np.max(np.abs(fast - reference)) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "noise, delay",
+    [(presets.default_noise_config(), 0.0), (NoiseConfig(dephasing_t2=presets.T2_STAR_STAR), 1e-5)],
+    ids=["rb", "irmb"],
+)
+def test_default_noise_takes_the_small_angle_path(monkeypatch, noise, delay):
+    # a fallback to libm would evaluate cos/sin once per pulse-shot
+    counting = _CountingNumpy()
+    monkeypatch.setattr(rb, "np", counting)
+    plan = generate_plan(5, lengths=(40, 200), n_sequences=4, shots_per_sequence=10)
+    run_rb(plan, noise=noise, timing=RBTiming(delay_per_pulse=delay))
+    per_shot = len(plan.lengths) * plan.n_sequences * plan.shots_per_sequence
+    assert counting.elements == {"cos": per_shot, "sin": per_shot, "exp": per_shot if noise.motional else 0}
 
 
 @pytest.mark.parametrize("length", [1, 5, 40])

@@ -170,13 +170,6 @@ class TestIdleRates:
         with pytest.raises(ValueError):
             rates.probability(1.0, 0.6)
 
-    def test_scaled(self):
-        rates = IdleRates(bright_per_s=1.0, flip_per_s=0.5)
-        half = rates.scaled(0.5)
-        assert half.bright_per_s == 0.5
-        assert half.flip_per_s == 0.25
-        assert half.dark_fraction == rates.dark_fraction
-
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             IdleRates(bright_per_s=-1.0)
