@@ -12,7 +12,7 @@ and the change first on odd ones, so that slow drift of a shared host falls
 on both sides.  The file holds every run's end-to-end metrics, their median
 and quartiles per side, and in how many pairs the change had the lower
 ``wall_s``.  ``--traced`` adds one ``--trace 1`` run per side (seed 0) with
-the ``rb.*`` layer metrics.
+all of its metrics, the layer metrics among them.
 """
 
 from __future__ import annotations
@@ -82,11 +82,8 @@ def main(argv: list[str] | None = None) -> int:
         doc["workloads"][workload] = entry
         args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for workload in args.traced:
-        doc["traced"][workload] = {
-            side: {k: v for k, v in run(getattr(args, side), workload, 0, args.seconds, 1).items()
-                   if k.startswith(("rb.", "trace."))}
-            for side in ("base", "change")
-        }
+        doc["traced"][workload] = {side: run(getattr(args, side), workload, 0, args.seconds, 1)
+                                   for side in ("base", "change")}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

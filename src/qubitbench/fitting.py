@@ -11,6 +11,12 @@ maximized over ``(eps, A)`` with a coarse logarithmic grid over ``eps``
 followed by bounded quasi-Newton refinement.  Uncertainties come from a
 parametric bootstrap.
 
+The refinement is L-BFGS-B over ``(log eps, A)``.  Its gradient is scipy's own
+forward difference (``'2-point'``, absolute step 1e-8, the step reversed where
+it would cross an upper bound), formed from one likelihood call broadcast over
+the point and its two stepped copies, so that the iterates are the ones
+scipy's finite-difference gradient would give.
+
 The module also holds the small estimators shared by the calibration,
 idle-rate and delay-scan analyses, each written once: ``binomial_variance``
 (the floored variance of a measured frequency), ``inverse_variance_mean``
@@ -35,6 +41,13 @@ __all__ = [
 
 _EPS_BOUNDS = (1e-12, 0.49)
 _AMP_BOUNDS = (1e-3, 0.6)
+# bounds of the fit parameters (log eps, A), used by the optimizers, the
+# gradient's step rule and the boundary flag alike
+_LOWER = np.array([np.log(_EPS_BOUNDS[0]), _AMP_BOUNDS[0]])
+_UPPER = np.array([np.log(_EPS_BOUNDS[1]), _AMP_BOUNDS[1]])
+_BOUNDS = list(zip(_LOWER, _UPPER))
+# L-BFGS-B's default absolute finite-difference step
+_FD_STEP = 1e-8
 _P_CLIP = 1e-9
 # start grid of the fit: 80 log-spaced errors by 13 amplitudes
 _GRID_EPS = np.logspace(np.log10(_EPS_BOUNDS[0]), np.log10(_EPS_BOUNDS[1]), 80)
@@ -95,6 +108,22 @@ def _neg_log_likelihood(params, lengths, k, n):
     return float(_nll(params[0], params[1], lengths, k, n))
 
 
+def _nll_and_grad(params, lengths, k, n):
+    """Objective and its forward-difference gradient from one ``_nll`` call.
+
+    This is scipy's ``'2-point'`` rule with L-BFGS-B's absolute step: each
+    parameter is stepped by ``+_FD_STEP``, or by ``-_FD_STEP`` where that would
+    pass its upper bound.  Inside these bounds scipy's other cases never arise:
+    ``x + _FD_STEP`` differs from ``x`` for every ``|x| < 28`` (no zero-step
+    fallback), cannot fall below a lower bound ``x`` already respects, and the
+    reversed step always fits since each interval is far wider than two steps.
+    """
+    h = np.where(params + _FD_STEP > _UPPER, -_FD_STEP, _FD_STEP)
+    points = np.vstack([params, params + np.diag(h)])
+    f = _nll(points[:, :1], points[:, 1:], lengths, k, n)
+    return float(f[0]), (f[1:] - f[0]) / ((params + h) - params)
+
+
 def mle_fit(lengths: np.ndarray, successes: np.ndarray, shots: np.ndarray) -> DecayFit:
     """Fit the decay model to pooled binomial counts.
 
@@ -109,17 +138,16 @@ def mle_fit(lengths: np.ndarray, successes: np.ndarray, shots: np.ndarray) -> De
     nll_grid = _nll(np.log(_GRID_EPS)[:, None, None], _GRID_AMP[:, None], uniq, k, n)
     i_best, j_best = np.unravel_index(np.argmin(nll_grid), nll_grid.shape)
 
-    bounds = [
-        (np.log(_EPS_BOUNDS[0]), np.log(_EPS_BOUNDS[1])),
-        _AMP_BOUNDS,
-    ]
+    # scipy counts 3 evaluations per finite-difference gradient, one here:
+    # maxfun 5000 stops where its default of 15000 did
     res = minimize(
-        _neg_log_likelihood,
+        _nll_and_grad,
         x0=np.array([np.log(_GRID_EPS[i_best]), _GRID_AMP[j_best]]),
         args=(uniq, k, n),
         method="L-BFGS-B",
-        bounds=bounds,
-        options={"ftol": 1e-12, "gtol": 1e-10, "maxiter": 500},
+        jac=True,
+        bounds=_BOUNDS,
+        options={"ftol": 1e-12, "gtol": 1e-10, "maxiter": 500, "maxfun": 5000},
     )
     if not res.success:
         # the line search can stall on the clipped, nearly flat likelihood
@@ -129,7 +157,7 @@ def mle_fit(lengths: np.ndarray, successes: np.ndarray, shots: np.ndarray) -> De
             x0=res.x,
             args=(uniq, k, n),
             method="Nelder-Mead",
-            bounds=bounds,
+            bounds=_BOUNDS,
             options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000},
         )
         if polish.fun <= res.fun:
@@ -138,12 +166,7 @@ def mle_fit(lengths: np.ndarray, successes: np.ndarray, shots: np.ndarray) -> De
     epsilon = float(np.exp(log_eps))
 
     tol = 1e-6
-    at_boundary = (
-        log_eps <= bounds[0][0] + tol
-        or log_eps >= bounds[0][1] - tol
-        or amplitude <= bounds[1][0] + tol
-        or amplitude >= bounds[1][1] - tol
-    )
+    at_boundary = bool(np.any((res.x <= _LOWER + tol) | (res.x >= _UPPER - tol)))
     # decay is unidentifiable when the fitted curve is flat within shot noise
     if identifiable:
         p_hat = survival_model(uniq, epsilon, amplitude)

@@ -357,12 +357,14 @@ def _replay(
 
     Rows are sorted by pulse count, longest first, so the sequences still
     playing at pulse k are the leading ``n_active[k]`` rows.  ``tier_ab(mult,
-    phase0)`` gets the rows' amplitude multipliers and motional phases and
-    returns ``ab(k0, k1, n_active)``: the (a, b) at drive phase 0 of pulses
+    phase0, n_active)`` gets the rows' amplitude multipliers and motional phases
+    and returns ``ab(k0, k1)``: the (a, b) at drive phase 0 of pulses
     ``k0:k1``, shape ``(k1 - k0, n_active[k0], n_shot)`` (a row's pairs past
     its last pulse are ignored); real arrays ``(c, s)`` stand for the pulse
     ``(c, 1j * s)`` about x.  Each pulse is followed by a z rotation by
     ``z_offset`` plus a dephasing kick, one draw per pulse for every row.
+    The survival is read as a share of ``|alpha|^2 + |beta|^2``, so the
+    rounding of each pulse's norm does not build up over a long sequence.
     """
     n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
     words = [
@@ -378,7 +380,7 @@ def _replay(
     n_active = np.searchsorted(-n_pulses[order], -np.arange(p_max))
 
     mult, mot_phase0, deph_rng = _draw_shot_noise(plan, length, noise)
-    ab = tier_ab(mult[order], None if mot_phase0 is None else mot_phase0[order])
+    ab = tier_ab(mult[order], None if mot_phase0 is None else mot_phase0[order], n_active)
     kick_std = 0.0
     if noise.dephasing_t2:
         kick_std = float(noise_mod.brownian_phase_std(timing.pulse_spacing, noise.dephasing_t2))
@@ -394,15 +396,16 @@ def _replay(
         if kick_std:
             kicks = deph_rng.standard_normal((k1 - k0, n_seq, n_shot))
             half = (-0.5 * kick_std) * kicks[:, order[:rows]] + half
-        a, b = _z_fold(*ab(k0, k1, n_active), *_cos_sin(half))
+        a, b = _z_fold(*ab(k0, k1), *_cos_sin(half))
         b = b * _PHASORS[quarters[:rows, k0:k1].T][:, :, None]
         a = np.broadcast_to(a, b.shape)
         for j, k in enumerate(range(k0, k1)):
             n = n_active[k]
             apply_ab(a[j, :n], b[j, :n], alpha[:n], beta[:n])
 
+    pop_a, pop_b = np.abs(alpha) ** 2, np.abs(beta) ** 2
     survival = np.empty((n_seq, n_shot))
-    survival[order] = np.abs(alpha if plan.prepared_state == 0 else beta) ** 2
+    survival[order] = (pop_a if plan.prepared_state == 0 else pop_b) / (pop_a + pop_b)
     return survival
 
 
@@ -419,7 +422,7 @@ def _coherent_survival_fast(
     """Survival of each (sequence, shot), every pulse an exact rectangle."""
     delta, motional = noise.detuning_offset, noise.motional
 
-    def tier_ab(mult, phase0):
+    def tier_ab(mult, phase0, n_active):
         omega0 = (np.pi / 2) / timing.t_half_pi * mult
         # drive-induced shift scales with the played power
         vz = -delta + (zeeman.shift(mult) if zeeman is not None else np.zeros_like(mult))
@@ -432,13 +435,14 @@ def _coherent_survival_fast(
         if motional is not None:
             e_phase0 = np.exp(1j * phase0)
             d_im, d_re = h0 * e_phase0.real, h0 * e_phase0.imag  # weights of Im u_k, Re u_k
+            t_k = timing.pulse_spacing * np.arange(len(n_active))
+            u_all = (motional.depth_at(t_k) * motional.area_phasor(t_k, timing.t_half_pi))[:, None, None]
 
-        def ab(k0, k1, n_active):
+        def ab(k0, k1):
             rows = n_active[k0]
             if motional is None:
                 return pulse_ab(omega0[:rows], vz[:rows], timing.t_half_pi) if detuned else (c0[:rows], s0[:rows])
-            t_k = timing.pulse_spacing * np.arange(k0, k1)
-            u = (motional.depth_at(t_k) * motional.area_phasor(t_k, timing.t_half_pi))[:, None, None]
+            u = u_all[k0:k1]
             if detuned:
                 return pulse_ab(omega0[:rows] * (1.0 + (e_phase0[:rows] * u).imag), vz[:rows], timing.t_half_pi)
             cos_d, sin_d = _cos_sin(d_im[:rows] * u.imag + d_re[:rows] * u.real)
@@ -480,8 +484,8 @@ def _coherent_survival_full(
         "+X90", t_half_pi=timing.t_half_pi, ramp_time=timing.ramp_time, gap_time=base_gap
     )
 
-    def tier_ab(mult, phase0):
-        def ab(k0, k1, n_active):
+    def tier_ab(mult, phase0, n_active):
+        def ab(k0, k1):
             a = np.ones((k1 - k0, n_active[k0], n_shot), dtype=complex)
             b = np.zeros_like(a)
             for j, k in enumerate(range(k0, k1)):

@@ -151,6 +151,111 @@ class TestLikelihood:
                 )
 
 
+def _finite_difference_fit(lengths, successes, shots):
+    """``mle_fit`` as it was before the gradient was formed in one call: L-BFGS-B
+    with scipy's own finite-difference gradient, then the same polish.  Returns
+    the fit and whether the polish ran."""
+    from scipy.optimize import minimize
+
+    uniq, k, n = fitting._pool(lengths, successes, shots)
+    grid = fitting._nll(np.log(fitting._GRID_EPS)[:, None, None], fitting._GRID_AMP[:, None], uniq, k, n)
+    i, j = np.unravel_index(np.argmin(grid), grid.shape)
+    bounds = [(np.log(fitting._EPS_BOUNDS[0]), np.log(fitting._EPS_BOUNDS[1])), fitting._AMP_BOUNDS]
+    res = minimize(
+        fitting._neg_log_likelihood,
+        x0=np.array([np.log(fitting._GRID_EPS[i]), fitting._GRID_AMP[j]]),
+        args=(uniq, k, n),
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={"ftol": 1e-12, "gtol": 1e-10, "maxiter": 500},
+    )
+    polished = not res.success
+    if polished:
+        polish = minimize(
+            fitting._neg_log_likelihood,
+            x0=res.x,
+            args=(uniq, k, n),
+            method="Nelder-Mead",
+            bounds=bounds,
+            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000},
+        )
+        if polish.fun <= res.fun:
+            res = polish
+    log_eps, amplitude = res.x
+    epsilon = float(np.exp(log_eps))
+    tol = 1e-6
+    at_boundary = (
+        log_eps <= bounds[0][0] + tol
+        or log_eps >= bounds[0][1] - tol
+        or amplitude <= bounds[1][0] + tol
+        or amplitude >= bounds[1][1] - tol
+    )
+    identifiable = len(uniq) >= 2
+    if identifiable:
+        p_hat = survival_model(uniq, epsilon, amplitude)
+        sigma = np.sqrt(np.mean(p_hat * (1 - p_hat) / n))
+        identifiable = not np.ptp(p_hat) < 0.2 * sigma
+    fit = fitting.DecayFit(
+        epsilon=epsilon,
+        amplitude=float(amplitude),
+        log_likelihood=-float(res.fun),
+        converged=bool(res.success),
+        at_boundary=bool(at_boundary),
+        identifiable=bool(identifiable),
+        message=str(res.message),
+    )
+    return fit, polished
+
+
+class TestGradientInOneCall:
+    """The one-call gradient reproduces scipy's finite-difference iterates exactly."""
+
+    @given(
+        log10_eps=st.floats(-9.0, -0.5),
+        amp=st.floats(0.05, 0.6),
+        lengths=st.lists(st.sampled_from([1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 30000]),
+                         min_size=1, max_size=6, unique=True),
+        shots=st.sampled_from([10, 100, 1000, 3000, 100_000]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_finite_difference_fit(self, log10_eps, amp, lengths, shots, seed):
+        lengths, successes, shots = _synthetic_counts(rng_stream(seed, 7), lengths, shots, 10**log10_eps, amp)
+        assert mle_fit(lengths, successes, shots) == _finite_difference_fit(lengths, successes, shots)[0]
+
+    @pytest.mark.parametrize(
+        "successes, lengths, flipped",
+        [
+            # flat at one half: the error rate runs to its upper bound
+            ([50, 50, 50], [1.0, 2.0, 3.0], 0),
+            # full survival at short lengths: the amplitude runs to its upper bound
+            ([100, 100, 80], [1.0, 3.0, 10.0], 1),
+        ],
+    )
+    def test_steps_back_from_an_upper_bound(self, monkeypatch, successes, lengths, flipped):
+        backward = np.zeros(2, dtype=int)
+        nll = fitting._nll
+
+        def counting(log_eps, amplitude, *args):
+            if np.shape(log_eps) == (3, 1):  # a point and its two stepped copies
+                points = np.hstack([log_eps, amplitude])
+                backward[:] += np.diag(points[1:] - points[0]) < 0
+            return nll(log_eps, amplitude, *args)
+
+        monkeypatch.setattr(fitting, "_nll", counting)
+        data = np.array(lengths), np.array(successes), np.full(len(lengths), 100)
+        fit = mle_fit(*data)
+        assert backward[flipped] > 0
+        assert fit.at_boundary
+        assert fit == _finite_difference_fit(*data)[0]
+
+    def test_matches_the_finite_difference_fit_through_the_polish(self):
+        data = np.array([100.0, 300, 1000, 3000, 10000]), np.array([3000, 3000, 2999, 2999, 2994]), np.full(5, 3000)
+        expected, polished = _finite_difference_fit(*data)
+        assert polished
+        assert mle_fit(*data) == expected
+
+
 _finite = dict(allow_nan=False, allow_infinity=False)
 
 

@@ -469,6 +469,23 @@ class TestPrefixSortedEngine:
         reference = _masked_survival(plan, length, noise, timing, compensate, z)
         assert np.max(np.abs(fast - reference)) <= 1e-11
 
+    @pytest.mark.parametrize("prep", [0, 1])
+    def test_survival_is_read_relative_to_the_state_norm(self, monkeypatch, prep):
+        # a norm that drifts pulse by pulse, as rounding makes it do over a
+        # long sequence, must not move the survival
+        plan = RBPlan(5, (40,), n_sequences=3, shots_per_sequence=4, prepared_state=prep)
+        args = plan, 40, GROUP, _phase_table(GROUP), presets.default_noise_config(), RBTiming(), True
+        exact = _coherent_survival_fast(*args)
+        apply = rb.apply_ab
+
+        def growing(a, b, alpha, beta):
+            apply(a, b, alpha, beta)
+            alpha *= 1.001
+            beta *= 1.001
+
+        monkeypatch.setattr(rb, "apply_ab", growing)
+        np.testing.assert_allclose(_coherent_survival_fast(*args), exact, rtol=0, atol=1e-14)
+
 
 @pytest.mark.parametrize(
     "noise, delay",
