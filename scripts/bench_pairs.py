@@ -4,15 +4,33 @@ Run from anywhere, with two checkouts of the repository (each holding
 ``perfbench/`` and ``src/``):
 
     python3 scripts/bench_pairs.py --base ../parent --change . --out BENCH.json \\
-        --pairs rb-fast=10 rb-fit=3 rb-full=3 characterize=3 --traced rb-fast
+        --pairs rb-fit=10 rb-fast=3 rb-full=3 characterize=3 --traced rb-fit \\
+        --claim rb-fit:wall_s
 
 Pair ``i`` of a workload runs ``python3 perfbench/run.py --workload W --seed i
 --seconds 30 --trace 0`` once in each checkout, the base first on even pairs
 and the change first on odd ones, so that slow drift of a shared host falls
-on both sides.  The file holds every run's end-to-end metrics, their median
-and quartiles per side, and in how many pairs the change had the lower
-``wall_s``.  ``--traced`` adds one ``--trace 1`` run per side (seed 0) with
-all of its metrics, the layer metrics among them.
+on both sides.  The file holds every run's end-to-end metrics and their
+median and quartiles per side.  ``--traced`` adds one ``--trace 1`` run per
+side (seed 0) with all of its metrics, the layer metrics among them.
+
+Each workload's ``verdict`` applies the benchmark's acceptance rule to every
+end-to-end metric, with the direction and bound read from the base checkout's
+``BENCHMARK.json``:
+
+* ``median_change``: change median over base median, minus 1;
+* ``base_iqr`` and ``pairs_won`` (pairs in which the change did better);
+* ``beyond_bound``: the change median is worse than the base median by more
+  than the metric's bound, relative to the base median;
+* ``gain_resolved``: the change did better in at least 90% of the pairs and
+  its median beats the base median by more than the base IQR;
+* ``unresolved``: the base IQR is wider than the bound allows, and not every
+  change run beats every base run, so no bound verdict can be read.
+
+``more_failures`` says whether a larger share of the change's invocations
+failed.  ``--claim WORKLOAD:METRIC`` names a claimed gain; the top-level
+``outcome`` lists the bounds exceeded, the unresolved metrics, the workloads
+with more failures and whether each claim is resolved.
 """
 
 from __future__ import annotations
@@ -44,6 +62,41 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(base: dict, change: dict, better: str, bound: float) -> dict:
+    """The acceptance rule on one metric, from the two sides' summaries."""
+    sign = 1.0 if better == "lower" else -1.0
+    # positive where the change is better
+    gain = sign * (base["median"] - change["median"])
+    base_iqr = base["q3"] - base["q1"]
+    won = sum(sign * (b - c) > 0 for b, c in zip(base["runs"], change["runs"]))
+    every_run_better = max(sign * c for c in change["runs"]) < min(sign * b for b in base["runs"])
+    return {
+        "median_change": change["median"] / base["median"] - 1.0,
+        "base_iqr": base_iqr,
+        "pairs_won": won,
+        "beyond_bound": -gain > bound * abs(base["median"]),
+        "gain_resolved": won >= 0.9 * len(base["runs"]) and gain > base_iqr,
+        "unresolved": base_iqr > bound * abs(base["median"]) and not every_run_better,
+    }
+
+
+def outcome(entries: dict, claims: list[str]) -> dict:
+    """Bounds exceeded, workloads with more failures, and each claim's state."""
+    resolved = {}
+    for claim in claims:
+        workload, metric = claim.split(":")
+        entry = entries.get(workload)
+        resolved[claim] = None if entry is None else entry["verdict"][metric]["gain_resolved"]
+    return {
+        "beyond_bound": [f"{w}:{m}" for w, e in entries.items() for m, v in e["verdict"].items()
+                         if v["beyond_bound"]],
+        "unresolved": [f"{w}:{m}" for w, e in entries.items() for m, v in e["verdict"].items()
+                       if v["unresolved"]],
+        "more_failures": [w for w, e in entries.items() if e["more_failures"]],
+        "claims_resolved": resolved,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True)
@@ -53,7 +106,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--traced", nargs="*", default=[])
     parser.add_argument("--first-seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--claim", nargs="*", default=[], help="WORKLOAD:METRIC")
     args = parser.parse_args(argv)
+    rules = {m["name"]: m for m in json.loads((args.base / "BENCHMARK.json").read_text())["end_to_end"]}
 
     doc = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
@@ -76,10 +131,14 @@ def main(argv: list[str] | None = None) -> int:
             entry[side]["failed"] = sum(r["failed"] for r in results)
             entry[side]["attempted"] = sum(r["attempted"] for r in results)
             doc.setdefault("env", {})[side] = results[0]["env"]
-        base_wall = [r["wall_s"] for r in sides["base"]]
-        change_wall = [r["wall_s"] for r in sides["change"]]
-        entry["change_faster_pairs"] = sum(c < b for b, c in zip(base_wall, change_wall))
+        entry["verdict"] = {
+            m: verdict(entry["base"][m], entry["change"][m], rules[m]["better"], rules[m]["bound"])
+            for m in METRICS
+        }
+        entry["more_failures"] = (entry["change"]["failed"] / entry["change"]["attempted"]
+                                  > entry["base"]["failed"] / entry["base"]["attempted"])
         doc["workloads"][workload] = entry
+        doc["outcome"] = outcome(doc["workloads"], args.claim)
         args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for workload in args.traced:
         doc["traced"][workload] = {side: run(getattr(args, side), workload, 0, args.seconds, 1)

@@ -282,6 +282,8 @@ def _noise_from(resolved: dict) -> NoiseConfig:
 
 
 def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str | dict:
+    if resolved["bootstrap"] < 0:
+        raise ValueError("bootstrap must be 0 (none) or a number of resamples")
     plan = generate_plan(
         seed,
         lengths=_parse_int_list(resolved["lengths"]),

@@ -11,11 +11,16 @@ maximized over ``(eps, A)`` with a coarse logarithmic grid over ``eps``
 followed by bounded quasi-Newton refinement.  Uncertainties come from a
 parametric bootstrap.
 
-The refinement is L-BFGS-B over ``(log eps, A)``.  Its gradient is scipy's own
+The refinement is L-BFGS-B over ``(log eps, A)``, driven here through
+scipy's own kernel (``setulb``) so that many fits run in lockstep: the
+bootstrap's refits advance together, and each round evaluates every point
+they ask for in one broadcast likelihood call.  The gradient is scipy's own
 forward difference (``'2-point'``, absolute step 1e-8, the step reversed where
-it would cross an upper bound), formed from one likelihood call broadcast over
-the point and its two stepped copies, so that the iterates are the ones
-scipy's finite-difference gradient would give.
+it would cross an upper bound), formed in that same call from each point and
+its two stepped copies.  Every fit takes the iterates that
+``scipy.optimize.minimize(method="L-BFGS-B")`` with finite differences would
+give; fits it leaves unconverged get a Nelder-Mead polish.  While the kernel
+runs, the OpenBLAS it calls is held to one thread.
 
 The module also holds the small estimators shared by the calibration,
 idle-rate and delay-scan analyses, each written once: ``binomial_variance``
@@ -25,6 +30,8 @@ and ``weighted_line`` (weighted least squares with a free intercept).
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +60,12 @@ _P_CLIP = 1e-9
 _GRID_EPS = np.logspace(np.log10(_EPS_BOUNDS[0]), np.log10(_EPS_BOUNDS[1]), 80)
 _GRID_AMP = np.linspace(0.25, 0.55, 13)
 _MAX_FAILURE_FRACTION = 0.05
+# scipy's L-BFGS-B defaults: stored corrections, line-search steps per iteration
+_MAXCOR, _MAXLS = 10, 20
+# the fit's L-BFGS-B stop rule: iterations, then evaluations (see _lbfgsb)
+_MAXITER, _MAXFUN = 500, 5000
+# bootstrap refits run through L-BFGS-B together in blocks of this many
+_BLOCK = 25
 
 
 @dataclass(frozen=True)
@@ -108,8 +121,10 @@ def _neg_log_likelihood(params, lengths, k, n):
     return float(_nll(params[0], params[1], lengths, k, n))
 
 
-def _nll_and_grad(params, lengths, k, n):
-    """Objective and its forward-difference gradient from one ``_nll`` call.
+def _nll_and_grad(x, lengths, k, n):
+    """Objective and forward-difference gradient at each row of ``x``, all
+    from one ``_nll`` call; row ``i`` of ``x`` (shape ``(m, 2)``) is fitted to
+    the counts ``k[i]``.
 
     This is scipy's ``'2-point'`` rule with L-BFGS-B's absolute step: each
     parameter is stepped by ``+_FD_STEP``, or by ``-_FD_STEP`` where that would
@@ -118,10 +133,159 @@ def _nll_and_grad(params, lengths, k, n):
     fallback), cannot fall below a lower bound ``x`` already respects, and the
     reversed step always fits since each interval is far wider than two steps.
     """
-    h = np.where(params + _FD_STEP > _UPPER, -_FD_STEP, _FD_STEP)
-    points = np.vstack([params, params + np.diag(h)])
-    f = _nll(points[:, :1], points[:, 1:], lengths, k, n)
-    return float(f[0]), (f[1:] - f[0]) / ((params + h) - params)
+    h = np.where(x + _FD_STEP > _UPPER, -_FD_STEP, _FD_STEP)
+    points = np.concatenate([x[:, None], x[:, None] + h[:, None] * np.eye(2)], axis=1)
+    f = _nll(points[..., :1], points[..., 1:], lengths, k[:, None], n)
+    return f[:, 0], (f[:, 1:] - f[:, :1]) / ((x + h) - x)
+
+
+@functools.cache
+def _blas_threads():
+    """``(get, set, thread_local)`` thread-count calls of the OpenBLAS that
+    scipy's L-BFGS-B kernel uses, or None where there is none.
+
+    The kernel module's own symbol scope resolves to the library it was
+    linked with; numpy's OpenBLAS, which exports the same setter names, is
+    left alone.
+    """
+    import ctypes
+
+    from scipy.optimize import _lbfgsb
+
+    try:
+        lib = ctypes.CDLL(_lbfgsb.__file__)
+    except OSError:
+        return None
+
+    def symbol(names, argtypes, restype):
+        fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+        if fn is not None:
+            fn.argtypes, fn.restype = argtypes, restype
+        return fn
+
+    get = symbol(("scipy_openblas_get_num_threads", "openblas_get_num_threads"), [], ctypes.c_int)
+    local = symbol(("openblas_set_num_threads_local",), [ctypes.c_int], ctypes.c_int)
+    set_ = local or symbol(("scipy_openblas_set_num_threads", "openblas_set_num_threads"), [ctypes.c_int], None)
+    return None if get is None or set_ is None else (get, set_, local is not None)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with L-BFGS-B's OpenBLAS on one thread, then restore
+    the previous count.  The kernel's BLAS calls work on two parameters and a
+    few stored corrections, far too little for threads to pay off: more
+    threads only add pool wake-ups."""
+    calls = _blas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_, thread_local = calls
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        # a thread-local count of 0 follows the process-wide one again
+        set_(0 if thread_local else previous)
+        if get() != previous:
+            set_(previous)
+
+
+def _lbfgsb(x0, lengths, k, n):
+    """L-BFGS-B from each row of ``x0`` on the counts in the same row of
+    ``k``, all rows in lockstep.  Returns ``(x, fun, success, message)``.
+
+    This is the loop of scipy's ``minimize(method="L-BFGS-B")`` with
+    ``ftol=1e-12``, ``gtol=1e-10`` and ``_nll_and_grad`` as the objective, run
+    on scipy's own kernel, so every row takes scipy's iterates.  Each round
+    drives every unfinished row until it asks for the objective (task 3) or
+    stops, then answers all the asks with one ``_nll_and_grad`` call.
+    Evaluations are counted as scipy's ``ScalarFunction`` counts them: one
+    at the start point, then one per asked point that differs from the last.
+    The gradient's 3 likelihood points count once, so ``_MAXFUN`` 5000 stops
+    where scipy's default of 15000 did with its own finite differences.
+    """
+    from scipy.optimize._lbfgsb import setulb  # here, not at module level: ~0.5 s import
+    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+
+    rows = len(x0)
+    x = np.clip(x0, _LOWER, _UPPER)
+    evaluated = x.copy()
+    nfev = np.ones(rows, dtype=int)
+    nit = np.zeros(rows, dtype=int)
+    f = np.zeros(rows)
+    g = np.zeros((rows, 2))
+    task = np.zeros((rows, 2), dtype=np.int32)
+    # setulb's workspaces, sized as scipy sizes them for two parameters
+    wa = np.zeros((rows, 2 * _MAXCOR * 2 + 5 * 2 + 11 * _MAXCOR**2 + 8 * _MAXCOR))
+    iwa = np.zeros((rows, 3 * 2), dtype=np.int32)
+    lsave = np.zeros((rows, 4), dtype=np.int32)
+    isave = np.zeros((rows, 44), dtype=np.int32)
+    dsave = np.zeros((rows, 29))
+    ln_task = np.zeros((rows, 2), dtype=np.int32)
+    nbd = np.full(2, 2, dtype=np.int32)  # both bounds on both parameters
+    factr = 1e-12 / np.finfo(float).eps
+    state = list(zip(x, g, wa, iwa, task, lsave, isave, dsave, ln_task))
+
+    waiting = list(range(rows))
+    with _one_blas_thread():
+        while waiting:
+            asked = []
+            for r in waiting:
+                xr, gr, war, iwar, taskr, lsaver, isaver, dsaver, lnr = state[r]
+                while True:
+                    setulb(_MAXCOR, xr, _LOWER, _UPPER, nbd, f[r], gr, factr, 1e-10,
+                           war, iwar, taskr, lsaver, isaver, dsaver, _MAXLS, lnr)
+                    if taskr[0] == 3:
+                        asked.append(r)
+                        break
+                    if taskr[0] != 1:  # converged or stopped
+                        break
+                    nit[r] += 1
+                    if nit[r] >= _MAXITER:
+                        taskr[:] = 5, 504
+                    elif nfev[r] > _MAXFUN:
+                        taskr[:] = 5, 502
+            if asked:
+                f[asked], g[asked] = _nll_and_grad(x[asked], lengths, k[asked], n)
+                nfev[asked] += np.any(x[asked] != evaluated[asked], axis=1)
+                evaluated[asked] = x[asked]
+            waiting = asked
+    message = [f"{status_messages[a]}: {task_messages[b]}" for a, b in task]
+    return x, f, task[:, 0] == 4, message
+
+
+def _fit(x0, lengths, k, n):
+    """``_lbfgsb``, then a derivative-free polish of every row it left
+    unconverged.  Returns ``(x, fun, success, message)``."""
+    from scipy.optimize import minimize
+
+    x, fun, success, message = _lbfgsb(x0, lengths, k, n)
+    for r in np.flatnonzero(~success):
+        # next to the optimum the line search can fail even along the plain
+        # gradient, with no stored corrections left (task ABNORMAL): the
+        # likelihood has a kink where the model reaches the clip at
+        # 1 - _P_CLIP, and with p near 1 its curvature in A is so large that
+        # the forward difference's error, step * f'' / 2, outweighs the true
+        # gradient; polish with a derivative-free step instead
+        polish = minimize(
+            _neg_log_likelihood,
+            x0=x[r],
+            args=(lengths, k[r], n),
+            method="Nelder-Mead",
+            bounds=_BOUNDS,
+            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000},
+        )
+        if polish.fun <= fun[r]:
+            x[r], fun[r], success[r], message[r] = polish.x, polish.fun, polish.success, polish.message
+    return x, fun, success, message
+
+
+def _grid_start(lengths, k, n):
+    """Start of the fit: the best point of the coarse (eps, A) grid."""
+    nll_grid = _nll(np.log(_GRID_EPS)[:, None, None], _GRID_AMP[:, None], lengths, k, n)
+    i, j = np.unravel_index(np.argmin(nll_grid), nll_grid.shape)
+    return np.log(_GRID_EPS[i]), _GRID_AMP[j]
 
 
 def mle_fit(lengths: np.ndarray, successes: np.ndarray, shots: np.ndarray) -> DecayFit:
@@ -131,42 +295,16 @@ def mle_fit(lengths: np.ndarray, successes: np.ndarray, shots: np.ndarray) -> De
     length, number of surviving shots, and shots taken; records sharing a
     length are pooled.
     """
-    from scipy.optimize import minimize  # here, not at module level: ~0.5 s import
     uniq, k, n = _pool(lengths, successes, shots)
 
     identifiable = len(uniq) >= 2
-    nll_grid = _nll(np.log(_GRID_EPS)[:, None, None], _GRID_AMP[:, None], uniq, k, n)
-    i_best, j_best = np.unravel_index(np.argmin(nll_grid), nll_grid.shape)
-
-    # scipy counts 3 evaluations per finite-difference gradient, one here:
-    # maxfun 5000 stops where its default of 15000 did
-    res = minimize(
-        _nll_and_grad,
-        x0=np.array([np.log(_GRID_EPS[i_best]), _GRID_AMP[j_best]]),
-        args=(uniq, k, n),
-        method="L-BFGS-B",
-        jac=True,
-        bounds=_BOUNDS,
-        options={"ftol": 1e-12, "gtol": 1e-10, "maxiter": 500, "maxfun": 5000},
-    )
-    if not res.success:
-        # the line search can stall on the clipped, nearly flat likelihood
-        # even at the optimum; polish with a derivative-free step instead
-        polish = minimize(
-            _neg_log_likelihood,
-            x0=res.x,
-            args=(uniq, k, n),
-            method="Nelder-Mead",
-            bounds=_BOUNDS,
-            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000},
-        )
-        if polish.fun <= res.fun:
-            res = polish
-    log_eps, amplitude = res.x
+    x, fun, success, message = _fit(np.array([_grid_start(uniq, k, n)]), uniq, k[None], n)
+    x, fun = x[0], fun[0]
+    log_eps, amplitude = x
     epsilon = float(np.exp(log_eps))
 
     tol = 1e-6
-    at_boundary = bool(np.any((res.x <= _LOWER + tol) | (res.x >= _UPPER - tol)))
+    at_boundary = bool(np.any((x <= _LOWER + tol) | (x >= _UPPER - tol)))
     # decay is unidentifiable when the fitted curve is flat within shot noise
     if identifiable:
         p_hat = survival_model(uniq, epsilon, amplitude)
@@ -178,11 +316,11 @@ def mle_fit(lengths: np.ndarray, successes: np.ndarray, shots: np.ndarray) -> De
     return DecayFit(
         epsilon=epsilon,
         amplitude=float(amplitude),
-        log_likelihood=-float(res.fun),
-        converged=bool(res.success),
+        log_likelihood=-float(fun),
+        converged=bool(success[0]),
         at_boundary=bool(at_boundary),
         identifiable=bool(identifiable),
-        message=str(res.message),
+        message=str(message[0]),
     )
 
 
@@ -197,27 +335,33 @@ def bootstrap_ci(
     """Parametric-bootstrap confidence interval for the per-element error.
 
     Counts are redrawn from the fitted model and refit; the interval is the
-    central ``level`` quantile range of the refitted errors.  Raises if more
+    central ``level`` quantile range of the refitted errors.  Raises
+    ``ValueError`` unless ``n_resamples >= 1``, and ``RuntimeError`` if more
     than 5% of refits fail to converge.
     """
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be at least 1, got {n_resamples}")
     fit = mle_fit(lengths, successes, shots)
     uniq, _, n = _pool(lengths, successes, shots)
     p_model = survival_model(uniq, fit.epsilon, fit.amplitude)
 
-    estimates = []
-    failures = 0
-    for _ in range(n_resamples):
-        k_sim = rng.binomial(n.astype(int), p_model)
-        refit = mle_fit(uniq, k_sim, n)
-        if refit.converged:
-            estimates.append(refit.epsilon)
-        else:
-            failures += 1
+    # the fits draw nothing, so all resamples come first, in the same order;
+    # each start is searched on its own, as a grid over all of them is large
+    k_sim = rng.binomial(n.astype(int), p_model, size=(n_resamples, len(n))).astype(float)
+    x0 = np.array([_grid_start(uniq, k, n) for k in k_sim])
+    log_eps = np.empty(n_resamples)
+    converged = np.empty(n_resamples, dtype=bool)
+    # in blocks, to bound the live L-BFGS-B workspaces
+    for b in range(0, n_resamples, _BLOCK):
+        rows = slice(b, b + _BLOCK)
+        x, _, converged[rows], _ = _fit(x0[rows], uniq, k_sim[rows], n)
+        log_eps[rows] = x[:, 0]
+    failures = int(np.count_nonzero(~converged))
     if failures > _MAX_FAILURE_FRACTION * n_resamples:
         raise RuntimeError(
             f"bootstrap unstable: {failures}/{n_resamples} refits failed to converge"
         )
-    estimates = np.array(estimates)
+    estimates = np.exp(log_eps[converged])
     lo, hi = np.quantile(estimates, [(1 - level) / 2, (1 + level) / 2])
     return float(lo), float(hi), estimates
 

@@ -190,6 +190,7 @@ class TestErrorsAndOutput:
             ("budget", "--t2", "-5"),
             ("budget", "--gate-time", "0", "--curve", "1"),
             ("budget", "--curve", "1", "--curve-points", "0"),
+            (*TINY_RB, "--bootstrap", "-3"),
         ],
     )
     def test_bad_input_exits_one_with_one_error_line(self, args):
@@ -249,6 +250,11 @@ class TestSubcommands:
                             "identifiable", "epsilon_ci68"}
         lo, hi = fit["epsilon_ci68"]
         assert 0 <= lo <= hi
+
+    def test_rb_bootstrap_zero_means_none(self):
+        proc = run_cli(*TINY_RB, "--seed", "11", "--bootstrap", "0")
+        assert proc.returncode == 0
+        assert "epsilon_ci68" not in json.loads(proc.stdout)["fit"]
 
     def test_irmb_reports_slope_and_prediction(self):
         proc = run_cli(

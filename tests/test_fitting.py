@@ -129,6 +129,12 @@ class TestBootstrap:
             widths.append(hi - lo)
         assert widths[1] < 0.3 * widths[0]
 
+    @pytest.mark.parametrize("n_resamples", [0, -3])
+    def test_needs_at_least_one_resample(self, n_resamples):
+        lengths, successes, shots = _synthetic_counts(rng_stream(99, 7), [30, 300, 3000], 2000, 1e-4, 0.5)
+        with pytest.raises(ValueError, match="at least 1"):
+            bootstrap_ci(lengths, successes, shots, rng_stream(1, 2), n_resamples=n_resamples)
+
     def test_estimates_are_deterministic_given_rng(self):
         rng = rng_stream(99, 7)
         lengths, successes, shots = _synthetic_counts(rng, [30, 300, 3000], 2000, 1e-4, 0.5)
@@ -207,8 +213,34 @@ def _finite_difference_fit(lengths, successes, shots):
     return fit, polished
 
 
+def _finite_difference_bootstrap(lengths, successes, shots, rng, n_resamples):
+    """``bootstrap_ci`` as one fit per resample: each resample drawn, then
+    refitted by ``_finite_difference_fit``, in turn.  Returns each refit and
+    whether it was polished."""
+    fit, _ = _finite_difference_fit(lengths, successes, shots)
+    uniq, _, n = fitting._pool(lengths, successes, shots)
+    p_model = survival_model(uniq, fit.epsilon, fit.amplitude)
+    return [_finite_difference_fit(uniq, rng.binomial(n.astype(int), p_model), n) for _ in range(n_resamples)]
+
+
+def _assert_bootstrap_matches(data, seed, n_resamples):
+    """``bootstrap_ci`` gives the reference's estimates bit for bit, or fails
+    where it fails; returns the reference's refits and polish flags."""
+    refits = _finite_difference_bootstrap(*data, rng_stream(seed, 8), n_resamples)
+    expected = np.array([fit.epsilon for fit, _ in refits if fit.converged])
+    if n_resamples - len(expected) > 0.05 * n_resamples:
+        with pytest.raises(RuntimeError, match="bootstrap unstable"):
+            bootstrap_ci(*data, rng_stream(seed, 8), n_resamples=n_resamples)
+    else:
+        lo, hi, estimates = bootstrap_ci(*data, rng_stream(seed, 8), n_resamples=n_resamples)
+        assert estimates.tobytes() == expected.tobytes()
+        assert (lo, hi) == tuple(np.quantile(expected, [(1 - 0.68) / 2, (1 + 0.68) / 2]))
+    return refits
+
+
 class TestGradientInOneCall:
-    """The one-call gradient reproduces scipy's finite-difference iterates exactly."""
+    """The one-call gradient and the lockstep driver reproduce scipy's
+    finite-difference iterates exactly."""
 
     @given(
         log10_eps=st.floats(-9.0, -0.5),
@@ -237,9 +269,9 @@ class TestGradientInOneCall:
         nll = fitting._nll
 
         def counting(log_eps, amplitude, *args):
-            if np.shape(log_eps) == (3, 1):  # a point and its two stepped copies
-                points = np.hstack([log_eps, amplitude])
-                backward[:] += np.diag(points[1:] - points[0]) < 0
+            if np.shape(log_eps)[-2:] == (3, 1):  # points, each with its two stepped copies
+                for points in np.concatenate([log_eps, amplitude], axis=-1).reshape(-1, 3, 2):
+                    backward[:] += np.diag(points[1:] - points[0]) < 0
             return nll(log_eps, amplitude, *args)
 
         monkeypatch.setattr(fitting, "_nll", counting)
@@ -254,6 +286,96 @@ class TestGradientInOneCall:
         expected, polished = _finite_difference_fit(*data)
         assert polished
         assert mle_fit(*data) == expected
+
+    @pytest.mark.parametrize(
+        "maxiter, maxfun",
+        [(2, 5000), (500, 3), (500, 6), (500, 5000)],  # iteration stop, evaluation stops, convergence
+    )
+    def test_driver_stops_where_scipy_stops(self, monkeypatch, maxiter, maxfun):
+        from scipy.optimize import minimize
+
+        monkeypatch.setattr(fitting, "_MAXITER", maxiter)
+        monkeypatch.setattr(fitting, "_MAXFUN", maxfun)
+        lengths, k, n = fitting._pool(*_synthetic_counts(rng_stream(8, 7), [30, 300, 1000, 3000], 1000, 2e-4, 0.45))
+        x0 = np.array([fitting._grid_start(lengths, k, n)])
+        x, fun, success, message = fitting._lbfgsb(x0, lengths, k[None], n)
+        # scipy's own finite differences count 3 evaluations per gradient
+        res = minimize(fitting._neg_log_likelihood, x0[0], args=(lengths, k, n), method="L-BFGS-B",
+                       bounds=fitting._BOUNDS,
+                       options={"ftol": 1e-12, "gtol": 1e-10, "maxiter": maxiter, "maxfun": 3 * maxfun})
+        assert res.message.startswith("CONVERGENCE" if (maxiter, maxfun) == (500, 5000) else "STOP")
+        assert (x[0].tolist(), fun[0], success[0], message[0]) == (res.x.tolist(), res.fun, res.success, res.message)
+
+    @given(
+        log10_eps=st.floats(-8.0, -1.5),
+        spam=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+        lengths=st.lists(st.sampled_from([1, 10, 30, 100, 300, 1000, 3000, 10000]),
+                         min_size=2, max_size=5, unique=True),
+        shots=st.sampled_from([100, 1000, 3000]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_bootstrap_matches_one_finite_difference_fit_per_resample(self, log10_eps, spam, lengths, shots, seed):
+        # readout flips with probability spam scale the amplitude by 1 - 2 spam
+        data = _synthetic_counts(rng_stream(seed, 7), lengths, shots, 10**log10_eps, 0.5 * (1 - 2 * spam))
+        _assert_bootstrap_matches(data, seed, 20)
+
+    def test_bootstrap_matches_through_the_polish(self):
+        # depolarizing data without SPAM: most shots survive at every length,
+        # and nearly half of the refits go to the polish
+        from qubitbench.noise import NoiseConfig
+        from qubitbench.rb import generate_plan, run_rb
+
+        ds = run_rb(generate_plan(20260825, lengths=[100, 300, 1000, 3000, 10000]),
+                    NoiseConfig(depolarizing_per_gate=1.5e-7))
+        refits = _assert_bootstrap_matches((ds.lengths, ds.successes, ds.shots), 20260825, 200)
+        assert sum(polished for _, polished in refits) > 50
+
+    def test_bootstrap_matches_with_refits_pinned_at_a_bound(self):
+        lengths = np.array([10.0, 100.0, 1000.0])
+        data = lengths, np.array([200, 200, 199]), np.full(3, 200)
+        refits = _assert_bootstrap_matches(data, 3, 30)
+        assert any(fit.at_boundary for fit, _ in refits)
+
+
+class TestBlasPin:
+    """L-BFGS-B's OpenBLAS runs on one thread during the fit, and gets its
+    previous thread count back afterwards."""
+
+    @pytest.fixture
+    def blas(self):
+        calls = fitting._blas_threads()
+        if calls is None:
+            pytest.skip("scipy's L-BFGS-B kernel uses no OpenBLAS here")
+        return calls
+
+    def test_the_fit_runs_on_one_thread_and_restores_the_count(self, blas, monkeypatch):
+        get = blas[0]
+        inside = []
+        nll_and_grad = fitting._nll_and_grad
+
+        def recording(*args):
+            inside.append(get())
+            return nll_and_grad(*args)
+
+        monkeypatch.setattr(fitting, "_nll_and_grad", recording)
+        before = get()
+        mle_fit(*_synthetic_counts(rng_stream(5, 7), [30, 300, 3000], 1000, 1e-4, 0.5))
+        assert inside and set(inside) == {1}
+        assert get() == before
+
+    def test_an_explicit_count_is_restored(self, blas):
+        get, set_, thread_local = blas
+        before = get()
+        explicit = 1 if before != 1 else 2
+        set_(explicit)
+        try:
+            with fitting._one_blas_thread():
+                assert get() == 1
+            assert get() == explicit
+        finally:
+            set_(0 if thread_local else before)
+        assert get() == before
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)
