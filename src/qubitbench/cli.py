@@ -51,7 +51,7 @@ from .rb import RBTiming, generate_plan, irmb_slope, run_rb
 
 CONFIG_SCHEMA = "qubitbench.config.v1"
 
-# parameter tables: name -> (type, default, help); bools use "flag"
+# parameter tables: name -> (type, default, help)
 _PARAMS = {
     "rb": {
         "lengths": (str, "300,950,3000,9500,30000", "comma-separated sequence lengths"),
@@ -138,6 +138,9 @@ _PARAMS = {
     "clifford-table": {},
 }
 
+# integer parameters that are 0/1 switches
+_FLAGS = frozenset({"motional", "fit", "predict_t2", "curve"})
+
 # --format choices of the commands that can write more than the JSON document
 _FORMATS = {
     "rb": ("json", "csv"),
@@ -174,7 +177,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Merge CLI > config file > defaults; validate strictly."""
+    """Merge CLI > config file > defaults; validate strictly.
+
+    A malformed config file is a usage error (exit 2); a resolved float that
+    is not finite, or a 0/1 switch set to anything else, raises ValueError.
+    """
     params = _PARAMS[args.command]
     config: dict = {}
     if args.config:
@@ -205,6 +212,11 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
             resolved[name] = typ(val) if val is not None else None
         else:
             resolved[name] = default
+        val = resolved[name]
+        if typ is float and val is not None and not np.isfinite(val):
+            raise ValueError(f"{name} must be a finite number, not {val!r}")
+        if name in _FLAGS and val not in (0, 1):
+            raise ValueError(f"{name} must be 0 or 1, not {val!r}")
     return resolved
 
 
@@ -546,9 +558,9 @@ def _cmd_clifford_table(resolved: dict, seed: int, fmt: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    resolved = _resolve(args, parser)
-    seed = _seed_of(args)
     try:
+        resolved = _resolve(args, parser)
+        seed = _seed_of(args)
         _check_workers(args)
         handler = {
             "rb": _cmd_rb,

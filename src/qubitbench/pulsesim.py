@@ -32,10 +32,9 @@ import numpy as np
 from .cliffords import (
     MEAN_PULSES_PER_CLIFFORD,
     PulseSpec,
-    QubitState,
-    UnitaryOp,
     apply_ab,
     pulse_ab,
+    rotation_matrix,
 )
 
 __all__ = [
@@ -52,9 +51,11 @@ __all__ = [
 
 RAMP_SHAPES = ("sin2", "linear")
 
-# relative drive amplitude: a constant, or a function of the time since the
-# start of the pulse that is called once per pulse on an array of times
-AmplitudeTrace = float | Callable[[np.ndarray], np.ndarray | float]
+# relative drive amplitude: a multiplier or an array of them (one per batch
+# element), or a function of the time since the start of the pulse that is
+# called once on the (n_cells, 4) quadrature times and returns them with any
+# leading batch axes, (*batch, n_cells, 4), or something broadcastable to it
+AmplitudeTrace = float | np.ndarray | Callable[[np.ndarray], np.ndarray | float]
 
 
 @dataclass(frozen=True)
@@ -127,18 +128,20 @@ def _ramp_profile(shape: str, s: np.ndarray) -> np.ndarray:
 
 
 def _ab_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2x2 matrix of the time-ordered product of the Cayley-Klein pairs ``(a[k], b[k])``.
+    """Time-ordered product of the Cayley-Klein pairs ``(a[..., k], b[..., k])``,
+    shape ``(2, 2, *batch)`` for pairs of shape ``(*batch, n)``.
 
     Pair ``k`` acts before pair ``k + 1``.  Neighbours are multiplied as a
     pairwise tree; ``apply_ab`` on the first column of the earlier factor
     gives the first column, and so the pair, of the product.
     """
     a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
-    while len(a) > 1:
-        even = len(a) - len(a) % 2
-        apply_ab(a[1::2], b[1::2], a[:even:2], b[:even:2])
-        a, b = a[::2], b[::2]  # an odd last factor is carried up unchanged
-    return np.array([[a[0], -np.conj(b[0])], [b[0], np.conj(a[0])]])
+    while a.shape[-1] > 1:
+        even = a.shape[-1] - a.shape[-1] % 2
+        apply_ab(a[..., 1::2], b[..., 1::2], a[..., :even:2], b[..., :even:2])
+        a, b = a[..., ::2], b[..., ::2]  # an odd last factor is carried up unchanged
+    a, b = a[..., 0], b[..., 0]
+    return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
 
 
 # 4-point Gauss-Legendre nodes on [0, 1] and their weights
@@ -187,11 +190,12 @@ def _pulse_cells(
 
     Returns (starts, ends, relative_amplitudes): cell bounds in seconds from
     pulse start, the last cell the trailing gap, and the relative drive
-    amplitude (fraction of omega_q) on each cell before the gap: the ramp
-    shape at the cell midpoint times the cell average of the trace.  A
-    callable trace is called once, on the ``(n_cells, 4)`` array of
-    quadrature times.  The grid does not depend on the evaluation interval,
-    so propagators over adjacent sub-intervals compose exactly.
+    amplitude (fraction of omega_q) on each cell before the gap, shape
+    ``(*batch, n_cells)``: the ramp shape at the cell midpoint times the cell
+    average of the trace.  A callable trace is called once, on the
+    ``(n_cells, 4)`` array of quadrature times.  The grid does not depend on
+    the evaluation interval, so propagators over adjacent sub-intervals
+    compose exactly.
     """
     if ramp_substeps < 64:
         raise ValueError("ramp_substeps must be at least 64")
@@ -203,9 +207,9 @@ def _pulse_cells(
     if callable(amplitude_trace):
         # cell-average the trace (Gauss-Legendre) so that slowly oscillating
         # multipliers contribute their exact pulse area even on a coarse grid
-        trace = np.broadcast_to(amplitude_trace(ts), ts.shape) @ _GL_WEIGHTS
+        trace = np.broadcast_arrays(amplitude_trace(ts), ts)[0] @ _GL_WEIGHTS
     else:
-        trace = 1.0 if amplitude_trace is None else float(amplitude_trace)
+        trace = 1.0 if amplitude_trace is None else np.asarray(amplitude_trace, dtype=float)[..., None]
     return starts, ends, pulse.amp_scale * shape * trace
 
 
@@ -219,16 +223,22 @@ def pulse_propagator(
     ramp_substeps: int = 64,
     flat_substeps: int | None = None,
     include_gap: bool = True,
-) -> UnitaryOp:
+) -> np.ndarray:
     """Propagator of one pulse (plus trailing gap) over [t_start, t_end].
+
+    Returns the 2x2 matrix as an array of shape ``(2, 2, *batch)``: a batch
+    of pulses that share the timing and differ in their amplitude trace.
+    `amplitude_trace` is ``None`` (full amplitude), a multiplier or an
+    array of them of shape ``batch``, or a callable that gets the
+    ``(n_cells, 4)`` quadrature times of the pulse in one call and returns
+    the trace at them, shape ``(*batch, n_cells, 4)`` or broadcastable to
+    it.  An unbatched input gives a plain 2x2 array.
 
     Times are measured from the start of the pulse.  The underlying
     piecewise-constant Hamiltonian is defined on a fixed grid, so splitting
     the interval and composing the pieces reproduces the whole to machine
-    precision.  A callable `amplitude_trace` gets the array of all
-    quadrature times of the pulse in one call.  Every cell's exact
-    propagator comes from one ``pulse_ab`` call on arrays, and the cells
-    are multiplied as a pairwise tree.
+    precision.  Every cell's exact propagator comes from one ``pulse_ab``
+    call on arrays, and the cells are multiplied as a pairwise tree.
     """
     window = pulse.total_time if include_gap else pulse.t_half_pi
     t_end = window if t_end is None else t_end
@@ -238,39 +248,31 @@ def pulse_propagator(
     starts, ends, rel_amp = _pulse_cells(pulse, drive, amplitude_trace, ramp_substeps, flat_substeps)
     if include_gap:
         # trailing gap: free evolution at zero amplitude, so no ac Zeeman shift
-        rel_amp = np.append(rel_amp, 0.0)
+        rel_amp = np.concatenate([rel_amp, np.zeros(rel_amp.shape[:-1] + (1,))], axis=-1)
     else:
         starts, ends = starts[:-1], ends[:-1]
     # cells outside [t_start, t_end] get zero length, i.e. the identity
     dt = np.maximum(np.minimum(ends, t_end) - np.maximum(starts, t_start), 0.0)
     vz = -drive.detuning if zeeman is None else zeeman.shift(rel_amp) - drive.detuning
     a, b = pulse_ab(drive.omega_q * rel_amp, vz, dt)
-    return UnitaryOp(_ab_product(a, b * np.exp(1j * (pulse.effective_phase + drive.phase))))
+    return _ab_product(a, b * np.exp(1j * (pulse.effective_phase + drive.phase)))
 
 
 # ---------------------------------------------------------------------------
 # Error metric
 # ---------------------------------------------------------------------------
 
-CARDINAL_STATES = tuple(
-    QubitState(v)
-    for v in (
-        np.array([1, 0], dtype=complex),
-        np.array([0, 1], dtype=complex),
-        np.array([1, 1], dtype=complex) / np.sqrt(2),
-        np.array([1, -1], dtype=complex) / np.sqrt(2),
-        np.array([1, 1j], dtype=complex) / np.sqrt(2),
-        np.array([1, -1j], dtype=complex) / np.sqrt(2),
-    )
-)
+# one state vector per row
+CARDINAL_STATES = np.array(
+    [[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]], dtype=complex
+) / np.array([1, 1, np.sqrt(2), np.sqrt(2), np.sqrt(2), np.sqrt(2)])[:, None]
 
 
-def avg_pulse_error(actual: UnitaryOp, ideal: UnitaryOp) -> float:
-    """State infidelity averaged over the six cardinal Bloch states."""
-    err = actual.matrix.conj().T @ ideal.matrix
-    fids = [
-        abs(np.vdot(s.amplitudes, err @ s.amplitudes)) ** 2 for s in CARDINAL_STATES
-    ]
+def avg_pulse_error(actual: np.ndarray, ideal: np.ndarray) -> float:
+    """State infidelity averaged over the six cardinal Bloch states, for 2x2
+    propagators."""
+    err = actual.conj().T @ ideal
+    fids = [abs(np.vdot(s, err @ s)) ** 2 for s in CARDINAL_STATES]
     return 1.0 - float(np.mean(fids))
 
 
@@ -415,7 +417,7 @@ def counter_rotating_error(
     """
     omega = drive.omega_q
     duration = (np.pi / 2) / omega
-    ideal = UnitaryOp.rotation(0.0, np.pi / 2)
+    ideal = rotation_matrix(0.0, np.pi / 2)
 
     ratios, errors = [], []
     for factor in omega_q_factors:
@@ -429,7 +431,7 @@ def counter_rotating_error(
         # drive of rate 2 omega cos(theta/2) at phase theta/2
         half_theta = omega_q_scaled * (np.arange(n_steps) + 0.5) * dt
         a, b = pulse_ab(2 * omega * np.cos(half_theta), 0.0, dt)
-        err = avg_pulse_error(UnitaryOp(_ab_product(a, b * np.exp(1j * half_theta))), ideal)
+        err = avg_pulse_error(_ab_product(a, b * np.exp(1j * half_theta)), ideal)
         ratios.append(omega / omega_q_scaled)
         errors.append(err)
 

@@ -11,8 +11,10 @@ two physics tiers:
   by the exact average of its sinusoidal modulation, slow dephasing
   enters as Gaussian phase kicks between pulses, and
   depolarizing/idle/readout errors act on outcomes.
-* ``full`` — ramped waveforms integrated piecewise-exactly, one
-  ``pulsesim.pulse_propagator`` call per pulse and shot.
+* ``full`` — ramped waveforms integrated piecewise-exactly by
+  ``pulsesim.pulse_propagator``, batched over sequences and shots: one call
+  per length without motional noise (every pulse of a shot is then the
+  same), one per block of ``_STEP_BLOCK`` pulses with it.
 
 Both tiers replay the plan through one loop: it sorts the sequences by
 pulse count, draws the noise and folds the dephasing kicks, idle phase and
@@ -473,36 +475,38 @@ def _coherent_survival_full(
     """Pulse-level (ramped-waveform) version of the survival computation.
 
     Shares the noise draws and the replay with the fast tier so that the two
-    tiers can be compared on identical noise realizations.  Each pulse of
-    each shot is one ``pulse_propagator`` call on the ``+X90`` pulse, with
-    the motional modulation read from the pulse's start in train time.
+    tiers can be compared on identical noise realizations.  The propagators
+    are ``pulse_propagator`` calls on the ``+X90`` pulse, batched over rows
+    and shots: without motion every pulse of a shot is the same, one call
+    per length; with motion, one call per block of ``_STEP_BLOCK`` pulses,
+    each pulse's modulation read from its start in train time.
     """
-    n_shot, motional = plan.shots_per_sequence, noise.motional
+    motional = noise.motional
     drive = DriveParams.nominal(timing.t_half_pi, timing.ramp_time, detuning=noise.detuning_offset)
     base_gap = timing.gap_time + timing.delay_per_pulse
     spec = pulse_from_label(
         "+X90", t_half_pi=timing.t_half_pi, ramp_time=timing.ramp_time, gap_time=base_gap
     )
 
+    def propagate(trace):
+        u = pulsesim.pulse_propagator(spec, drive, trace, zeeman, ramp_substeps=ramp_substeps)
+        return u[0, 0], u[1, 0]
+
     def tier_ab(mult, phase0, n_active):
+        if motional is None:
+            a, b = propagate(mult)
+            return lambda k0, k1: (a[: n_active[k0]], b[: n_active[k0]])
+
         def ab(k0, k1):
-            a = np.ones((k1 - k0, n_active[k0], n_shot), dtype=complex)
-            b = np.zeros_like(a)
-            for j, k in enumerate(range(k0, k1)):
-                for r, q in np.ndindex(n_active[k], n_shot):
-                    m, t0 = mult[r, q], timing.pulse_spacing * k
-                    if motional is None:
-                        trace = m
-                    else:
-                        phi0 = phase0[r, q]
+            rows = n_active[k0]
+            m, phi0 = mult[:rows, :, None, None], phase0[:rows, :, None, None]
+            t0 = (timing.pulse_spacing * np.arange(k0, k1))[:, None, None, None, None]
 
-                        def trace(t):
-                            t = t0 + t
-                            return m * (1.0 + motional.depth_at(t) * np.cos(motional.omega_m * t + phi0))
+            def trace(t):
+                t = t0 + t
+                return m * (1.0 + motional.depth_at(t) * np.cos(motional.omega_m * t + phi0))
 
-                    u = pulsesim.pulse_propagator(spec, drive, trace, zeeman, ramp_substeps=ramp_substeps)
-                    a[j, r, q], b[j, r, q] = u.matrix[0, 0], u.matrix[1, 0]
-            return a, b
+            return propagate(trace)
 
         return ab
 

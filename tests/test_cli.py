@@ -5,8 +5,10 @@ resolution, output formatting, and exit codes are exercised exactly as a
 user would see them.
 """
 
+import importlib.util
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -27,6 +29,17 @@ TINY_RB = (
     "--noise", "depol",
     "--depol", "1e-3",
 )
+
+# the same run as a config file's parameters
+TINY_RB_CONFIG = {"lengths": "20,60", "sequences": 3, "shots": 20, "noise": "depol", "depol": 1e-3}
+
+
+def _config_file(tmp_path, params: dict) -> str:
+    """Path of a config file for ``rb`` holding `params`; NaN and infinity
+    are written as JSON's ``NaN`` and ``Infinity`` literals."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": cli.CONFIG_SCHEMA, "command": "rb", **params}))
+    return str(path)
 
 
 def run_cli(*args, env_extra=None):
@@ -191,10 +204,27 @@ class TestErrorsAndOutput:
             ("budget", "--gate-time", "0", "--curve", "1"),
             ("budget", "--curve", "1", "--curve-points", "0"),
             (*TINY_RB, "--bootstrap", "-3"),
+            # non-finite floats, from flags and (a dict here) from a config file
+            (*TINY_RB, "--detuning-hz", "nan"),
+            (*TINY_RB, "--detuning-hz", "inf"),
+            (*TINY_RB, "--sigma0", "nan"),
+            (*TINY_RB, "--t2", "nan"),
+            (*TINY_RB, "--delay", "nan"),
+            (*TINY_RB, "--delay=-inf"),
+            ("budget", "--gate-time", "inf"),
+            ("rb", "--config", {**TINY_RB_CONFIG, "t2": float("nan")}),
+            ("rb", "--config", {**TINY_RB_CONFIG, "detuning_hz": float("-inf")}),
+            ("rb", "--config", {**TINY_RB_CONFIG, "sigma0": "nan"}),
+            # 0/1 switches
+            (*TINY_RB, "--motional", "2"),
+            (*TINY_RB, "--fit", "-1"),
+            ("phase-noise", "--predict-t2", "2"),
+            ("budget", "--curve", "2"),
+            ("rb", "--config", {**TINY_RB_CONFIG, "motional": 2}),
         ],
     )
-    def test_bad_input_exits_one_with_one_error_line(self, args):
-        proc = run_cli(*args)
+    def test_bad_input_exits_one_with_one_error_line(self, args, tmp_path):
+        proc = run_cli(*(_config_file(tmp_path, a) if isinstance(a, dict) else a for a in args))
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert [line for line in proc.stderr.splitlines() if line.startswith("qubitbench: error:")] == [
@@ -207,6 +237,21 @@ class TestErrorsAndOutput:
         monkeypatch.setattr(cli, "run_rb", lambda *a, **kw: runs.append(1))
         code = cli.main(["irmb", "--delays", delays, "--lengths", "10,100", "--sequences", "2", "--shots", "10"])
         assert code == 1
+        assert runs == []
+        assert capsys.readouterr().err.startswith("qubitbench: error:")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (*TINY_RB, "--detuning-hz", "nan"),
+            (*TINY_RB, "--delay", "nan"),
+            (*TINY_RB, "--motional", "2"),
+        ],
+    )
+    def test_bad_values_are_rejected_before_any_run(self, args, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(cli, "run_rb", lambda *a, **kw: runs.append(1))
+        assert cli.main(list(args)) == 1
         assert runs == []
         assert capsys.readouterr().err.startswith("qubitbench: error:")
 
@@ -240,6 +285,40 @@ class TestErrorsAndOutput:
         assert len(lines) == 1 + 2 * 3  # two lengths, three sequences each
         for line in lines[1:]:
             assert all(field.lstrip("-").isdigit() for field in line.split(","))
+
+
+def _load_perfbench(name: str):
+    """A module of ``perfbench/``, loaded from its file without writing bytecode."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    before = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = before
+    return module
+
+
+class TestFullTierDocuments:
+    """The benchmark's full-size ``rb --tier full`` command, run in-process for
+    every CLI seed and checked against the benchmark's reference documents,
+    so that a changed count in the pulse-level tier fails here too."""
+
+    def test_every_seed_matches_the_benchmark_reference(self, capsys):
+        workloads, checks = _load_perfbench("workloads"), _load_perfbench("checks")
+        refs_path = pathlib.Path(workloads.__file__).parent / "refs" / "full.json"
+        refs = json.loads(refs_path.read_text())["rb-full"]
+        problems = {}
+        for seed in range(workloads.N_SEEDS):
+            (cmd,) = workloads.commands("rb-full", "full", seed)
+            assert cli.main(cmd) == 0
+            (reference,) = refs[cmd[-1]]
+            found = checks.check_output(cmd, capsys.readouterr().out.encode(), reference, b"")
+            if found:
+                problems[cmd[-1]] = found
+        assert problems == {}
 
 
 class TestSubcommands:

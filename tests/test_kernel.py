@@ -275,14 +275,27 @@ class TestPulsePropagator:
         }[trace_kind]
         span = pulse.total_time if gap else pulse.t_half_pi
         t_start, t_end = span * window[0], span * window[1]
-        u = pulse_propagator(
-            pulse, drive, amplitude_trace=trace, zeeman=zeeman, t_start=t_start, t_end=t_end,
-            flat_substeps=flat_substeps, include_gap=gap,
-        ).matrix
+        grid = dict(zeeman=zeeman, t_start=t_start, t_end=t_end, flat_substeps=flat_substeps, include_gap=gap)
+        u = pulse_propagator(pulse, drive, amplitude_trace=trace, **grid)
         expected = _sequential_propagator(
             pulse, drive, trace, zeeman, t_start, t_end, flat_substeps, gap
         )
         assert np.max(np.abs(u - expected)) <= 1e-12
+
+        # batched over a (3, 2) grid of trace levels, given as an array of
+        # multipliers and as a callable with the batch axes in front: each
+        # element is the unbatched call
+        levels = trace_level * np.array([[1.0, 0.999], [1.001, 0.9995], [1.0005, 1.002]])
+        wobble = lambda t: 0.01 * np.cos(2 * np.pi * 3e5 * t + phase)
+        for batched, single in (
+            (levels, lambda level: level),
+            (lambda t: levels[..., None, None] + wobble(t), lambda level: lambda t: level + wobble(t)),
+        ):
+            ub = pulse_propagator(pulse, drive, amplitude_trace=batched, **grid)
+            assert ub.shape == (2, 2, *levels.shape)
+            for idx in np.ndindex(levels.shape):
+                one = pulse_propagator(pulse, drive, amplitude_trace=single(levels[idx]), **grid)
+                assert np.max(np.abs(ub[(..., *idx)] - one)) <= 1e-14
 
     @given(n=st.integers(1, 40), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)

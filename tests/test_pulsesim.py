@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qubitbench.cliffords import PulseSpec, QubitState, UnitaryOp
+from qubitbench.cliffords import PulseSpec, canonicalize_phase, rotation_matrix
 from qubitbench.pulsesim import (
     DriveParams,
     SpectatorConfig,
@@ -41,7 +41,7 @@ def _rect_reference(omega, phi, delta, duration, gap=0.0):
 class TestRectangleClosedForm:
     def test_resonant_quarter_turn(self):
         pulse = PulseSpec(phase=0.3, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)
-        u = pulse_propagator(pulse, DriveParams(omega_q=_OMEGA), include_gap=False).matrix
+        u = pulse_propagator(pulse, DriveParams(omega_q=_OMEGA), include_gap=False)
         ref = _rect_reference(_OMEGA, 0.3, 0.0, 6e-6)
         assert _infidelity(u, ref) < 1e-12
 
@@ -49,7 +49,7 @@ class TestRectangleClosedForm:
         delta = 2 * np.pi * 2000.0
         pulse = PulseSpec(phase=0.3, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)
         drive = DriveParams(omega_q=_OMEGA, detuning=delta, phase=0.1)
-        u = pulse_propagator(pulse, drive, include_gap=False).matrix
+        u = pulse_propagator(pulse, drive, include_gap=False)
         ref = _rect_reference(_OMEGA, 0.4, delta, 6e-6)
         assert _infidelity(u, ref) < 1e-12
 
@@ -57,7 +57,7 @@ class TestRectangleClosedForm:
         delta = 2 * np.pi * 2000.0
         pulse = PulseSpec(phase=0.3, t_half_pi=6e-6, ramp_time=0.0, gap_time=1e-6)
         drive = DriveParams(omega_q=_OMEGA, detuning=delta, phase=0.1)
-        u = pulse_propagator(pulse, drive, include_gap=True).matrix
+        u = pulse_propagator(pulse, drive, include_gap=True)
         ref = _rect_reference(_OMEGA, 0.4, delta, 6e-6, gap=1e-6)
         assert _infidelity(u, ref) < 1e-12
 
@@ -67,7 +67,7 @@ class TestRectangleClosedForm:
         drive = DriveParams(omega_q=_OMEGA)
         up = pulse_propagator(plus, drive, include_gap=False)
         um = pulse_propagator(minus, drive, include_gap=False)
-        assert um.equal_up_to_phase(up.dagger(), tol=1e-12)
+        assert np.abs(canonicalize_phase(um) - canonicalize_phase(up.conj().T)).max() <= 1e-12
 
 
 class TestRampedPulse:
@@ -79,14 +79,14 @@ class TestRampedPulse:
         for t_cut in (30e-9, 3e-6, total - 20e-9):
             first = pulse_propagator(pulse, drive, t_start=0.0, t_end=t_cut, ramp_substeps=256)
             second = pulse_propagator(pulse, drive, t_start=t_cut, t_end=total, ramp_substeps=256)
-            assert np.abs(first.compose(second).matrix - whole.matrix).max() < 1e-10
+            assert np.abs(second @ first - whole).max() < 1e-10
 
     def test_ramp_integrator_is_second_order(self):
         pulse = PulseSpec(phase=0.0, t_half_pi=6e-6, ramp_time=40e-9, gap_time=40e-9)
         drive = DriveParams(omega_q=(np.pi / 2) / 5.96e-6, detuning=2 * np.pi * 300.0)
-        ref = pulse_propagator(pulse, drive, ramp_substeps=4096).matrix
+        ref = pulse_propagator(pulse, drive, ramp_substeps=4096)
         errs = [
-            np.abs(pulse_propagator(pulse, drive, ramp_substeps=n).matrix - ref).max()
+            np.abs(pulse_propagator(pulse, drive, ramp_substeps=n) - ref).max()
             for n in (64, 128, 256)
         ]
         assert errs[0] < 1e-11
@@ -104,23 +104,23 @@ class TestRampedPulse:
         trace = lambda t: 1.0 + 3e-4 * np.sin(2 * np.pi * t / 12e-6)
         ref = pulse_propagator(
             pulse, drive, amplitude_trace=trace, ramp_substeps=64, flat_substeps=512
-        ).matrix
+        )
         coarse = pulse_propagator(
             pulse, drive, amplitude_trace=trace, ramp_substeps=64, flat_substeps=64
-        ).matrix
+        )
         assert np.abs(coarse - ref).max() < 1e-9
 
     def test_constant_trace_scales_the_rotation_angle(self):
         pulse = PulseSpec(phase=0.0, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)
         drive = DriveParams(omega_q=_OMEGA)
         scaled = pulse_propagator(pulse, drive, amplitude_trace=1.001, include_gap=False)
-        ref = UnitaryOp.rotation(0.0, 1.001 * np.pi / 2)
-        assert scaled.equal_up_to_phase(ref, tol=1e-10)
+        ref = rotation_matrix(0.0, 1.001 * np.pi / 2)
+        assert np.abs(canonicalize_phase(scaled) - canonicalize_phase(ref)).max() <= 1e-10
 
     def test_zero_amplitude_freezes_the_state(self):
         pulse = PulseSpec(phase=0.0, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)
         u = pulse_propagator(pulse, DriveParams(omega_q=_OMEGA), amplitude_trace=0.0)
-        assert u.apply(QubitState.zero()).probability(0) == pytest.approx(1.0, abs=1e-12)
+        assert abs(u[0, 0]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestZeeman:
@@ -139,19 +139,19 @@ class TestZeeman:
             pulse, DriveParams(omega_q=_OMEGA, detuning=z.shift(1.0)), zeeman=z, include_gap=False
         )
         clean = pulse_propagator(pulse, DriveParams(omega_q=_OMEGA), include_gap=False)
-        assert np.abs(with_both.matrix - clean.matrix).max() < 1e-10
+        assert np.abs(with_both - clean).max() < 1e-10
 
 
 class TestErrorProbes:
     def test_avg_pulse_error_small_angle_law(self):
         # state-averaged infidelity of an over-rotation by e is e^2/6
         for e in (1e-3, 3e-3):
-            actual = UnitaryOp.rotation(0.0, np.pi / 2 + e)
-            ideal = UnitaryOp.rotation(0.0, np.pi / 2)
+            actual = rotation_matrix(0.0, np.pi / 2 + e)
+            ideal = rotation_matrix(0.0, np.pi / 2)
             assert avg_pulse_error(actual, ideal) == pytest.approx(e**2 / 6.0, rel=1e-4)
 
     def test_avg_pulse_error_is_zero_for_identical_ops(self):
-        u = UnitaryOp.rotation(0.4, 1.3)
+        u = rotation_matrix(0.4, 1.3)
         assert avg_pulse_error(u, u) < 1e-14
 
     def test_spectator_error_stays_below_budget_bound(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -199,17 +200,16 @@ class TestTierAgreement:
         assert self._mismatch(group, NoiseConfig(motional=MotionalMode())) < 1e-7
         assert self._mismatch(group, default_noise_config()) < 1e-6
 
+    @staticmethod
+    def _tiers(group, length, cfg, zeeman=None):
+        """(fast, full) survival of a 2x2 plan at one length."""
+        plan = RBPlan(master_seed=33, lengths=(length,), n_sequences=2, shots_per_sequence=2)
+        fast = _coherent_survival_fast(plan, length, group, _phase_table(group), cfg, RBTiming(), True, zeeman)
+        full = _coherent_survival_full(plan, length, group, cfg, RBTiming(), True, zeeman, 64)
+        return fast, full
+
     def test_tiers_agree_at_length_1000(self, group):
-        plan = RBPlan(master_seed=33, lengths=(1000,), n_sequences=2, shots_per_sequence=2)
-
-        def tiers(cfg, zeeman=None):
-            fast = _coherent_survival_fast(
-                plan, 1000, group, _phase_table(group), cfg, RBTiming(), True, zeeman
-            )
-            full = _coherent_survival_full(plan, 1000, group, cfg, RBTiming(), True, zeeman, 64)
-            return fast, full
-
-        fast, full = tiers(default_noise_config())
+        fast, full = self._tiers(group, 1000, default_noise_config())
         assert np.abs(fast - full).max() <= 1e-4
         # the coherent error of the ramps grows with length, so the detuning
         # and shift channels are compared by their infidelities
@@ -217,8 +217,21 @@ class TestTierAgreement:
             (NoiseConfig(detuning_offset=2 * np.pi * 200.0), None),
             (NoiseConfig(), ZeemanModel(shift_at_full_amp=2 * np.pi * 200.0)),
         ):
-            fast, full = tiers(cfg, zeeman)
+            fast, full = self._tiers(group, 1000, cfg, zeeman)
             assert np.all(np.abs(fast - full) <= 0.05 * (1.0 - full))
+
+    @pytest.mark.parametrize("length", [3000, 30000])
+    def test_static_channels_agree_at_the_papers_lengths(self, group, length):
+        # the full tier as an exact reference at the paper's sequence lengths,
+        # with the bounds of the L = 24 and L = 1000 checks
+        for cfg, zeeman in (
+            (NoiseConfig(detuning_offset=2 * np.pi * 200.0), None),
+            (NoiseConfig(), ZeemanModel(shift_at_full_amp=2 * np.pi * 200.0)),
+        ):
+            fast, full = self._tiers(group, length, cfg, zeeman)
+            assert np.all(np.abs(fast - full) <= 0.05 * (1.0 - full))
+        fast, full = self._tiers(group, length, NoiseConfig(amplitude=AmplitudeNoiseModel(sigma_rel=4e-4)))
+        assert np.abs(fast - full).max() < 1e-11
 
     def test_outcome_counts_identical_across_tiers(self):
         cfg = NoiseConfig(amplitude=AmplitudeNoiseModel(sigma_rel=4e-4), spam=0.05)
@@ -276,7 +289,7 @@ def _reference_full_survival(plan, length, group, noise, timing, compensate_idle
                         return m * (1.0 + mode.depth_at(t_abs) * np.cos(mode.omega_m * t_abs + phi0))
 
                 step = pulse_propagator(pulse, replace(drive, phase=-c_k), trace, zeeman, ramp_substeps=64)
-                u = step.matrix @ u
+                u = step @ u
                 c_k += kicks[k, s, q] + idle_phase
             survival[s, q] = abs(u[prep, prep]) ** 2
     return survival
@@ -312,9 +325,12 @@ class TestFullTier:
         reference = _reference_full_survival(plan, length, group, noise, timing, compensate, zeeman)
         assert np.abs(full - reference).max() <= 1e-12
 
-    def test_one_propagator_per_pulse_and_shot(self, group, monkeypatch):
-        # and never a fast-tier call: the traced rb-full benchmark expects its
-        # pulse-shot counter, read from the fast engine, to stay at zero
+    @pytest.mark.parametrize("motional", [None, MotionalMode()], ids=["static", "motional"])
+    def test_one_propagator_call_per_length_or_pulse_block(self, group, monkeypatch, motional):
+        # without motion every pulse of a shot is the same: one call per
+        # length; with it, one call per block of _STEP_BLOCK pulses.  Never a
+        # fast-tier call: the traced rb-full benchmark expects its pulse-shot
+        # counter, read from the fast engine, to stay at zero
         calls, fast_calls = [], []
         counted = pulsesim.pulse_propagator
 
@@ -325,14 +341,16 @@ class TestFullTier:
         monkeypatch.setattr(pulsesim, "pulse_propagator", counting)
         monkeypatch.setattr(rb, "_coherent_survival_fast", lambda *a, **kw: fast_calls.append(1))
         plan = RBPlan(master_seed=4, lengths=(3, 5), n_sequences=2, shots_per_sequence=3)
-        run_rb(plan, noise=NoiseConfig(spam=0.01), tier="full", group=group)
-        pulses = sum(
-            group.elements[i].pulse_count
+        run_rb(plan, noise=NoiseConfig(motional=motional, spam=0.01), tier="full", group=group)
+        longest = [
+            max(
+                sum(group.elements[i].pulse_count for i in plan.sequence(length, s, group).all_indices())
+                for s in range(plan.n_sequences)
+            )
             for length in plan.lengths
-            for s in range(plan.n_sequences)
-            for i in plan.sequence(length, s, group).all_indices()
-        )
-        assert len(calls) == pulses * plan.shots_per_sequence
+        ]
+        blocks = sum(math.ceil(p / rb._STEP_BLOCK) for p in longest)
+        assert len(calls) == (len(plan.lengths) if motional is None else blocks)
         assert fast_calls == []
 
 
