@@ -23,8 +23,6 @@ from .cliffords import (
     CliffordGroup,
     GateSequence,
     PulseSpec,
-    QubitState,
-    UnitaryOp,
     build_clifford_table,
     decompose_clifford,
     recovery_gate,

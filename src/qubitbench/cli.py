@@ -330,6 +330,7 @@ def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str | dict:
                 dataset.shots,
                 rng_stream(seed, LANE_BOOTSTRAP),
                 n_resamples=resolved["bootstrap"],
+                fit=fit,
             )
             fit_doc["epsilon_ci68"] = [lo, hi]
         payload["fit"] = fit_doc

@@ -37,8 +37,6 @@ import numpy as np
 __all__ = [
     "GENERATOR_LABELS",
     "MEAN_PULSES_PER_CLIFFORD",
-    "QubitState",
-    "UnitaryOp",
     "PulseSpec",
     "CliffordElement",
     "CliffordGroup",
@@ -52,7 +50,6 @@ __all__ = [
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _ID = np.eye(2, dtype=complex)
 
 #: Expansion / tie-break order for the generator search (lexicographic).
@@ -122,80 +119,6 @@ def canonicalize_phase(matrix: np.ndarray, tol: float = _PHASE_TOL) -> np.ndarra
 def _table_key(matrix: np.ndarray) -> tuple:
     canon = canonicalize_phase(matrix)
     return tuple(np.round(canon.reshape(-1), 8).tolist())
-
-
-# ---------------------------------------------------------------------------
-# Value types
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QubitState:
-    """Pure state of the two-level system, stored as a normalized complex pair."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(2)
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond tolerance")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def zero(cls) -> "QubitState":
-        return cls(np.array([1.0, 0.0], dtype=complex))
-
-    def probability(self, basis_state: int) -> float:
-        return float(abs(self.amplitudes[basis_state]) ** 2)
-
-
-
-@dataclass(frozen=True)
-class UnitaryOp:
-    """A 2x2 unitary, validated on construction."""
-
-    matrix: np.ndarray
-    _tol: float = 1e-9
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex).reshape(2, 2)
-        defect = np.max(np.abs(mat.conj().T @ mat - _ID))
-        if defect > self._tol:
-            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def identity(cls) -> "UnitaryOp":
-        return cls(_ID.copy())
-
-    @classmethod
-    def rotation(cls, phase: float, angle: float) -> "UnitaryOp":
-        return cls(rotation_matrix(phase, angle))
-
-    @classmethod
-    def rz(cls, angle: float) -> "UnitaryOp":
-        return cls(np.diag([np.exp(-1j * angle / 2), np.exp(1j * angle / 2)]))
-
-    def apply(self, state: QubitState) -> QubitState:
-        return QubitState(self.matrix @ state.amplitudes)
-
-    def compose(self, then: "UnitaryOp") -> "UnitaryOp":
-        """Return the unitary 'self first, `then` second'."""
-        return UnitaryOp(then.matrix @ self.matrix)
-
-    def dagger(self) -> "UnitaryOp":
-        return UnitaryOp(self.matrix.conj().T)
-
-    def equal_up_to_phase(self, other: "UnitaryOp", tol: float = 1e-8) -> bool:
-        try:
-            a = canonicalize_phase(self.matrix)
-            b = canonicalize_phase(other.matrix)
-        except ValueError:
-            return False
-        return bool(np.max(np.abs(a - b)) <= tol)
 
 
 @dataclass(frozen=True)
@@ -327,8 +250,9 @@ class CliffordGroup:
     def inverse(self, index: int) -> int:
         return int(self.inverse_table[index])
 
-    def find_index(self, unitary: UnitaryOp | np.ndarray, tol: float = 1e-8) -> int:
-        matrix = unitary.matrix if isinstance(unitary, UnitaryOp) else np.asarray(unitary)
+    def find_index(self, matrix: np.ndarray, tol: float = 1e-8) -> int:
+        """Index of the element equal to the 2x2 ``matrix`` up to global phase."""
+        matrix = np.asarray(matrix)
         key = _table_key(matrix)
         if key in self._index_by_key:
             return self._index_by_key[key]
@@ -460,7 +384,7 @@ def decompose_clifford(index: int, group: CliffordGroup | None = None) -> tuple[
 
 
 def min_pulse_decomposition(
-    target: UnitaryOp | np.ndarray | int,
+    target: np.ndarray | int,
     group: CliffordGroup | None = None,
     max_len: int = 4,
 ) -> tuple[str, ...]:
@@ -473,11 +397,8 @@ def min_pulse_decomposition(
     import itertools
 
     if isinstance(target, int):
-        group = group or build_clifford_table()
-        target_mat = group.elements[target].matrix
-    else:
-        target_mat = target.matrix if isinstance(target, UnitaryOp) else np.asarray(target)
-    target_canon = canonicalize_phase(target_mat)
+        target = (group or build_clifford_table()).elements[target].matrix
+    target_canon = canonicalize_phase(np.asarray(target))
 
     for length in range(max_len + 1):
         for word in itertools.product(GENERATOR_LABELS, repeat=length):

@@ -22,6 +22,13 @@ its two stepped copies.  Every fit takes the iterates that
 give; fits it leaves unconverged get a Nelder-Mead polish.  While the kernel
 runs, the OpenBLAS it calls is held to one thread.
 
+The kernel is one compiled extension, loaded from its file in scipy's
+package directory (``_kernel``) so that a fit does not run the
+``scipy.optimize`` package init, about half a second of ``scipy.linalg``,
+``sparse``, ``special`` and more.  A fit that converges therefore loads only
+``scipy`` and the kernel; ``scipy.optimize`` is imported only when a fit
+needs the Nelder-Mead polish.
+
 The module also holds the small estimators shared by the calibration,
 idle-rate and delay-scan analyses, each written once: ``binomial_variance``
 (the floored variance of a measured frequency), ``inverse_variance_mean``
@@ -31,6 +38,11 @@ and ``weighted_line`` (weighted least squares with a free intercept).
 from __future__ import annotations
 
 import functools
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -66,6 +78,21 @@ _MAXCOR, _MAXLS = 10, 20
 _MAXITER, _MAXFUN = 500, 5000
 # bootstrap refits run through L-BFGS-B together in blocks of this many
 _BLOCK = 25
+# the kernel's stop codes, task[0] and task[1], as scipy's _lbfgsb_py words them
+_STATUS_MESSAGES = dict(enumerate(
+    ("START", "NEW_X", "RESTART", "FG", "CONVERGENCE", "STOP", "WARNING", "ERROR", "ABNORMAL")))
+_TASK_MESSAGES = {
+    0: "", 301: "", 302: "",
+    401: "NORM OF PROJECTED GRADIENT <= PGTOL", 402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    501: "CPU EXCEEDING THE TIME LIMIT", 502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
+    503: "PROJECTED GRADIENT IS SUFFICIENTLY SMALL", 504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
+    505: "CALLBACK REQUESTED HALT", 601: "ROUNDING ERRORS PREVENT PROGRESS",
+    602: "STP = STPMAX", 603: "STP = STPMIN", 604: "XTOL TEST SATISFIED",
+    701: "NO FEASIBLE SOLUTION", 702: "FACTR < 0", 703: "FTOL < 0", 704: "GTOL < 0",
+    705: "XTOL < 0", 706: "STP < STPMIN", 707: "STP > STPMAX", 708: "STPMIN < 0",
+    709: "STPMAX < STPMIN", 710: "INITIAL G >= 0", 711: "M <= 0", 712: "N <= 0",
+    713: "INVALID NBD",
+}
 
 
 @dataclass(frozen=True)
@@ -140,6 +167,29 @@ def _nll_and_grad(x, lengths, k, n):
 
 
 @functools.cache
+def _kernel():
+    """scipy's compiled L-BFGS-B module, ``scipy.optimize._lbfgsb``.
+
+    Where it is not imported yet, its extension file is loaded on its own and
+    registered under its full name, so the ``scipy.optimize`` package init
+    does not run, and a later ``import scipy.optimize`` takes this same
+    module.  Without that file the plain import stands in.
+    """
+    name = "scipy.optimize._lbfgsb"
+    if name not in sys.modules:
+        import scipy
+
+        stem = os.path.join(scipy.__path__[0], "optimize", "_lbfgsb")
+        path = next((stem + s for s in importlib.machinery.EXTENSION_SUFFIXES if os.path.isfile(stem + s)), None)
+        if path is not None:
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+    return importlib.import_module(name)
+
+
+@functools.cache
 def _blas_threads():
     """``(get, set, thread_local)`` thread-count calls of the OpenBLAS that
     scipy's L-BFGS-B kernel uses, or None where there is none.
@@ -150,10 +200,8 @@ def _blas_threads():
     """
     import ctypes
 
-    from scipy.optimize import _lbfgsb
-
     try:
-        lib = ctypes.CDLL(_lbfgsb.__file__)
+        lib = ctypes.CDLL(_kernel().__file__)
     except OSError:
         return None
 
@@ -205,9 +253,7 @@ def _lbfgsb(x0, lengths, k, n):
     The gradient's 3 likelihood points count once, so ``_MAXFUN`` 5000 stops
     where scipy's default of 15000 did with its own finite differences.
     """
-    from scipy.optimize._lbfgsb import setulb  # here, not at module level: ~0.5 s import
-    from scipy.optimize._lbfgsb_py import status_messages, task_messages
-
+    setulb = _kernel().setulb
     rows = len(x0)
     x = np.clip(x0, _LOWER, _UPPER)
     evaluated = x.copy()
@@ -251,17 +297,17 @@ def _lbfgsb(x0, lengths, k, n):
                 nfev[asked] += np.any(x[asked] != evaluated[asked], axis=1)
                 evaluated[asked] = x[asked]
             waiting = asked
-    message = [f"{status_messages[a]}: {task_messages[b]}" for a, b in task]
+    message = [f"{_STATUS_MESSAGES[a]}: {_TASK_MESSAGES[b]}" for a, b in task]
     return x, f, task[:, 0] == 4, message
 
 
 def _fit(x0, lengths, k, n):
     """``_lbfgsb``, then a derivative-free polish of every row it left
     unconverged.  Returns ``(x, fun, success, message)``."""
-    from scipy.optimize import minimize
-
     x, fun, success, message = _lbfgsb(x0, lengths, k, n)
     for r in np.flatnonzero(~success):
+        from scipy.optimize import minimize  # only a polish needs it: ~0.5 s import
+
         # next to the optimum the line search can fail even along the plain
         # gradient, with no stored corrections left (task ABNORMAL): the
         # likelihood has a kink where the model reaches the clip at
@@ -331,17 +377,20 @@ def bootstrap_ci(
     rng: np.random.Generator,
     n_resamples: int = 1000,
     level: float = 0.68,
+    fit: DecayFit | None = None,
 ) -> tuple[float, float, np.ndarray]:
     """Parametric-bootstrap confidence interval for the per-element error.
 
     Counts are redrawn from the fitted model and refit; the interval is the
-    central ``level`` quantile range of the refitted errors.  Raises
-    ``ValueError`` unless ``n_resamples >= 1``, and ``RuntimeError`` if more
-    than 5% of refits fail to converge.
+    central ``level`` quantile range of the refitted errors.  ``fit`` is the
+    ``mle_fit`` of these counts, where the caller already has it; it is
+    computed otherwise.  Raises ``ValueError`` unless ``n_resamples >= 1``,
+    and ``RuntimeError`` if more than 5% of refits fail to converge.
     """
     if n_resamples < 1:
         raise ValueError(f"n_resamples must be at least 1, got {n_resamples}")
-    fit = mle_fit(lengths, successes, shots)
+    if fit is None:
+        fit = mle_fit(lengths, successes, shots)
     uniq, _, n = _pool(lengths, successes, shots)
     p_model = survival_model(uniq, fit.epsilon, fit.amplitude)
 

@@ -330,6 +330,23 @@ class TestSubcommands:
         lo, hi = fit["epsilon_ci68"]
         assert 0 <= lo <= hi
 
+    def test_rb_bootstrap_fits_the_counts_once(self, monkeypatch, capsys):
+        from qubitbench import fitting, rb
+
+        fits = []
+        mle_fit = fitting.mle_fit
+
+        def counting(*args):
+            fits.append(args)
+            return mle_fit(*args)
+
+        # the dataset's own fit goes through rb, the bootstrap's through fitting
+        monkeypatch.setattr(rb, "mle_fit", counting)
+        monkeypatch.setattr(fitting, "mle_fit", counting)
+        assert cli.main([*TINY_RB, "--seed", "11", "--bootstrap", "25"]) == 0
+        assert "epsilon_ci68" in json.loads(capsys.readouterr().out)["fit"]
+        assert len(fits) == 1
+
     def test_rb_bootstrap_zero_means_none(self):
         proc = run_cli(*TINY_RB, "--seed", "11", "--bootstrap", "0")
         assert proc.returncode == 0

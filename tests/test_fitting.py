@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +147,15 @@ class TestBootstrap:
         _, _, est1 = bootstrap_ci(lengths, successes, shots, rng_stream(1, 2), n_resamples=50)
         _, _, est2 = bootstrap_ci(lengths, successes, shots, rng_stream(1, 2), n_resamples=50)
         assert np.array_equal(est1, est2)
+
+    def test_a_given_fit_is_not_fitted_again(self, monkeypatch):
+        lengths, successes, shots = _synthetic_counts(rng_stream(99, 7), [30, 300, 3000], 2000, 1e-4, 0.5)
+        fit = mle_fit(lengths, successes, shots)
+        own = bootstrap_ci(lengths, successes, shots, rng_stream(1, 2), n_resamples=50)
+        monkeypatch.setattr(fitting, "mle_fit", None)  # a given fit is not fitted again
+        given_fit = bootstrap_ci(lengths, successes, shots, rng_stream(1, 2), n_resamples=50, fit=fit)
+        assert given_fit[:2] == own[:2]
+        assert given_fit[2].tobytes() == own[2].tobytes()
 
 
 class TestLikelihood:
@@ -336,6 +351,68 @@ class TestGradientInOneCall:
         data = lengths, np.array([200, 200, 199]), np.full(3, 200)
         refits = _assert_bootstrap_matches(data, 3, 30)
         assert any(fit.at_boundary for fit, _ in refits)
+
+
+def _run_child(code):
+    """Stdout of ``code`` run in a fresh interpreter from the repository root."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+# (lengths, successes, shots) of a fit that converges without the polish
+_CONVERGING = ([30.0, 300.0, 3000.0], [1900, 1700, 1300], [2000, 2000, 2000])
+
+
+class TestKernel:
+    """The L-BFGS-B kernel is scipy's own extension module, loaded without
+    the ``scipy.optimize`` package."""
+
+    def test_is_scipys_extension_module(self):
+        from scipy.optimize import _lbfgsb
+
+        assert fitting._kernel().__file__ == _lbfgsb.__file__
+        assert fitting._kernel() is _lbfgsb
+
+    def test_message_tables_are_scipys(self):
+        from scipy.optimize._lbfgsb_py import status_messages, task_messages
+
+        assert fitting._STATUS_MESSAGES == status_messages
+        assert fitting._TASK_MESSAGES == task_messages
+
+    def test_loaded_first_it_serves_scipy_optimize_too(self):
+        # scipy.optimize imported after the kernel takes the same module, and
+        # its minimize still gives the fit's iterates
+        cases = ("driver_stops or steps_back or matches_the_finite_difference_fit_through_the_polish"
+                 " or pinned_at_a_bound")
+        _run_child(f"""
+import sys
+import pytest
+from qubitbench import fitting
+kernel = fitting._kernel()
+assert "scipy.optimize" not in sys.modules
+import scipy.optimize
+from scipy.optimize import _lbfgsb, _lbfgsb_py
+assert sys.modules["scipy.optimize._lbfgsb"] is kernel is _lbfgsb is _lbfgsb_py._lbfgsb
+sys.exit(pytest.main(["{__file__}::TestGradientInOneCall", "-q", "-p", "no:cacheprovider", "-k", "{cases}"]))
+""")
+
+    @pytest.mark.parametrize("missing", [False, True], ids=["file", "missing-file"])
+    def test_a_converged_fit_imports_scipy_optimize_only_without_the_file(self, missing):
+        # with the extension file made to miss, the plain import stands in
+        patch = 'importlib.machinery.EXTENSION_SUFFIXES = [".missing"]' if missing else ""
+        out = _run_child(f"""
+import importlib.machinery, json, sys
+import numpy as np
+from qubitbench import fitting
+{patch}
+fit = fitting.mle_fit(*map(np.array, {_CONVERGING!r}))
+print(json.dumps([repr(fit), "scipy.optimize" in sys.modules]))
+""")
+        assert json.loads(out) == [repr(mle_fit(*map(np.array, _CONVERGING))), missing]
 
 
 class TestBlasPin:

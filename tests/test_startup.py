@@ -1,10 +1,13 @@
 """Start-up cost of the package and the CLI.
 
-Importing ``scipy.optimize`` takes about half a second, so it is imported
-only inside the functions that fit (``mle_fit`` and ``walsh_fit``).  These
-tests run each case in a fresh interpreter and look at ``sys.modules``:
-importing the package and running the commands that never fit must leave
-scipy unloaded, while the fitting commands still produce their fits.
+Importing ``scipy.optimize`` takes about half a second, so nothing imports it
+at module level.  The decay fit (``rb``, ``irmb``) loads only ``scipy`` and
+the compiled L-BFGS-B kernel, and imports ``scipy.optimize`` only for a
+Nelder-Mead polish of a fit that did not converge; ``walsh_fit`` imports it
+for ``least_squares``.  These tests run each case in a fresh interpreter and
+look at ``sys.modules``: importing the package and running the commands that
+never fit must leave scipy unloaded, a converged ``rb`` fit must leave
+``scipy.optimize`` unloaded, and ``walsh`` still loads it.
 """
 
 import json
@@ -18,12 +21,14 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# runs the CLI in-process, then reports the exit code and whether scipy was loaded
+# runs the CLI in-process, then reports the exit code and which of scipy and
+# scipy.optimize were loaded
 CHILD = """
 import json, sys
 from qubitbench import cli
 rc = cli.main(sys.argv[1:])
-print(json.dumps({"rc": rc, "scipy": "scipy" in sys.modules}), file=sys.stderr)
+loaded = [name for name in ("scipy", "scipy.optimize") if name in sys.modules]
+print(json.dumps({"rc": rc, "loaded": loaded}), file=sys.stderr)
 """
 
 
@@ -34,12 +39,13 @@ def run_python(*args):
 
 
 def run_cli(*args):
-    """(document, scipy loaded) of one CLI run in a fresh interpreter."""
+    """(document, loaded modules among scipy and scipy.optimize) of one CLI
+    run in a fresh interpreter."""
     proc = run_python("-c", CHILD, *args)
     assert proc.returncode == 0, proc.stderr
     status = json.loads(proc.stderr.strip().splitlines()[-1])
     assert status["rc"] == 0, proc.stderr
-    return proc.stdout, status["scipy"]
+    return proc.stdout, status["loaded"]
 
 
 def test_importing_the_package_and_cli_leaves_scipy_out():
@@ -59,26 +65,35 @@ def test_importing_the_package_and_cli_leaves_scipy_out():
     ids=lambda args: args[0],
 )
 def test_commands_that_do_not_fit_never_import_scipy(args):
-    document, scipy_loaded = run_cli(*args)
+    document, loaded = run_cli(*args)
     assert document
-    assert not scipy_loaded
+    assert not loaded
 
 
-def test_rb_still_fits():
-    document, scipy_loaded = run_cli(
-        "rb", "--lengths", "20,60", "--sequences", "3", "--shots", "20", "--noise", "depol", "--depol", "1e-3"
-    )
+def assert_converged_without_scipy_optimize(document, loaded):
     fit = json.loads(document)["fit"]
     assert 0 < fit["epsilon"] < 0.49 and 0 < fit["amplitude"] <= 0.6
     assert fit["converged"]
-    assert scipy_loaded
+    assert loaded == ["scipy"]
+
+
+def test_rb_still_fits():
+    assert_converged_without_scipy_optimize(*run_cli(
+        "rb", "--lengths", "20,60", "--sequences", "3", "--shots", "20", "--noise", "depol", "--depol", "1e-3"
+    ))
+
+
+def test_full_tier_rb_still_fits():
+    assert_converged_without_scipy_optimize(*run_cli(
+        "rb", "--tier", "full", "--lengths", "8,24", "--sequences", "2", "--shots", "2", "--detuning-hz", "2e4"
+    ))
 
 
 def test_walsh_still_fits():
-    document, scipy_loaded = run_cli(
+    document, loaded = run_cli(
         "walsh", "--max-order", "2", "--n-pulses", "16", "--shots", "200", "--sweep", "4,16"
     )
     doc = json.loads(document)
     assert np.isfinite(doc["sigma_rel"]) and doc["sigma_rel"] > 0
     assert set(doc["coefficients"]) == {"1", "2"}
-    assert scipy_loaded
+    assert "scipy.optimize" in loaded
