@@ -148,8 +148,11 @@ class SimulatedQubitTestbed:
 
         ``phases`` are effective pulse phases (sign flips folded in as a
         pi offset).  Each shot advances the wall clock by the sequence
-        duration plus the per-shot overhead.
+        duration plus the per-shot overhead.  Raises ``ValueError`` unless
+        ``shots >= 1``.
         """
+        if shots < 1:
+            raise ValueError(f"shots must be at least 1, got {shots}")
         phases = np.asarray(phases, dtype=float)
         n_pulses = len(phases)
         duration = n_pulses * (self.t_half_pi + self.gap_time)

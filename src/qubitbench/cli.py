@@ -449,13 +449,17 @@ def _cmd_walsh(resolved: dict, seed: int, fmt: str) -> dict:
 
 
 def _cmd_phase_noise(resolved: dict, seed: int, fmt: str) -> dict:
+    # checked here, not after the chi curves and the T2 root-find
+    taus = _parse_float_list(resolved["taus"])
+    delays = _parse_float_list(resolved["irmb_delays"])
+    if not all(0 <= t < np.inf for t in taus + delays):
+        raise ValueError("taus and irmb_delays must be finite and non-negative")
     if resolved["ssb"]:
         with open(resolved["ssb"]) as fh:
             curve = SSBCurve.from_csv(fh.read())
         psd = PhasePSD.from_ssb(curve)
     else:
         psd = presets.default_phase_psd()
-    taus = _parse_float_list(resolved["taus"])
     rows = []
     for tau in taus:
         chi_r = chi_ramsey(psd, tau)
@@ -474,7 +478,6 @@ def _cmd_phase_noise(resolved: dict, seed: int, fmt: str) -> dict:
     if resolved["predict_t2"]:
         payload["t2_ramsey_s"] = predict_t2(psd, "ramsey", bracket=(1e-2, 1e4))
     if resolved["irmb_delays"]:
-        delays = _parse_float_list(resolved["irmb_delays"])
         eps = predict_irmb(psd, delays)
         payload["irmb_prediction"] = [
             {"delay": d, "epsilon_increase": float(e)} for d, e in zip(delays, eps)

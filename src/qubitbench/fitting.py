@@ -19,15 +19,16 @@ forward difference (``'2-point'``, absolute step 1e-8, the step reversed where
 it would cross an upper bound), formed in that same call from each point and
 its two stepped copies.  Every fit takes the iterates that
 ``scipy.optimize.minimize(method="L-BFGS-B")`` with finite differences would
-give; fits it leaves unconverged get a Nelder-Mead polish.  While the kernel
-runs, the OpenBLAS it calls is held to one thread.
+give; fits it leaves unconverged get a Nelder-Mead polish (``_nelder_mead``,
+a port of scipy's bounded Nelder-Mead with the same iterates).  While the
+kernel runs, the OpenBLAS it calls is held to one thread.
 
 The kernel is one compiled extension, loaded from its file in scipy's
 package directory (``_kernel``) so that a fit does not run the
 ``scipy.optimize`` package init, about half a second of ``scipy.linalg``,
-``sparse``, ``special`` and more.  A fit that converges therefore loads only
-``scipy`` and the kernel; ``scipy.optimize`` is imported only when a fit
-needs the Nelder-Mead polish.
+``sparse``, ``special`` and more.  A fit, polished or not, therefore loads
+only ``scipy`` and the kernel: ``rb`` and ``irmb`` never import
+``scipy.optimize``; of the commands, only ``walsh`` does.
 
 The module also holds the small estimators shared by the calibration,
 idle-rate and delay-scan analyses, each written once: ``binomial_variance``
@@ -64,6 +65,7 @@ _AMP_BOUNDS = (1e-3, 0.6)
 # gradient's step rule and the boundary flag alike
 _LOWER = np.array([np.log(_EPS_BOUNDS[0]), _AMP_BOUNDS[0]])
 _UPPER = np.array([np.log(_EPS_BOUNDS[1]), _AMP_BOUNDS[1]])
+# the same bounds as the (low, high) pairs scipy's minimize takes
 _BOUNDS = list(zip(_LOWER, _UPPER))
 # L-BFGS-B's default absolute finite-difference step
 _FD_STEP = 1e-8
@@ -78,6 +80,8 @@ _MAXCOR, _MAXLS = 10, 20
 _MAXITER, _MAXFUN = 500, 5000
 # bootstrap refits run through L-BFGS-B together in blocks of this many
 _BLOCK = 25
+# the polish's Nelder-Mead stop rule: simplex size, value spread, iterations
+_NM_XATOL, _NM_FATOL, _NM_MAXITER = 1e-8, 1e-10, 4000
 # the kernel's stop codes, task[0] and task[1], as scipy's _lbfgsb_py words them
 _STATUS_MESSAGES = dict(enumerate(
     ("START", "NEW_X", "RESTART", "FG", "CONVERGENCE", "STOP", "WARNING", "ERROR", "ABNORMAL")))
@@ -301,29 +305,90 @@ def _lbfgsb(x0, lengths, k, n):
     return x, f, task[:, 0] == 4, message
 
 
+def _nelder_mead(x0, lengths, k, n):
+    """Nelder-Mead from ``x0`` on the counts ``k``, clipped to the bounds.
+    Returns ``(x, fun, success, message)``.
+
+    This is scipy 1.17.1's ``minimize(method="Nelder-Mead")`` with
+    ``bounds=_BOUNDS`` and ``xatol``, ``fatol``, ``maxiter`` from
+    ``_NM_XATOL``, ``_NM_FATOL``, ``_NM_MAXITER``, step for step: the same
+    numpy operations in the same order, with its non-adaptive coefficients
+    (reflect 1, expand 2, contract and shrink 1/2) multiplied out, so every
+    iterate is scipy's.  What cannot run inside these bounds is left out:
+    the start simplex's ``zdelt`` for a zero coordinate (``log eps <= log
+    0.49`` and ``A >= 1e-3`` are never 0), the evaluation limit (unset, so
+    infinite), the warning for a start outside the bounds (L-BFGS-B's ``x``
+    is inside), and the adaptive coefficients, given simplex, history and
+    callback, which the polish never asks for.
+    """
+    def f(point):
+        return _neg_log_likelihood(np.copy(point), lengths, k, n)
+
+    x0 = np.clip(x0, _LOWER, _UPPER)
+    # each vertex past x0 scales one coordinate by 1.05; one past an upper
+    # bound is reflected into the box, then clipped to it
+    sim = np.vstack([x0, np.where(np.eye(2, dtype=bool), (1 + 0.05) * x0, x0)])
+    sim = np.where(sim > _UPPER, 2 * _UPPER - sim, sim)
+    sim = np.clip(sim, _LOWER, _UPPER)
+    fsim = np.array([f(vertex) for vertex in sim])
+    for _ in range(2):  # scipy sorts twice after the first evaluations
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < _NM_MAXITER:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _NM_XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / 2
+        xr = np.clip(2 * xbar - sim[-1], _LOWER, _UPPER)
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = np.clip(3 * xbar - 2 * sim[-1], _LOWER, _UPPER)
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contract outside
+                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], _LOWER, _UPPER)
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:  # contract inside
+                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], _LOWER, _UPPER)
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in (1, 2):
+                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), _LOWER, _UPPER)
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    if iterations >= _NM_MAXITER:
+        return sim[0], np.min(fsim), False, "Maximum number of iterations has been exceeded."
+    return sim[0], np.min(fsim), True, "Optimization terminated successfully."
+
+
 def _fit(x0, lengths, k, n):
     """``_lbfgsb``, then a derivative-free polish of every row it left
     unconverged.  Returns ``(x, fun, success, message)``."""
     x, fun, success, message = _lbfgsb(x0, lengths, k, n)
     for r in np.flatnonzero(~success):
-        from scipy.optimize import minimize  # only a polish needs it: ~0.5 s import
-
         # next to the optimum the line search can fail even along the plain
         # gradient, with no stored corrections left (task ABNORMAL): the
         # likelihood has a kink where the model reaches the clip at
         # 1 - _P_CLIP, and with p near 1 its curvature in A is so large that
         # the forward difference's error, step * f'' / 2, outweighs the true
         # gradient; polish with a derivative-free step instead
-        polish = minimize(
-            _neg_log_likelihood,
-            x0=x[r],
-            args=(lengths, k[r], n),
-            method="Nelder-Mead",
-            bounds=_BOUNDS,
-            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000},
-        )
-        if polish.fun <= fun[r]:
-            x[r], fun[r], success[r], message[r] = polish.x, polish.fun, polish.success, polish.message
+        polish = _nelder_mead(x[r], lengths, k[r], n)
+        if polish[1] <= fun[r]:
+            x[r], fun[r], success[r], message[r] = polish
     return x, fun, success, message
 
 

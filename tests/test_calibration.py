@@ -52,6 +52,13 @@ class TestTestbed:
         per_shot = 9 * (tb.t_half_pi + tb.gap_time) + tb.shot_overhead
         assert tb.clock == pytest.approx(100 * per_shot, rel=1e-9)
 
+    @pytest.mark.parametrize("shots", [0, -3])
+    def test_needs_at_least_one_shot(self, shots):
+        tb = SimulatedQubitTestbed(master_seed=44)
+        with pytest.raises(ValueError, match="at least 1"):
+            tb.run_train(np.zeros(9), shots)
+        assert tb.clock == 0.0
+
     def test_constant_offset_train_matches_closed_form(self):
         x = 3.1e-4
         tb = _quiet_testbed(2, amp_drift=_const(x))

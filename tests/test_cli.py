@@ -219,6 +219,11 @@ class TestErrorsAndOutput:
             (*TINY_RB, "--motional", "2"),
             (*TINY_RB, "--fit", "-1"),
             ("phase-noise", "--predict-t2", "2"),
+            # list values checked before any chi curve is computed
+            ("phase-noise", "--irmb-delays=-1e-6"),
+            ("phase-noise", "--taus", "1,nan"),
+            ("walsh", "--shots", "0"),
+            ("walsh", "--shots", "-3"),
             ("budget", "--curve", "2"),
             ("rb", "--config", {**TINY_RB_CONFIG, "motional": 2}),
         ],

@@ -353,6 +353,89 @@ class TestGradientInOneCall:
         assert any(fit.at_boundary for fit, _ in refits)
 
 
+# counts on which L-BFGS-B stops short (task ABNORMAL) and the polish runs
+_POLISHED = ([100.0, 300, 1000, 3000, 10000], [3000, 3000, 2999, 2999, 2994], [3000] * 5)
+
+
+def _assert_nelder_mead_is_scipys(x0, lengths, k, n):
+    """``_nelder_mead`` evaluates scipy's Nelder-Mead points in scipy's order
+    and returns its ``x``, ``fun``, ``success`` and ``message`` bit for bit;
+    returns scipy's result."""
+    from scipy.optimize import minimize
+
+    scipy_points, points = [], []
+
+    def recording(seen):
+        def nll(params, *args):
+            seen.append(params.tolist())
+            return nll_of(params, *args)
+        return nll
+
+    nll_of = fitting._neg_log_likelihood
+    res = minimize(recording(scipy_points), x0, args=(lengths, k, n), method="Nelder-Mead",
+                   bounds=fitting._BOUNDS,
+                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": fitting._NM_MAXITER})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "_neg_log_likelihood", recording(points))
+        x, fun, success, message = fitting._nelder_mead(np.array(x0, dtype=float), lengths, k, n)
+    assert points == scipy_points
+    assert (x.tobytes(), fun, success, message) == (res.x.tobytes(), res.fun, res.success, res.message)
+    assert type(fun) is type(res.fun)
+    return res
+
+
+class TestNelderMead:
+    """The polish is scipy's bounded Nelder-Mead, step for step."""
+
+    @given(
+        log_eps=st.floats(fitting._LOWER[0], fitting._UPPER[0]),
+        amp=st.floats(fitting._LOWER[1], fitting._UPPER[1]),
+        log10_eps=st.floats(-8.0, -1.0),
+        true_amp=st.floats(0.05, 0.6),
+        lengths=st.lists(st.sampled_from([1, 10, 30, 100, 300, 1000, 3000, 10000]),
+                         min_size=1, max_size=5, unique=True),
+        shots=st.sampled_from([100, 1000, 3000]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scipy_from_anywhere_in_the_box(self, log_eps, amp, log10_eps, true_amp, lengths, shots, seed):
+        lengths, k, n = fitting._pool(*_synthetic_counts(rng_stream(seed, 7), lengths, shots, 10**log10_eps, true_amp))
+        _assert_nelder_mead_is_scipys([log_eps, amp], lengths, k, n)
+
+    def test_a_start_on_the_amplitude_bound_is_reflected(self):
+        # the start simplex scales A by 1.05, past its upper bound
+        lengths, k, n = fitting._pool(*map(np.array, _POLISHED))
+        x0 = [np.log(1e-7), fitting._UPPER[1]]
+        assert 1.05 * x0[1] > fitting._UPPER[1]
+        assert _assert_nelder_mead_is_scipys(x0, lengths, k, n).success
+
+    def test_a_shrinking_run(self):
+        lengths, k, n = fitting._pool(np.array([10.0, 100, 1000]), np.array([200, 200, 199]), np.full(3, 200))
+        res = _assert_nelder_mead_is_scipys([np.log(1e-4), 0.5], lengths, k, n)
+        # 3 start evaluations, then at most 2 per iteration unless it shrinks
+        assert res.nfev - 3 > 2 * (res.nit - 1)
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 7])
+    def test_stops_at_the_iteration_limit(self, monkeypatch, maxiter):
+        monkeypatch.setattr(fitting, "_NM_MAXITER", maxiter)
+        lengths, k, n = fitting._pool(*map(np.array, _POLISHED))
+        res = _assert_nelder_mead_is_scipys([np.log(1e-4), 0.5], lengths, k, n)
+        assert not res.success and res.nit == maxiter
+
+    @pytest.mark.parametrize("worse", [False, True])
+    def test_a_polish_is_taken_unless_it_is_worse(self, monkeypatch, worse):
+        lengths, k, n = fitting._pool(*map(np.array, _POLISHED))
+        x0 = np.array([fitting._grid_start(lengths, k, n)])
+        x, fun, success, message = fitting._lbfgsb(x0, lengths, k[None], n)
+        assert not success[0]
+        polished = np.array([np.log(2e-7), 0.4])
+        polished_fun = np.nextafter(fun[0], np.inf) if worse else fun[0]
+        monkeypatch.setattr(fitting, "_nelder_mead", lambda *args: (polished, polished_fun, True, "polished"))
+        fit = mle_fit(*map(np.array, _POLISHED))
+        taken = (np.exp(x[0, 0]), x[0, 1], False, message[0]) if worse else (np.exp(polished[0]), 0.4, True, "polished")
+        assert (fit.epsilon, fit.amplitude, fit.converged, fit.message) == taken
+
+
 def _run_child(code):
     """Stdout of ``code`` run in a fresh interpreter from the repository root."""
     root = pathlib.Path(__file__).resolve().parents[1]
@@ -387,7 +470,7 @@ class TestKernel:
         # scipy.optimize imported after the kernel takes the same module, and
         # its minimize still gives the fit's iterates
         cases = ("driver_stops or steps_back or matches_the_finite_difference_fit_through_the_polish"
-                 " or pinned_at_a_bound")
+                 " or pinned_at_a_bound or TestNelderMead")
         _run_child(f"""
 import sys
 import pytest
@@ -397,7 +480,8 @@ assert "scipy.optimize" not in sys.modules
 import scipy.optimize
 from scipy.optimize import _lbfgsb, _lbfgsb_py
 assert sys.modules["scipy.optimize._lbfgsb"] is kernel is _lbfgsb is _lbfgsb_py._lbfgsb
-sys.exit(pytest.main(["{__file__}::TestGradientInOneCall", "-q", "-p", "no:cacheprovider", "-k", "{cases}"]))
+sys.exit(pytest.main(["{__file__}::TestGradientInOneCall", "{__file__}::TestNelderMead", "-q", "-p", "no:cacheprovider",
+                      "-k", "{cases}"]))
 """)
 
     @pytest.mark.parametrize("missing", [False, True], ids=["file", "missing-file"])

@@ -2,12 +2,13 @@
 
 Importing ``scipy.optimize`` takes about half a second, so nothing imports it
 at module level.  The decay fit (``rb``, ``irmb``) loads only ``scipy`` and
-the compiled L-BFGS-B kernel, and imports ``scipy.optimize`` only for a
-Nelder-Mead polish of a fit that did not converge; ``walsh_fit`` imports it
-for ``least_squares``.  These tests run each case in a fresh interpreter and
-look at ``sys.modules``: importing the package and running the commands that
-never fit must leave scipy unloaded, a converged ``rb`` fit must leave
-``scipy.optimize`` unloaded, and ``walsh`` still loads it.
+the compiled L-BFGS-B kernel, and polishes a fit that did not converge with
+its own port of scipy's Nelder-Mead, so it never imports ``scipy.optimize``;
+only ``walsh_fit`` does, for ``least_squares``.  These tests run each case in
+a fresh interpreter and look at ``sys.modules``: importing the package and
+running the commands that never fit must leave scipy unloaded, an ``rb`` fit,
+converged or polished, must leave ``scipy.optimize`` unloaded, and ``walsh``
+still loads it.
 """
 
 import json
@@ -21,14 +22,17 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# runs the CLI in-process, then reports the exit code and which of scipy and
-# scipy.optimize were loaded
+# runs the CLI in-process, then reports the exit code, which of scipy and
+# scipy.optimize were loaded and how many fits went to the Nelder-Mead polish
 CHILD = """
 import json, sys
-from qubitbench import cli
+from qubitbench import cli, fitting
+polishes = []
+nelder_mead = fitting._nelder_mead
+fitting._nelder_mead = lambda *args: polishes.append(1) or nelder_mead(*args)
 rc = cli.main(sys.argv[1:])
 loaded = [name for name in ("scipy", "scipy.optimize") if name in sys.modules]
-print(json.dumps({"rc": rc, "loaded": loaded}), file=sys.stderr)
+print(json.dumps({"rc": rc, "loaded": loaded, "polishes": len(polishes)}), file=sys.stderr)
 """
 
 
@@ -39,13 +43,13 @@ def run_python(*args):
 
 
 def run_cli(*args):
-    """(document, loaded modules among scipy and scipy.optimize) of one CLI
-    run in a fresh interpreter."""
+    """(document, loaded modules among scipy and scipy.optimize, polished
+    fits) of one CLI run in a fresh interpreter."""
     proc = run_python("-c", CHILD, *args)
     assert proc.returncode == 0, proc.stderr
     status = json.loads(proc.stderr.strip().splitlines()[-1])
     assert status["rc"] == 0, proc.stderr
-    return proc.stdout, status["loaded"]
+    return proc.stdout, status["loaded"], status["polishes"]
 
 
 def test_importing_the_package_and_cli_leaves_scipy_out():
@@ -65,22 +69,33 @@ def test_importing_the_package_and_cli_leaves_scipy_out():
     ids=lambda args: args[0],
 )
 def test_commands_that_do_not_fit_never_import_scipy(args):
-    document, loaded = run_cli(*args)
+    document, loaded, _ = run_cli(*args)
     assert document
     assert not loaded
 
 
-def assert_converged_without_scipy_optimize(document, loaded):
+def assert_converged_without_scipy_optimize(document, loaded, polishes):
     fit = json.loads(document)["fit"]
     assert 0 < fit["epsilon"] < 0.49 and 0 < fit["amplitude"] <= 0.6
     assert fit["converged"]
     assert loaded == ["scipy"]
+    return polishes
 
 
 def test_rb_still_fits():
     assert_converged_without_scipy_optimize(*run_cli(
         "rb", "--lengths", "20,60", "--sequences", "3", "--shots", "20", "--noise", "depol", "--depol", "1e-3"
     ))
+
+
+def test_a_polishing_bootstrap_leaves_scipy_optimize_out():
+    # depolarizing data without SPAM: some bootstrap refits stop short in
+    # L-BFGS-B and go to the Nelder-Mead polish
+    polishes = assert_converged_without_scipy_optimize(*run_cli(
+        "rb", "--noise", "depol", "--depol", "1.5e-7", "--lengths", "100,1000,10000", "--sequences", "10",
+        "--shots", "100", "--bootstrap", "20", "--seed", "20260825"
+    ))
+    assert polishes > 0
 
 
 def test_full_tier_rb_still_fits():
@@ -90,7 +105,7 @@ def test_full_tier_rb_still_fits():
 
 
 def test_walsh_still_fits():
-    document, loaded = run_cli(
+    document, loaded, _ = run_cli(
         "walsh", "--max-order", "2", "--n-pulses", "16", "--shots", "200", "--sweep", "4,16"
     )
     doc = json.loads(document)
