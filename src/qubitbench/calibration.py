@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cliffords import apply_ab, pulse_ab
-from .fitting import binomial_variance, inverse_variance_mean
+from .fitting import _levenberg_marquardt, binomial_variance, inverse_variance_mean
 from .noise import LANE_CAL, QuantizerConfig, rng_stream
 
 __all__ = [
@@ -557,32 +557,36 @@ def walsh_fit(
        static offset and the shot-to-shot noise.
 
     Returns a dict with keys ``mean_rel``, ``mean_sigma``, ``sigma_rel``
-    and ``coefficients`` (order -> WalshEstimate).
+    and ``coefficients`` (order -> WalshEstimate).  The inputs are checked
+    before any train runs: ``n_sweep`` must be a non-empty list of positive
+    multiples of 4, ``max_order`` non-negative, and ``n_pulses`` must fit the
+    segments of order ``max_order``.
     """
+    if not n_sweep or any(n4 <= 0 or n4 % 4 for n4 in n_sweep):
+        raise ValueError(f"sweep lengths must be positive multiples of 4, got {list(n_sweep)}")
+    if max_order < 0:
+        raise ValueError(f"max_order must be non-negative, got {max_order}")
+    if max_order > 0:
+        walsh_sign_train(max_order, n_pulses)  # the longest period; raises if it does not fit
     _, ests, sigmas, _ = zip(*(amplitude_cal_step(testbed, _MEAN_N_GROUP, shots) for _ in range(_MEAN_REPEATS)))
     mean_rel, mean_sigma = inverse_variance_mean(ests, sigmas)
 
     ps, ns = [], []
     for n4 in n_sweep:
-        if n4 % 4:
-            raise ValueError("sweep lengths must be multiples of 4")
         bright = testbed.run_train(np.zeros(n4), shots)
         ps.append(bright / shots)
         ns.append(n4)
     ps, ns = np.array(ps), np.array(ns)
 
     def resid(params):
-        model = np.array(
-            [
-                constant_train_p_zero_gaussian(n, mean_rel, np.exp(params[0]))
-                for n in ns
-            ]
-        )
-        return model - ps
+        # the fit may probe a huge log sigma; exp overflows to inf, whose
+        # damping limit of 0 is the right one, so silence only that overflow
+        with np.errstate(over="ignore"):
+            sigma = np.exp(params[0])
+        return np.array([constant_train_p_zero_gaussian(n, mean_rel, sigma) for n in ns]) - ps
 
-    from scipy.optimize import least_squares  # here, not at module level: ~0.5 s import
-    sol = least_squares(resid, x0=np.array([np.log(1e-4)]), method="lm")
-    sigma_rel = float(np.exp(sol.x[0]))
+    # scipy's least_squares(method="lm") on MINPACK alone: no scipy.optimize import
+    sigma_rel = float(np.exp(_levenberg_marquardt(resid, np.array([np.log(1e-4)]))[0]))
 
     coefficients = {}
     for order in range(1, max_order + 1):

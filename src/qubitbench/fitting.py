@@ -27,8 +27,10 @@ The kernel is one compiled extension, loaded from its file in scipy's
 package directory (``_kernel``) so that a fit does not run the
 ``scipy.optimize`` package init, about half a second of ``scipy.linalg``,
 ``sparse``, ``special`` and more.  A fit, polished or not, therefore loads
-only ``scipy`` and the kernel: ``rb`` and ``irmb`` never import
-``scipy.optimize``; of the commands, only ``walsh`` does.
+only ``scipy`` and the kernel.  The same loader serves MINPACK's ``lmder``
+(``_minpack``) to ``_levenberg_marquardt``, a port of scipy's
+``least_squares(method="lm")`` with the same iterates, which fits the
+spread in ``calibration.walsh_fit``.  No command imports ``scipy.optimize``.
 
 The module also holds the small estimators shared by the calibration,
 idle-rate and delay-scan analyses, each written once: ``binomial_variance``
@@ -141,10 +143,16 @@ def _pool(lengths, successes, shots):
     return uniq, k, n
 
 
+def _clip(x):
+    """``x`` clipped to the fit's bounds; ``np.clip``'s bits for finite and
+    NaN input (the bounds are never 0), at a third of its call cost."""
+    return np.minimum(np.maximum(x, _LOWER), _UPPER)
+
+
 def _nll(log_eps, amplitude, lengths, k, n):
     """Binomial negative log-likelihood of pooled counts, summed over the
     last axis; ``log_eps`` and ``amplitude`` broadcast against it."""
-    p = np.clip(amplitude * (1.0 - 2.0 * np.exp(log_eps)) ** lengths + 0.5, _P_CLIP, 1.0 - _P_CLIP)
+    p = np.minimum(np.maximum(amplitude * (1.0 - 2.0 * np.exp(log_eps)) ** lengths + 0.5, _P_CLIP), 1.0 - _P_CLIP)
     return -(k * np.log(p) + (n - k) * np.log1p(-p)).sum(axis=-1)
 
 
@@ -171,26 +179,27 @@ def _nll_and_grad(x, lengths, k, n):
 
 
 @functools.cache
-def _kernel():
-    """scipy's compiled L-BFGS-B module, ``scipy.optimize._lbfgsb``.
+def _kernel(name):
+    """scipy's compiled module ``scipy.optimize.<name>``: ``_lbfgsb``
+    (L-BFGS-B's ``setulb``) or ``_minpack`` (MINPACK's ``lmder``).
 
     Where it is not imported yet, its extension file is loaded on its own and
     registered under its full name, so the ``scipy.optimize`` package init
     does not run, and a later ``import scipy.optimize`` takes this same
     module.  Without that file the plain import stands in.
     """
-    name = "scipy.optimize._lbfgsb"
-    if name not in sys.modules:
+    full_name = f"scipy.optimize.{name}"
+    if full_name not in sys.modules:
         import scipy
 
-        stem = os.path.join(scipy.__path__[0], "optimize", "_lbfgsb")
+        stem = os.path.join(scipy.__path__[0], "optimize", name)
         path = next((stem + s for s in importlib.machinery.EXTENSION_SUFFIXES if os.path.isfile(stem + s)), None)
         if path is not None:
-            spec = importlib.util.spec_from_file_location(name, path)
+            spec = importlib.util.spec_from_file_location(full_name, path)
             module = importlib.util.module_from_spec(spec)
-            sys.modules[name] = module
+            sys.modules[full_name] = module
             spec.loader.exec_module(module)
-    return importlib.import_module(name)
+    return importlib.import_module(full_name)
 
 
 @functools.cache
@@ -205,7 +214,7 @@ def _blas_threads():
     import ctypes
 
     try:
-        lib = ctypes.CDLL(_kernel().__file__)
+        lib = ctypes.CDLL(_kernel("_lbfgsb").__file__)
     except OSError:
         return None
 
@@ -257,9 +266,9 @@ def _lbfgsb(x0, lengths, k, n):
     The gradient's 3 likelihood points count once, so ``_MAXFUN`` 5000 stops
     where scipy's default of 15000 did with its own finite differences.
     """
-    setulb = _kernel().setulb
+    setulb = _kernel("_lbfgsb").setulb
     rows = len(x0)
-    x = np.clip(x0, _LOWER, _UPPER)
+    x = _clip(x0)
     evaluated = x.copy()
     nfev = np.ones(rows, dtype=int)
     nit = np.zeros(rows, dtype=int)
@@ -312,8 +321,9 @@ def _nelder_mead(x0, lengths, k, n):
     This is scipy 1.17.1's ``minimize(method="Nelder-Mead")`` with
     ``bounds=_BOUNDS`` and ``xatol``, ``fatol``, ``maxiter`` from
     ``_NM_XATOL``, ``_NM_FATOL``, ``_NM_MAXITER``, step for step: the same
-    numpy operations in the same order, with its non-adaptive coefficients
-    (reflect 1, expand 2, contract and shrink 1/2) multiplied out, so every
+    arithmetic in the same order, with its non-adaptive coefficients
+    (reflect 1, expand 2, contract and shrink 1/2) multiplied out, and
+    scipy's ``np.clip`` as ``_clip``, which gives the same bits, so every
     iterate is scipy's.  What cannot run inside these bounds is left out:
     the start simplex's ``zdelt`` for a zero coordinate (``log eps <= log
     0.49`` and ``A >= 1e-3`` are never 0), the evaluation limit (unset, so
@@ -324,12 +334,12 @@ def _nelder_mead(x0, lengths, k, n):
     def f(point):
         return _neg_log_likelihood(np.copy(point), lengths, k, n)
 
-    x0 = np.clip(x0, _LOWER, _UPPER)
+    x0 = _clip(x0)
     # each vertex past x0 scales one coordinate by 1.05; one past an upper
     # bound is reflected into the box, then clipped to it
     sim = np.vstack([x0, np.where(np.eye(2, dtype=bool), (1 + 0.05) * x0, x0)])
     sim = np.where(sim > _UPPER, 2 * _UPPER - sim, sim)
-    sim = np.clip(sim, _LOWER, _UPPER)
+    sim = _clip(sim)
     fsim = np.array([f(vertex) for vertex in sim])
     for _ in range(2):  # scipy sorts twice after the first evaluations
         ind = np.argsort(fsim)
@@ -342,28 +352,28 @@ def _nelder_mead(x0, lengths, k, n):
                 and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL):
             break
         xbar = np.add.reduce(sim[:-1], 0) / 2
-        xr = np.clip(2 * xbar - sim[-1], _LOWER, _UPPER)
+        xr = _clip(2 * xbar - sim[-1])
         fxr = f(xr)
         if fxr < fsim[0]:
-            xe = np.clip(3 * xbar - 2 * sim[-1], _LOWER, _UPPER)
+            xe = _clip(3 * xbar - 2 * sim[-1])
             fxe = f(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # contract outside
-                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], _LOWER, _UPPER)
+                xc = _clip(1.5 * xbar - 0.5 * sim[-1])
                 fxc = f(xc)
                 shrink = not fxc <= fxr
             else:  # contract inside
-                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], _LOWER, _UPPER)
+                xc = _clip(0.5 * xbar + 0.5 * sim[-1])
                 fxc = f(xc)
                 shrink = not fxc < fsim[-1]
             if not shrink:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 for j in (1, 2):
-                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), _LOWER, _UPPER)
+                    sim[j] = _clip(sim[0] + 0.5 * (sim[j] - sim[0]))
                     fsim[j] = f(sim[j])
         iterations += 1
         ind = np.argsort(fsim)
@@ -373,6 +383,50 @@ def _nelder_mead(x0, lengths, k, n):
     if iterations >= _NM_MAXITER:
         return sim[0], np.min(fsim), False, "Maximum number of iterations has been exceeded."
     return sim[0], np.min(fsim), True, "Optimization terminated successfully."
+
+
+def _levenberg_marquardt(fun, x0):
+    """The ``x`` that minimizes ``sum(fun(x)**2)``, found from ``x0`` by
+    MINPACK's ``lmder``.
+
+    This is scipy 1.17.1's ``least_squares(fun, x0, method="lm")`` for a
+    dense problem without bounds: ``ftol``, ``xtol`` and ``gtol`` 1e-8, at
+    most ``100 n`` residual calls, step bound factor 100 and no ``diag``
+    (``x_scale='jac'``).  The Jacobian is scipy's ``'2-point'`` rule, step
+    ``h = sqrt(eps) sign(x) max(1, |x|)`` with ``sign(0) = 1``, divided by
+    ``(x + h) - x``.  As in scipy's ``VectorFunction``, the last residual is
+    kept with its point (MINPACK's shape probe and first call both ask for
+    ``x0``); the difference steps go around it.  So every residual point is
+    scipy's, in scipy's order, and ``x`` is scipy's to the bit.  Raises
+    ``ValueError`` where ``least_squares`` does: for residuals that are not
+    finite at ``x0``, or fewer residuals than parameters.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    last = []  # the point the residuals were last evaluated at, and their values
+
+    def residuals(x):
+        if not last or not np.array_equal(x, last[0]):
+            last[:] = np.copy(x), np.atleast_1d(fun(np.copy(x)))
+        return np.copy(last[1])
+
+    def jacobian(x):
+        f0 = residuals(x)
+        h = np.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+        columns = []
+        for i in range(x.size):
+            stepped = np.copy(x)
+            stepped[i] = x[i] + h[i]
+            columns.append((np.atleast_1d(fun(stepped)) - f0) / ((x[i] + h[i]) - x[i]))
+        return np.stack(columns, axis=1)
+
+    f0 = residuals(x0)
+    if not np.all(np.isfinite(f0)):
+        raise ValueError("Residuals are not finite in the initial point.")
+    if f0.size < x0.size:
+        raise ValueError("Method 'lm' doesn't work when the number of residuals is less than the number of variables.")
+    x, _, _ = _kernel("_minpack")._lmder(
+        residuals, jacobian, np.copy(x0), (), True, False, 1e-8, 1e-8, 1e-8, 100 * x0.size, 100.0, None)
+    return x
 
 
 def _fit(x0, lengths, k, n):

@@ -254,6 +254,26 @@ class TestWalshFit:
         assert res["sigma_rel"] == pytest.approx(1.4571e-4, rel=0.25)
         assert set(res["coefficients"]) == set(range(1, 8))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_sweep": []},
+            {"n_sweep": [4, -4]},
+            {"n_sweep": [0]},
+            {"n_sweep": [4, 6]},
+            {"max_order": -1},
+            {"max_order": 3, "n_pulses": 6},
+        ],
+        ids=["empty-sweep", "negative-length", "zero-length", "not-a-multiple-of-4", "negative-order", "n-pulses"],
+    )
+    def test_rejects_bad_input_before_any_train(self, kwargs, monkeypatch):
+        tb = SimulatedQubitTestbed(master_seed=3)
+        trains = []
+        monkeypatch.setattr(tb, "run_train", lambda *args: trains.append(args))
+        with pytest.raises(ValueError):
+            walsh_fit(tb, **kwargs)
+        assert trains == []
+
     def test_mean_is_near_zero_without_quantizer(self):
         tb = SimulatedQubitTestbed(master_seed=7, quantizer=None)
         res = walsh_fit(tb)

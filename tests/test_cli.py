@@ -224,6 +224,12 @@ class TestErrorsAndOutput:
             ("phase-noise", "--taus", "1,nan"),
             ("walsh", "--shots", "0"),
             ("walsh", "--shots", "-3"),
+            # walsh inputs checked before any train runs
+            ("walsh", "--sweep="),
+            ("walsh", "--sweep", "-4"),
+            ("walsh", "--sweep", "0"),
+            ("walsh", "--sweep", "4,0,16"),
+            ("walsh", "--max-order", "-1"),
             ("budget", "--curve", "2"),
             ("rb", "--config", {**TINY_RB_CONFIG, "motional": 2}),
         ],
@@ -407,6 +413,15 @@ class TestSubcommands:
         assert doc["sigma_rel"] > 0
         for entry in doc["coefficients"].values():
             assert {"coefficient", "sigma", "n_pulses", "p_zero"} <= set(entry)
+
+    @pytest.mark.parametrize("seed", ["20260834", "20260839"])
+    def test_walsh_spread_fit_writes_no_warning(self, seed):
+        # the fit probes a log spread whose exp overflows at these seeds
+        proc = run_cli("walsh", "--max-order", "2", "--n-pulses", "16", "--shots", "200",
+                       "--sweep", "4,16", "--seed", seed)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert json.loads(proc.stdout)["sigma_rel"] > 0
 
     def test_phase_noise_default_psd(self):
         proc = run_cli("phase-noise", "--taus", "1,10", "--irmb-delays", "1e-6,1e-5")

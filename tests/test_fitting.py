@@ -436,6 +436,127 @@ class TestNelderMead:
         assert (fit.epsilon, fit.amplitude, fit.converged, fit.message) == taken
 
 
+def _walsh_residual(ns, ps, mean_rel):
+    """``walsh_fit``'s residual in the log spread: the Gaussian-noise bright
+    probability of each unmodulated train minus its measured frequency."""
+    from qubitbench.calibration import constant_train_p_zero_gaussian
+
+    def residual(params):
+        with np.errstate(over="ignore"):
+            sigma = np.exp(params[0])
+        return np.array([constant_train_p_zero_gaussian(n, mean_rel, sigma) for n in ns]) - ps
+
+    return residual
+
+
+def _assert_levenberg_marquardt_is_scipys(fun, x0):
+    """``_levenberg_marquardt`` evaluates ``least_squares(method="lm")``'s
+    residual points in scipy's order and returns its ``x`` bit for bit;
+    returns ``(x, points)``.  scipy's post-fit Jacobian, which the port does
+    not form, may add up to two points after the fit's last."""
+    from scipy.optimize import least_squares
+
+    scipy_points, points = [], []
+
+    def recording(seen):
+        def residual(x):
+            seen.append(np.array(x).tobytes())
+            return fun(x)
+        return residual
+
+    res = least_squares(recording(scipy_points), x0, method="lm")
+    x = fitting._levenberg_marquardt(recording(points), x0)
+    assert points == scipy_points[:len(points)]
+    assert len(scipy_points) - len(points) in (0, 1, 2)
+    assert x.tobytes() == res.x.tobytes()
+    return x, points
+
+
+class TestLevenbergMarquardt:
+    """The spread fit is scipy's ``least_squares(method="lm")``, point for
+    point, on MINPACK alone."""
+
+    @given(
+        sweep=st.lists(st.sampled_from([4, 8, 16, 32, 64, 128, 256, 1024, 2048, 4096]),
+                       min_size=1, max_size=6, unique=True),
+        shots=st.sampled_from([50, 200, 1000]),
+        mean_rel=st.floats(-2e-3, 2e-3),
+        true_sigma=st.one_of(st.none(), st.floats(1e-6, 1e-2)),
+        log_sigma0=st.one_of(st.just(float(np.log(1e-4))), st.floats(-14.0, -2.0)),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_on_drawn_sweeps(self, sweep, shots, mean_rel, true_sigma, log_sigma0, data):
+        from qubitbench.calibration import constant_train_p_zero_gaussian
+
+        ns = np.array(sorted(sweep))
+        if true_sigma is None:  # any counts at all
+            counts = data.draw(st.lists(st.integers(0, shots), min_size=ns.size, max_size=ns.size))
+        else:  # binomial counts of the model itself
+            p = [constant_train_p_zero_gaussian(n, mean_rel, true_sigma) for n in ns]
+            counts = rng_stream(data.draw(st.integers(0, 2**16)), 7).binomial(shots, p)
+        _assert_levenberg_marquardt_is_scipys(
+            _walsh_residual(ns, np.asarray(counts) / shots, mean_rel), np.array([log_sigma0]))
+
+    @pytest.mark.parametrize("x0", [(0.0, 0.0), (-1.5, 2.0), (3.0, -0.5)])
+    def test_matches_scipy_with_two_parameters(self, x0):
+        # a decay a exp(-b t) through noisy points; the starts cover sign(0) = +1
+        t = np.linspace(0.0, 4.0, 9)
+        y = 2.0 * np.exp(-0.7 * t) + 0.01 * np.cos(5 * t)
+        _assert_levenberg_marquardt_is_scipys(lambda x: x[0] * np.exp(-x[1] * t) - y, np.array(x0))
+
+    def test_stops_where_scipy_stops_at_the_evaluation_limit(self):
+        # a quintic root: LM closes in linearly and reaches 100 n residual calls
+        from scipy.optimize import least_squares
+
+        def fun(x):
+            return np.array([x[0] ** 5, x[0] ** 5])
+
+        assert least_squares(fun, np.array([1.0]), method="lm").status == 0
+        _assert_levenberg_marquardt_is_scipys(fun, np.array([1.0]))
+
+    @pytest.mark.parametrize("seed", ["20260834", "20260839"])
+    def test_matches_scipy_in_walsh_where_the_spread_overflows(self, seed, monkeypatch, capsys):
+        # at these seeds the fit probes a log spread whose exp overflows
+        from qubitbench import calibration, cli
+
+        points = []
+
+        def checked(fun, x0):
+            x, seen = _assert_levenberg_marquardt_is_scipys(fun, x0)
+            points.extend(seen)
+            return x
+
+        monkeypatch.setattr(calibration, "_levenberg_marquardt", checked)
+        argv = ["walsh", "--max-order", "2", "--n-pulses", "16", "--shots", "200", "--sweep", "4,16", "--seed", seed]
+        assert cli.main(argv) == 0
+        assert max(np.frombuffer(p)[0] for p in points) > np.log(np.finfo(float).max)
+        document = capsys.readouterr().out
+        monkeypatch.undo()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == document
+
+    @pytest.mark.parametrize(
+        "fun, x0",
+        [
+            (lambda x: np.zeros(0), [np.log(1e-4)]),  # an empty sweep
+            (lambda x: np.array([x[0] + x[1]]), [0.5, 1.0]),
+            (lambda x: np.array([np.inf, x[0]]), [0.5]),
+            (lambda x: np.array([x[0], np.nan]), [0.5]),
+        ],
+        ids=["no-residuals", "fewer-residuals", "inf", "nan"],
+    )
+    def test_rejects_what_scipy_rejects(self, fun, x0):
+        from scipy.optimize import least_squares
+
+        # scipy differences the residuals at x0 before it checks them: inf - inf
+        with pytest.raises(ValueError) as scipy_error, np.errstate(invalid="ignore"):
+            least_squares(fun, np.array(x0), method="lm")
+        with pytest.raises(ValueError) as error:
+            fitting._levenberg_marquardt(fun, np.array(x0))
+        assert str(error.value) == str(scipy_error.value)
+
+
 def _run_child(code):
     """Stdout of ``code`` run in a fresh interpreter from the repository root."""
     root = pathlib.Path(__file__).resolve().parents[1]
@@ -448,17 +569,19 @@ def _run_child(code):
 
 # (lengths, successes, shots) of a fit that converges without the polish
 _CONVERGING = ([30.0, 300.0, 3000.0], [1900, 1700, 1300], [2000, 2000, 2000])
+# factors of a one-parameter least-squares problem
+_DECAY = [0.9, 0.5, 0.3]
 
 
 class TestKernel:
-    """The L-BFGS-B kernel is scipy's own extension module, loaded without
-    the ``scipy.optimize`` package."""
+    """The L-BFGS-B and MINPACK kernels are scipy's own extension modules,
+    loaded without the ``scipy.optimize`` package."""
 
     def test_is_scipys_extension_module(self):
         from scipy.optimize import _lbfgsb
 
-        assert fitting._kernel().__file__ == _lbfgsb.__file__
-        assert fitting._kernel() is _lbfgsb
+        assert fitting._kernel("_lbfgsb").__file__ == _lbfgsb.__file__
+        assert fitting._kernel("_lbfgsb") is _lbfgsb
 
     def test_message_tables_are_scipys(self):
         from scipy.optimize._lbfgsb_py import status_messages, task_messages
@@ -475,7 +598,7 @@ class TestKernel:
 import sys
 import pytest
 from qubitbench import fitting
-kernel = fitting._kernel()
+kernel = fitting._kernel("_lbfgsb")
 assert "scipy.optimize" not in sys.modules
 import scipy.optimize
 from scipy.optimize import _lbfgsb, _lbfgsb_py
@@ -497,6 +620,43 @@ fit = fitting.mle_fit(*map(np.array, {_CONVERGING!r}))
 print(json.dumps([repr(fit), "scipy.optimize" in sys.modules]))
 """)
         assert json.loads(out) == [repr(mle_fit(*map(np.array, _CONVERGING))), missing]
+
+    def test_minpack_is_scipys_extension_module(self):
+        from scipy.optimize import _minpack
+
+        assert fitting._kernel("_minpack").__file__ == _minpack.__file__
+        assert fitting._kernel("_minpack") is _minpack
+
+    def test_minpack_loaded_first_serves_scipy_optimize_too(self):
+        # scipy.optimize imported after MINPACK takes the same module, and its
+        # least_squares still gives the port's points
+        _run_child(f"""
+import sys
+import pytest
+from qubitbench import fitting
+kernel = fitting._kernel("_minpack")
+assert "scipy.optimize" not in sys.modules
+import scipy.optimize
+from scipy.optimize import _minpack, _minpack_py
+assert sys.modules["scipy.optimize._minpack"] is kernel is _minpack is _minpack_py._minpack
+sys.exit(pytest.main(["{__file__}::TestLevenbergMarquardt", "-q", "-p", "no:cacheprovider",
+                      "-k", "two_parameters or rejects"]))
+""")
+
+    @pytest.mark.parametrize("missing", [False, True], ids=["file", "missing-file"])
+    def test_the_spread_fit_imports_scipy_optimize_only_without_the_file(self, missing):
+        # with the extension file made to miss, the plain import stands in
+        patch = 'importlib.machinery.EXTENSION_SUFFIXES = [".missing"]' if missing else ""
+        out = _run_child(f"""
+import importlib.machinery, json, sys
+import numpy as np
+from qubitbench import fitting
+{patch}
+x = fitting._levenberg_marquardt(lambda x: np.exp(x[0]) * np.array({_DECAY!r}) - 1.0, np.array([0.1]))
+print(json.dumps([x.tolist(), "scipy.optimize" in sys.modules]))
+""")
+        x = fitting._levenberg_marquardt(lambda x: np.exp(x[0]) * np.array(_DECAY) - 1.0, np.array([0.1]))
+        assert json.loads(out) == [x.tolist(), missing]
 
 
 class TestBlasPin:

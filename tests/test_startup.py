@@ -1,14 +1,14 @@
 """Start-up cost of the package and the CLI.
 
-Importing ``scipy.optimize`` takes about half a second, so nothing imports it
-at module level.  The decay fit (``rb``, ``irmb``) loads only ``scipy`` and
-the compiled L-BFGS-B kernel, and polishes a fit that did not converge with
-its own port of scipy's Nelder-Mead, so it never imports ``scipy.optimize``;
-only ``walsh_fit`` does, for ``least_squares``.  These tests run each case in
-a fresh interpreter and look at ``sys.modules``: importing the package and
-running the commands that never fit must leave scipy unloaded, an ``rb`` fit,
-converged or polished, must leave ``scipy.optimize`` unloaded, and ``walsh``
-still loads it.
+Importing ``scipy.optimize`` takes about half a second, so no command imports
+it.  The decay fit (``rb``, ``irmb``) loads only ``scipy`` and the
+compiled L-BFGS-B kernel, and polishes a fit that did not converge with its
+own port of scipy's Nelder-Mead; ``walsh_fit`` loads only ``scipy`` and
+MINPACK, which its port of scipy's ``least_squares(method="lm")`` drives.
+These tests run each case in a fresh interpreter and look at
+``sys.modules``: importing the package and running the commands that never
+fit must leave scipy unloaded, and no command, an ``rb`` fit converged or
+polished and ``walsh`` among them, may load ``scipy.optimize``.
 """
 
 import json
@@ -19,6 +19,8 @@ import sys
 
 import numpy as np
 import pytest
+
+from qubitbench import cli
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -111,4 +113,28 @@ def test_walsh_still_fits():
     doc = json.loads(document)
     assert np.isfinite(doc["sigma_rel"]) and doc["sigma_rel"] > 0
     assert set(doc["coefficients"]) == {"1", "2"}
-    assert "scipy.optimize" in loaded
+    assert loaded == ["scipy"]
+
+
+# every subcommand at a small size
+TINY = {
+    "rb": ("--lengths", "20,60", "--sequences", "3", "--shots", "20"),
+    "irmb": ("--delays", "0,1e-5", "--lengths", "10,100", "--sequences", "2", "--shots", "10"),
+    "calibrate": ("--kind", "both", "--n-max", "16", "--shots", "100"),
+    "walsh": ("--max-order", "2", "--n-pulses", "16", "--shots", "200", "--sweep", "4,16"),
+    "phase-noise": ("--taus", "1,10", "--irmb-delays", "0,1e-5"),
+    "budget": ("--curve", "1", "--curve-points", "3"),
+    "idle-rates": ("--shots", "200"),
+    "clifford-table": (),
+}
+
+
+def test_every_subcommand_has_a_small_size():
+    assert set(TINY) == set(cli._PARAMS)
+
+
+@pytest.mark.parametrize("command", sorted(TINY))
+def test_no_subcommand_imports_scipy_optimize(command):
+    document, loaded, _ = run_cli(command, *TINY[command])
+    assert document
+    assert "scipy.optimize" not in loaded
