@@ -31,6 +31,11 @@ end-to-end metric, with the direction and bound read from the base checkout's
 failed.  ``--claim WORKLOAD:METRIC`` names a claimed gain; the top-level
 ``outcome`` lists the bounds exceeded, the unresolved metrics, the workloads
 with more failures and whether each claim is resolved.
+
+If a ``perfbench/run.py`` run exits non-zero, the script prints its checkout,
+command, exit code and stderr, writes the file with the workloads done so
+far, the complete pairs of the workload under way (``incomplete``) and the
+failed run (``failure``), and exits 1.
 """
 
 from __future__ import annotations
@@ -45,16 +50,35 @@ from pathlib import Path
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 
 
+class RunFailed(Exception):
+    """A ``perfbench/run.py`` run that exited non-zero; ``report`` says which and why."""
+
+    def __init__(self, report: dict):
+        super().__init__(
+            f"perfbench/run.py failed in {report['checkout']}\ncommand: {' '.join(report['command'])}\n"
+            f"exit code: {report['returncode']}\nstderr:\n{report['stderr']}"
+        )
+        self.report = report
+
+
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run: its metric values, ``failed``/``attempted`` and ``env`` line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    lines = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout.splitlines()
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RunFailed({"checkout": str(checkout), "command": cmd, "returncode": proc.returncode,
+                         "stderr": proc.stderr})
+    lines = proc.stdout.splitlines()
     final = json.loads(lines[-1])
     result = {name: metric["value"] for name, metric in final["metrics"].items()}
     result.update(failed=final["failed"], attempted=final["attempted"])
     result["env"] = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     return result
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def summary(values: list[float]) -> dict:
@@ -97,6 +121,45 @@ def outcome(entries: dict, claims: list[str]) -> dict:
     }
 
 
+def run_pairs(args: argparse.Namespace, rules: dict, doc: dict) -> None:
+    """Fill `doc` with every workload's pairs and verdicts and the traced runs,
+    writing ``--out`` after each workload."""
+    for spec in args.pairs:
+        workload, n = spec.split("=")
+        sides = {"base": [], "change": []}
+        # the complete pairs so far, kept in the file if a run fails
+        doc["incomplete"] = {"workload": workload, "runs": sides}
+        for i in range(int(n)):
+            seed = args.first_seed + i
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            pair = {}
+            for side in order:
+                pair[side] = run(getattr(args, side), workload, seed, args.seconds, 0)
+                print(workload, seed, side, {m: pair[side][m] for m in METRICS}, file=sys.stderr)
+            for side, result in pair.items():
+                sides[side].append(result)
+        del doc["incomplete"]
+        entry = {"pairs": int(n), "seeds": [args.first_seed + i for i in range(int(n))]}
+        for side, results in sides.items():
+            entry[side] = {m: summary([r[m] for r in results]) for m in METRICS}
+            entry[side]["failed"] = sum(r["failed"] for r in results)
+            entry[side]["attempted"] = sum(r["attempted"] for r in results)
+            doc.setdefault("env", {})[side] = results[0]["env"]
+        entry["verdict"] = {
+            m: verdict(entry["base"][m], entry["change"][m], rules[m]["better"], rules[m]["bound"])
+            for m in METRICS
+        }
+        entry["more_failures"] = (entry["change"]["failed"] / entry["change"]["attempted"]
+                                  > entry["base"]["failed"] / entry["base"]["attempted"])
+        doc["workloads"][workload] = entry
+        doc["outcome"] = outcome(doc["workloads"], args.claim)
+        args.out.write_text(_dumps(doc))
+    for workload in args.traced:
+        doc["traced"][workload] = {side: run(getattr(args, side), workload, 0, args.seconds, 1)
+                                   for side in ("base", "change")}
+    args.out.write_text(_dumps(doc))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True)
@@ -115,35 +178,13 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
         "traced": {},
     }
-    for spec in args.pairs:
-        workload, n = spec.split("=")
-        sides = {"base": [], "change": []}
-        for i in range(int(n)):
-            seed = args.first_seed + i
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                result = run(getattr(args, side), workload, seed, args.seconds, 0)
-                sides[side].append(result)
-                print(workload, seed, side, {m: result[m] for m in METRICS}, file=sys.stderr)
-        entry = {"pairs": int(n), "seeds": [args.first_seed + i for i in range(int(n))]}
-        for side, results in sides.items():
-            entry[side] = {m: summary([r[m] for r in results]) for m in METRICS}
-            entry[side]["failed"] = sum(r["failed"] for r in results)
-            entry[side]["attempted"] = sum(r["attempted"] for r in results)
-            doc.setdefault("env", {})[side] = results[0]["env"]
-        entry["verdict"] = {
-            m: verdict(entry["base"][m], entry["change"][m], rules[m]["better"], rules[m]["bound"])
-            for m in METRICS
-        }
-        entry["more_failures"] = (entry["change"]["failed"] / entry["change"]["attempted"]
-                                  > entry["base"]["failed"] / entry["base"]["attempted"])
-        doc["workloads"][workload] = entry
-        doc["outcome"] = outcome(doc["workloads"], args.claim)
-        args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for workload in args.traced:
-        doc["traced"][workload] = {side: run(getattr(args, side), workload, 0, args.seconds, 1)
-                                   for side in ("base", "change")}
-    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    try:
+        run_pairs(args, rules, doc)
+    except RunFailed as exc:
+        print(f"bench_pairs: {exc}", file=sys.stderr)
+        doc["failure"] = exc.report
+        args.out.write_text(_dumps(doc))
+        return 1
     return 0
 
 

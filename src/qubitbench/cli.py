@@ -9,8 +9,15 @@ byte-identical output.
 Config files are strict JSON: ``{"schema": "qubitbench.config.v1",
 "command": "<name>", <param>: <value>, ...}``.  Unknown keys are rejected.
 The environment variables ``QUBITBENCH_SEED`` and ``QUBITBENCH_WORKERS``
-supply fallback values for ``--seed`` and ``--workers``.  ``--workers`` must
-be at least 1, but every command runs serially (a thread pool was slower).
+supply fallback values for ``--seed`` and ``--workers``; every command runs
+serially (a thread pool was slower).
+
+Each option has one declared domain, written next to its type, default and
+help in ``_PARAMS`` (``_RUN_PARAMS`` for ``--seed`` and ``--workers``).
+``_resolve`` checks every value against it, whether it comes from a flag, a
+config file or one of the two environment variables, before any work runs.
+A value outside its domain, or a config value of the wrong type (``2.9`` or
+``true`` for an integer), exits 1 with one error line that names the option.
 """
 
 from __future__ import annotations
@@ -22,27 +29,15 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__, presets
-from .budget import (
-    IDLE_SCHEMES,
-    BudgetInput,
-    budget_curve,
-    budget_table,
-    estimate_idle_rates,
-    sample_idle_scheme,
-)
-from .calibration import (
-    CalLoopConfig,
-    SimulatedQubitTestbed,
-    amplitude_cal_loop,
-    frequency_cal_loop,
-    records_to_jsonl,
-    walsh_fit,
-)
+from .budget import HARMONIC_COEFFICIENTS, IDLE_SCHEMES, ZEEMAN_CONVENTIONS, BudgetInput, budget_curve, budget_table
+from .budget import estimate_idle_rates, sample_idle_scheme
+from .calibration import CalLoopConfig, SimulatedQubitTestbed, amplitude_cal_loop, frequency_cal_loop
+from .calibration import records_to_jsonl, walsh_fit
 from .cliffords import MEAN_PULSES_PER_CLIFFORD, build_clifford_table
 from .filterfunc import PhasePSD, SSBCurve, chi_echo, chi_ramsey, predict_irmb, predict_t2
 from .fitting import bootstrap_ci
@@ -51,103 +46,6 @@ from .rb import RBTiming, generate_plan, irmb_slope, run_rb
 
 CONFIG_SCHEMA = "qubitbench.config.v1"
 
-# parameter tables: name -> (type, default, help)
-_PARAMS = {
-    "rb": {
-        "lengths": (str, "300,950,3000,9500,30000", "comma-separated sequence lengths"),
-        "sequences": (int, 30, "random sequences per length"),
-        "shots": (int, 100, "shots per sequence"),
-        "tier": (str, "fast", "physics tier: fast or full"),
-        "prep": (int, 0, "prepared basis state (0 or 1)"),
-        "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration incl. ramps, s"),
-        "ramp_time": (float, presets.RAMP_TIME, "amplitude ramp duration, s"),
-        "gap_time": (float, presets.GAP_TIME, "inter-pulse gap, s"),
-        "delay": (float, 0.0, "extra idle after every pulse, s"),
-        "noise": (str, "default", "noise preset: default, none, or depol"),
-        "depol": (float, 1e-4, "per-element depolarizing probability (noise=depol)"),
-        "sigma0": (float, None, "override shot-to-shot relative amplitude noise"),
-        "detuning_hz": (float, 0.0, "static drive-qubit detuning, Hz"),
-        "t2": (float, None, "override dephasing coherence time, s"),
-        "spam": (float, None, "override readout flip probability"),
-        "motional": (int, 1, "include motional modulation (1) or not (0)"),
-        "fit": (int, 1, "include decay fit in JSON output"),
-        "bootstrap": (int, 0, "bootstrap resamples for the fit uncertainty"),
-    },
-    "irmb": {
-        "delays": (str, "0,2e-6,5e-6,1e-5", "comma-separated per-pulse delays, s"),
-        "lengths": (str, "300,950,3000,9500,30000", "comma-separated sequence lengths"),
-        "sequences": (int, 30, "random sequences per length"),
-        "shots": (int, 100, "shots per sequence"),
-        "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration incl. ramps, s"),
-        "gap_time": (float, presets.GAP_TIME, "inter-pulse gap, s"),
-        "t2": (float, presets.T2_STAR_STAR, "dephasing coherence time, s"),
-        "spam": (float, presets.SPAM, "readout flip probability"),
-    },
-    "calibrate": {
-        "kind": (str, "both", "amplitude, frequency, or both"),
-        "shots": (int, 200, "shots per calibration point"),
-        "n_start": (int, 1, "initial pulse-group count"),
-        "n_max": (int, 256, "maximum pulse-group count"),
-        "sigma0": (float, presets.SIGMA0_REL, "shot-to-shot relative amplitude noise"),
-        "spam": (float, presets.SPAM, "readout flip probability"),
-        "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration, s"),
-        "amp_fraction": (float, presets.AWG_FRACTION, "full-scale fraction at nominal amplitude"),
-        "bits": (int, presets.AWG_BITS, "amplitude resolution bits"),
-        "drift_a_inf": (float, 4.3e-4, "asymptotic relative amplitude drift"),
-        "drift_tau": (float, 240.0, "amplitude drift time constant, s"),
-        "freq_drift_hz_per_s": (float, 0.0, "linear qubit-frequency drift rate"),
-    },
-    "walsh": {
-        "max_order": (int, 7, "highest Walsh order to measure"),
-        "n_pulses": (int, 64, "pulses per modulated train"),
-        "shots": (int, 400, "shots per train"),
-        "sweep": (str, "4,8,16,32,64,128", "unmodulated train lengths (multiples of 4)"),
-        "sigma0": (float, presets.SIGMA0_REL, "shot-to-shot relative amplitude noise"),
-        "spam": (float, presets.SPAM, "readout flip probability"),
-        "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration, s"),
-        "drift_a_inf": (float, 4.3e-4, "asymptotic relative amplitude drift"),
-        "drift_tau": (float, 240.0, "amplitude drift time constant, s"),
-    },
-    "phase-noise": {
-        "ssb": (str, None, "CSV file frequency_hz,dbc_per_hz (default: synthetic)"),
-        "taus": (str, "1,3,10,30,69,100", "free-precession times, s"),
-        "predict_t2": (int, 1, "solve for the 1/e coherence time"),
-        "irmb_delays": (str, "", "per-pulse delays for the predicted error curve, s"),
-    },
-    "budget": {
-        "gate_time": (float, presets.GATE_TIME, "average element duration, s"),
-        "t2": (float, presets.T2_STAR_STAR, "coherence time, s"),
-        "sigma0": (float, presets.SIGMA0_REL, "shot-to-shot relative amplitude noise"),
-        "zeeman_hz": (float, presets.ZEEMAN_RESIDUAL_HZ, "residual drive-induced shift, Hz"),
-        "zeeman_convention": (str, "twirl", "twirl or worst_case"),
-        "harmonic_coefficient": (str, "rb", "rb or single_pulse"),
-        "curve": (int, 0, "sweep gate time instead of a single table"),
-        "curve_min": (float, 4.4e-6, "sweep start, s"),
-        "curve_max": (float, 35e-6, "sweep end, s"),
-        "curve_points": (int, 18, "sweep points"),
-    },
-    "idle-rates": {
-        "bright": (float, 5.3549e-3, "true bright-error rate, 1/s"),
-        "combo0": (float, 4.3508e-3, "true dark+leak rate, preparation 0, 1/s"),
-        "combo1": (float, 4.0162e-3, "true dark+leak rate, preparation 1, 1/s"),
-        "flip": (float, 0.0, "true spin-flip rate, 1/s"),
-        "spam": (float, presets.SPAM, "readout flip probability"),
-        "durations": (str, "0.5,1,2,4", "idle durations, s"),
-        "shots": (int, 20000, "shots per setting"),
-    },
-    "clifford-table": {},
-}
-
-# integer parameters that are 0/1 switches
-_FLAGS = frozenset({"motional", "fit", "predict_t2", "curve"})
-
-# --format choices of the commands that can write more than the JSON document
-_FORMATS = {
-    "rb": ("json", "csv"),
-    "calibrate": ("json", "jsonl"),
-    "budget": ("json", "csv"),
-}
-
 
 def _parse_float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip() != ""]
@@ -155,6 +53,155 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
+
+
+class _Domain:
+    """The values an option accepts: ``ok`` tests one, ``text`` names them."""
+
+    def __init__(self, text: str, ok):
+        self.text, self.ok = text, ok
+
+
+_FINITE = _Domain("a finite number", lambda v: abs(v) < np.inf)
+_POSITIVE = _Domain("a finite number > 0", lambda v: 0 < v < np.inf)
+_NON_NEGATIVE = _Domain("a finite number >= 0", lambda v: 0 <= v < np.inf)
+_SPAM = _Domain("a probability in [0, 0.5)", lambda v: 0 <= v < 0.5)
+_PROBABILITY = _Domain("a probability in [0, 1)", lambda v: 0 <= v < 1)
+_FRACTION = _Domain("a number in (0, 1]", lambda v: 0 < v <= 1)
+_RELATIVE = _Domain("a relative change in (-1, 1)", lambda v: -1 < v < 1)
+_SWITCH = _Domain("0 or 1", lambda v: v in (0, 1))
+_TEXT = _Domain("text", lambda v: True)
+
+
+def _at_least(k: int, most: float = np.inf) -> _Domain:
+    text = f"an integer >= {k}" if most == np.inf else f"an integer in [{k}, {most}]"
+    return _Domain(text, lambda v: k <= v <= most)
+
+
+def _one_of(*choices: str) -> _Domain:
+    return _Domain("one of " + ", ".join(choices), lambda v: v in choices)
+
+
+def _list_of(parse, each: _Domain, least: int = 0, unique: bool = False) -> _Domain:
+    """Comma-separated values read by `parse`, each in `each`: at least
+    `least` distinct ones, and none repeated if `unique`."""
+
+    def ok(text: str) -> bool:
+        values = parse(text)
+        distinct = len(set(values))
+        return distinct >= least and not (unique and distinct < len(values)) and all(map(each.ok, values))
+
+    rules = [f"at least {least} distinct"] * bool(least) + ["none repeated"] * unique
+    return _Domain(", ".join([f"comma-separated values, each {each.text}", *rules]), ok)
+
+
+_LENGTHS = _list_of(_parse_int_list, _at_least(1), least=1, unique=True)
+_TIMES = _list_of(_parse_float_list, _NON_NEGATIVE)
+_TWO_TIMES = _list_of(_parse_float_list, _NON_NEGATIVE, least=2)  # a line fit's abscissae
+_SWEEP = _list_of(_parse_int_list, _Domain("a positive multiple of 4", lambda v: v > 0 and v % 4 == 0), least=1)
+
+# parameter tables: name -> (type, default, help, domain); a None default
+# means "not set", and a config file may set such an option to null
+_PARAMS = {
+    "rb": {
+        "lengths": (str, "300,950,3000,9500,30000", "comma-separated sequence lengths", _LENGTHS),
+        "sequences": (int, 30, "random sequences per length", _at_least(1)),
+        "shots": (int, 100, "shots per sequence", _at_least(1)),
+        "tier": (str, "fast", "physics tier: fast or full", _one_of("fast", "full")),
+        "prep": (int, 0, "prepared basis state (0 or 1)", _SWITCH),
+        "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration incl. ramps, s", _POSITIVE),
+        "ramp_time": (float, presets.RAMP_TIME, "amplitude ramp duration, s", _NON_NEGATIVE),
+        "gap_time": (float, presets.GAP_TIME, "inter-pulse gap, s", _NON_NEGATIVE),
+        "delay": (float, 0.0, "extra idle after every pulse, s", _NON_NEGATIVE),
+        "noise": (str, "default", "noise preset: default, none, or depol", _one_of("default", "none", "depol")),
+        "depol": (float, 1e-4, "per-element depolarizing probability (noise=depol)", _PROBABILITY),
+        "sigma0": (float, None, "override shot-to-shot relative amplitude noise", _NON_NEGATIVE),
+        "detuning_hz": (float, 0.0, "static drive-qubit detuning, Hz", _FINITE),
+        "t2": (float, None, "override dephasing coherence time, s", _POSITIVE),
+        "spam": (float, None, "override readout flip probability", _SPAM),
+        "motional": (int, 1, "include motional modulation (1) or not (0)", _SWITCH),
+        "fit": (int, 1, "include decay fit in JSON output", _SWITCH),
+        "bootstrap": (int, 0, "bootstrap resamples for the fit uncertainty", _at_least(0)),
+    },
+    "irmb": {
+        "delays": (str, "0,2e-6,5e-6,1e-5", "comma-separated per-pulse delays, s", _TWO_TIMES),
+        "lengths": (str, "300,950,3000,9500,30000", "comma-separated sequence lengths", _LENGTHS),
+        "sequences": (int, 30, "random sequences per length", _at_least(1)),
+        "shots": (int, 100, "shots per sequence", _at_least(1)),
+        "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration incl. ramps, s", _POSITIVE),
+        "gap_time": (float, presets.GAP_TIME, "inter-pulse gap, s", _NON_NEGATIVE),
+        "t2": (float, presets.T2_STAR_STAR, "dephasing coherence time, s", _POSITIVE),
+        "spam": (float, presets.SPAM, "readout flip probability", _SPAM),
+    },
+    "calibrate": {
+        "kind": (str, "both", "amplitude, frequency, or both", _one_of("amplitude", "frequency", "both")),
+        "shots": (int, 200, "shots per calibration point", _at_least(10)),
+        "n_start": (int, 1, "initial pulse-group count", _at_least(1)),
+        "n_max": (int, 256, "maximum pulse-group count", _at_least(1)),
+        "sigma0": (float, presets.SIGMA0_REL, "shot-to-shot relative amplitude noise", _NON_NEGATIVE),
+        "spam": (float, presets.SPAM, "readout flip probability", _SPAM),
+        "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration, s", _POSITIVE),
+        "amp_fraction": (float, presets.AWG_FRACTION, "full-scale fraction at nominal amplitude", _FRACTION),
+        "bits": (int, presets.AWG_BITS, "amplitude resolution bits", _at_least(1, most=40)),
+        "drift_a_inf": (float, 4.3e-4, "asymptotic relative amplitude drift", _RELATIVE),
+        "drift_tau": (float, 240.0, "amplitude drift time constant, s", _POSITIVE),
+        "freq_drift_hz_per_s": (float, 0.0, "linear qubit-frequency drift rate", _FINITE),
+    },
+    "walsh": {
+        "max_order": (int, 7, "highest Walsh order to measure", _at_least(0)),
+        "n_pulses": (int, 64, "pulses per modulated train", _at_least(1)),
+        "shots": (int, 400, "shots per train", _at_least(1)),
+        "sweep": (str, "4,8,16,32,64,128", "unmodulated train lengths (multiples of 4)", _SWEEP),
+        "sigma0": (float, presets.SIGMA0_REL, "shot-to-shot relative amplitude noise", _NON_NEGATIVE),
+        "spam": (float, presets.SPAM, "readout flip probability", _SPAM),
+        "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration, s", _POSITIVE),
+        "drift_a_inf": (float, 4.3e-4, "asymptotic relative amplitude drift", _RELATIVE),
+        "drift_tau": (float, 240.0, "amplitude drift time constant, s", _POSITIVE),
+    },
+    "phase-noise": {
+        "ssb": (str, None, "CSV file frequency_hz,dbc_per_hz (default: synthetic)", _TEXT),
+        "taus": (str, "1,3,10,30,69,100", "free-precession times, s", _TIMES),
+        "predict_t2": (int, 1, "solve for the 1/e coherence time", _SWITCH),
+        "irmb_delays": (str, "", "per-pulse delays for the predicted error curve, s", _TIMES),
+    },
+    "budget": {
+        "gate_time": (float, presets.GATE_TIME, "average element duration, s", _POSITIVE),
+        "t2": (float, presets.T2_STAR_STAR, "coherence time, s", _POSITIVE),
+        "sigma0": (float, presets.SIGMA0_REL, "shot-to-shot relative amplitude noise", _NON_NEGATIVE),
+        "zeeman_hz": (float, presets.ZEEMAN_RESIDUAL_HZ, "residual drive-induced shift, Hz", _FINITE),
+        "zeeman_convention": (str, "twirl", "twirl or worst_case", _one_of(*ZEEMAN_CONVENTIONS)),
+        "harmonic_coefficient": (str, "rb", "rb or single_pulse", _one_of(*HARMONIC_COEFFICIENTS)),
+        "curve": (int, 0, "sweep gate time instead of a single table", _SWITCH),
+        "curve_min": (float, 4.4e-6, "sweep start, s", _POSITIVE),
+        "curve_max": (float, 35e-6, "sweep end, s", _POSITIVE),
+        "curve_points": (int, 18, "sweep points", _at_least(1)),
+    },
+    "idle-rates": {
+        "bright": (float, 5.3549e-3, "true bright-error rate, 1/s", _NON_NEGATIVE),
+        "combo0": (float, 4.3508e-3, "true dark+leak rate, preparation 0, 1/s", _NON_NEGATIVE),
+        "combo1": (float, 4.0162e-3, "true dark+leak rate, preparation 1, 1/s", _NON_NEGATIVE),
+        "flip": (float, 0.0, "true spin-flip rate, 1/s", _NON_NEGATIVE),
+        "spam": (float, presets.SPAM, "readout flip probability", _SPAM),
+        "durations": (str, "0.5,1,2,4", "idle durations, s", _TWO_TIMES),
+        "shots": (int, 20000, "shots per setting", _at_least(1)),
+    },
+    "clifford-table": {},
+}
+
+# options of every command, in the same form: where the flag is absent the
+# environment variable QUBITBENCH_<NAME> sets them, no config key does, and
+# they are not hashed
+_RUN_PARAMS = {
+    "seed": (int, 20260825, "master seed (env QUBITBENCH_SEED)", _at_least(0)),
+    "workers": (int, 1, "runs serially (env QUBITBENCH_WORKERS)", _at_least(1)),
+}
+
+# --format choices of the commands that can write more than the JSON document
+_FORMATS = {
+    "rb": ("json", "csv"),
+    "calibrate": ("json", "jsonl"),
+    "budget": ("json", "csv"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,20 +214,35 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, params in _PARAMS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", type=str, default=None, help="strict JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="master seed (env QUBITBENCH_SEED)")
         p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
         p.add_argument("--format", type=str, default="json", choices=_FORMATS.get(command, ("json",)))
-        p.add_argument("--workers", type=int, default=None, help="must be >= 1; runs serially (env QUBITBENCH_WORKERS)")
-        for name, (typ, default, help_text) in params.items():
+        for name, (typ, _default, help_text, _domain) in {**_RUN_PARAMS, **params}.items():
             p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ, default=None, help=help_text)
     return parser
 
 
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Merge CLI > config file > defaults; validate strictly.
+def _checked(label: str, typ: type, domain: _Domain, raw):
+    """`raw` as `typ`, or ValueError naming `label` if it is no value of `domain`.
 
-    A malformed config file is a usage error (exit 2); a resolved float that
-    is not finite, or a 0/1 switch set to anything else, raises ValueError.
+    ``true`` is neither a number nor text, and an integer option takes no
+    fraction: ``true`` is not read as 1, nor ``2.9`` truncated to 2.
+    """
+    lossy = isinstance(raw, bool) or (typ is int and isinstance(raw, float) and not raw.is_integer())
+    try:
+        if not lossy and domain.ok(value := typ(raw)):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{label} must be {domain.text}, not {raw!r}")
+
+
+def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[dict, int]:
+    """The command's parameters (CLI > config file > defaults) and the seed.
+
+    A malformed config file is a usage error (exit 2).  Every value, from a
+    flag, a config file or ``QUBITBENCH_SEED``/``QUBITBENCH_WORKERS`` (an
+    empty variable is unset), is checked against its option's domain; one
+    outside it raises ValueError.
     """
     params = _PARAMS[args.command]
     config: dict = {}
@@ -201,37 +263,22 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
             parser.error(f"unknown config keys: {sorted(unknown)}")
 
     resolved = {}
-    for name, (typ, default, _help) in params.items():
-        cli_val = getattr(args, name)
-        if cli_val is not None:
-            resolved[name] = cli_val
+    for name, (typ, default, _help, domain) in {**params, **_RUN_PARAMS}.items():
+        flag, env = getattr(args, name), f"QUBITBENCH_{name.upper()}"
+        if flag is not None:
+            label, raw = f"--{name.replace('_', '-')}", flag
         elif name in config:
-            val = config[name]
-            if val is not None and not isinstance(val, (int, float, str, bool)):
-                parser.error(f"config key {name!r} must be a scalar")
-            resolved[name] = typ(val) if val is not None else None
+            label, raw = f"config key {name!r}", config[name]
+            if isinstance(raw, (list, dict)):
+                parser.error(f"{label} must be a scalar")
+        elif name in _RUN_PARAMS and os.environ.get(env):
+            label, raw = f"{env} (--{name})", os.environ[env]
         else:
             resolved[name] = default
-        val = resolved[name]
-        if typ is float and val is not None and not np.isfinite(val):
-            raise ValueError(f"{name} must be a finite number, not {val!r}")
-        if name in _FLAGS and val not in (0, 1):
-            raise ValueError(f"{name} must be 0 or 1, not {val!r}")
-    return resolved
-
-
-def _seed_of(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QUBITBENCH_SEED")
-    return int(env) if env else 20260825
-
-
-def _check_workers(args) -> None:
-    """Validate ``--workers`` (env ``QUBITBENCH_WORKERS``); every command runs serially."""
-    n = args.workers if args.workers is not None else int(os.environ.get("QUBITBENCH_WORKERS", "1"))
-    if n < 1:
-        raise ValueError("workers must be at least 1")
+            continue
+        resolved[name] = None if raw is None and default is None else _checked(label, typ, domain, raw)
+    del resolved["workers"]
+    return resolved, resolved.pop("seed")
 
 
 def _config_hash(command: str, resolved: dict, seed: int) -> str:
@@ -270,10 +317,8 @@ def _noise_from(resolved: dict) -> NoiseConfig:
             depolarizing_per_gate=resolved["depol"],
             spam=resolved["spam"] if resolved["spam"] is not None else presets.SPAM,
         )
-    elif preset == "default":
-        noise = presets.default_noise_config(include_motional=bool(resolved["motional"]))
     else:
-        raise ValueError("noise must be default, none, or depol")
+        noise = presets.default_noise_config(include_motional=bool(resolved["motional"]))
     if preset != "depol":
         if resolved["sigma0"] is not None:
             sigma0, amp = resolved["sigma0"], noise.amplitude
@@ -294,8 +339,6 @@ def _noise_from(resolved: dict) -> NoiseConfig:
 
 
 def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str | dict:
-    if resolved["bootstrap"] < 0:
-        raise ValueError("bootstrap must be 0 (none) or a number of resamples")
     plan = generate_plan(
         seed,
         lengths=_parse_int_list(resolved["lengths"]),
@@ -316,21 +359,11 @@ def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str | dict:
     payload: dict = {"dataset": json.loads(dataset.to_json())}
     if resolved["fit"]:
         fit = dataset.fit()
-        fit_doc = {
-            "epsilon": fit.epsilon,
-            "amplitude": fit.amplitude,
-            "converged": fit.converged,
-            "at_boundary": fit.at_boundary,
-            "identifiable": fit.identifiable,
-        }
+        fit_doc = {k: getattr(fit, k) for k in ("epsilon", "amplitude", "converged", "at_boundary", "identifiable")}
         if resolved["bootstrap"]:
             lo, hi, _ = bootstrap_ci(
-                dataset.lengths,
-                dataset.successes,
-                dataset.shots,
-                rng_stream(seed, LANE_BOOTSTRAP),
-                n_resamples=resolved["bootstrap"],
-                fit=fit,
+                dataset.lengths, dataset.successes, dataset.shots, rng_stream(seed, LANE_BOOTSTRAP),
+                n_resamples=resolved["bootstrap"], fit=fit,
             )
             fit_doc["epsilon_ci68"] = [lo, hi]
         payload["fit"] = fit_doc
@@ -340,9 +373,6 @@ def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str | dict:
 def _cmd_irmb(resolved: dict, seed: int, fmt: str) -> dict:
     delays = _parse_float_list(resolved["delays"])
     lengths = _parse_int_list(resolved["lengths"])
-    # checked here, not after the last of the (slow) runs
-    if len(set(delays)) < 2 or not all(0 <= d < np.inf for d in delays):
-        raise ValueError("irmb needs at least two distinct, finite, non-negative delays")
     noise = NoiseConfig(dephasing_t2=resolved["t2"], spam=resolved["spam"])
     results = []
     for i, delay in enumerate(delays):
@@ -393,27 +423,19 @@ def _make_testbed(resolved: dict, seed: int) -> SimulatedQubitTestbed:
     )
 
 
-def _cal_record_doc(records) -> list[dict]:
-    return json.loads("[" + ",".join(records_to_jsonl(records).splitlines()) + "]") if records else []
-
-
 def _cmd_calibrate(resolved: dict, seed: int, fmt: str):
     testbed = _make_testbed(resolved, seed)
-    config = CalLoopConfig(
-        n_start=resolved["n_start"], n_max=resolved["n_max"], shots=resolved["shots"]
-    )
+    config = CalLoopConfig(n_start=resolved["n_start"], n_max=resolved["n_max"], shots=resolved["shots"])
     records = []
     if resolved["kind"] in ("amplitude", "both"):
         records.extend(amplitude_cal_loop(testbed, config))
     if resolved["kind"] in ("frequency", "both"):
         records.extend(frequency_cal_loop(testbed, config))
-    if resolved["kind"] not in ("amplitude", "frequency", "both"):
-        raise ValueError("kind must be amplitude, frequency, or both")
     if fmt == "jsonl":
         return records_to_jsonl(records)
     residual = testbed.true_relative_error(testbed.clock)
     return {
-        "records": _cal_record_doc(records),
+        "records": [asdict(r) for r in records],
         "final": {
             "amp_setting": testbed.amp_setting,
             "detuning_setting": testbed.detuning_setting,
@@ -425,35 +447,23 @@ def _cmd_calibrate(resolved: dict, seed: int, fmt: str):
 
 def _cmd_walsh(resolved: dict, seed: int, fmt: str) -> dict:
     testbed = _make_testbed(resolved, seed)
-    sweep = _parse_int_list(resolved["sweep"])
     result = walsh_fit(
-        testbed,
-        max_order=resolved["max_order"],
-        n_pulses=resolved["n_pulses"],
-        shots=resolved["shots"],
-        n_sweep=sweep,
+        testbed, max_order=resolved["max_order"], n_pulses=resolved["n_pulses"], shots=resolved["shots"],
+        n_sweep=_parse_int_list(resolved["sweep"]),
     )
     return {
         "mean_rel": result["mean_rel"],
         "sigma_rel": result["sigma_rel"],
         "coefficients": {
-            str(k): {
-                "coefficient": v.coefficient,
-                "sigma": v.sigma,
-                "n_pulses": v.n_pulses,
-                "p_zero": v.p_zero,
-            }
+            str(k): {f: getattr(v, f) for f in ("coefficient", "sigma", "n_pulses", "p_zero")}
             for k, v in result["coefficients"].items()
         },
     }
 
 
 def _cmd_phase_noise(resolved: dict, seed: int, fmt: str) -> dict:
-    # checked here, not after the chi curves and the T2 root-find
     taus = _parse_float_list(resolved["taus"])
     delays = _parse_float_list(resolved["irmb_delays"])
-    if not all(0 <= t < np.inf for t in taus + delays):
-        raise ValueError("taus and irmb_delays must be finite and non-negative")
     if resolved["ssb"]:
         with open(resolved["ssb"]) as fh:
             curve = SSBCurve.from_csv(fh.read())
@@ -495,8 +505,6 @@ def _cmd_budget(resolved: dict, seed: int, fmt: str):
         harmonic_coefficient=resolved["harmonic_coefficient"],
     )
     if resolved["curve"]:
-        if resolved["curve_points"] < 1:
-            raise ValueError("curve_points must be at least 1")
         times = np.linspace(resolved["curve_min"], resolved["curve_max"], resolved["curve_points"])
         curve = budget_curve(inputs, times)
         if fmt == "csv":
@@ -522,31 +530,19 @@ def _cmd_idle_rates(resolved: dict, seed: int, fmt: str) -> dict:
         flip_per_s=resolved["flip"],
     )
     durations = np.array(_parse_float_list(resolved["durations"]))
-    shots = resolved["shots"]
+    shots, spam = resolved["shots"], resolved["spam"]
     rng = rng_stream(seed, LANE_IDLE)
     data = {}
     for scheme in IDLE_SCHEMES:
         for prep in (0, 1):
-            errs = np.array(
-                [
-                    sample_idle_scheme(rng, scheme, prep, float(t), true, shots, resolved["spam"])
-                    for t in durations
-                ]
-            )
+            errs = np.array([sample_idle_scheme(rng, scheme, prep, float(t), true, shots, spam) for t in durations])
             data[(scheme, prep)] = (durations, errs, np.full(len(durations), shots))
     est = estimate_idle_rates(data)
+    rates = ("bright_per_s", "dark_plus_leak_prep0_per_s", "dark_plus_leak_prep1_per_s", "flip_per_s")
     return {
-        "true": {
-            "bright_per_s": true.bright_per_s,
-            "dark_plus_leak_prep0_per_s": true.dark_plus_leak_prep0_per_s,
-            "dark_plus_leak_prep1_per_s": true.dark_plus_leak_prep1_per_s,
-            "flip_per_s": true.flip_per_s,
-        },
+        "true": {k: getattr(true, k) for k in rates},
         "estimated": {
-            "bright_per_s": est.rates.bright_per_s,
-            "dark_plus_leak_prep0_per_s": est.rates.dark_plus_leak_prep0_per_s,
-            "dark_plus_leak_prep1_per_s": est.rates.dark_plus_leak_prep1_per_s,
-            "flip_per_s": est.rates.flip_per_s,
+            **{k: getattr(est.rates, k) for k in rates},
             "sigma_bright": est.sigma_bright,
             "sigma_flip": est.sigma_flip,
         },
@@ -563,9 +559,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        resolved = _resolve(args, parser)
-        seed = _seed_of(args)
-        _check_workers(args)
+        resolved, seed = _resolve(args, parser)
         handler = {
             "rb": _cmd_rb,
             "irmb": _cmd_irmb,

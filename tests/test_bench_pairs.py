@@ -1,4 +1,5 @@
-"""The acceptance verdict that ``scripts/bench_pairs.py`` writes per workload and metric.
+"""The acceptance verdict that ``scripts/bench_pairs.py`` writes per workload and metric,
+and what it reports and keeps when a benchmark run fails.
 
 The script is loaded from its file without writing bytecode next to it.
 """
@@ -6,6 +7,7 @@ The script is loaded from its file without writing bytecode next to it.
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -80,3 +82,42 @@ def test_outcome_collects_the_verdicts_and_claims(bench_pairs):
     assert outcome["beyond_bound"] == ["slow:wall_s"]
     assert outcome["more_failures"] == ["slow"]
     assert outcome["claims_resolved"] == {"fast:wall_s": True, "slow:wall_s": False, "absent:wall_s": None}
+
+
+# a stand-in for perfbench/run.py: prints the lines the script reads, or, for
+# the seeds in FAIL_SEEDS, writes to stderr and exits 1
+FAKE_RUN = """
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed in FAIL_SEEDS:
+    print("run.py: seed", seed, "broke", file=sys.stderr)
+    sys.exit(1)
+print("env " + json.dumps({"python": "x"}))
+metrics = {name: {"value": 1.0 + seed} for name in ("wall_s", "setup_s", "peak_rss_mb")}
+print(json.dumps({"metrics": metrics, "failed": 0, "attempted": 1}))
+"""
+
+
+def _checkout(root, fail_seeds):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN.replace("FAIL_SEEDS", repr(set(fail_seeds))))
+    rules = [{"name": m, "better": "lower", "bound": 0.25} for m in ("wall_s", "setup_s", "peak_rss_mb")]
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": rules}))
+    return root
+
+
+def test_a_failed_run_is_reported_and_the_pairs_run_so_far_are_kept(bench_pairs, tmp_path, capsys):
+    base, change = _checkout(tmp_path / "base", []), _checkout(tmp_path / "change", [1])
+    out = tmp_path / "out.json"
+    code = bench_pairs.main(["--base", str(base), "--change", str(change), "--out", str(out),
+                             "--pairs", "w=3", "--seconds", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(change) in err and "perfbench/run.py --workload w --seed 1" in err
+    assert "exit code: 1" in err and "run.py: seed 1 broke" in err
+    doc = json.loads(out.read_text())
+    assert doc["failure"]["returncode"] == 1 and doc["failure"]["checkout"] == str(change)
+    # pair 1 runs the change first, so only pair 0 is complete
+    runs = doc["incomplete"]["runs"]
+    assert doc["incomplete"]["workload"] == "w"
+    assert [r["wall_s"] for r in runs["base"]] == [r["wall_s"] for r in runs["change"]] == [1.0]

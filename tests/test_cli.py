@@ -15,6 +15,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_startup import TINY
 
 from qubitbench import cli
 from qubitbench.cli import _json_doc
@@ -34,11 +37,11 @@ TINY_RB = (
 TINY_RB_CONFIG = {"lengths": "20,60", "sequences": 3, "shots": 20, "noise": "depol", "depol": 1e-3}
 
 
-def _config_file(tmp_path, params: dict) -> str:
-    """Path of a config file for ``rb`` holding `params`; NaN and infinity
+def _config_file(tmp_path, params: dict, command: str = "rb") -> str:
+    """Path of a config file for `command` holding `params`; NaN and infinity
     are written as JSON's ``NaN`` and ``Infinity`` literals."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"schema": cli.CONFIG_SCHEMA, "command": "rb", **params}))
+    path.write_text(json.dumps({"schema": cli.CONFIG_SCHEMA, "command": command, **params}))
     return str(path)
 
 
@@ -266,6 +269,38 @@ class TestErrorsAndOutput:
         assert runs == []
         assert capsys.readouterr().err.startswith("qubitbench: error:")
 
+    @pytest.mark.parametrize(
+        "args, env, option",
+        [
+            (("budget", "--sigma0", "-1"), {}, "--sigma0"),
+            (("idle-rates", "--shots", "0"), {}, "--shots"),
+            (("walsh", "--sigma0", "-1", "--sweep", "4", "--max-order", "0"), {}, "--sigma0"),
+            (("rb", "--config", {**TINY_RB_CONFIG, "sequences": 2.9}), {}, "'sequences'"),
+            (("rb", "--config", {**TINY_RB_CONFIG, "shots": True}), {}, "'shots'"),
+            (("rb", "--config", {**TINY_RB_CONFIG, "shots": None}), {}, "'shots'"),  # was a TypeError traceback
+            (("rb", "--lengths", "1.5"), {}, "--lengths"),
+            (TINY_RB, {"QUBITBENCH_SEED": "abc"}, "QUBITBENCH_SEED"),
+            (TINY_RB, {"QUBITBENCH_WORKERS": "abc"}, "QUBITBENCH_WORKERS"),
+        ],
+    )
+    def test_out_of_domain_values_are_named_before_any_run(self, args, env, option, tmp_path, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(cli, "run_rb", lambda *a, **kw: runs.append(1))
+        monkeypatch.setattr(cli, "sample_idle_scheme", lambda *a, **kw: runs.append(1))
+        monkeypatch.setattr(cli, "budget_table", lambda *a, **kw: runs.append(1))
+        monkeypatch.setattr(cli.SimulatedQubitTestbed, "run_train", lambda *a, **kw: runs.append(1))
+        for name in ("QUBITBENCH_SEED", "QUBITBENCH_WORKERS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        argv = [_config_file(tmp_path, a) if isinstance(a, dict) else a for a in args]
+        assert cli.main(argv) == 1
+        assert runs == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("qubitbench: error:") and option in line
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_documents_refuse_non_json_floats(self, value):
         with pytest.raises(ValueError):
@@ -296,6 +331,58 @@ class TestErrorsAndOutput:
         assert len(lines) == 1 + 2 * 3  # two lengths, three sequences each
         for line in lines[1:]:
             assert all(field.lstrip("-").isdigit() for field in line.split(","))
+
+
+# values that replace one option of a small run: zero, negatives and text that
+# is no finite number; never a large count, length, sweep or worker number
+_NUMBER_TEXT = st.sampled_from(["0", "-0", "nan", "inf", "-inf"]) | st.floats(-1e3, -1e-9).map(repr)
+_INT_TEXT = st.just("0") | st.integers(-1000, -1).map(str)
+# an int option from a config file: a fraction, a bool, zero or a negative
+_INT_CONFIG = st.floats(-10, 10).filter(lambda x: not x.is_integer()) | st.booleans() | st.integers(-1000, 0)
+_FLOAT_CONFIG = st.booleans() | st.sampled_from([0.0, float("nan"), float("inf")]) | st.floats(-1e3, -1e-9)
+
+
+def _list_texts(text: str):
+    """No element, a repeated one, or elements no list or name holds."""
+    first = text.split(",")[0]
+    return st.sampled_from(["", f"{first},{first}", "1.5", "-1", "nan", "x"])
+
+
+class TestOptionDomains:
+    """Any one option of a small run set to an edge value gives a finite
+    document (exit 0) or one error line that names the option (exit 1)."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_edge_value_exits_cleanly(self, data, tmp_path, monkeypatch, capsys):
+        for env in ("QUBITBENCH_SEED", "QUBITBENCH_WORKERS"):
+            monkeypatch.delenv(env, raising=False)
+        command = data.draw(st.sampled_from(sorted(TINY)))
+        base = dict(zip(TINY[command][::2], TINY[command][1::2]))
+        params = {**cli._PARAMS[command], **cli._RUN_PARAMS}
+        # a path's error names the file, not the option
+        name = data.draw(st.sampled_from(sorted(set(params) - {"ssb"})))
+        typ, default = params[name][:2]
+        flag = f"--{name.replace('_', '-')}"
+        text = base.pop(flag, default)
+        argv = [command, *(x for pair in base.items() for x in pair)]
+        source = data.draw(st.sampled_from(["flag", "env" if name in cli._RUN_PARAMS else "config"]))
+        numbers = {int: _INT_CONFIG, float: _FLOAT_CONFIG} if source == "config" else {int: _INT_TEXT, float: _NUMBER_TEXT}
+        value = data.draw(numbers[typ] if typ in numbers else _list_texts(text))
+        if source == "config":
+            argv += ["--config", _config_file(tmp_path, {name: value}, command)]
+        elif source == "env":
+            monkeypatch.setenv(f"QUBITBENCH_{name.upper()}", value)
+        else:
+            argv += [f"{flag}={value}"]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        if code == 0:
+            json.loads(out, parse_constant=pytest.fail)
+        else:
+            assert code == 1
+            (line,) = [line for line in err.splitlines() if line.startswith("qubitbench: error:")]
+            assert name in line or flag in line, line
 
 
 def _load_perfbench(name: str):

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qubitbench import pulsesim, rb
 from qubitbench.cliffords import pulse_from_label
@@ -354,27 +356,64 @@ class TestFullTier:
         assert fast_calls == []
 
 
+@st.composite
+def _datasets(draw):
+    """One to eight records with 0 <= errors <= shots (both ends included
+    often), and meta holding finite floats, integers and text."""
+    shots = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=8))
+    n = len(shots)
+    return RBDataset(
+        lengths=draw(st.lists(st.integers(1, 10**5), min_size=n, max_size=n)),
+        seq_ids=draw(st.lists(st.integers(0, 100), min_size=n, max_size=n)),
+        errors=[draw(st.sampled_from([0, s]) | st.integers(0, s)) for s in shots],
+        shots=shots,
+        meta=draw(st.dictionaries(
+            st.text(max_size=8),
+            st.floats(allow_nan=False, allow_infinity=False) | st.integers() | st.text(max_size=8),
+            max_size=4,
+        )),
+    )
+
+
+def _same_records(a: RBDataset, b: RBDataset) -> bool:
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("lengths", "seq_ids", "errors", "shots"))
+
+
+def _assert_json_roundtrip(ds: RBDataset) -> None:
+    back = RBDataset.from_json(ds.to_json())
+    assert back.meta == ds.meta
+    assert _same_records(back, ds)
+
+
+def _assert_csv_roundtrip(ds: RBDataset) -> None:
+    text = ds.to_csv()
+    assert text.splitlines()[0] == "length,seq_id,errors,shots"
+    assert _same_records(RBDataset.from_csv(text), ds)
+
+
 class TestDataset:
     def _small_dataset(self):
         plan = RBPlan(master_seed=3, lengths=(10, 20), n_sequences=3, shots_per_sequence=7)
         return run_rb(plan, noise=NoiseConfig(spam=0.1), tier="fast")
 
     def test_json_roundtrip_preserves_everything(self):
-        ds = self._small_dataset()
-        back = RBDataset.from_json(ds.to_json())
-        assert back.meta == ds.meta
-        assert np.array_equal(back.lengths, ds.lengths)
-        assert np.array_equal(back.seq_ids, ds.seq_ids)
-        assert np.array_equal(back.errors, ds.errors)
-        assert np.array_equal(back.shots, ds.shots)
+        _assert_json_roundtrip(self._small_dataset())
+
+    @given(ds=_datasets())
+    @example(ds=RBDataset([30000], [0], [5], [5], meta={"spam": 1.1e-3, "prepared_state": 0}))
+    @example(ds=RBDataset([1, 300], [0, 29], [0, 0], [1, 100]))
+    @settings(max_examples=60, deadline=None)
+    def test_json_roundtrip_preserves_any_records(self, ds):
+        _assert_json_roundtrip(ds)
 
     def test_csv_roundtrip_preserves_counts(self):
-        ds = self._small_dataset()
-        text = ds.to_csv()
-        assert text.splitlines()[0] == "length,seq_id,errors,shots"
-        back = RBDataset.from_csv(text)
-        assert np.array_equal(back.errors, ds.errors)
-        assert np.array_equal(back.lengths, ds.lengths)
+        _assert_csv_roundtrip(self._small_dataset())
+
+    @given(ds=_datasets())
+    @example(ds=RBDataset([30000], [0], [5], [5]))
+    @settings(max_examples=60, deadline=None)
+    def test_csv_roundtrip_preserves_any_counts(self, ds):
+        _assert_csv_roundtrip(ds)
 
     def test_successes_complement_errors(self):
         ds = self._small_dataset()
