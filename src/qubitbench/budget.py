@@ -42,15 +42,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .cliffords import MEAN_PULSES_PER_CLIFFORD
+from . import presets
 from .fitting import binomial_variance, inverse_variance_mean, weighted_line
-from .noise import IdleRates
+from .noise import IdleRates, MotionalMode
+from .presets import MEAN_PULSES_PER_CLIFFORD
 
 __all__ = [
     "BudgetInput",
@@ -135,7 +135,7 @@ def err_amp_drift(
 
 def err_awg(
     amp_fraction: float,
-    bits: int = 15,
+    bits: int = presets.AWG_BITS,
     mu: float = MEAN_PULSES_PER_CLIFFORD,
 ) -> float:
     """Worst-case quantization error of the waveform-generator amplitude."""
@@ -185,28 +185,24 @@ def _default_drift_trace() -> tuple[np.ndarray, np.ndarray]:
 class BudgetInput:
     """Hardware quantities feeding the error budget."""
 
-    gate_time: float = 13e-6
+    gate_time: float = presets.GATE_TIME
     mu: float = MEAN_PULSES_PER_CLIFFORD
-    t2: float = 69.0
+    t2: float = presets.T2_STAR_STAR
     t2_unc: float = 7.0
-    sigma0_rel: float = 1.4571e-4
+    sigma0_rel: float = presets.SIGMA0_REL
     idle: IdleRates = field(
         default_factory=lambda: IdleRates(
-            bright_per_s=5.3549e-3,
-            dark_plus_leak_prep0_per_s=4.3508e-3,
-            dark_plus_leak_prep1_per_s=4.0162e-3,
-            flip_per_s=0.0,
+            bright_per_s=presets.BRIGHT_PER_S,
+            dark_plus_leak_prep0_per_s=presets.DARK_PLUS_LEAK_PREP0_PER_S,
+            dark_plus_leak_prep1_per_s=presets.DARK_PLUS_LEAK_PREP1_PER_S,
         )
     )
-    eta: float = 9.3e-4
-    omega_m: float = 2 * np.pi * 5.6e6
-    n_bar0: float = 2.6
-    heating_rate: float = 370.0
+    motional: MotionalMode = field(default_factory=MotionalMode)
     longest_sequence_gates: int = 30000
     drift_trace: tuple[np.ndarray, np.ndarray] = field(default_factory=_default_drift_trace)
-    awg_bits: int = 15
-    awg_fraction: float = 0.23675
-    zeeman_residual_hz: float = 2.5
+    awg_bits: int = presets.AWG_BITS
+    awg_fraction: float = presets.AWG_FRACTION
+    zeeman_residual_hz: float = presets.ZEEMAN_RESIDUAL_HZ
     zeeman_convention: str = "twirl"
     harmonic_coefficient: str = "rb"
     spectator_bound: float = 1e-9
@@ -269,9 +265,6 @@ class BudgetTable:
             "total_uncertainty": self.total_uncertainty(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps({"format": "qubitbench.budget.v1", **self.as_dict()}, sort_keys=True, indent=2) + "\n"
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -286,7 +279,8 @@ def budget_table(inputs: BudgetInput | None = None) -> BudgetTable:
     """Assemble the per-element error budget at the configured gate time."""
     inp = inputs or BudgetInput()
     t_seq = inp.longest_sequence_gates * inp.gate_time
-    n_bar = mean_n_bar(inp.n_bar0, inp.heating_rate, t_seq)
+    mode = inp.motional
+    n_bar = mean_n_bar(mode.n_bar0, mode.heating_rate, t_seq)
 
     a = err_decoherence(inp.gate_time, inp.t2)
     rows = [
@@ -311,9 +305,7 @@ def budget_table(inputs: BudgetInput | None = None) -> BudgetTable:
         ),
         BudgetRow(
             "harmonic_motion",
-            err_harmonic(
-                inp.eta, inp.omega_m, n_bar, inp.t_half_pi, inp.mu, inp.harmonic_coefficient
-            ),
+            err_harmonic(mode.eta, mode.omega_m, n_bar, inp.t_half_pi, inp.mu, inp.harmonic_coefficient),
             "estimate",
             note="residual sinusoidal Rabi-rate modulation, sequence-averaged occupation",
         ),
@@ -348,7 +340,7 @@ def budget_curve(
     """Budget rows and totals across a range of gate durations."""
     inp = inputs or BudgetInput()
     if gate_times is None:
-        gate_times = np.linspace(4.4e-6, 35e-6, 18)
+        gate_times = np.linspace(presets.CURVE_GATE_TIME_MIN, presets.CURVE_GATE_TIME_MAX, presets.CURVE_POINTS)
     tables = [budget_table(replace(inp, gate_time=float(t))) for t in gate_times]
     names = [r.name for r in tables[0].rows]
     return {

@@ -34,6 +34,7 @@ import numpy as np
 from .cliffords import apply_ab, pulse_ab
 from .fitting import _levenberg_marquardt, binomial_variance, inverse_variance_mean
 from .noise import LANE_CAL, QuantizerConfig, rng_stream
+from .presets import AWG_FRACTION, GAP_TIME, SIGMA0_REL, SPAM, T_HALF_PI
 
 __all__ = [
     "SimulatedQubitTestbed",
@@ -89,12 +90,12 @@ class SimulatedQubitTestbed:
     def __init__(
         self,
         master_seed: int,
-        t_half_pi: float = 6.0e-6,
-        gap_time: float = 40e-9,
-        amp_fraction: float = 0.23675,
-        quantizer: QuantizerConfig | None = QuantizerConfig(bits=15),
-        sigma0_rel: float = 1.4571e-4,
-        spam: float = 1.1e-3,
+        t_half_pi: float = T_HALF_PI,
+        gap_time: float = GAP_TIME,
+        amp_fraction: float = AWG_FRACTION,
+        quantizer: QuantizerConfig | None = QuantizerConfig(),
+        sigma0_rel: float = SIGMA0_REL,
+        spam: float = SPAM,
         amp_drift: Callable[[np.ndarray], np.ndarray] | None = None,
         freq_drift: Callable[[np.ndarray], np.ndarray] | None = None,
         shot_overhead: float = 5e-3,
@@ -586,7 +587,10 @@ def walsh_fit(
         return np.array([constant_train_p_zero_gaussian(n, mean_rel, sigma) for n in ns]) - ps
 
     # scipy's least_squares(method="lm") on MINPACK alone: no scipy.optimize import
-    sigma_rel = float(np.exp(_levenberg_marquardt(resid, np.array([np.log(1e-4)]))[0]))
+    with np.errstate(over="ignore"):
+        sigma_rel = float(np.exp(_levenberg_marquardt(resid, np.array([np.log(1e-4)]))[0]))
+    if not np.isfinite(sigma_rel):
+        raise ValueError(f"the shot-to-shot spread fit diverged (sigma_rel = {sigma_rel})")
 
     coefficients = {}
     for order in range(1, max_order + 1):

@@ -38,7 +38,7 @@ from .budget import HARMONIC_COEFFICIENTS, IDLE_SCHEMES, ZEEMAN_CONVENTIONS, Bud
 from .budget import estimate_idle_rates, sample_idle_scheme
 from .calibration import CalLoopConfig, SimulatedQubitTestbed, amplitude_cal_loop, frequency_cal_loop
 from .calibration import records_to_jsonl, walsh_fit
-from .cliffords import MEAN_PULSES_PER_CLIFFORD, build_clifford_table
+from .cliffords import build_clifford_table
 from .filterfunc import PhasePSD, SSBCurve, chi_echo, chi_ramsey, predict_irmb, predict_t2
 from .fitting import bootstrap_ci
 from .noise import LANE_BOOTSTRAP, LANE_IDLE, AmplitudeNoiseModel, IdleRates, NoiseConfig, QuantizerConfig, rng_stream
@@ -143,8 +143,8 @@ _PARAMS = {
         "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration, s", _POSITIVE),
         "amp_fraction": (float, presets.AWG_FRACTION, "full-scale fraction at nominal amplitude", _FRACTION),
         "bits": (int, presets.AWG_BITS, "amplitude resolution bits", _at_least(1, most=40)),
-        "drift_a_inf": (float, 4.3e-4, "asymptotic relative amplitude drift", _RELATIVE),
-        "drift_tau": (float, 240.0, "amplitude drift time constant, s", _POSITIVE),
+        "drift_a_inf": (float, presets.DRIFT_A_INF, "asymptotic relative amplitude drift", _RELATIVE),
+        "drift_tau": (float, presets.DRIFT_TAU, "amplitude drift time constant, s", _POSITIVE),
         "freq_drift_hz_per_s": (float, 0.0, "linear qubit-frequency drift rate", _FINITE),
     },
     "walsh": {
@@ -155,8 +155,8 @@ _PARAMS = {
         "sigma0": (float, presets.SIGMA0_REL, "shot-to-shot relative amplitude noise", _NON_NEGATIVE),
         "spam": (float, presets.SPAM, "readout flip probability", _SPAM),
         "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration, s", _POSITIVE),
-        "drift_a_inf": (float, 4.3e-4, "asymptotic relative amplitude drift", _RELATIVE),
-        "drift_tau": (float, 240.0, "amplitude drift time constant, s", _POSITIVE),
+        "drift_a_inf": (float, presets.DRIFT_A_INF, "asymptotic relative amplitude drift", _RELATIVE),
+        "drift_tau": (float, presets.DRIFT_TAU, "amplitude drift time constant, s", _POSITIVE),
     },
     "phase-noise": {
         "ssb": (str, None, "CSV file frequency_hz,dbc_per_hz (default: synthetic)", _TEXT),
@@ -172,14 +172,14 @@ _PARAMS = {
         "zeeman_convention": (str, "twirl", "twirl or worst_case", _one_of(*ZEEMAN_CONVENTIONS)),
         "harmonic_coefficient": (str, "rb", "rb or single_pulse", _one_of(*HARMONIC_COEFFICIENTS)),
         "curve": (int, 0, "sweep gate time instead of a single table", _SWITCH),
-        "curve_min": (float, 4.4e-6, "sweep start, s", _POSITIVE),
-        "curve_max": (float, 35e-6, "sweep end, s", _POSITIVE),
-        "curve_points": (int, 18, "sweep points", _at_least(1)),
+        "curve_min": (float, presets.CURVE_GATE_TIME_MIN, "sweep start, s", _POSITIVE),
+        "curve_max": (float, presets.CURVE_GATE_TIME_MAX, "sweep end, s", _POSITIVE),
+        "curve_points": (int, presets.CURVE_POINTS, "sweep points", _at_least(1)),
     },
     "idle-rates": {
-        "bright": (float, 5.3549e-3, "true bright-error rate, 1/s", _NON_NEGATIVE),
-        "combo0": (float, 4.3508e-3, "true dark+leak rate, preparation 0, 1/s", _NON_NEGATIVE),
-        "combo1": (float, 4.0162e-3, "true dark+leak rate, preparation 1, 1/s", _NON_NEGATIVE),
+        "bright": (float, presets.BRIGHT_PER_S, "true bright-error rate, 1/s", _NON_NEGATIVE),
+        "combo0": (float, presets.DARK_PLUS_LEAK_PREP0_PER_S, "true dark+leak rate, preparation 0, 1/s", _NON_NEGATIVE),
+        "combo1": (float, presets.DARK_PLUS_LEAK_PREP1_PER_S, "true dark+leak rate, preparation 1, 1/s", _NON_NEGATIVE),
         "flip": (float, 0.0, "true spin-flip rate, 1/s", _NON_NEGATIVE),
         "spam": (float, presets.SPAM, "readout flip probability", _SPAM),
         "durations": (str, "0.5,1,2,4", "idle durations, s", _TWO_TIMES),
@@ -396,30 +396,22 @@ def _cmd_irmb(resolved: dict, seed: int, fmt: str) -> dict:
         "slope_per_s": slope.slope_per_s,
         "slope_stderr": slope.slope_stderr,
         "intercept": slope.intercept,
-        "predicted_slope_per_s": MEAN_PULSES_PER_CLIFFORD / (3 * resolved["t2"]),
+        "predicted_slope_per_s": presets.MEAN_PULSES_PER_CLIFFORD / (3 * resolved["t2"]),
     }
 
 
 def _make_testbed(resolved: dict, seed: int) -> SimulatedQubitTestbed:
-    amp_drift = (
-        presets.thermal_amp_drift(resolved["drift_a_inf"], resolved["drift_tau"])
-        if resolved["drift_a_inf"]
-        else None
-    )
-    freq_drift = (
-        presets.linear_freq_drift(resolved["freq_drift_hz_per_s"])
-        if resolved.get("freq_drift_hz_per_s")
-        else None
-    )
+    """The testbed of `calibrate` or `walsh`, from the options the command
+    declares; the testbed's own defaults set the rest."""
+    hardware = {}
+    if "bits" in resolved:  # calibrate's waveform generator
+        hardware = {"amp_fraction": resolved["amp_fraction"], "quantizer": QuantizerConfig(bits=resolved["bits"])}
+    if resolved.get("freq_drift_hz_per_s"):
+        hardware["freq_drift"] = presets.linear_freq_drift(resolved["freq_drift_hz_per_s"])
+    if resolved["drift_a_inf"]:
+        hardware["amp_drift"] = presets.thermal_amp_drift(resolved["drift_a_inf"], resolved["drift_tau"])
     return SimulatedQubitTestbed(
-        master_seed=seed,
-        t_half_pi=resolved["t_half_pi"],
-        amp_fraction=resolved.get("amp_fraction", presets.AWG_FRACTION),
-        quantizer=QuantizerConfig(bits=resolved.get("bits", presets.AWG_BITS)),
-        sigma0_rel=resolved["sigma0"],
-        spam=resolved["spam"],
-        amp_drift=amp_drift,
-        freq_drift=freq_drift,
+        seed, t_half_pi=resolved["t_half_pi"], sigma0_rel=resolved["sigma0"], spam=resolved["spam"], **hardware
     )
 
 
@@ -464,9 +456,12 @@ def _cmd_walsh(resolved: dict, seed: int, fmt: str) -> dict:
 def _cmd_phase_noise(resolved: dict, seed: int, fmt: str) -> dict:
     taus = _parse_float_list(resolved["taus"])
     delays = _parse_float_list(resolved["irmb_delays"])
-    if resolved["ssb"]:
-        with open(resolved["ssb"]) as fh:
-            curve = SSBCurve.from_csv(fh.read())
+    if path := resolved["ssb"]:
+        try:
+            with open(path) as fh:
+                curve = SSBCurve.from_csv(fh.read())
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"--ssb {path!r}: {exc.strerror if isinstance(exc, OSError) else exc}") from None
         psd = PhasePSD.from_ssb(curve)
     else:
         psd = presets.default_phase_psd()

@@ -34,6 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .presets import GAP_TIME, MEAN_PULSES_PER_CLIFFORD, RAMP_TIME, T_HALF_PI
+
 __all__ = [
     "GENERATOR_LABELS",
     "MEAN_PULSES_PER_CLIFFORD",
@@ -54,9 +56,6 @@ _ID = np.eye(2, dtype=complex)
 
 #: Expansion / tie-break order for the generator search (lexicographic).
 GENERATOR_LABELS = ("+X90", "+Y90", "-X90", "-Y90")
-
-#: ``build_clifford_table().mean_pulses_per_clifford``, without building the table
-MEAN_PULSES_PER_CLIFFORD = 52 / 24
 
 _PHASE_TOL = 1e-9
 
@@ -143,9 +142,9 @@ class PulseSpec:
 
     phase: float
     sign: int = 1
-    t_half_pi: float = 6.0e-6
-    ramp_time: float = 40e-9
-    gap_time: float = 40e-9
+    t_half_pi: float = T_HALF_PI
+    ramp_time: float = RAMP_TIME
+    gap_time: float = GAP_TIME
     amp_scale: float = 1.0
 
     def __post_init__(self):

@@ -106,7 +106,10 @@ class SSBCurve:
 
     @classmethod
     def from_csv(cls, text: str) -> "SSBCurve":
-        rows = list(csv.DictReader(io.StringIO(text)))
+        reader = csv.DictReader(io.StringIO(text), restval="")  # a short row's missing cell is ""
+        if not {"frequency_hz", "dbc_per_hz"} <= set(reader.fieldnames or ()):
+            raise ValueError("need a header with the columns frequency_hz,dbc_per_hz")
+        rows = list(reader)
         return cls(
             freqs_hz=tuple(float(r["frequency_hz"]) for r in rows),
             dbc_per_hz=tuple(float(r["dbc_per_hz"]) for r in rows),

@@ -27,6 +27,8 @@ from typing import Callable
 
 import numpy as np
 
+from .presets import AWG_BITS, ETA, HEATING_RATE, N_BAR0, OMEGA_MOTIONAL
+
 __all__ = [
     "rng_stream",
     "LANE_PLAN",
@@ -105,10 +107,10 @@ class MotionalMode:
     ``n_bar0`` at ``heating_rate`` quanta per second.
     """
 
-    eta: float = 9.3e-4
-    omega_m: float = 2 * np.pi * 5.6e6
-    n_bar0: float = 2.6
-    heating_rate: float = 370.0
+    eta: float = ETA
+    omega_m: float = OMEGA_MOTIONAL
+    n_bar0: float = N_BAR0
+    heating_rate: float = HEATING_RATE
 
     def n_bar_at(self, t: float) -> float:
         return self.n_bar0 + self.heating_rate * t
@@ -148,7 +150,7 @@ class MotionalMode:
 class QuantizerConfig:
     """Fixed-point amplitude resolution of the waveform generator."""
 
-    bits: int = 15
+    bits: int = AWG_BITS
 
     def __post_init__(self):
         if not 1 <= self.bits <= 40:

@@ -6,15 +6,21 @@ throughout the examples and tests: a 13 us average gate assembled from
 budget term lands at a realistic magnitude for a state-of-the-art
 trapped-ion single-qubit gate.
 
+This module is the one place where the operating point is written.  Every
+default of the budget, the simulators, the testbed and the CLI reads its
+names, so it imports nothing from the package at module level; the three
+``default_*`` builders import the types they build when they are called.
+
 Derivations of the non-obvious numbers:
 
 * ``SIGMA0_REL`` makes the amplitude-noise budget term
   ``mu sigma^2 / 2`` equal 2.3e-9.
 * ``AWG_FRACTION`` makes the 15-bit half-LSB rounding term
   ``mu (2^-16 / a)^2 / 6`` equal 1.5e-10.
-* The sub-second idle rates of ``BudgetInput.idle`` scale the directly
-  measured long-delay rates (bright 1.6e-2 /s, dark plus leakage 1.3e-2 /s
-  from 0 and 1.2e-2 /s from 1, no spin flips) by 0.33468 (idle errors grow
+* The sub-second idle rates ``BRIGHT_PER_S``, ``DARK_PLUS_LEAK_PREP0_PER_S``
+  and ``DARK_PLUS_LEAK_PREP1_PER_S`` scale the directly measured long-delay
+  rates (bright 1.6e-2 /s, dark plus leakage 1.3e-2 /s from 0 and
+  1.2e-2 /s from 1, no spin flips) by 0.33468 (idle errors grow
   sub-linearly, so short-delay rates are smaller), pinning the idle/leakage
   budget term at 6.2e-9 for a 13 us gate.
 * The synthetic local-oscillator phase-noise curve is pure
@@ -26,36 +32,25 @@ Derivations of the non-obvious numbers:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .budget import BudgetInput
-from .cliffords import MEAN_PULSES_PER_CLIFFORD
-from .filterfunc import PhasePSD, SSBCurve
-from .noise import AmplitudeNoiseModel, MotionalMode, NoiseConfig
+if TYPE_CHECKING:
+    from .filterfunc import PhasePSD, SSBCurve
+    from .noise import NoiseConfig
 
 __all__ = [
-    "GATE_TIME",
-    "T_HALF_PI",
-    "RAMP_TIME",
-    "GAP_TIME",
-    "MEAN_PULSES_PER_CLIFFORD",
-    "SIGMA0_REL",
-    "AWG_BITS",
-    "AWG_FRACTION",
-    "SPAM",
-    "T2_STAR_STAR",
-    "ETA",
-    "OMEGA_MOTIONAL",
-    "N_BAR0",
-    "HEATING_RATE",
-    "ZEEMAN_RESIDUAL_HZ",
-    "default_noise_config",
-    "default_ssb_curve",
-    "default_phase_psd",
-    "default_budget_input",
-    "thermal_amp_drift",
-    "linear_freq_drift",
+    "MEAN_PULSES_PER_CLIFFORD", "GATE_TIME", "T_HALF_PI", "RAMP_TIME", "GAP_TIME",
+    "SIGMA0_REL", "AWG_BITS", "AWG_FRACTION", "SPAM", "T2_STAR_STAR",
+    "BRIGHT_PER_S", "DARK_PLUS_LEAK_PREP0_PER_S", "DARK_PLUS_LEAK_PREP1_PER_S",
+    "ETA", "OMEGA_MOTIONAL", "N_BAR0", "HEATING_RATE", "ZEEMAN_RESIDUAL_HZ",
+    "DRIFT_A_INF", "DRIFT_TAU", "CURVE_GATE_TIME_MIN", "CURVE_GATE_TIME_MAX", "CURVE_POINTS",
+    "default_noise_config", "default_ssb_curve", "default_phase_psd", "thermal_amp_drift", "linear_freq_drift",
 ]
+
+#: ``build_clifford_table().mean_pulses_per_clifford``, without building the table
+MEAN_PULSES_PER_CLIFFORD = 52 / 24
 
 GATE_TIME = 13e-6
 T_HALF_PI = GATE_TIME / MEAN_PULSES_PER_CLIFFORD  # = 6.0e-6
@@ -68,6 +63,10 @@ AWG_FRACTION = 0.23675
 SPAM = 1.1e-3
 T2_STAR_STAR = 69.0
 
+BRIGHT_PER_S = 5.3549e-3
+DARK_PLUS_LEAK_PREP0_PER_S = 4.3508e-3
+DARK_PLUS_LEAK_PREP1_PER_S = 4.0162e-3
+
 ETA = 9.3e-4
 OMEGA_MOTIONAL = 2 * np.pi * 5.6e6
 N_BAR0 = 2.6
@@ -75,16 +74,23 @@ HEATING_RATE = 370.0
 
 ZEEMAN_RESIDUAL_HZ = 2.5
 
+# thermal settling of the drive amplitude (``thermal_amp_drift``)
+DRIFT_A_INF = 4.3e-4
+DRIFT_TAU = 240.0
+
+# gate durations of the budget's sweep: np.linspace(min, max, points)
+CURVE_GATE_TIME_MIN = 4.4e-6
+CURVE_GATE_TIME_MAX = 35e-6
+CURVE_POINTS = 18
+
 
 def default_noise_config(include_motional: bool = True) -> NoiseConfig:
     """Realistic fast-tier noise at the default operating point."""
+    from .noise import AmplitudeNoiseModel, MotionalMode, NoiseConfig
+
     return NoiseConfig(
         amplitude=AmplitudeNoiseModel(sigma_rel=SIGMA0_REL),
-        motional=MotionalMode(
-            eta=ETA, omega_m=OMEGA_MOTIONAL, n_bar0=N_BAR0, heating_rate=HEATING_RATE
-        )
-        if include_motional
-        else None,
+        motional=MotionalMode() if include_motional else None,
         dephasing_t2=T2_STAR_STAR,
         spam=SPAM,
     )
@@ -94,6 +100,8 @@ def default_ssb_curve(
     f_min: float = 1e-4, f_max: float = 1e7, points_per_decade: int = 12
 ) -> SSBCurve:
     """Synthetic oscillator phase-noise curve (see module docstring)."""
+    from .filterfunc import SSBCurve
+
     level_1hz = 10 * np.log10(1.0 / (2 * np.pi**2 * T2_STAR_STAR))
     floor = -140.0
     n = int(np.ceil(np.log10(f_max / f_min) * points_per_decade)) + 1
@@ -103,14 +111,12 @@ def default_ssb_curve(
 
 
 def default_phase_psd() -> PhasePSD:
+    from .filterfunc import PhasePSD
+
     return PhasePSD.from_ssb(default_ssb_curve(), label="synthetic")
 
 
-def default_budget_input() -> BudgetInput:
-    return BudgetInput()
-
-
-def thermal_amp_drift(a_inf: float = 4.3e-4, tau: float = 240.0, sign: float = -1.0):
+def thermal_amp_drift(a_inf: float = DRIFT_A_INF, tau: float = DRIFT_TAU, sign: float = -1.0):
     """Exponential approach of the relative amplitude to a warmed-up value."""
 
     def drift(t):

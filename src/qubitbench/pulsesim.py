@@ -29,13 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cliffords import (
-    MEAN_PULSES_PER_CLIFFORD,
-    PulseSpec,
-    apply_ab,
-    pulse_ab,
-    rotation_matrix,
-)
+from .cliffords import PulseSpec, apply_ab, pulse_ab, rotation_matrix
+from .presets import GAP_TIME, MEAN_PULSES_PER_CLIFFORD, RAMP_TIME
 
 __all__ = [
     "DriveParams",
@@ -86,7 +81,7 @@ class DriveParams:
             raise ValueError(f"ramp_shape must be one of {RAMP_SHAPES}")
 
     @classmethod
-    def nominal(cls, t_half_pi: float, ramp_time: float = 40e-9, **kwargs) -> "DriveParams":
+    def nominal(cls, t_half_pi: float, ramp_time: float = RAMP_TIME, **kwargs) -> "DriveParams":
         """Rabi rate such that a pulse of the given timing is exactly pi/2."""
         return cls(omega_q=(np.pi / 2) / (t_half_pi - ramp_time), **kwargs)
 
@@ -349,8 +344,8 @@ def simulate_spectator(
 
 def spectator_error_per_gate(
     t_half_pi: float,
-    ramp_time: float = 40e-9,
-    gap_time: float = 40e-9,
+    ramp_time: float = RAMP_TIME,
+    gap_time: float = GAP_TIME,
     config: SpectatorConfig | None = None,
     pulses_per_clifford: float = MEAN_PULSES_PER_CLIFFORD,
     n_pulses: int = 24,

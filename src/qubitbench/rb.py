@@ -62,6 +62,7 @@ from .noise import (
     NoiseConfig,
     rng_stream,
 )
+from .presets import GAP_TIME, RAMP_TIME, T_HALF_PI
 from .pulsesim import DriveParams, ZeemanModel
 
 __all__ = [
@@ -96,9 +97,9 @@ class RBTiming:
     inserted after every pulse (zero for plain benchmarking).
     """
 
-    t_half_pi: float = 6.0e-6
-    ramp_time: float = 40e-9
-    gap_time: float = 40e-9
+    t_half_pi: float = T_HALF_PI
+    ramp_time: float = RAMP_TIME
+    gap_time: float = GAP_TIME
     delay_per_pulse: float = 0.0
 
     def __post_init__(self):
@@ -626,15 +627,6 @@ class IRMBResult:
     slope_per_s: float
     slope_stderr: float
     intercept: float
-
-    def as_dict(self) -> dict:
-        return {
-            "delays": list(self.delays),
-            "epsilons": list(self.epsilons),
-            "slope_per_s": self.slope_per_s,
-            "slope_stderr": self.slope_stderr,
-            "intercept": self.intercept,
-        }
 
 
 def irmb_slope(delays: Sequence[float], epsilons: Sequence[float], sigmas: Sequence[float] | None = None) -> IRMBResult:

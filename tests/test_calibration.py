@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qubitbench.calibration import (
     walsh_reconstruct,
     walsh_sign_train,
 )
+from qubitbench.presets import thermal_amp_drift
 
 _QUANT_OFFSET = round(0.23675 * 2**15) / 2**15 / 0.23675 - 1.0
 
@@ -273,6 +275,16 @@ class TestWalshFit:
         with pytest.raises(ValueError):
             walsh_fit(tb, **kwargs)
         assert trains == []
+
+    @pytest.mark.parametrize("a_inf", [1.5, -2.0])
+    def test_a_diverging_spread_fit_raises_instead_of_returning_inf(self, a_inf):
+        # drift this large washes out the sweep's contrast, and the fit of
+        # log sigma runs off; it used to overflow to sigma_rel = inf
+        tb = SimulatedQubitTestbed(master_seed=20260825, amp_drift=thermal_amp_drift(a_inf, 240.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="spread fit diverged"):
+                walsh_fit(tb, max_order=2, n_pulses=16, shots=200, n_sweep=(4, 16))
 
     def test_mean_is_near_zero_without_quantizer(self):
         tb = SimulatedQubitTestbed(master_seed=7, quantizer=None)

@@ -45,6 +45,21 @@ def _config_file(tmp_path, params: dict, command: str = "rb") -> str:
     return str(path)
 
 
+class _File(str):
+    """An argument naming a file that holds this text."""
+
+
+def _argv(args, tmp_path) -> list[str]:
+    """`args` with each dict replaced by a config file and each `_File` by a file."""
+    argv = []
+    for a in args:
+        if isinstance(a, _File):
+            (tmp_path / "input.csv").write_text(a)
+            a = str(tmp_path / "input.csv")
+        argv.append(_config_file(tmp_path, a) if isinstance(a, dict) else a)
+    return argv
+
+
 def run_cli(*args, env_extra=None):
     """Run the CLI in a subprocess with a clean QUBITBENCH_* environment."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("QUBITBENCH_")}
@@ -235,15 +250,20 @@ class TestErrorsAndOutput:
             ("walsh", "--max-order", "-1"),
             ("budget", "--curve", "2"),
             ("rb", "--config", {**TINY_RB_CONFIG, "motional": 2}),
+            # an --ssb file that is missing, has no header or holds text
+            ("phase-noise", "--ssb", "no-such-dir/ssb.csv"),
+            ("phase-noise", "--ssb", _File("1.0,-100.0\n1000000.0,-140.0\n")),
+            ("phase-noise", "--ssb", _File("frequency_hz,dbc_per_hz\n1.0,x\n1000000.0,-140.0\n")),
         ],
     )
     def test_bad_input_exits_one_with_one_error_line(self, args, tmp_path):
-        proc = run_cli(*(_config_file(tmp_path, a) if isinstance(a, dict) else a for a in args))
+        proc = run_cli(*_argv(args, tmp_path))
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert [line for line in proc.stderr.splitlines() if line.startswith("qubitbench: error:")] == [
             proc.stderr.strip()
         ]
+        assert "--ssb" not in args or "--ssb" in proc.stderr
 
     @pytest.mark.parametrize("delays", ["1e-6,1e-6", "0,1e-5,-1e-6", "0,nan", "0,inf"])
     def test_irmb_rejects_bad_delays_before_any_run(self, delays, monkeypatch, capsys):
@@ -293,8 +313,7 @@ class TestErrorsAndOutput:
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        argv = [_config_file(tmp_path, a) if isinstance(a, dict) else a for a in args]
-        assert cli.main(argv) == 1
+        assert cli.main(_argv(args, tmp_path)) == 1
         assert runs == []
         out, err = capsys.readouterr()
         assert out == ""
@@ -357,18 +376,18 @@ class TestOptionDomains:
     def test_one_edge_value_exits_cleanly(self, data, tmp_path, monkeypatch, capsys):
         for env in ("QUBITBENCH_SEED", "QUBITBENCH_WORKERS"):
             monkeypatch.delenv(env, raising=False)
+        monkeypatch.chdir(tmp_path)  # where a drawn --ssb name names no file
         command = data.draw(st.sampled_from(sorted(TINY)))
         base = dict(zip(TINY[command][::2], TINY[command][1::2]))
         params = {**cli._PARAMS[command], **cli._RUN_PARAMS}
-        # a path's error names the file, not the option
-        name = data.draw(st.sampled_from(sorted(set(params) - {"ssb"})))
+        name = data.draw(st.sampled_from(sorted(params)))
         typ, default = params[name][:2]
         flag = f"--{name.replace('_', '-')}"
         text = base.pop(flag, default)
         argv = [command, *(x for pair in base.items() for x in pair)]
         source = data.draw(st.sampled_from(["flag", "env" if name in cli._RUN_PARAMS else "config"]))
         numbers = {int: _INT_CONFIG, float: _FLOAT_CONFIG} if source == "config" else {int: _INT_TEXT, float: _NUMBER_TEXT}
-        value = data.draw(numbers[typ] if typ in numbers else _list_texts(text))
+        value = data.draw(numbers[typ] if typ in numbers else _list_texts(text or ""))
         if source == "config":
             argv += ["--config", _config_file(tmp_path, {name: value}, command)]
         elif source == "env":

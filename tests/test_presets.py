@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+from qubitbench import budget, cli, presets
+from qubitbench.budget import BudgetInput
+from qubitbench.calibration import SimulatedQubitTestbed
+from qubitbench.cliffords import PulseSpec
+from qubitbench.noise import MotionalMode, QuantizerConfig
 from qubitbench.presets import (
-    default_budget_input,
     default_noise_config,
     default_phase_psd,
     default_ssb_curve,
     linear_freq_drift,
     thermal_amp_drift,
 )
+from qubitbench.pulsesim import DriveParams, spectator_error_per_gate
+from qubitbench.rb import RBTiming
 
 
 class TestNoiseConfig:
@@ -35,7 +44,7 @@ class TestNoiseConfig:
 
 class TestBudgetInput:
     def test_operating_point(self):
-        inp = default_budget_input()
+        inp = BudgetInput()
         assert inp.gate_time == 13e-6
         assert inp.mu == pytest.approx(52.0 / 24.0)
         assert inp.t2 == 69.0 and inp.t2_unc == 7.0
@@ -46,14 +55,14 @@ class TestBudgetInput:
         assert inp.longest_sequence_gates == 30000
 
     def test_idle_rates_are_subsecond_scaled(self):
-        inp = default_budget_input()
+        inp = BudgetInput()
         scale = 0.33468
         assert inp.idle.bright_per_s == pytest.approx(1.6e-2 * scale, rel=1e-4)
         assert inp.idle.dark_plus_leak_prep0_per_s == pytest.approx(1.3e-2 * scale, rel=1e-4)
         assert inp.idle.dark_plus_leak_prep1_per_s == pytest.approx(1.2e-2 * scale, rel=1e-4)
 
     def test_drift_trace_is_a_sampled_pair(self):
-        inp = default_budget_input()
+        inp = BudgetInput()
         times, offsets = inp.drift_trace
         assert len(times) == len(offsets)
         assert np.all(np.diff(times) > 0)
@@ -88,3 +97,107 @@ class TestSyntheticSpectrum:
         assert psd.f_range == curve.f_range
         f = 1.0
         assert psd(f) == pytest.approx(2 * 10 ** (curve.level(f) / 10.0), rel=1e-6)
+
+
+def _field(cls, name):
+    """The default of dataclass field `name`, built if it has a factory."""
+    f = {f.name: f for f in dataclasses.fields(cls)}[name]
+    return f.default_factory() if f.default is dataclasses.MISSING else f.default
+
+
+def _arg(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+def _row(command, option):
+    """The default of one option in the CLI's parameter table."""
+    return cli._PARAMS[command][option][1]
+
+
+# where a default is restated -> (its value, the presets name it must be)
+RESTATED = {
+    "BudgetInput.gate_time": (_field(BudgetInput, "gate_time"), "GATE_TIME"),
+    "BudgetInput.mu": (_field(BudgetInput, "mu"), "MEAN_PULSES_PER_CLIFFORD"),
+    "BudgetInput.t2": (_field(BudgetInput, "t2"), "T2_STAR_STAR"),
+    "BudgetInput.sigma0_rel": (_field(BudgetInput, "sigma0_rel"), "SIGMA0_REL"),
+    "BudgetInput.awg_bits": (_field(BudgetInput, "awg_bits"), "AWG_BITS"),
+    "BudgetInput.awg_fraction": (_field(BudgetInput, "awg_fraction"), "AWG_FRACTION"),
+    "BudgetInput.zeeman_residual_hz": (_field(BudgetInput, "zeeman_residual_hz"), "ZEEMAN_RESIDUAL_HZ"),
+    "BudgetInput.idle.bright_per_s": (_field(BudgetInput, "idle").bright_per_s, "BRIGHT_PER_S"),
+    "BudgetInput.idle.dark_plus_leak_prep0_per_s": (_field(BudgetInput, "idle").dark_plus_leak_prep0_per_s, "DARK_PLUS_LEAK_PREP0_PER_S"),
+    "BudgetInput.idle.dark_plus_leak_prep1_per_s": (_field(BudgetInput, "idle").dark_plus_leak_prep1_per_s, "DARK_PLUS_LEAK_PREP1_PER_S"),
+    "BudgetInput.motional.eta": (_field(BudgetInput, "motional").eta, "ETA"),
+    "BudgetInput.motional.omega_m": (_field(BudgetInput, "motional").omega_m, "OMEGA_MOTIONAL"),
+    "BudgetInput.motional.n_bar0": (_field(BudgetInput, "motional").n_bar0, "N_BAR0"),
+    "BudgetInput.motional.heating_rate": (_field(BudgetInput, "motional").heating_rate, "HEATING_RATE"),
+    "MotionalMode.eta": (MotionalMode().eta, "ETA"),
+    "MotionalMode.omega_m": (MotionalMode().omega_m, "OMEGA_MOTIONAL"),
+    "MotionalMode.n_bar0": (MotionalMode().n_bar0, "N_BAR0"),
+    "MotionalMode.heating_rate": (MotionalMode().heating_rate, "HEATING_RATE"),
+    "QuantizerConfig.bits": (_field(QuantizerConfig, "bits"), "AWG_BITS"),
+    "err_awg.bits": (_arg(budget.err_awg, "bits"), "AWG_BITS"),
+    "SimulatedQubitTestbed.t_half_pi": (_arg(SimulatedQubitTestbed, "t_half_pi"), "T_HALF_PI"),
+    "SimulatedQubitTestbed.gap_time": (_arg(SimulatedQubitTestbed, "gap_time"), "GAP_TIME"),
+    "SimulatedQubitTestbed.amp_fraction": (_arg(SimulatedQubitTestbed, "amp_fraction"), "AWG_FRACTION"),
+    "SimulatedQubitTestbed.sigma0_rel": (_arg(SimulatedQubitTestbed, "sigma0_rel"), "SIGMA0_REL"),
+    "SimulatedQubitTestbed.spam": (_arg(SimulatedQubitTestbed, "spam"), "SPAM"),
+    "SimulatedQubitTestbed.quantizer.bits": (_arg(SimulatedQubitTestbed, "quantizer").bits, "AWG_BITS"),
+    "RBTiming.t_half_pi": (_field(RBTiming, "t_half_pi"), "T_HALF_PI"),
+    "RBTiming.ramp_time": (_field(RBTiming, "ramp_time"), "RAMP_TIME"),
+    "RBTiming.gap_time": (_field(RBTiming, "gap_time"), "GAP_TIME"),
+    "PulseSpec.t_half_pi": (_field(PulseSpec, "t_half_pi"), "T_HALF_PI"),
+    "PulseSpec.ramp_time": (_field(PulseSpec, "ramp_time"), "RAMP_TIME"),
+    "PulseSpec.gap_time": (_field(PulseSpec, "gap_time"), "GAP_TIME"),
+    "DriveParams.nominal.ramp_time": (_arg(DriveParams.nominal, "ramp_time"), "RAMP_TIME"),
+    "spectator_error_per_gate.ramp_time": (_arg(spectator_error_per_gate, "ramp_time"), "RAMP_TIME"),
+    "spectator_error_per_gate.gap_time": (_arg(spectator_error_per_gate, "gap_time"), "GAP_TIME"),
+    "spectator_error_per_gate.pulses_per_clifford": (_arg(spectator_error_per_gate, "pulses_per_clifford"), "MEAN_PULSES_PER_CLIFFORD"),
+    "thermal_amp_drift.a_inf": (_arg(thermal_amp_drift, "a_inf"), "DRIFT_A_INF"),
+    "thermal_amp_drift.tau": (_arg(thermal_amp_drift, "tau"), "DRIFT_TAU"),
+    "cli rb t_half_pi": (_row("rb", "t_half_pi"), "T_HALF_PI"),
+    "cli rb ramp_time": (_row("rb", "ramp_time"), "RAMP_TIME"),
+    "cli rb gap_time": (_row("rb", "gap_time"), "GAP_TIME"),
+    "cli irmb t_half_pi": (_row("irmb", "t_half_pi"), "T_HALF_PI"),
+    "cli irmb gap_time": (_row("irmb", "gap_time"), "GAP_TIME"),
+    "cli irmb t2": (_row("irmb", "t2"), "T2_STAR_STAR"),
+    "cli irmb spam": (_row("irmb", "spam"), "SPAM"),
+    "cli calibrate sigma0": (_row("calibrate", "sigma0"), "SIGMA0_REL"),
+    "cli calibrate spam": (_row("calibrate", "spam"), "SPAM"),
+    "cli calibrate t_half_pi": (_row("calibrate", "t_half_pi"), "T_HALF_PI"),
+    "cli calibrate amp_fraction": (_row("calibrate", "amp_fraction"), "AWG_FRACTION"),
+    "cli calibrate bits": (_row("calibrate", "bits"), "AWG_BITS"),
+    "cli calibrate drift_a_inf": (_row("calibrate", "drift_a_inf"), "DRIFT_A_INF"),
+    "cli calibrate drift_tau": (_row("calibrate", "drift_tau"), "DRIFT_TAU"),
+    "cli walsh sigma0": (_row("walsh", "sigma0"), "SIGMA0_REL"),
+    "cli walsh spam": (_row("walsh", "spam"), "SPAM"),
+    "cli walsh t_half_pi": (_row("walsh", "t_half_pi"), "T_HALF_PI"),
+    "cli walsh drift_a_inf": (_row("walsh", "drift_a_inf"), "DRIFT_A_INF"),
+    "cli walsh drift_tau": (_row("walsh", "drift_tau"), "DRIFT_TAU"),
+    "cli budget gate_time": (_row("budget", "gate_time"), "GATE_TIME"),
+    "cli budget t2": (_row("budget", "t2"), "T2_STAR_STAR"),
+    "cli budget sigma0": (_row("budget", "sigma0"), "SIGMA0_REL"),
+    "cli budget zeeman_hz": (_row("budget", "zeeman_hz"), "ZEEMAN_RESIDUAL_HZ"),
+    "cli budget curve_min": (_row("budget", "curve_min"), "CURVE_GATE_TIME_MIN"),
+    "cli budget curve_max": (_row("budget", "curve_max"), "CURVE_GATE_TIME_MAX"),
+    "cli budget curve_points": (_row("budget", "curve_points"), "CURVE_POINTS"),
+    "cli idle-rates bright": (_row("idle-rates", "bright"), "BRIGHT_PER_S"),
+    "cli idle-rates combo0": (_row("idle-rates", "combo0"), "DARK_PLUS_LEAK_PREP0_PER_S"),
+    "cli idle-rates combo1": (_row("idle-rates", "combo1"), "DARK_PLUS_LEAK_PREP1_PER_S"),
+    "cli idle-rates spam": (_row("idle-rates", "spam"), "SPAM"),
+}
+
+
+class TestOneOperatingPoint:
+    """Each default restated outside ``presets`` is the very object it names there,
+    so that editing ``presets`` moves the budget, the simulators and the CLI together."""
+
+    @pytest.mark.parametrize("where", RESTATED)
+    def test_default_is_the_presets_object(self, where):
+        default, name = RESTATED[where]
+        assert default is getattr(presets, name)
+
+    def test_budget_curve_sweeps_the_presets_gate_times(self, monkeypatch):
+        monkeypatch.setattr(presets, "CURVE_GATE_TIME_MIN", 5e-6)
+        monkeypatch.setattr(presets, "CURVE_GATE_TIME_MAX", 7e-6)
+        monkeypatch.setattr(presets, "CURVE_POINTS", 3)
+        assert budget.budget_curve()["gate_time"] == [5e-6, 6e-6, 7e-6]

@@ -116,6 +116,22 @@ def test_walsh_still_fits():
     assert loaded == ["scipy"]
 
 
+def test_presets_is_a_leaf():
+    # the package's __init__ imports every module, so stand in a bare package
+    # for it; presets must then load alone, and its builders import on call
+    proc = run_python("-c", f"""
+import sys, types
+package = types.ModuleType("qubitbench")
+package.__path__ = [{str(SRC / "qubitbench")!r}]
+sys.modules["qubitbench"] = package
+import qubitbench.presets
+print(sorted(name for name in sys.modules if name.startswith("qubitbench.")))
+qubitbench.presets.default_noise_config(), qubitbench.presets.default_phase_psd()
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['qubitbench.presets']"
+
+
 # every subcommand at a small size
 TINY = {
     "rb": ("--lengths", "20,60", "--sequences", "3", "--shots", "20"),
