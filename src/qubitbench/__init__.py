@@ -61,7 +61,6 @@ from .rb import (
     RBTiming,
     generate_plan,
     irmb_slope,
-    run_idle_rb,
     run_rb,
 )
 

@@ -26,7 +26,7 @@ immune to the static offset and to shot-to-shot noise.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np

@@ -528,10 +528,13 @@ def _cmd_idle_rates(resolved: dict, seed: int, fmt: str) -> dict:
     shots, spam = resolved["shots"], resolved["spam"]
     rng = rng_stream(seed, LANE_IDLE)
     data = {}
-    for scheme in IDLE_SCHEMES:
-        for prep in (0, 1):
-            errs = np.array([sample_idle_scheme(rng, scheme, prep, float(t), true, shots, spam) for t in durations])
-            data[(scheme, prep)] = (durations, errs, np.full(len(durations), shots))
+    try:
+        for scheme in IDLE_SCHEMES:
+            for prep in (0, 1):
+                errs = np.array([sample_idle_scheme(rng, scheme, prep, float(t), true, shots, spam) for t in durations])
+                data[(scheme, prep)] = (durations, errs, np.full(len(durations), shots))
+    except ValueError as exc:  # a duration too long for the linearized rates
+        raise ValueError(f"--durations {resolved['durations']!r}: {exc}") from None
     est = estimate_idle_rates(data)
     rates = ("bright_per_s", "dark_plus_leak_prep0_per_s", "dark_plus_leak_prep1_per_s", "flip_per_s")
     return {

@@ -136,8 +136,6 @@ class PulseSpec:
         Duration of each ramp (s).
     gap_time:
         Free-evolution gap appended after the pulse (s).
-    amp_scale:
-        Requested amplitude as a fraction of full scale, in (0, 1].
     """
 
     phase: float
@@ -145,13 +143,10 @@ class PulseSpec:
     t_half_pi: float = T_HALF_PI
     ramp_time: float = RAMP_TIME
     gap_time: float = GAP_TIME
-    amp_scale: float = 1.0
 
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-        if not 0.0 < self.amp_scale <= 1.0:
-            raise ValueError("amp_scale must lie in (0, 1]")
         if self.t_half_pi <= 2 * self.ramp_time:
             raise ValueError("t_half_pi must exceed twice the ramp time")
         if self.ramp_time < 0 or self.gap_time < 0:

@@ -11,10 +11,10 @@ exponential (no ODE solver).  ``Delta = omega_drive - omega_qubit`` is the
 static frame detuning and ``z(t)`` the amplitude-induced (ac Zeeman) shift
 of the qubit frequency, quadratic in the instantaneous drive amplitude.
 
-``t_half_pi`` is the *total* pulse duration including both ramps; the
-flat-top Rabi rate that yields an exact pi/2 rotation is therefore
-``(pi/2) / (t_half_pi - ramp_time)`` for both supported ramp shapes (each
-ramp integrates to half a flat-top ramp_time).
+``t_half_pi`` is the *total* pulse duration including both sin^2 ramps;
+each ramp integrates to half a flat-top ramp_time, so the flat-top Rabi
+rate that yields an exact pi/2 rotation is ``(pi/2) / (t_half_pi -
+ramp_time)``.
 
 Also here: the Bloch-averaged pulse-error metric, a six-level model for
 off-resonant spectator transitions, and a scaled-frequency probe of the
@@ -44,8 +44,6 @@ __all__ = [
     "CARDINAL_STATES",
 ]
 
-RAMP_SHAPES = ("sin2", "linear")
-
 # relative drive amplitude: a multiplier or an array of them (one per batch
 # element), or a function of the time since the start of the pulse that is
 # called once on the (n_cells, 4) quadrature times and returns them with any
@@ -63,22 +61,14 @@ class DriveParams:
         Flat-top Rabi rate in rad/s.
     detuning:
         Static frame detuning, drive minus bare qubit frequency (rad/s).
-    phase:
-        Global phase offset added to every pulse axis (rad).
-    ramp_shape:
-        'sin2' (default) or 'linear'.
     """
 
     omega_q: float
     detuning: float = 0.0
-    phase: float = 0.0
-    ramp_shape: str = "sin2"
 
     def __post_init__(self):
         if self.omega_q <= 0:
             raise ValueError("omega_q must be positive")
-        if self.ramp_shape not in RAMP_SHAPES:
-            raise ValueError(f"ramp_shape must be one of {RAMP_SHAPES}")
 
     @classmethod
     def nominal(cls, t_half_pi: float, ramp_time: float = RAMP_TIME, **kwargs) -> "DriveParams":
@@ -115,13 +105,6 @@ class SpectatorConfig:
     t2_s: float = 40e-3
 
 
-def _ramp_profile(shape: str, s: np.ndarray) -> np.ndarray:
-    """Normalized ramp-up profile on s in [0, 1]."""
-    if shape == "linear":
-        return s
-    return np.sin(0.5 * np.pi * s) ** 2
-
-
 def _ab_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Time-ordered product of the Cayley-Klein pairs ``(a[..., k], b[..., k])``,
     shape ``(2, 2, *batch)`` for pairs of shape ``(*batch, n)``.
@@ -147,8 +130,8 @@ _GL_WEIGHTS = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
 
 
 @lru_cache(maxsize=64)
-def _pulse_grid(tr, t_half_pi, gap_time, ramp_shape, ramp_substeps, flat_substeps):
-    """Read-only (cell starts, cell ends, ramp shape at cell midpoints,
+def _pulse_grid(tr, t_half_pi, gap_time, ramp_substeps, flat_substeps):
+    """Read-only (cell starts, cell ends, sin^2 ramp shape at cell midpoints,
     quadrature times) of a pulse window; the same for every pulse of a
     train, so cached.  Starts and ends have one more cell, the trailing gap."""
     tf = t_half_pi - 2 * tr  # PulseSpec.flat_time
@@ -164,8 +147,8 @@ def _pulse_grid(tr, t_half_pi, gap_time, ramp_shape, ramp_substeps, flat_substep
     if tr > 0:
         up = mids < tr
         down = mids > tr + tf
-        shape[up] = _ramp_profile(ramp_shape, mids[up] / tr)
-        shape[down] = _ramp_profile(ramp_shape, (t_half_pi - mids[down]) / tr)
+        shape[up] = np.sin(0.5 * np.pi * (mids[up] / tr)) ** 2
+        shape[down] = np.sin(0.5 * np.pi * ((t_half_pi - mids[down]) / tr)) ** 2
     ts = edges[:-1, None] + np.diff(edges)[:, None] * _GL_NODES
     starts = np.append(edges[:-1], t_half_pi)
     ends = np.append(edges[1:], t_half_pi + gap_time)
@@ -188,16 +171,14 @@ def _pulse_cells(
     amplitude (fraction of omega_q) on each cell before the gap, shape
     ``(*batch, n_cells)``: the ramp shape at the cell midpoint times the cell
     average of the trace.  A callable trace is called once, on the
-    ``(n_cells, 4)`` array of quadrature times.  The grid does not depend on
-    the evaluation interval, so propagators over adjacent sub-intervals
-    compose exactly.
+    ``(n_cells, 4)`` array of quadrature times.
     """
     if ramp_substeps < 64:
         raise ValueError("ramp_substeps must be at least 64")
     if flat_substeps is None:
         flat_substeps = 256 if callable(amplitude_trace) else 1
     starts, ends, shape, ts = _pulse_grid(
-        pulse.ramp_time, pulse.t_half_pi, pulse.gap_time, drive.ramp_shape, ramp_substeps, flat_substeps
+        pulse.ramp_time, pulse.t_half_pi, pulse.gap_time, ramp_substeps, flat_substeps
     )
     if callable(amplitude_trace):
         # cell-average the trace (Gauss-Legendre) so that slowly oscillating
@@ -205,7 +186,7 @@ def _pulse_cells(
         trace = np.broadcast_arrays(amplitude_trace(ts), ts)[0] @ _GL_WEIGHTS
     else:
         trace = 1.0 if amplitude_trace is None else np.asarray(amplitude_trace, dtype=float)[..., None]
-    return starts, ends, pulse.amp_scale * shape * trace
+    return starts, ends, shape * trace
 
 
 def pulse_propagator(
@@ -213,13 +194,10 @@ def pulse_propagator(
     drive: DriveParams,
     amplitude_trace: AmplitudeTrace | None = None,
     zeeman: ZeemanModel | None = None,
-    t_start: float = 0.0,
-    t_end: float | None = None,
     ramp_substeps: int = 64,
     flat_substeps: int | None = None,
-    include_gap: bool = True,
 ) -> np.ndarray:
-    """Propagator of one pulse (plus trailing gap) over [t_start, t_end].
+    """Propagator of one pulse and its trailing gap.
 
     Returns the 2x2 matrix as an array of shape ``(2, 2, *batch)``: a batch
     of pulses that share the timing and differ in their amplitude trace.
@@ -229,28 +207,17 @@ def pulse_propagator(
     the trace at them, shape ``(*batch, n_cells, 4)`` or broadcastable to
     it.  An unbatched input gives a plain 2x2 array.
 
-    Times are measured from the start of the pulse.  The underlying
-    piecewise-constant Hamiltonian is defined on a fixed grid, so splitting
-    the interval and composing the pieces reproduces the whole to machine
-    precision.  Every cell's exact propagator comes from one ``pulse_ab``
-    call on arrays, and the cells are multiplied as a pairwise tree.
+    Times are measured from the start of the pulse.  The Hamiltonian is
+    piecewise constant on a fixed grid; every cell's exact propagator comes
+    from one ``pulse_ab`` call on arrays, and the cells are multiplied as a
+    pairwise tree.
     """
-    window = pulse.total_time if include_gap else pulse.t_half_pi
-    t_end = window if t_end is None else t_end
-    if not 0.0 <= t_start <= t_end <= window + 1e-18:
-        raise ValueError("evaluation interval must lie inside the pulse window")
-
     starts, ends, rel_amp = _pulse_cells(pulse, drive, amplitude_trace, ramp_substeps, flat_substeps)
-    if include_gap:
-        # trailing gap: free evolution at zero amplitude, so no ac Zeeman shift
-        rel_amp = np.concatenate([rel_amp, np.zeros(rel_amp.shape[:-1] + (1,))], axis=-1)
-    else:
-        starts, ends = starts[:-1], ends[:-1]
-    # cells outside [t_start, t_end] get zero length, i.e. the identity
-    dt = np.maximum(np.minimum(ends, t_end) - np.maximum(starts, t_start), 0.0)
+    # trailing gap: free evolution at zero amplitude, so no ac Zeeman shift
+    rel_amp = np.concatenate([rel_amp, np.zeros(rel_amp.shape[:-1] + (1,))], axis=-1)
     vz = -drive.detuning if zeeman is None else zeeman.shift(rel_amp) - drive.detuning
-    a, b = pulse_ab(drive.omega_q * rel_amp, vz, dt)
-    return _ab_product(a, b * np.exp(1j * (pulse.effective_phase + drive.phase)))
+    a, b = pulse_ab(drive.omega_q * rel_amp, vz, ends - starts)
+    return _ab_product(a, b * np.exp(1j * pulse.effective_phase))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +277,6 @@ def simulate_spectator(
     config: SpectatorConfig,
     state: np.ndarray | None = None,
     ramp_substeps: int = 512,
-    flat_substeps: int = 1,
 ) -> tuple[np.ndarray, float]:
     """Propagate the six-level system through one pulse.
 
@@ -325,16 +291,14 @@ def simulate_spectator(
         state[0] = 1.0
     state = np.asarray(state, dtype=complex)
 
-    phi = pulse.effective_phase + drive.phase
+    phi = pulse.effective_phase
 
     def step(omega: float, dt: float, vec: np.ndarray) -> np.ndarray:
         return _expm_hermitian(_spectator_hamiltonian(omega, phi, config), dt) @ vec
 
-    starts, ends, shape, _ = _pulse_grid(
-        pulse.ramp_time, pulse.t_half_pi, pulse.gap_time, drive.ramp_shape, ramp_substeps, flat_substeps
-    )
+    starts, ends, shape, _ = _pulse_grid(pulse.ramp_time, pulse.t_half_pi, pulse.gap_time, ramp_substeps, 1)
     for amp, dt in zip(shape, (ends - starts)[:-1]):
-        state = step(drive.omega_q * pulse.amp_scale * amp, dt, state)
+        state = step(drive.omega_q * amp, dt, state)
     if pulse.gap_time > 0:
         state = step(0.0, pulse.gap_time, state)
 

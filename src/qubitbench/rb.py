@@ -36,7 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,7 +72,6 @@ __all__ = [
     "generate_plan",
     "geometric_lengths",
     "run_rb",
-    "run_idle_rb",
     "irmb_slope",
     "IRMBResult",
 ]
@@ -350,7 +349,6 @@ def _replay(
     plan: RBPlan,
     length: int,
     group: CliffordGroup,
-    phase_table: list[np.ndarray],
     noise: NoiseConfig,
     timing: RBTiming,
     z_offset: float,
@@ -370,6 +368,7 @@ def _replay(
     rounding of each pulse's norm does not build up over a long sequence.
     """
     n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
+    phase_table = _phase_table(group)
     words = [
         np.concatenate([phase_table[i] for i in plan.sequence(length, s, group).all_indices()])
         for s in range(n_seq)
@@ -416,10 +415,8 @@ def _coherent_survival_fast(
     plan: RBPlan,
     length: int,
     group: CliffordGroup,
-    phase_table: list[np.ndarray],
     noise: NoiseConfig,
     timing: RBTiming,
-    compensate_idle_phase: bool,
     zeeman: ZeemanModel | None = None,
 ) -> np.ndarray:
     """Survival of each (sequence, shot), every pulse an exact rectangle."""
@@ -459,8 +456,8 @@ def _coherent_survival_fast(
 
         return ab
 
-    z_offset = 0.0 if compensate_idle_phase else -delta * (timing.gap_time + timing.delay_per_pulse)
-    return _replay(plan, length, group, phase_table, noise, timing, z_offset, tier_ab)
+    # the rectangle has no gap, and the idle phase is tracked: no z offset
+    return _replay(plan, length, group, noise, timing, 0.0, tier_ab)
 
 
 def _coherent_survival_full(
@@ -469,9 +466,7 @@ def _coherent_survival_full(
     group: CliffordGroup,
     noise: NoiseConfig,
     timing: RBTiming,
-    compensate_idle_phase: bool,
-    zeeman: ZeemanModel | None,
-    ramp_substeps: int,
+    zeeman: ZeemanModel | None = None,
 ) -> np.ndarray:
     """Pulse-level (ramped-waveform) version of the survival computation.
 
@@ -490,7 +485,7 @@ def _coherent_survival_full(
     )
 
     def propagate(trace):
-        u = pulsesim.pulse_propagator(spec, drive, trace, zeeman, ramp_substeps=ramp_substeps)
+        u = pulsesim.pulse_propagator(spec, drive, trace, zeeman)
         return u[0, 0], u[1, 0]
 
     def tier_ab(mult, phase0, n_active):
@@ -511,9 +506,8 @@ def _coherent_survival_full(
 
         return ab
 
-    # cancel the phase the detuning accrues during the programmed idle
-    z_offset = drive.detuning * base_gap if compensate_idle_phase else 0.0
-    return _replay(plan, length, group, _phase_table(group), noise, timing, z_offset, tier_ab)
+    # cancel the phase the detuning accrues during the gap and the idle delay
+    return _replay(plan, length, group, noise, timing, drive.detuning * base_gap, tier_ab)
 
 
 def run_rb(
@@ -522,43 +516,26 @@ def run_rb(
     timing: RBTiming | None = None,
     tier: str = "fast",
     group: CliffordGroup | None = None,
-    compensate_idle_phase: bool = True,
     zeeman: ZeemanModel | None = None,
-    ramp_substeps: int = 64,
     meta: dict | None = None,
 ) -> RBDataset:
     """Execute a benchmarking plan and return per-sequence error counts.
 
-    ``compensate_idle_phase`` mimics tracking of the qubit phase during
-    programmed idle periods: when True, a static detuning offset acts only
-    while pulses are playing.
+    The qubit phase is tracked through the gaps and programmed idle delays,
+    so a static detuning offset acts only while pulses are playing.
     """
     noise = noise or NoiseConfig()
     timing = timing or RBTiming()
     group = group or build_clifford_table()
     if tier not in ("fast", "full"):
         raise ValueError("tier must be 'fast' or 'full'")
-    phase_table = _phase_table(group)
 
     rec_lengths, rec_seq, rec_err, rec_shots = [], [], [], []
     for length in plan.lengths:
         n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
         if _has_coherent_noise(noise) or tier == "full" or zeeman is not None:
-            if tier == "fast":
-                survival = _coherent_survival_fast(
-                    plan, length, group, phase_table, noise, timing, compensate_idle_phase, zeeman
-                )
-            else:
-                survival = _coherent_survival_full(
-                    plan,
-                    length,
-                    group,
-                    noise,
-                    timing,
-                    compensate_idle_phase,
-                    zeeman,
-                    ramp_substeps,
-                )
+            engine = _coherent_survival_fast if tier == "fast" else _coherent_survival_full
+            survival = engine(plan, length, group, noise, timing, zeeman)
         else:
             survival = np.ones((n_seq, n_shot))
 
@@ -603,19 +580,6 @@ def run_rb(
         shots=np.array(rec_shots),
         meta=base_meta,
     )
-
-
-def run_idle_rb(
-    plan: RBPlan,
-    delay_per_pulse: float,
-    noise: NoiseConfig | None = None,
-    timing: RBTiming | None = None,
-    **kwargs,
-) -> RBDataset:
-    """Benchmarking with a programmable idle delay after every pulse."""
-    timing = timing or RBTiming()
-    timing = replace(timing, delay_per_pulse=delay_per_pulse)
-    return run_rb(plan, noise=noise, timing=timing, **kwargs)
 
 
 @dataclass(frozen=True)

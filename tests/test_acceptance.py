@@ -9,7 +9,6 @@ inline.
 
 from __future__ import annotations
 
-import sys
 import time
 import warnings
 
@@ -62,7 +61,6 @@ from qubitbench.rb import (
     RBTiming,
     _coherent_survival_fast,
     _coherent_survival_full,
-    _phase_table,
     generate_plan,
     irmb_slope,
     run_rb,
@@ -417,10 +415,8 @@ def test_09_oracle_equivalences(group):
     tplan = RBPlan(master_seed=33, lengths=(24,), n_sequences=2, shots_per_sequence=3)
 
     def mismatch(cfg, zeeman=None):
-        fast = _coherent_survival_fast(
-            tplan, 24, group, _phase_table(group), cfg, RBTiming(), True, zeeman
-        )
-        full = _coherent_survival_full(tplan, 24, group, cfg, RBTiming(), True, zeeman, 64)
+        fast = _coherent_survival_fast(tplan, 24, group, cfg, RBTiming(), zeeman)
+        full = _coherent_survival_full(tplan, 24, group, cfg, RBTiming(), zeeman)
         return float(np.abs(fast - full).max())
 
     tier_worst = max(
@@ -433,9 +429,7 @@ def test_09_oracle_equivalences(group):
         plan = RBPlan(
             master_seed=seed, lengths=(length,), n_sequences=n_seq, shots_per_sequence=shots
         )
-        return _coherent_survival_fast(
-            plan, length, group, _phase_table(group), cfg, RBTiming(), True
-        )
+        return _coherent_survival_fast(plan, length, group, cfg, RBTiming())
 
     t2 = 6.9
     surv = survival(12, 3000, 20, 50, NoiseConfig(dephasing_t2=t2))

@@ -9,7 +9,6 @@ import pytest
 
 from qubitbench.budget import (
     BudgetInput,
-    BudgetTable,
     budget_curve,
     budget_table,
     err_amp_drift,

@@ -254,6 +254,8 @@ class TestErrorsAndOutput:
             ("phase-noise", "--ssb", "no-such-dir/ssb.csv"),
             ("phase-noise", "--ssb", _File("1.0,-100.0\n1000000.0,-140.0\n")),
             ("phase-noise", "--ssb", _File("frequency_hz,dbc_per_hz\n1.0,x\n1000000.0,-140.0\n")),
+            # durations past the linearized idle model
+            ("idle-rates", "--durations", "100,200", "--shots", "10"),
         ],
     )
     def test_bad_input_exits_one_with_one_error_line(self, args, tmp_path):
@@ -263,7 +265,8 @@ class TestErrorsAndOutput:
         assert [line for line in proc.stderr.splitlines() if line.startswith("qubitbench: error:")] == [
             proc.stderr.strip()
         ]
-        assert "--ssb" not in args or "--ssb" in proc.stderr
+        for option in ("--ssb", "--durations"):
+            assert option not in args or option in proc.stderr
 
     @pytest.mark.parametrize("delays", ["1e-6,1e-6", "0,1e-5,-1e-6", "0,nan", "0,inf"])
     def test_irmb_rejects_bad_delays_before_any_run(self, delays, monkeypatch, capsys):

@@ -50,7 +50,6 @@ from qubitbench.rb import (
     RBTiming,
     _coherent_survival_fast,
     _cos_sin,
-    _phase_table,
     generate_plan,
     run_rb,
 )
@@ -211,11 +210,11 @@ _GL_WEIGHTS = 0.5 * np.array(
 )
 
 
-def _sequential_propagator(pulse, drive, trace, zeeman, t_start, t_end, flat_substeps, gap):
+def _sequential_propagator(pulse, drive, trace, zeeman, flat_substeps):
     """Cell-by-cell product of matrix exponentials on the propagator's grid,
     with the trace averaged by scalar calls at each quadrature node."""
     starts, ends, shape = _pulse_cells(pulse, drive, None, 64, flat_substeps)
-    phi = pulse.effective_phase + drive.phase
+    phi = pulse.effective_phase
     cells = []
     for lo, hi, amp in zip(starts[:-1], ends[:-1], shape):
         if callable(trace):
@@ -223,13 +222,9 @@ def _sequential_propagator(pulse, drive, trace, zeeman, t_start, t_end, flat_sub
         elif trace is not None:
             amp *= trace
         cells.append((lo, hi, amp))
-    if gap:
-        cells.append((pulse.t_half_pi, pulse.total_time, 0.0))
+    cells.append((pulse.t_half_pi, pulse.total_time, 0.0))
     u = np.eye(2, dtype=complex)
     for lo, hi, amp in cells:
-        lo, hi = max(lo, t_start), min(hi, t_end)
-        if hi <= lo:
-            continue
         vz = (zeeman.shift(amp) if zeeman else 0.0) - drive.detuning
         omega = drive.omega_q * amp
         h = 0.5 * (omega * (np.cos(phi) * _SX + np.sin(phi) * _SY) + vz * _SZ)
@@ -243,28 +238,24 @@ class TestPulsePropagator:
         detuning=st.floats(-2 * np.pi * 5e4, 2 * np.pi * 5e4),
         phase=st.floats(0.0, 2 * np.pi),
         sign=st.sampled_from([1, -1]),
-        ramp_shape=st.sampled_from(["sin2", "linear"]),
         ramp_time=st.sampled_from([0.0, 40e-9, 300e-9]),
         zeeman_hz=st.one_of(st.none(), st.floats(-1e4, 1e4)),
         trace_kind=st.sampled_from(["none", "scalar", "array", "scalar-callable"]),
         trace_level=st.floats(0.98, 1.02),
-        window=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
         flat_substeps=st.integers(1, 24),
-        gap=st.booleans(),
+        gap_time=st.sampled_from([0.0, 1e-6]),
     )
-    @example(1.0, 0.0, 0.0, 1, "sin2", 40e-9, None, "array", 1.0, [0.0, 1.0], 8, True)
-    @example(1.0, 1e5, 0.3, -1, "linear", 40e-9, 9.0, "scalar", 1.0, [0.41, 0.41], 1, False)
+    @example(1.0, 0.0, 0.7, 1, 40e-9, None, "array", 1.0, 8, 1e-6)
+    @example(1.0, 1e5, 1.0, -1, 40e-9, 9.0, "scalar", 1.0, 1, 0.0)
     @settings(max_examples=60, deadline=None)
     def test_matches_sequential_matrix_exponentials(
-        self, rate_factor, detuning, phase, sign, ramp_shape, ramp_time, zeeman_hz,
-        trace_kind, trace_level, window, flat_substeps, gap,
+        self, rate_factor, detuning, phase, sign, ramp_time, zeeman_hz,
+        trace_kind, trace_level, flat_substeps, gap_time,
     ):
-        pulse = PulseSpec(phase=0.7, sign=sign, t_half_pi=6e-6, ramp_time=ramp_time, gap_time=1e-6)
+        pulse = PulseSpec(phase=phase, sign=sign, t_half_pi=6e-6, ramp_time=ramp_time, gap_time=gap_time)
         drive = DriveParams(
             omega_q=rate_factor * (np.pi / 2) / (6e-6 - ramp_time),
             detuning=detuning,
-            phase=phase,
-            ramp_shape=ramp_shape,
         )
         zeeman = None if zeeman_hz is None else ZeemanModel(shift_at_full_amp=2 * np.pi * zeeman_hz)
         trace = {
@@ -273,13 +264,9 @@ class TestPulsePropagator:
             "array": lambda t: trace_level + 0.01 * np.cos(2 * np.pi * 3e5 * t + phase),
             "scalar-callable": lambda t: trace_level,
         }[trace_kind]
-        span = pulse.total_time if gap else pulse.t_half_pi
-        t_start, t_end = span * window[0], span * window[1]
-        grid = dict(zeeman=zeeman, t_start=t_start, t_end=t_end, flat_substeps=flat_substeps, include_gap=gap)
+        grid = dict(zeeman=zeeman, flat_substeps=flat_substeps)
         u = pulse_propagator(pulse, drive, amplitude_trace=trace, **grid)
-        expected = _sequential_propagator(
-            pulse, drive, trace, zeeman, t_start, t_end, flat_substeps, gap
-        )
+        expected = _sequential_propagator(pulse, drive, trace, zeeman, flat_substeps)
         assert np.max(np.abs(u - expected)) <= 1e-12
 
         # batched over a (3, 2) grid of trace levels, given as an array of
@@ -312,28 +299,25 @@ class TestPulsePropagator:
         # one process walks through grids that differ in a single key field;
         # each must come back as if computed afresh, and read-only
         configs = [
-            (6e-6, 40e-9, 40e-9, "sin2", 64, None, None),
-            (6e-6, 40e-9, 40e-9, "linear", 64, None, None),
-            (6e-6, 300e-9, 40e-9, "sin2", 64, None, None),
-            (8e-6, 40e-9, 40e-9, "sin2", 64, None, None),
-            (6e-6, 40e-9, 1e-6, "sin2", 64, None, None),
-            (6e-6, 40e-9, 0.0, "sin2", 64, None, None),
-            (6e-6, 40e-9, 40e-9, "sin2", 128, None, None),
-            (6e-6, 40e-9, 40e-9, "sin2", 64, 8, None),
-            (6e-6, 40e-9, 40e-9, "sin2", 64, None, lambda t: 1.0 + 1e3 * t),
-            (6e-6, 40e-9, 40e-9, "sin2", 64, None, None),
+            (6e-6, 40e-9, 40e-9, 64, None, None),
+            (6e-6, 300e-9, 40e-9, 64, None, None),
+            (8e-6, 40e-9, 40e-9, 64, None, None),
+            (6e-6, 40e-9, 1e-6, 64, None, None),
+            (6e-6, 40e-9, 0.0, 64, None, None),
+            (6e-6, 40e-9, 40e-9, 128, None, None),
+            (6e-6, 40e-9, 40e-9, 64, 8, None),
+            (6e-6, 40e-9, 40e-9, 64, None, lambda t: 1.0 + 1e3 * t),
+            (6e-6, 40e-9, 40e-9, 64, None, None),
         ]
-        for t_half_pi, ramp_time, gap_time, ramp_shape, ramp_substeps, flat_substeps, trace in configs:
-            pulse = PulseSpec(
-                phase=0.0, t_half_pi=t_half_pi, ramp_time=ramp_time, gap_time=gap_time, amp_scale=0.9
-            )
-            drive = DriveParams(omega_q=1e6, ramp_shape=ramp_shape)
+        for t_half_pi, ramp_time, gap_time, ramp_substeps, flat_substeps, trace in configs:
+            pulse = PulseSpec(phase=0.0, t_half_pi=t_half_pi, ramp_time=ramp_time, gap_time=gap_time)
+            drive = DriveParams(omega_q=1e6)
             starts, ends, rel_amp = _pulse_cells(pulse, drive, trace, ramp_substeps, flat_substeps)
             flat = flat_substeps or (256 if trace else 1)
             fresh_starts, fresh_ends, shape, ts = _pulse_grid.__wrapped__(
-                ramp_time, t_half_pi, gap_time, ramp_shape, ramp_substeps, flat
+                ramp_time, t_half_pi, gap_time, ramp_substeps, flat
             )
-            expected = 0.9 * shape * (1.0 if trace is None else trace(ts) @ _GL_WEIGHTS)
+            expected = shape * (1.0 if trace is None else trace(ts) @ _GL_WEIGHTS)
             np.testing.assert_array_equal(starts, fresh_starts)
             np.testing.assert_array_equal(ends, fresh_ends)
             np.testing.assert_array_equal(rel_amp, expected)
@@ -348,9 +332,10 @@ class TestPulsePropagator:
                     arr[0] = 1.0
 
 
-def _masked_survival(plan, length, noise, timing, compensate_idle_phase, zeeman):
+def _masked_survival(plan, length, noise, timing, zeeman):
     """The fast tier as a masked engine: every sequence steps p_max times,
-    with explicit 2x2 propagators and per-pulse noise draws."""
+    with explicit 2x2 propagators and per-pulse noise draws.  The idle phase
+    is tracked, so the detuning acts only during the pulses."""
     n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
     phases = []
     for s in range(n_seq):
@@ -374,7 +359,6 @@ def _masked_survival(plan, length, noise, timing, compensate_idle_phase, zeeman)
     deph_rng = rng_stream(seed, LANE_DEPHASING, length) if noise.dephasing_t2 else None
     kick_std = brownian_phase_std(timing.pulse_spacing, noise.dephasing_t2) if deph_rng else 0.0
     delta = noise.detuning_offset
-    idle_time = timing.gap_time + timing.delay_per_pulse
 
     state = np.zeros((n_seq, n_shot, 2), dtype=complex)
     state[..., plan.prepared_state] = 1.0
@@ -402,8 +386,6 @@ def _masked_survival(plan, length, noise, timing, compensate_idle_phase, zeeman)
         theta = np.zeros((n_seq, n_shot))
         if kick_std:
             theta = theta + kick_std * deph_rng.standard_normal((n_seq, n_shot))
-        if delta and not compensate_idle_phase:
-            theta = theta - delta * idle_time
         rz = np.stack([np.exp(-0.5j * theta), np.exp(0.5j * theta)], axis=-1)
         state = np.where(mask, state * rz, state)
     return np.abs(state[..., plan.prepared_state]) ** 2
@@ -420,13 +402,11 @@ class TestPrefixSortedEngine:
         dephasing=st.booleans(),
         detuning_hz=st.sampled_from([0.0, 3e3]),
         zeeman=st.booleans(),
-        compensate=st.booleans(),
         prep=st.integers(0, 1),
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_masked_matrix_engine(
-        self, seed, length, n_seq, shots, amplitude, motional, dephasing, detuning_hz, zeeman,
-        compensate, prep,
+        self, seed, length, n_seq, shots, amplitude, motional, dephasing, detuning_hz, zeeman, prep,
     ):
         plan = RBPlan(seed, (length,), n_sequences=n_seq, shots_per_sequence=shots, prepared_state=prep)
         counts = [
@@ -443,8 +423,8 @@ class TestPrefixSortedEngine:
         )
         timing = RBTiming(delay_per_pulse=2e-6)
         z = ZeemanModel(shift_at_full_amp=2 * np.pi * 2e3) if zeeman else None
-        fast = _coherent_survival_fast(plan, length, GROUP, _phase_table(GROUP), noise, timing, compensate, z)
-        reference = _masked_survival(plan, length, noise, timing, compensate, z)
+        fast = _coherent_survival_fast(plan, length, GROUP, noise, timing, z)
+        reference = _masked_survival(plan, length, noise, timing, z)
         assert np.max(np.abs(fast - reference)) <= 1e-11
 
     @given(
@@ -458,13 +438,12 @@ class TestPrefixSortedEngine:
         detuning_hz=st.sampled_from([0.0, 3.0]),
         zeeman=st.booleans(),
         delay=st.sampled_from([0.0, 1e-5]),
-        compensate=st.booleans(),
         prep=st.integers(0, 1),
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_masked_matrix_engine_at_preset_strength(
         self, seed, length, n_seq, shots, amplitude, motional, dephasing, detuning_hz, zeeman,
-        delay, compensate, prep,
+        delay, prep,
     ):
         # every small angle stays below _SMALL_ANGLE here, so the engine
         # takes the polynomials that the strong-noise case above never does
@@ -478,8 +457,8 @@ class TestPrefixSortedEngine:
         )
         timing = RBTiming(delay_per_pulse=delay)
         z = ZeemanModel(shift_at_full_amp=2 * np.pi * presets.ZEEMAN_RESIDUAL_HZ) if zeeman else None
-        fast = _coherent_survival_fast(plan, length, GROUP, _phase_table(GROUP), noise, timing, compensate, z)
-        reference = _masked_survival(plan, length, noise, timing, compensate, z)
+        fast = _coherent_survival_fast(plan, length, GROUP, noise, timing, z)
+        reference = _masked_survival(plan, length, noise, timing, z)
         assert np.max(np.abs(fast - reference)) <= 1e-11
 
     @pytest.mark.parametrize("prep", [0, 1])
@@ -487,7 +466,7 @@ class TestPrefixSortedEngine:
         # a norm that drifts pulse by pulse, as rounding makes it do over a
         # long sequence, must not move the survival
         plan = RBPlan(5, (40,), n_sequences=3, shots_per_sequence=4, prepared_state=prep)
-        args = plan, 40, GROUP, _phase_table(GROUP), presets.default_noise_config(), RBTiming(), True
+        args = plan, 40, GROUP, presets.default_noise_config(), RBTiming()
         exact = _coherent_survival_fast(*args)
         apply = rb.apply_ab
 
@@ -518,7 +497,5 @@ def test_default_noise_takes_the_small_angle_path(monkeypatch, noise, delay):
 @pytest.mark.parametrize("length", [1, 5, 40])
 def test_engine_without_noise_keeps_every_sequence_at_identity(length):
     plan = RBPlan(3, (length,), n_sequences=5, shots_per_sequence=2)
-    survival = _coherent_survival_fast(
-        plan, length, GROUP, _phase_table(GROUP), NoiseConfig(), RBTiming(), True
-    )
+    survival = _coherent_survival_fast(plan, length, GROUP, NoiseConfig(), RBTiming())
     assert np.allclose(survival, 1.0, rtol=0, atol=1e-12)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qubitbench.budget import BudgetInput
 from qubitbench.cliffords import PulseSpec, canonicalize_phase, rotation_matrix
+from qubitbench.presets import (
+    CURVE_GATE_TIME_MAX,
+    CURVE_GATE_TIME_MIN,
+    CURVE_POINTS,
+    MEAN_PULSES_PER_CLIFFORD,
+)
 from qubitbench.pulsesim import (
     DriveParams,
     SpectatorConfig,
@@ -41,23 +48,23 @@ def _rect_reference(omega, phi, delta, duration, gap=0.0):
 class TestRectangleClosedForm:
     def test_resonant_quarter_turn(self):
         pulse = PulseSpec(phase=0.3, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)
-        u = pulse_propagator(pulse, DriveParams(omega_q=_OMEGA), include_gap=False)
+        u = pulse_propagator(pulse, DriveParams(omega_q=_OMEGA))
         ref = _rect_reference(_OMEGA, 0.3, 0.0, 6e-6)
         assert _infidelity(u, ref) < 1e-12
 
     def test_detuned_rectangle_matches_matrix_exponential(self):
         delta = 2 * np.pi * 2000.0
-        pulse = PulseSpec(phase=0.3, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)
-        drive = DriveParams(omega_q=_OMEGA, detuning=delta, phase=0.1)
-        u = pulse_propagator(pulse, drive, include_gap=False)
+        pulse = PulseSpec(phase=0.4, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)
+        drive = DriveParams(omega_q=_OMEGA, detuning=delta)
+        u = pulse_propagator(pulse, drive)
         ref = _rect_reference(_OMEGA, 0.4, delta, 6e-6)
         assert _infidelity(u, ref) < 1e-12
 
     def test_gap_is_free_evolution_after_the_pulse(self):
         delta = 2 * np.pi * 2000.0
-        pulse = PulseSpec(phase=0.3, t_half_pi=6e-6, ramp_time=0.0, gap_time=1e-6)
-        drive = DriveParams(omega_q=_OMEGA, detuning=delta, phase=0.1)
-        u = pulse_propagator(pulse, drive, include_gap=True)
+        pulse = PulseSpec(phase=0.4, t_half_pi=6e-6, ramp_time=0.0, gap_time=1e-6)
+        drive = DriveParams(omega_q=_OMEGA, detuning=delta)
+        u = pulse_propagator(pulse, drive)
         ref = _rect_reference(_OMEGA, 0.4, delta, 6e-6, gap=1e-6)
         assert _infidelity(u, ref) < 1e-12
 
@@ -65,22 +72,12 @@ class TestRectangleClosedForm:
         plus = PulseSpec(phase=0.3, sign=1, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)
         minus = PulseSpec(phase=0.3, sign=-1, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)
         drive = DriveParams(omega_q=_OMEGA)
-        up = pulse_propagator(plus, drive, include_gap=False)
-        um = pulse_propagator(minus, drive, include_gap=False)
+        up = pulse_propagator(plus, drive)
+        um = pulse_propagator(minus, drive)
         assert np.abs(canonicalize_phase(um) - canonicalize_phase(up.conj().T)).max() <= 1e-12
 
 
 class TestRampedPulse:
-    def test_split_composition(self):
-        pulse = PulseSpec(phase=0.7, t_half_pi=6e-6, ramp_time=40e-9, gap_time=40e-9)
-        drive = DriveParams(omega_q=(np.pi / 2) / 5.96e-6, detuning=2 * np.pi * 500.0)
-        total = pulse.total_time
-        whole = pulse_propagator(pulse, drive, ramp_substeps=256)
-        for t_cut in (30e-9, 3e-6, total - 20e-9):
-            first = pulse_propagator(pulse, drive, t_start=0.0, t_end=t_cut, ramp_substeps=256)
-            second = pulse_propagator(pulse, drive, t_start=t_cut, t_end=total, ramp_substeps=256)
-            assert np.abs(second @ first - whole).max() < 1e-10
-
     def test_ramp_integrator_is_second_order(self):
         pulse = PulseSpec(phase=0.0, t_half_pi=6e-6, ramp_time=40e-9, gap_time=40e-9)
         drive = DriveParams(omega_q=(np.pi / 2) / 5.96e-6, detuning=2 * np.pi * 300.0)
@@ -113,7 +110,7 @@ class TestRampedPulse:
     def test_constant_trace_scales_the_rotation_angle(self):
         pulse = PulseSpec(phase=0.0, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)
         drive = DriveParams(omega_q=_OMEGA)
-        scaled = pulse_propagator(pulse, drive, amplitude_trace=1.001, include_gap=False)
+        scaled = pulse_propagator(pulse, drive, amplitude_trace=1.001)
         ref = rotation_matrix(0.0, 1.001 * np.pi / 2)
         assert np.abs(canonicalize_phase(scaled) - canonicalize_phase(ref)).max() <= 1e-10
 
@@ -136,9 +133,9 @@ class TestZeeman:
         z = ZeemanModel(shift_at_full_amp=2 * np.pi * 9.0)
         pulse = PulseSpec(phase=0.0, t_half_pi=6e-6, ramp_time=0.0, gap_time=0.0)
         with_both = pulse_propagator(
-            pulse, DriveParams(omega_q=_OMEGA, detuning=z.shift(1.0)), zeeman=z, include_gap=False
+            pulse, DriveParams(omega_q=_OMEGA, detuning=z.shift(1.0)), zeeman=z
         )
-        clean = pulse_propagator(pulse, DriveParams(omega_q=_OMEGA), include_gap=False)
+        clean = pulse_propagator(pulse, DriveParams(omega_q=_OMEGA))
         assert np.abs(with_both - clean).max() < 1e-10
 
 
@@ -154,11 +151,23 @@ class TestErrorProbes:
         u = rotation_matrix(0.4, 1.3)
         assert avg_pulse_error(u, u) < 1e-14
 
-    def test_spectator_error_stays_below_budget_bound(self):
-        eps = spectator_error_per_gate(6.0e-6)
+    # the default pulse, and the shortest of the budget curve (4.4 us gate)
+    @pytest.mark.parametrize(
+        "t_half_pi", [6.0e-6, CURVE_GATE_TIME_MIN / MEAN_PULSES_PER_CLIFFORD], ids=["6us", "curve-min"]
+    )
+    def test_spectator_error_stays_below_budget_bound(self, t_half_pi):
+        eps = spectator_error_per_gate(t_half_pi)
         assert eps < 1e-9
-        # frozen regression window for the default configuration
-        assert 0.8e-10 < eps < 2.0e-10
+        if t_half_pi == 6.0e-6:
+            # frozen regression window for the default configuration
+            assert 0.8e-10 < eps < 2.0e-10
+
+    def test_counter_rotating_error_stays_below_budget_bound_along_the_curve(self):
+        bound = BudgetInput().counter_rotating_bound
+        gate_times = np.linspace(CURVE_GATE_TIME_MIN, CURVE_GATE_TIME_MAX, CURVE_POINTS)
+        for g in gate_times:
+            res = counter_rotating_error(DriveParams.nominal(g / MEAN_PULSES_PER_CLIFFORD))
+            assert res.per_gate_error <= bound, g
 
     def test_spectator_leak_accumulates(self):
         pulse = PulseSpec(phase=0.0, t_half_pi=6e-6)

@@ -31,11 +31,9 @@ from qubitbench.rb import (
     RBTiming,
     _coherent_survival_fast,
     _coherent_survival_full,
-    _phase_table,
     generate_plan,
     geometric_lengths,
     irmb_slope,
-    run_idle_rb,
     run_rb,
 )
 
@@ -109,7 +107,7 @@ class TestOutcomeChannels:
         )
         length, delay = 50, 0.002
         plan = RBPlan(master_seed=21, lengths=(length,), n_sequences=40, shots_per_sequence=500)
-        ds = run_idle_rb(plan, delay, noise=NoiseConfig(idle=rates))
+        ds = run_rb(plan, noise=NoiseConfig(idle=rates), timing=RBTiming(delay_per_pulse=delay))
         surv = ds.successes.sum() / ds.shots.sum()
         mu = 52.0 / 24.0
         p_pred = rates.rb_error_rate_per_s() * (length + 1) * mu * delay
@@ -118,7 +116,7 @@ class TestOutcomeChannels:
 
     def test_idle_delay_is_recorded_in_meta(self):
         plan = RBPlan(master_seed=21, lengths=(10,), n_sequences=2, shots_per_sequence=5)
-        ds = run_idle_rb(plan, 0.01)
+        ds = run_rb(plan, timing=RBTiming(delay_per_pulse=0.01))
         assert ds.meta["delay_per_pulse"] == 0.01
 
 
@@ -129,7 +127,7 @@ class TestCoherentOracles:
         t2, length = 6.9, 3000
         plan = RBPlan(master_seed=12, lengths=(length,), n_sequences=20, shots_per_sequence=50)
         surv = _coherent_survival_fast(
-            plan, length, group, _phase_table(group), NoiseConfig(dephasing_t2=t2), RBTiming(), True
+            plan, length, group, NoiseConfig(dephasing_t2=t2), RBTiming()
         )
         gate_time = (52.0 / 24.0) * RBTiming().pulse_spacing
         deficit_pred = length * gate_time / (3.0 * t2)
@@ -143,10 +141,8 @@ class TestCoherentOracles:
             plan,
             length,
             group,
-            _phase_table(group),
             NoiseConfig(amplitude=AmplitudeNoiseModel(sigma_rel=sigma)),
             RBTiming(),
-            True,
         )
         coeff = (1 - surv.mean()) / (length * sigma**2)
         sem = surv.mean(axis=1).std() / np.sqrt(surv.shape[0]) / (length * sigma**2)
@@ -163,10 +159,8 @@ class TestCoherentOracles:
             plan,
             length,
             group,
-            _phase_table(group),
             NoiseConfig(detuning_offset=2 * np.pi * delta_hz),
             RBTiming(),
-            True,
         )
         scale = length * (52.0 / 24.0) * (2 * np.pi * delta_hz * 6e-6) ** 2
         c_eff = (1 - surv.mean()) / scale
@@ -179,10 +173,8 @@ class TestTierAgreement:
     PLAN = RBPlan(master_seed=33, lengths=(24,), n_sequences=2, shots_per_sequence=3)
 
     def _mismatch(self, group, cfg, zeeman=None):
-        sf = _coherent_survival_fast(
-            self.PLAN, 24, group, _phase_table(group), cfg, RBTiming(), True, zeeman
-        )
-        su = _coherent_survival_full(self.PLAN, 24, group, cfg, RBTiming(), True, zeeman, 64)
+        sf = _coherent_survival_fast(self.PLAN, 24, group, cfg, RBTiming(), zeeman)
+        su = _coherent_survival_full(self.PLAN, 24, group, cfg, RBTiming(), zeeman)
         return float(np.abs(sf - su).max())
 
     def test_quasi_static_channels_agree_to_machine_precision(self, group):
@@ -206,8 +198,8 @@ class TestTierAgreement:
     def _tiers(group, length, cfg, zeeman=None):
         """(fast, full) survival of a 2x2 plan at one length."""
         plan = RBPlan(master_seed=33, lengths=(length,), n_sequences=2, shots_per_sequence=2)
-        fast = _coherent_survival_fast(plan, length, group, _phase_table(group), cfg, RBTiming(), True, zeeman)
-        full = _coherent_survival_full(plan, length, group, cfg, RBTiming(), True, zeeman, 64)
+        fast = _coherent_survival_fast(plan, length, group, cfg, RBTiming(), zeeman)
+        full = _coherent_survival_full(plan, length, group, cfg, RBTiming(), zeeman)
         return fast, full
 
     def test_tiers_agree_at_length_1000(self, group):
@@ -242,12 +234,12 @@ class TestTierAgreement:
         assert np.array_equal(fast.errors, full.errors)
 
 
-def _reference_full_survival(plan, length, group, noise, timing, compensate_idle_phase, zeeman):
+def _reference_full_survival(plan, length, group, noise, timing, zeeman):
     """Full-tier survival from per-pulse matrices, drawn and derived independently.
 
     The z phase ``c_k`` accumulated before pulse k (dephasing kicks drawn one
-    pulse at a time, plus the idle-phase cancellation) enters as the drive
-    phase ``-c_k``: ``Rz(c) U(phi) = U(phi - c) Rz(c)``, and the leading
+    pulse at a time, plus the idle-phase cancellation) enters as the pulse
+    phase ``phi - c_k``: ``Rz(c) U(phi) = U(phi - c) Rz(c)``, and the leading
     ``Rz`` does not change populations.  Each pulse gets its own motional
     trace, read from its start time ``k * pulse_spacing``.
     """
@@ -272,7 +264,7 @@ def _reference_full_survival(plan, length, group, noise, timing, compensate_idle
         deph_rng = rng_stream(seed, LANE_DEPHASING, length)
         kick_std = brownian_phase_std(timing.pulse_spacing, noise.dephasing_t2)
         kicks = kick_std * np.stack([deph_rng.standard_normal((n_seq, n_shot)) for _ in range(p_max)])
-    idle_phase = drive.detuning * base_gap if compensate_idle_phase else 0.0
+    idle_phase = drive.detuning * base_gap
 
     survival = np.empty((n_seq, n_shot))
     for s in range(n_seq):
@@ -290,7 +282,8 @@ def _reference_full_survival(plan, length, group, noise, timing, compensate_idle
                         t_abs = t0 + t
                         return m * (1.0 + mode.depth_at(t_abs) * np.cos(mode.omega_m * t_abs + phi0))
 
-                step = pulse_propagator(pulse, replace(drive, phase=-c_k), trace, zeeman, ramp_substeps=64)
+                pulse = replace(pulse, phase=pulse.phase - c_k)
+                step = pulse_propagator(pulse, drive, trace, zeeman, ramp_substeps=64)
                 u = step @ u
                 c_k += kicks[k, s, q] + idle_phase
             survival[s, q] = abs(u[prep, prep]) ** 2
@@ -312,9 +305,8 @@ _FULL_TIER_CASES = {
 class TestFullTier:
     @pytest.mark.parametrize("prepared_state", [0, 1])
     @pytest.mark.parametrize("length", [8, 24])
-    @pytest.mark.parametrize("compensate", [True, False], ids=["compensated", "uncompensated"])
     @pytest.mark.parametrize("case", sorted(_FULL_TIER_CASES))
-    def test_matches_per_pulse_drive_phase_reference(self, group, case, compensate, length, prepared_state):
+    def test_matches_per_pulse_drive_phase_reference(self, group, case, length, prepared_state):
         noise, zeeman, timing = _FULL_TIER_CASES[case]
         plan = RBPlan(
             master_seed=33,
@@ -323,8 +315,8 @@ class TestFullTier:
             shots_per_sequence=2,
             prepared_state=prepared_state,
         )
-        full = _coherent_survival_full(plan, length, group, noise, timing, compensate, zeeman, 64)
-        reference = _reference_full_survival(plan, length, group, noise, timing, compensate, zeeman)
+        full = _coherent_survival_full(plan, length, group, noise, timing, zeeman)
+        reference = _reference_full_survival(plan, length, group, noise, timing, zeeman)
         assert np.abs(full - reference).max() <= 1e-12
 
     @pytest.mark.parametrize("motional", [None, MotionalMode()], ids=["static", "motional"])
