@@ -299,6 +299,19 @@ _FULL_TIER_CASES = {
         RBTiming(delay_per_pulse=3e-6),
     ),
     "zeeman-200Hz": (NoiseConfig(), ZeemanModel(shift_at_full_amp=2 * np.pi * 200.0), RBTiming()),
+    # the idle delay stretches the pulse spacing: the dephasing kicks, the
+    # motional trace start times and the tracked idle phase all follow it
+    "default-noise-delay": (default_noise_config(), None, RBTiming(delay_per_pulse=3e-6)),
+    "detuning-20kHz-delay": (
+        NoiseConfig(detuning_offset=2 * np.pi * 2e4),
+        None,
+        RBTiming(delay_per_pulse=3e-6),
+    ),
+    "zeeman-200Hz-delay": (
+        NoiseConfig(),
+        ZeemanModel(shift_at_full_amp=2 * np.pi * 200.0),
+        RBTiming(delay_per_pulse=3e-6),
+    ),
 }
 
 
