@@ -21,7 +21,6 @@ from .calibration import (
 )
 from .cliffords import (
     CliffordGroup,
-    GateSequence,
     PulseSpec,
     build_clifford_table,
     decompose_clifford,
@@ -33,7 +32,6 @@ from .filterfunc import (
     SSBCurve,
     chi_echo,
     chi_ramsey,
-    coherence_decay,
     filter_function,
     predict_irmb,
     predict_t2,
@@ -49,7 +47,6 @@ from .noise import (
 )
 from .pulsesim import (
     DriveParams,
-    SpectatorConfig,
     ZeemanModel,
     avg_pulse_error,
     counter_rotating_error,

@@ -3,8 +3,8 @@
 Each contribution is a closed-form estimate of the average error per group
 element (per "gate" in benchmarking terms), parameterized on the measured
 hardware quantities.  ``mu`` denotes the average number of pi/2 pulses
-compiled per group element (52/24 for the minimal-length compilation used
-here).
+compiled per group element, ``MEAN_PULSES_PER_CLIFFORD`` = 52/24 for the
+minimal-length compilation used here.
 
 Estimates:
 
@@ -92,30 +92,21 @@ def err_idle_leakage(rates: IdleRates, gate_time: float) -> float:
     return rates.rb_error_rate_per_s() * gate_time
 
 
-def err_amp_noise(sigma_rel: float, mu: float = MEAN_PULSES_PER_CLIFFORD) -> float:
+def err_amp_noise(sigma_rel: float) -> float:
     """Per-element error from quasi-static relative amplitude noise."""
-    return 0.5 * mu * sigma_rel**2
+    return 0.5 * MEAN_PULSES_PER_CLIFFORD * sigma_rel**2
 
 
-def err_harmonic(
-    eta: float,
-    omega_m: float,
-    n_bar: float,
-    t_half_pi: float,
-    mu: float = MEAN_PULSES_PER_CLIFFORD,
-    coefficient: str = "rb",
-) -> float:
+def err_harmonic(eta: float, omega_m: float, n_bar: float, t_half_pi: float, coefficient: str = "rb") -> float:
     """Per-element error from sinusoidal Rabi-rate modulation."""
     try:
         c = HARMONIC_COEFFICIENTS[coefficient]
     except KeyError:
         raise ValueError(f"coefficient must be one of {sorted(HARMONIC_COEFFICIENTS)}")
-    return mu * c * eta**2 * (n_bar + 0.5) / (omega_m * t_half_pi) ** 2
+    return MEAN_PULSES_PER_CLIFFORD * c * eta**2 * (n_bar + 0.5) / (omega_m * t_half_pi) ** 2
 
 
-def err_amp_drift(
-    times: np.ndarray, rel_offsets: np.ndarray, mu: float = MEAN_PULSES_PER_CLIFFORD
-) -> float:
+def err_amp_drift(times: np.ndarray, rel_offsets: np.ndarray) -> float:
     """Time-averaged per-element error of a relative amplitude-offset trace.
 
     The trace is interpolated piecewise-linearly; each segment contributes
@@ -130,27 +121,18 @@ def err_amp_drift(
     dt = np.diff(times)
     a, b = x[:-1], x[1:]
     mean_sq = float(np.sum(dt * (a**2 + a * b + b**2) / 3.0) / np.sum(dt))
-    return 0.5 * mu * mean_sq
+    return 0.5 * MEAN_PULSES_PER_CLIFFORD * mean_sq
 
 
-def err_awg(
-    amp_fraction: float,
-    bits: int = presets.AWG_BITS,
-    mu: float = MEAN_PULSES_PER_CLIFFORD,
-) -> float:
+def err_awg(amp_fraction: float, bits: int = presets.AWG_BITS) -> float:
     """Worst-case quantization error of the waveform-generator amplitude."""
     if not 0 < amp_fraction <= 1:
         raise ValueError("amp_fraction must lie in (0, 1]")
     half_lsb_rel = 2.0 ** -(bits + 1) / amp_fraction
-    return mu * half_lsb_rel**2 / 6.0
+    return MEAN_PULSES_PER_CLIFFORD * half_lsb_rel**2 / 6.0
 
 
-def err_zeeman(
-    residual_hz: float,
-    t_half_pi: float,
-    mu: float = MEAN_PULSES_PER_CLIFFORD,
-    convention: str = "twirl",
-) -> float:
+def err_zeeman(residual_hz: float, t_half_pi: float, convention: str = "twirl") -> float:
     """Per-element error from an uncompensated drive-induced shift.
 
     The shift acts as a z rotation by ``2 pi residual_hz t_half_pi`` per
@@ -162,7 +144,7 @@ def err_zeeman(
     except KeyError:
         raise ValueError(f"convention must be one of {sorted(ZEEMAN_CONVENTIONS)}")
     theta = 2 * np.pi * residual_hz * t_half_pi
-    return mu * c * theta**2
+    return MEAN_PULSES_PER_CLIFFORD * c * theta**2
 
 
 def mean_n_bar(n_bar0: float, heating_rate: float, sequence_duration: float) -> float:
@@ -186,7 +168,6 @@ class BudgetInput:
     """Hardware quantities feeding the error budget."""
 
     gate_time: float = presets.GATE_TIME
-    mu: float = MEAN_PULSES_PER_CLIFFORD
     t2: float = presets.T2_STAR_STAR
     t2_unc: float = 7.0
     sigma0_rel: float = presets.SIGMA0_REL
@@ -215,7 +196,7 @@ class BudgetInput:
 
     @property
     def t_half_pi(self) -> float:
-        return self.gate_time / self.mu
+        return self.gate_time / MEAN_PULSES_PER_CLIFFORD
 
 
 @dataclass(frozen=True)
@@ -238,10 +219,8 @@ class BudgetTable:
                 return row
         raise KeyError(name)
 
-    def total(self, include_bounds: bool = True) -> float:
-        return float(
-            sum(r.value for r in self.rows if include_bounds or r.kind == "estimate")
-        )
+    def total(self) -> float:
+        return float(sum(r.value for r in self.rows))
 
     def total_uncertainty(self) -> float:
         return float(
@@ -299,31 +278,31 @@ def budget_table(inputs: BudgetInput | None = None) -> BudgetTable:
         ),
         BudgetRow(
             "amplitude_noise",
-            err_amp_noise(inp.sigma0_rel, inp.mu),
+            err_amp_noise(inp.sigma0_rel),
             "estimate",
             note="shot-to-shot Rabi-rate fluctuations",
         ),
         BudgetRow(
             "harmonic_motion",
-            err_harmonic(mode.eta, mode.omega_m, n_bar, inp.t_half_pi, inp.mu, inp.harmonic_coefficient),
+            err_harmonic(mode.eta, mode.omega_m, n_bar, inp.t_half_pi, inp.harmonic_coefficient),
             "estimate",
             note="residual sinusoidal Rabi-rate modulation, sequence-averaged occupation",
         ),
         BudgetRow(
             "amplitude_drift",
-            err_amp_drift(inp.drift_trace[0], inp.drift_trace[1], inp.mu),
+            err_amp_drift(*inp.drift_trace),
             "estimate",
             note="slow drift between calibrations, trace-averaged",
         ),
         BudgetRow(
             "awg_resolution",
-            err_awg(inp.awg_fraction, inp.awg_bits, inp.mu),
+            err_awg(inp.awg_fraction, inp.awg_bits),
             "estimate",
             note="half-LSB amplitude rounding",
         ),
         BudgetRow(
             "zeeman_residual",
-            err_zeeman(inp.zeeman_residual_hz, inp.t_half_pi, inp.mu, inp.zeeman_convention),
+            err_zeeman(inp.zeeman_residual_hz, inp.t_half_pi, inp.zeeman_convention),
             "estimate",
             note="uncompensated drive-induced frequency shift",
         ),

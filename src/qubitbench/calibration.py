@@ -47,7 +47,6 @@ __all__ = [
     "walsh_function",
     "walsh_sign_train",
     "walsh_coefficient",
-    "walsh_reconstruct",
     "modulated_train_p_zero",
     "constant_train_p_zero_gaussian",
     "measure_walsh_coefficient",
@@ -60,6 +59,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Simulated hardware
 # ---------------------------------------------------------------------------
+
+# dead time of one shot beyond its pulses, s
+_SHOT_OVERHEAD = 5e-3
 
 
 class SimulatedQubitTestbed:
@@ -83,8 +85,8 @@ class SimulatedQubitTestbed:
     amp_drift, freq_drift:
         Callables of wall-clock time giving the relative amplitude offset
         and the qubit-frequency offset (rad/s).  ``None`` means no drift.
-    shot_overhead:
-        Dead time added to the sequence duration for every shot.
+
+    Every shot adds the dead time ``_SHOT_OVERHEAD`` to the wall clock.
     """
 
     def __init__(
@@ -98,7 +100,6 @@ class SimulatedQubitTestbed:
         spam: float = SPAM,
         amp_drift: Callable[[np.ndarray], np.ndarray] | None = None,
         freq_drift: Callable[[np.ndarray], np.ndarray] | None = None,
-        shot_overhead: float = 5e-3,
     ):
         if not 0 < amp_fraction <= 1:
             raise ValueError("amp_fraction must lie in (0, 1]")
@@ -111,7 +112,6 @@ class SimulatedQubitTestbed:
         self.spam = float(spam)
         self.amp_drift = amp_drift
         self.freq_drift = freq_drift
-        self.shot_overhead = float(shot_overhead)
 
         self.clock = 0.0
         self.amp_setting = 1.0
@@ -160,8 +160,8 @@ class SimulatedQubitTestbed:
         rng = rng_stream(self.master_seed, LANE_CAL, self._run_counter)
         self._run_counter += 1
 
-        times = self.clock + np.arange(shots) * (duration + self.shot_overhead)
-        self.clock = float(times[-1] + duration + self.shot_overhead)
+        times = self.clock + np.arange(shots) * (duration + _SHOT_OVERHEAD)
+        self.clock = float(times[-1] + duration + _SHOT_OVERHEAD)
 
         drift = (
             np.asarray(self.amp_drift(times), dtype=float)
@@ -195,6 +195,14 @@ class SimulatedQubitTestbed:
 # ---------------------------------------------------------------------------
 
 
+# a loop corrects an estimate beyond this many standard deviations
+_SIGNIFICANCE = 3.0
+# a reading is inverted only within this distance of the fringe's steep point
+_LINEAR_THRESHOLD = 0.35
+# steps of one loop at most
+_MAX_STEPS = 40
+
+
 @dataclass(frozen=True)
 class CalLoopConfig:
     """Shared knobs for the closed-loop calibration routines."""
@@ -202,17 +210,12 @@ class CalLoopConfig:
     n_start: int = 1
     n_max: int = 256
     shots: int = 200
-    significance: float = 3.0
-    linear_threshold: float = 0.35
-    max_steps: int = 40
 
     def __post_init__(self):
         if not 1 <= self.n_start <= self.n_max:
             raise ValueError("need 1 <= n_start <= n_max")
         if self.shots < 10:
             raise ValueError("shots must be at least 10")
-        if not 0 < self.linear_threshold < 0.5:
-            raise ValueError("linear_threshold must lie in (0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -252,15 +255,15 @@ def _fringe(
 
 
 def amplitude_cal_step(
-    testbed: SimulatedQubitTestbed, n_group: int, shots: int, linear_threshold: float = 0.35
+    testbed: SimulatedQubitTestbed, n_group: int, shots: int
 ) -> tuple[float, float, float, bool]:
     """Measure the relative amplitude error with a 4N+1 pulse train.
 
     Returns (p_zero, estimate, sigma, linear_ok); `linear_ok` holds when
-    ``|p_zero - 1/2| <= linear_threshold``.
+    ``|p_zero - 1/2| <= 0.35``.
     """
     p, estimate, sigma = _fringe(testbed, np.zeros(4 * n_group), (4 * n_group + 1) * np.pi / 2, shots)
-    return p, estimate, sigma, abs(p - 0.5) <= linear_threshold
+    return p, estimate, sigma, abs(p - 0.5) <= _LINEAR_THRESHOLD
 
 
 def _freq_model_p_zero(
@@ -283,7 +286,7 @@ def _freq_model_p_zero(
 
 
 def frequency_cal_step(
-    testbed: SimulatedQubitTestbed, n_pairs: int, shots: int, linear_threshold: float = 0.35
+    testbed: SimulatedQubitTestbed, n_pairs: int, shots: int
 ) -> tuple[float, float, float, bool]:
     """Measure the drive-qubit detuning with N opposite-phase pulse pairs.
 
@@ -295,7 +298,7 @@ def frequency_cal_step(
     phases = np.concatenate([np.tile([0.0, np.pi], n_pairs), [np.pi / 2]])
     bright = testbed.run_train(phases, shots)
     p = bright / shots
-    linear_ok = abs(p - 0.5) <= linear_threshold
+    linear_ok = abs(p - 0.5) <= _LINEAR_THRESHOLD
 
     omega = testbed.omega_nominal
 
@@ -331,10 +334,10 @@ def _run_loop(
 ) -> list[CalRecord]:
     records: list[CalRecord] = []
     n = config.n_start
-    for step in range(config.max_steps):
+    for step in range(_MAX_STEPS):
         t = testbed.clock
         p, estimate, sigma, linear_ok = measure(n, config.shots)
-        significant = abs(estimate) > config.significance * sigma
+        significant = abs(estimate) > _SIGNIFICANCE * sigma
         corrected = converged = False
         if not linear_ok:
             # outside the invertible fringe region: shorten the train
@@ -373,7 +376,7 @@ def amplitude_cal_loop(
     """Iteratively null the relative amplitude error.
 
     The train length grows geometrically until the estimate is significant
-    at ``config.significance`` binomial standard deviations, corrections
+    at three binomial standard deviations, corrections
     divide the amplitude setting by ``1 + estimate`` (rounded by the
     hardware quantizer), and the loop ends once the longest train resolves
     no error.
@@ -389,7 +392,7 @@ def amplitude_cal_loop(
         testbed,
         config,
         "amplitude",
-        lambda n, shots: amplitude_cal_step(testbed, n, shots, config.linear_threshold),
+        lambda n, shots: amplitude_cal_step(testbed, n, shots),
         correct,
     )
 
@@ -409,7 +412,7 @@ def frequency_cal_loop(
         testbed,
         config,
         "frequency",
-        lambda n, shots: frequency_cal_step(testbed, n, shots, config.linear_threshold),
+        lambda n, shots: frequency_cal_step(testbed, n, shots),
         correct,
     )
 
@@ -461,15 +464,6 @@ def walsh_coefficient(values: np.ndarray, order: int) -> float:
     values = np.asarray(values, dtype=float)
     mids = (np.arange(len(values)) + 0.5) / len(values)
     return float(np.mean(walsh_function(order, mids) * values))
-
-
-def walsh_reconstruct(coeffs: dict[int, float], x: np.ndarray) -> np.ndarray:
-    """Partial Walsh series evaluated at positions x in [0, 1)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for order, a in coeffs.items():
-        out = out + a * walsh_function(order, x)
-    return out
 
 
 def modulated_train_p_zero(n_pulses: int, coefficient: float) -> float:

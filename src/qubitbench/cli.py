@@ -18,11 +18,14 @@ help in ``_PARAMS`` (``_RUN_PARAMS`` for ``--seed`` and ``--workers``).
 config file or one of the two environment variables, before any work runs.
 A value outside its domain, or a config value of the wrong type (``2.9`` or
 ``true`` for an integer), exits 1 with one error line that names the option.
+A rule that joins options, such as ``--n-start`` at most ``--n-max``, names
+each of them (``_about``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -37,7 +40,7 @@ from . import __version__, presets
 from .budget import HARMONIC_COEFFICIENTS, IDLE_SCHEMES, ZEEMAN_CONVENTIONS, BudgetInput, budget_curve, budget_table
 from .budget import estimate_idle_rates, sample_idle_scheme
 from .calibration import CalLoopConfig, SimulatedQubitTestbed, amplitude_cal_loop, frequency_cal_loop
-from .calibration import records_to_jsonl, walsh_fit
+from .calibration import records_to_jsonl, walsh_fit, walsh_sign_train
 from .cliffords import build_clifford_table
 from .filterfunc import PhasePSD, SSBCurve, chi_echo, chi_ramsey, predict_irmb, predict_t2
 from .fitting import bootstrap_ci
@@ -96,6 +99,7 @@ def _list_of(parse, each: _Domain, least: int = 0, unique: bool = False) -> _Dom
 
 
 _LENGTHS = _list_of(_parse_int_list, _at_least(1), least=1, unique=True)
+_DECAY_LENGTHS = _list_of(_parse_int_list, _at_least(1), least=2, unique=True)  # one length cannot separate eps from A
 _TIMES = _list_of(_parse_float_list, _NON_NEGATIVE)
 _TWO_TIMES = _list_of(_parse_float_list, _NON_NEGATIVE, least=2)  # a line fit's abscissae
 _SWEEP = _list_of(_parse_int_list, _Domain("a positive multiple of 4", lambda v: v > 0 and v % 4 == 0), least=1)
@@ -125,7 +129,7 @@ _PARAMS = {
     },
     "irmb": {
         "delays": (str, "0,2e-6,5e-6,1e-5", "comma-separated per-pulse delays, s", _TWO_TIMES),
-        "lengths": (str, "300,950,3000,9500,30000", "comma-separated sequence lengths", _LENGTHS),
+        "lengths": (str, "300,950,3000,9500,30000", "comma-separated sequence lengths", _DECAY_LENGTHS),
         "sequences": (int, 30, "random sequences per length", _at_least(1)),
         "shots": (int, 100, "shots per sequence", _at_least(1)),
         "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration incl. ramps, s", _POSITIVE),
@@ -308,26 +312,33 @@ def _json_doc(command: str, resolved: dict, seed: int, payload: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+@contextlib.contextmanager
+def _about(resolved: dict, *names: str):
+    """Prefix a ValueError raised inside with the options `names` and their values."""
+    try:
+        yield
+    except ValueError as exc:
+        options = " and ".join(f"--{name.replace('_', '-')} {resolved[name]!r}" for name in names)
+        raise ValueError(f"{options}: {exc}") from None
+
+
 def _noise_from(resolved: dict) -> NoiseConfig:
+    """The preset's noise, then every override set: each applies to every preset."""
     preset = resolved["noise"]
     if preset == "none":
         noise = NoiseConfig()
     elif preset == "depol":
-        noise = NoiseConfig(
-            depolarizing_per_gate=resolved["depol"],
-            spam=resolved["spam"] if resolved["spam"] is not None else presets.SPAM,
-        )
+        noise = NoiseConfig(depolarizing_per_gate=resolved["depol"], spam=presets.SPAM)
     else:
         noise = presets.default_noise_config(include_motional=bool(resolved["motional"]))
-    if preset != "depol":
-        if resolved["sigma0"] is not None:
-            sigma0, amp = resolved["sigma0"], noise.amplitude
-            amp = replace(amp, sigma_rel=sigma0) if amp else AmplitudeNoiseModel(sigma_rel=sigma0)
-            noise = replace(noise, amplitude=amp)
-        if resolved["t2"] is not None:
-            noise = replace(noise, dephasing_t2=resolved["t2"])
-        if resolved["spam"] is not None:
-            noise = replace(noise, spam=resolved["spam"])
+    if resolved["sigma0"] is not None:
+        sigma0, amp = resolved["sigma0"], noise.amplitude
+        amp = replace(amp, sigma_rel=sigma0) if amp else AmplitudeNoiseModel(sigma_rel=sigma0)
+        noise = replace(noise, amplitude=amp)
+    if resolved["t2"] is not None:
+        noise = replace(noise, dephasing_t2=resolved["t2"])
+    if resolved["spam"] is not None:
+        noise = replace(noise, spam=resolved["spam"])
     if resolved["detuning_hz"]:
         noise = replace(noise, detuning_offset=2 * np.pi * resolved["detuning_hz"])
     return noise
@@ -347,12 +358,13 @@ def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str | dict:
         prepared_state=resolved["prep"],
     )
     noise = _noise_from(resolved)
-    timing = RBTiming(
-        t_half_pi=resolved["t_half_pi"],
-        ramp_time=resolved["ramp_time"],
-        gap_time=resolved["gap_time"],
-        delay_per_pulse=resolved["delay"],
-    )
+    with _about(resolved, "t_half_pi", "ramp_time"):
+        timing = RBTiming(
+            t_half_pi=resolved["t_half_pi"],
+            ramp_time=resolved["ramp_time"],
+            gap_time=resolved["gap_time"],
+            delay_per_pulse=resolved["delay"],
+        )
     dataset = run_rb(plan, noise=noise, timing=timing, tier=resolved["tier"])
     if fmt == "csv":
         return dataset.to_csv()
@@ -382,11 +394,8 @@ def _cmd_irmb(resolved: dict, seed: int, fmt: str) -> dict:
             n_sequences=resolved["sequences"],
             shots_per_sequence=resolved["shots"],
         )
-        timing = RBTiming(
-            t_half_pi=resolved["t_half_pi"],
-            gap_time=resolved["gap_time"],
-            delay_per_pulse=delay,
-        )
+        with _about(resolved, "t_half_pi"):
+            timing = RBTiming(t_half_pi=resolved["t_half_pi"], gap_time=resolved["gap_time"], delay_per_pulse=delay)
         ds = run_rb(plan, noise=noise, timing=timing)
         fit = ds.fit()
         results.append({"delay": delay, "epsilon": fit.epsilon, "converged": fit.converged})
@@ -417,7 +426,8 @@ def _make_testbed(resolved: dict, seed: int) -> SimulatedQubitTestbed:
 
 def _cmd_calibrate(resolved: dict, seed: int, fmt: str):
     testbed = _make_testbed(resolved, seed)
-    config = CalLoopConfig(n_start=resolved["n_start"], n_max=resolved["n_max"], shots=resolved["shots"])
+    with _about(resolved, "n_start", "n_max"):
+        config = CalLoopConfig(n_start=resolved["n_start"], n_max=resolved["n_max"], shots=resolved["shots"])
     records = []
     if resolved["kind"] in ("amplitude", "both"):
         records.extend(amplitude_cal_loop(testbed, config))
@@ -438,6 +448,9 @@ def _cmd_calibrate(resolved: dict, seed: int, fmt: str):
 
 
 def _cmd_walsh(resolved: dict, seed: int, fmt: str) -> dict:
+    if resolved["max_order"]:
+        with _about(resolved, "n_pulses", "max_order"):
+            walsh_sign_train(resolved["max_order"], resolved["n_pulses"])  # raises if the trains do not fit
     testbed = _make_testbed(resolved, seed)
     result = walsh_fit(
         testbed, max_order=resolved["max_order"], n_pulses=resolved["n_pulses"], shots=resolved["shots"],

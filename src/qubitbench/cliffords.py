@@ -42,7 +42,6 @@ __all__ = [
     "PulseSpec",
     "CliffordElement",
     "CliffordGroup",
-    "GateSequence",
     "build_clifford_table",
     "decompose_clifford",
     "min_pulse_decomposition",
@@ -57,7 +56,10 @@ _ID = np.eye(2, dtype=complex)
 #: Expansion / tie-break order for the generator search (lexicographic).
 GENERATOR_LABELS = ("+X90", "+Y90", "-X90", "-Y90")
 
+# an entry above this magnitude can fix the global phase
 _PHASE_TOL = 1e-9
+# largest entrywise difference of two matrices taken as the same element
+_MATCH_TOL = 1e-8
 
 
 def _axis_matrix(phase: float) -> np.ndarray:
@@ -105,10 +107,10 @@ _GENERATOR_MATRICES = {
 }
 
 
-def canonicalize_phase(matrix: np.ndarray, tol: float = _PHASE_TOL) -> np.ndarray:
-    """Remove the global phase: first row-major entry above `tol` becomes real-positive."""
+def canonicalize_phase(matrix: np.ndarray) -> np.ndarray:
+    """Remove the global phase: first row-major entry above 1e-9 becomes real-positive."""
     flat = matrix.reshape(-1)
-    big = np.abs(flat) > tol
+    big = np.abs(flat) > _PHASE_TOL
     if not big.any():
         raise ValueError("matrix is numerically zero; cannot fix global phase")
     pivot = flat[int(np.argmax(big))]
@@ -158,10 +160,6 @@ class PulseSpec:
         return self.phase if self.sign > 0 else self.phase + np.pi
 
     @property
-    def flat_time(self) -> float:
-        return self.t_half_pi - 2 * self.ramp_time
-
-    @property
     def total_time(self) -> float:
         return self.t_half_pi + self.gap_time
 
@@ -186,26 +184,6 @@ class CliffordElement:
     @property
     def pulse_count(self) -> int:
         return len(self.pulses)
-
-
-@dataclass(frozen=True)
-class GateSequence:
-    """A benchmarking sequence: random Cliffords plus the recovery element."""
-
-    cliffords: tuple[int, ...]
-    recovery: int
-    prepared_state: int = 0
-
-    def __post_init__(self):
-        if self.prepared_state not in (0, 1):
-            raise ValueError("prepared_state must be 0 or 1")
-
-    @property
-    def length(self) -> int:
-        return len(self.cliffords)
-
-    def all_indices(self) -> tuple[int, ...]:
-        return self.cliffords + (self.recovery,)
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +212,13 @@ class CliffordGroup:
         """Mean minimal word length; all budget formulas use this constant."""
         return float(np.mean([e.pulse_count for e in self.elements]))
 
-    @property
-    def max_pulses_per_clifford(self) -> int:
-        return max(e.pulse_count for e in self.elements)
-
     def compose(self, first: int, then: int) -> int:
         return int(self.compose_table[first, then])
 
     def inverse(self, index: int) -> int:
         return int(self.inverse_table[index])
 
-    def find_index(self, matrix: np.ndarray, tol: float = 1e-8) -> int:
+    def find_index(self, matrix: np.ndarray) -> int:
         """Index of the element equal to the 2x2 ``matrix`` up to global phase."""
         matrix = np.asarray(matrix)
         key = _table_key(matrix)
@@ -253,7 +227,7 @@ class CliffordGroup:
         # slow path for matrices with rounding noise
         canon = canonicalize_phase(matrix)
         for elem in self.elements:
-            if np.max(np.abs(elem.matrix - canon)) <= tol:
+            if np.max(np.abs(elem.matrix - canon)) <= _MATCH_TOL:
                 return elem.index
         raise KeyError("matrix is not a Clifford element within tolerance")
 
@@ -377,16 +351,13 @@ def decompose_clifford(index: int, group: CliffordGroup | None = None) -> tuple[
     return group.elements[index].pulses
 
 
-def min_pulse_decomposition(
-    target: np.ndarray | int,
-    group: CliffordGroup | None = None,
-    max_len: int = 4,
-) -> tuple[str, ...]:
+def min_pulse_decomposition(target: np.ndarray | int, group: CliffordGroup | None = None) -> tuple[str, ...]:
     """Independent oracle: exhaustively enumerate words by length, then rank.
 
     Unlike ``decompose_clifford`` this does not consult the stored table; it
-    scans all words of length 0..max_len in lexicographic order and returns
-    the first that reproduces the target up to global phase.
+    scans all words of length 0..4, the longest minimal word, in
+    lexicographic order and returns the first that reproduces the target up
+    to global phase.
     """
     import itertools
 
@@ -394,12 +365,12 @@ def min_pulse_decomposition(
         target = (group or build_clifford_table()).elements[target].matrix
     target_canon = canonicalize_phase(np.asarray(target))
 
-    for length in range(max_len + 1):
+    for length in range(5):
         for word in itertools.product(GENERATOR_LABELS, repeat=length):
             candidate = canonicalize_phase(word_matrix(word))
-            if np.max(np.abs(candidate - target_canon)) <= 1e-8:
+            if np.max(np.abs(candidate - target_canon)) <= _MATCH_TOL:
                 return word
-    raise ValueError(f"no generator word of length <= {max_len} matches target")
+    raise ValueError("no generator word of length <= 4 matches target")
 
 
 def recovery_gate(cliffords: Sequence[int], group: CliffordGroup | None = None) -> int:

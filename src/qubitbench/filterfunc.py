@@ -46,7 +46,6 @@ from .cliffords import MEAN_PULSES_PER_CLIFFORD
 __all__ = [
     "SSBCurve",
     "PhasePSD",
-    "thermal_floor_dbc",
     "Segment",
     "ControlTimeline",
     "filter_function",
@@ -56,13 +55,9 @@ __all__ = [
     "chi_ramsey",
     "chi_echo",
     "chi_timeline",
-    "coherence_decay",
     "predict_t2",
     "predict_irmb",
 ]
-
-_KB = 1.380649e-23
-
 
 # ---------------------------------------------------------------------------
 # Spectra
@@ -114,12 +109,6 @@ class SSBCurve:
             freqs_hz=tuple(float(r["frequency_hz"]) for r in rows),
             dbc_per_hz=tuple(float(r["dbc_per_hz"]) for r in rows),
         )
-
-
-def thermal_floor_dbc(p_carrier_dbm: float, temperature_k: float = 300.0) -> float:
-    """Thermal noise floor of a carrier, in dBc/Hz."""
-    noise_dbm_per_hz = 10 * np.log10(_KB * temperature_k * 1000.0)
-    return float(noise_dbm_per_hz - p_carrier_dbm)
 
 
 class PhasePSD:
@@ -217,19 +206,15 @@ def _eint(x: np.ndarray, d: float) -> np.ndarray:
     return d * np.exp(0.5j * x * d) * np.sinc(x * d / (2 * np.pi))
 
 
-def filter_function(
-    timeline: ControlTimeline, omega: np.ndarray, init_axis: str = "x"
-) -> np.ndarray:
+def filter_function(timeline: ControlTimeline, omega: np.ndarray) -> np.ndarray:
     """Dimensionless dephasing filter function G(omega) of a timeline.
 
     The phase-noise axis (z) is followed through the control in the
     toggling frame; G collects the spectral weight of the components
-    perpendicular to the initial Bloch vector, normalized so free
-    precession gives sin^2(omega tau / 2).
+    perpendicular to the initial Bloch vector, which points along x,
+    normalized so free precession gives sin^2(omega tau / 2).
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if init_axis not in ("x", "y", "z"):
-        raise ValueError("init_axis must be 'x', 'y', or 'z'")
     n_tilde = np.zeros((3, len(omega)), dtype=complex)
     minv = np.eye(3)  # inverse of the accumulated control rotation
     t0 = 0.0
@@ -255,9 +240,7 @@ def filter_function(
         if seg.rabi != 0:
             minv = minv @ _rot3(seg.phase, -seg.rabi * d)
         t0 += d
-    perp = {"x": (1, 2), "y": (0, 2), "z": (0, 1)}[init_axis]
-    g = (omega**2 / 4.0) * sum(np.abs(n_tilde[j]) ** 2 for j in perp)
-    return g
+    return (omega**2 / 4.0) * (np.abs(n_tilde[1]) ** 2 + np.abs(n_tilde[2]) ** 2)
 
 
 def g_free(omega: np.ndarray, tau: float) -> np.ndarray:
@@ -369,30 +352,19 @@ def chi_echo(psd: PhasePSD, tau: float, **kwargs) -> float:
     return chi_overlap(psd, lambda w: g_echo(w, tau), **_tau_matched(psd, tau, kwargs))
 
 
-def chi_timeline(psd: PhasePSD, timeline: ControlTimeline, init_axis: str = "x", **kwargs) -> float:
+def chi_timeline(psd: PhasePSD, timeline: ControlTimeline, **kwargs) -> float:
     tau = max(timeline.total_time, 1e-12)
     kwargs = _tau_matched(psd, tau, kwargs)
-    return chi_overlap(psd, lambda w: filter_function(timeline, w, init_axis), **kwargs)
-
-
-def _chi_of_kind(kind: str) -> Callable[..., float]:
-    """The coherence exponent of a 'ramsey' (free precession) or 'echo' experiment."""
-    chi = {"ramsey": chi_ramsey, "echo": chi_echo}.get(kind)
-    if chi is None:
-        raise ValueError("kind must be 'ramsey' or 'echo'")
-    return chi
-
-
-def coherence_decay(psd: PhasePSD, taus: Sequence[float], kind: str = "ramsey") -> np.ndarray:
-    """exp(-chi(tau)) for free precession or a single echo."""
-    fn = _chi_of_kind(kind)
-    return np.array([np.exp(-fn(psd, float(t))) for t in taus])
+    return chi_overlap(psd, lambda w: filter_function(timeline, w), **kwargs)
 
 
 def predict_t2(psd: PhasePSD, kind: str = "ramsey", bracket: tuple[float, float] = (1e-3, 1e4)) -> float:
-    """Time at which the coherence exponent, which grows with tau, reaches 1
-    (decay to 1/e): bisection on log tau down to a 1e-12 wide bracket."""
-    fn = _chi_of_kind(kind)
+    """Time at which the coherence exponent of a 'ramsey' (free precession) or
+    'echo' experiment, which grows with tau, reaches 1 (decay to 1/e):
+    bisection on log tau down to a 1e-12 wide bracket."""
+    fn = {"ramsey": chi_ramsey, "echo": chi_echo}.get(kind)
+    if fn is None:
+        raise ValueError("kind must be 'ramsey' or 'echo'")
 
     def f(log_tau):
         return fn(psd, float(np.exp(log_tau))) - 1.0
@@ -422,12 +394,7 @@ def predict_t2(psd: PhasePSD, kind: str = "ramsey", bracket: tuple[float, float]
     return result
 
 
-def predict_irmb(
-    psd: PhasePSD,
-    delays: Sequence[float],
-    pulses_per_clifford: float = MEAN_PULSES_PER_CLIFFORD,
-    baseline: float = 0.0,
-) -> np.ndarray:
+def predict_irmb(psd: PhasePSD, delays: Sequence[float], baseline: float = 0.0) -> np.ndarray:
     """Benchmarking error per group element versus per-pulse idle delay.
 
     Each delay window contributes the free-precession exponent
@@ -436,5 +403,5 @@ def predict_irmb(
     6``, giving ``mu * chi / 3`` per element.
     """
     return np.array(
-        [baseline + pulses_per_clifford * chi_ramsey(psd, float(t)) / 3.0 for t in delays]
+        [baseline + MEAN_PULSES_PER_CLIFFORD * chi_ramsey(psd, float(t)) / 3.0 for t in delays]
     )

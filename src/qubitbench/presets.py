@@ -46,6 +46,7 @@ __all__ = [
     "BRIGHT_PER_S", "DARK_PLUS_LEAK_PREP0_PER_S", "DARK_PLUS_LEAK_PREP1_PER_S",
     "ETA", "OMEGA_MOTIONAL", "N_BAR0", "HEATING_RATE", "ZEEMAN_RESIDUAL_HZ",
     "DRIFT_A_INF", "DRIFT_TAU", "CURVE_GATE_TIME_MIN", "CURVE_GATE_TIME_MAX", "CURVE_POINTS",
+    "OMEGA_QUBIT", "SPECTATOR_DETUNING", "SPECTATOR_RABI_RATIO", "SPECTATOR_T2",
     "default_noise_config", "default_ssb_curve", "default_phase_psd", "thermal_amp_drift", "linear_freq_drift",
 ]
 
@@ -73,6 +74,18 @@ N_BAR0 = 2.6
 HEATING_RATE = 370.0
 
 ZEEMAN_RESIDUAL_HZ = 2.5
+
+# the qubit transition (rad/s), against which the counter-rotating drive
+# term is extrapolated
+OMEGA_QUBIT = 2 * np.pi * 3.123e9
+
+# the four off-resonant spectator transitions, averaged: each qubit level
+# couples to two spectator levels detuned by +-SPECTATOR_DETUNING (rad/s)
+# from the drive, at SPECTATOR_RABI_RATIO times the qubit Rabi rate, and
+# SPECTATOR_T2 (s) is their coherence time in the decoherence bound
+SPECTATOR_DETUNING = 2 * np.pi * 104e6
+SPECTATOR_RABI_RATIO = 1.4
+SPECTATOR_T2 = 40e-3
 
 # thermal settling of the drive amplitude (``thermal_amp_drift``)
 DRIFT_A_INF = 4.3e-4

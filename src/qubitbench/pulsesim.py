@@ -30,12 +30,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cliffords import PulseSpec, apply_ab, pulse_ab, rotation_matrix
-from .presets import GAP_TIME, MEAN_PULSES_PER_CLIFFORD, RAMP_TIME
+from .presets import GAP_TIME, MEAN_PULSES_PER_CLIFFORD, OMEGA_QUBIT, RAMP_TIME
+from .presets import SPECTATOR_DETUNING, SPECTATOR_RABI_RATIO, SPECTATOR_T2
 
 __all__ = [
     "DriveParams",
     "ZeemanModel",
-    "SpectatorConfig",
     "pulse_propagator",
     "avg_pulse_error",
     "simulate_spectator",
@@ -90,21 +90,6 @@ class ZeemanModel:
         return self.shift_at_full_amp * relative_amplitude**2
 
 
-@dataclass(frozen=True)
-class SpectatorConfig:
-    """Averaged description of the four off-resonant spectator transitions.
-
-    Each qubit level couples to two spectator levels, detuned by plus and
-    minus ``detuning_s`` from the drive, with Rabi rate ``rabi_ratio`` times
-    the qubit rate.  ``t2_s`` is the spectator coherence time used for the
-    decoherence part of the error bound.
-    """
-
-    detuning_s: float = 2 * np.pi * 104e6
-    rabi_ratio: float = 1.4
-    t2_s: float = 40e-3
-
-
 def _ab_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Time-ordered product of the Cayley-Klein pairs ``(a[..., k], b[..., k])``,
     shape ``(2, 2, *batch)`` for pairs of shape ``(*batch, n)``.
@@ -134,7 +119,7 @@ def _pulse_grid(tr, t_half_pi, gap_time, ramp_substeps, flat_substeps):
     """Read-only (cell starts, cell ends, sin^2 ramp shape at cell midpoints,
     quadrature times) of a pulse window; the same for every pulse of a
     train, so cached.  Starts and ends have one more cell, the trailing gap."""
-    tf = t_half_pi - 2 * tr  # PulseSpec.flat_time
+    tf = t_half_pi - 2 * tr  # the flat top
     edges = [np.array([0.0])]
     if tr > 0:
         edges.append(np.linspace(0.0, tr, ramp_substeps + 1)[1:])
@@ -246,23 +231,21 @@ def avg_pulse_error(actual: np.ndarray, ideal: np.ndarray) -> float:
 _N_LEVELS = 6
 
 
-def _spectator_hamiltonian(
-    omega: float, phi: float, config: SpectatorConfig
-) -> np.ndarray:
+def _spectator_hamiltonian(omega: float, phi: float) -> np.ndarray:
     h = np.zeros((_N_LEVELS, _N_LEVELS), dtype=complex)
     # qubit drive
     h[0, 1] = 0.5 * omega * np.exp(-1j * phi)
     h[1, 0] = np.conj(h[0, 1])
     # spectator couplings, sharing the drive phase
-    omega_s = config.rabi_ratio * omega
+    omega_s = SPECTATOR_RABI_RATIO * omega
     for q, s_minus, s_plus in ((0, 2, 3), (1, 4, 5)):
         for s in (s_minus, s_plus):
             h[q, s] = 0.5 * omega_s * np.exp(-1j * phi)
             h[s, q] = np.conj(h[q, s])
-    h[2, 2] = -config.detuning_s
-    h[3, 3] = +config.detuning_s
-    h[4, 4] = -config.detuning_s
-    h[5, 5] = +config.detuning_s
+    h[2, 2] = -SPECTATOR_DETUNING
+    h[3, 3] = +SPECTATOR_DETUNING
+    h[4, 4] = -SPECTATOR_DETUNING
+    h[5, 5] = +SPECTATOR_DETUNING
     return h
 
 
@@ -274,7 +257,6 @@ def _expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
 def simulate_spectator(
     pulse: PulseSpec,
     drive: DriveParams,
-    config: SpectatorConfig,
     state: np.ndarray | None = None,
     ramp_substeps: int = 512,
 ) -> tuple[np.ndarray, float]:
@@ -294,7 +276,7 @@ def simulate_spectator(
     phi = pulse.effective_phase
 
     def step(omega: float, dt: float, vec: np.ndarray) -> np.ndarray:
-        return _expm_hermitian(_spectator_hamiltonian(omega, phi, config), dt) @ vec
+        return _expm_hermitian(_spectator_hamiltonian(omega, phi), dt) @ vec
 
     starts, ends, shape, _ = _pulse_grid(pulse.ramp_time, pulse.t_half_pi, pulse.gap_time, ramp_substeps, 1)
     for amp, dt in zip(shape, (ends - starts)[:-1]):
@@ -310,8 +292,6 @@ def spectator_error_per_gate(
     t_half_pi: float,
     ramp_time: float = RAMP_TIME,
     gap_time: float = GAP_TIME,
-    config: SpectatorConfig | None = None,
-    pulses_per_clifford: float = MEAN_PULSES_PER_CLIFFORD,
     n_pulses: int = 24,
     seed: int = 20260825,
     ramp_substeps: int = 512,
@@ -320,13 +300,12 @@ def spectator_error_per_gate(
 
     Combines the simulated leakage accumulated over ``n_pulses`` random-axis
     pulses with the dressed-population decoherence bound
-    ``<P_spectator> * t / (3 * t2_s)``.
+    ``<P_spectator> * t / (3 * SPECTATOR_T2)``.
     """
-    config = config or SpectatorConfig()
     drive = DriveParams.nominal(t_half_pi, ramp_time)
     rng = np.random.default_rng(seed)
     state = None  # simulate_spectator starts from |0>
-    dressed = (config.rabi_ratio * drive.omega_q / config.detuning_s) ** 2
+    dressed = (SPECTATOR_RABI_RATIO * drive.omega_q / SPECTATOR_DETUNING) ** 2
     for _ in range(n_pulses):
         pulse = PulseSpec(
             phase=float(rng.choice([0.0, np.pi / 2])),
@@ -336,16 +315,19 @@ def spectator_error_per_gate(
             gap_time=gap_time,
         )
         state, leak = simulate_spectator(
-            pulse, drive, config, state=state, ramp_substeps=ramp_substeps
+            pulse, drive, state=state, ramp_substeps=ramp_substeps
         )
     leak_per_pulse = leak / n_pulses
-    deco_per_pulse = dressed * t_half_pi / (3 * config.t2_s)
-    return pulses_per_clifford * (leak_per_pulse + deco_per_pulse)
+    deco_per_pulse = dressed * t_half_pi / (3 * SPECTATOR_T2)
+    return MEAN_PULSES_PER_CLIFFORD * (leak_per_pulse + deco_per_pulse)
 
 
 # ---------------------------------------------------------------------------
 # Counter-rotating drive term
 # ---------------------------------------------------------------------------
+
+# integration cells per period of the 2 omega_q oscillation
+_SUBSTEPS_PER_PERIOD = 64
 
 
 @dataclass(frozen=True)
@@ -362,9 +344,6 @@ class CounterRotatingResult:
 def counter_rotating_error(
     drive: DriveParams,
     omega_q_factors: Sequence[float] = (50.0, 100.0),
-    physical_omega_q: float = 2 * np.pi * 3.123e9,
-    substeps_per_period: int = 64,
-    pulses_per_clifford: float = MEAN_PULSES_PER_CLIFFORD,
 ) -> CounterRotatingResult:
     """Estimate the error contributed by the counter-rotating drive term.
 
@@ -372,7 +351,7 @@ def counter_rotating_error(
     explicitly for a rectangular pi/2 pulse at artificially low qubit
     frequencies (>= 10x the Rabi rate), the resulting pulse errors are fit
     to the known quadratic scaling in Omega/omega_q, and the fit is
-    extrapolated to the physical frequency.
+    extrapolated to the physical frequency ``OMEGA_QUBIT``.
     """
     omega = drive.omega_q
     duration = (np.pi / 2) / omega
@@ -384,7 +363,7 @@ def counter_rotating_error(
         if omega_q_scaled < 10 * omega:
             raise ValueError("scaled qubit frequency must be at least 10x the Rabi rate")
         period = np.pi / omega_q_scaled  # of the 2*omega_q oscillation
-        n_steps = int(np.ceil(duration / period)) * substeps_per_period
+        n_steps = int(np.ceil(duration / period)) * _SUBSTEPS_PER_PERIOD
         dt = duration / n_steps
         # the Rabi vector omega (1 + e^{i theta}), theta = 2 omega_q t, is a
         # drive of rate 2 omega cos(theta/2) at phase theta/2
@@ -397,11 +376,11 @@ def counter_rotating_error(
     ratios_arr = np.array(ratios)
     errors_arr = np.array(errors)
     coeff = float(np.sum(errors_arr * ratios_arr**2) / np.sum(ratios_arr**4))
-    per_pulse = coeff * (omega / physical_omega_q) ** 2
+    per_pulse = coeff * (omega / OMEGA_QUBIT) ** 2
     return CounterRotatingResult(
         coefficient=coeff,
         per_pulse_error=per_pulse,
-        per_gate_error=pulses_per_clifford * per_pulse,
+        per_gate_error=MEAN_PULSES_PER_CLIFFORD * per_pulse,
         sampled_ratios=tuple(ratios),
         sampled_errors=tuple(errors),
     )

@@ -45,7 +45,6 @@ from . import noise as noise_mod
 from . import pulsesim
 from .cliffords import (
     CliffordGroup,
-    GateSequence,
     apply_ab,
     build_clifford_table,
     pulse_ab,
@@ -146,15 +145,11 @@ class RBPlan:
         rng = rng_stream(self.master_seed, LANE_PLAN, length, seq_id)
         return rng.integers(0, len(group.elements), size=length)
 
-    def sequence(self, length: int, seq_id: int, group: CliffordGroup | None = None) -> GateSequence:
+    def sequence(self, length: int, seq_id: int, group: CliffordGroup | None = None) -> np.ndarray:
+        """Group-element indices of one sequence, the recovery element last."""
         group = group or build_clifford_table()
         idx = self.clifford_indices(length, seq_id, group)
-        rec = recovery_gate(idx, group=group)
-        return GateSequence(
-            cliffords=tuple(int(i) for i in idx),
-            recovery=int(rec),
-            prepared_state=self.prepared_state,
-        )
+        return np.append(idx, recovery_gate(idx, group=group))
 
 
 def geometric_lengths(l_min: int = 300, l_max: int = 30000, n: int = 5) -> tuple[int, ...]:
@@ -214,16 +209,6 @@ class RBDataset:
 
     def fit(self, **kwargs) -> DecayFit:
         return mle_fit(self.lengths, self.successes, self.shots, **kwargs)
-
-    def survival_by_length(self) -> tuple[np.ndarray, np.ndarray]:
-        uniq = np.unique(self.lengths)
-        frac = np.array(
-            [
-                self.successes[self.lengths == l].sum() / self.shots[self.lengths == l].sum()
-                for l in uniq
-            ]
-        )
-        return uniq, frac
 
     def to_json(self) -> str:
         records = [
@@ -370,7 +355,7 @@ def _replay(
     n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
     phase_table = _phase_table(group)
     words = [
-        np.concatenate([phase_table[i] for i in plan.sequence(length, s, group).all_indices()])
+        np.concatenate([phase_table[i] for i in plan.sequence(length, s, group)])
         for s in range(n_seq)
     ]
     n_pulses = np.array([len(w) for w in words])

@@ -206,10 +206,10 @@ def test_04_calibration_loops_suppress_drift():
         master_seed=10,
         freq_drift=lambda t: np.full_like(np.asarray(t, dtype=float), shift),
     )
-    pre_freq = err_zeeman(9.0, tb2.t_half_pi, _MU, convention="worst_case")
+    pre_freq = err_zeeman(9.0, tb2.t_half_pi, convention="worst_case")
     frequency_cal_loop(tb2, CalLoopConfig(n_max=1024, shots=400))
     residual_hz = (shift - tb2.detuning_setting) / (2 * np.pi)
-    post_freq = err_zeeman(abs(residual_hz), tb2.t_half_pi, _MU, convention="worst_case")
+    post_freq = err_zeeman(abs(residual_hz), tb2.t_half_pi, convention="worst_case")
 
     ok = (
         pre_amp == pytest.approx(1.4e-7, rel=0.15)
@@ -454,7 +454,7 @@ def test_09_oracle_equivalences(group):
         mode = MotionalMode(eta=eta, omega_m=2 * np.pi * 5.6e6, n_bar0=n_bar, heating_rate=0.0)
         plan = generate_plan(seed, lengths=lengths, n_sequences=n_seq, shots_per_sequence=30)
         eps = run_rb(plan, noise=NoiseConfig(motional=mode), group=group).fit().epsilon
-        motional_ratios.append(eps / err_harmonic(eta, 2 * np.pi * 5.6e6, n_bar, 6e-6, _MU))
+        motional_ratios.append(eps / err_harmonic(eta, 2 * np.pi * 5.6e6, n_bar, 6e-6))
 
     in_window = lambda r, f: 1.0 / f <= r <= f
     ok = (

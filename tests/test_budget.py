@@ -34,46 +34,46 @@ class TestRowFormulas:
 
     def test_amp_noise_is_half_mu_sigma_squared(self):
         sigma = 1.4571e-4
-        assert err_amp_noise(sigma, _MU) == pytest.approx(0.5 * _MU * sigma**2, rel=1e-12)
+        assert err_amp_noise(sigma) == pytest.approx(0.5 * _MU * sigma**2, rel=1e-12)
 
     def test_amp_drift_averages_the_trace(self):
         times = np.linspace(0.0, 10.0, 5)
         offsets = np.full(5, 3e-4)
-        assert err_amp_drift(times, offsets, _MU) == pytest.approx(
+        assert err_amp_drift(times, offsets) == pytest.approx(
             0.5 * _MU * 9e-8, rel=1e-12
         )
         # a linear ramp 0 -> x_max over the window has mean square x_max^2 / 3
         ramp = np.array([0.0, 1e-4, 2e-4])
         expected = 0.5 * _MU * (2e-4) ** 2 / 3.0
-        assert err_amp_drift(np.arange(3.0), ramp, _MU) == pytest.approx(expected, rel=1e-12)
+        assert err_amp_drift(np.arange(3.0), ramp) == pytest.approx(expected, rel=1e-12)
 
     def test_awg_resolution(self):
         step_rel = 2.0**-15 / 0.23675
         expected = 0.5 * _MU * step_rel**2 / 12.0
-        assert err_awg(0.23675, 15, _MU) == pytest.approx(expected, rel=1e-12)
+        assert err_awg(0.23675, 15) == pytest.approx(expected, rel=1e-12)
         # one extra bit costs a factor 4 in error
-        assert err_awg(0.23675, 14, _MU) / err_awg(0.23675, 15, _MU) == pytest.approx(4.0)
+        assert err_awg(0.23675, 14) / err_awg(0.23675, 15) == pytest.approx(4.0)
 
     def test_zeeman_conventions(self):
         phi = 2 * np.pi * 2.5 * 6e-6
-        assert err_zeeman(2.5, 6e-6, _MU, convention="twirl") == pytest.approx(
+        assert err_zeeman(2.5, 6e-6, convention="twirl") == pytest.approx(
             _MU * phi**2 / 6.0, rel=1e-12
         )
-        assert err_zeeman(2.5, 6e-6, _MU, convention="worst_case") == pytest.approx(
+        assert err_zeeman(2.5, 6e-6, convention="worst_case") == pytest.approx(
             _MU * phi**2 / 4.0, rel=1e-12
         )
         with pytest.raises(ValueError):
-            err_zeeman(2.5, 6e-6, _MU, convention="typo")
+            err_zeeman(2.5, 6e-6, convention="typo")
 
     def test_harmonic_scalings(self):
-        base = err_harmonic(9.3e-4, 2 * np.pi * 5.6e6, 10.0, 6e-6, _MU)
-        assert err_harmonic(2 * 9.3e-4, 2 * np.pi * 5.6e6, 10.0, 6e-6, _MU) == pytest.approx(
+        base = err_harmonic(9.3e-4, 2 * np.pi * 5.6e6, 10.0, 6e-6)
+        assert err_harmonic(2 * 9.3e-4, 2 * np.pi * 5.6e6, 10.0, 6e-6) == pytest.approx(
             4 * base, rel=1e-12
         )
-        hot = err_harmonic(9.3e-4, 2 * np.pi * 5.6e6, 20.5, 6e-6, _MU)
+        hot = err_harmonic(9.3e-4, 2 * np.pi * 5.6e6, 20.5, 6e-6)
         assert hot / base == pytest.approx((2 * 20.5 + 1) / 21.0, rel=1e-12)
         ratio = err_harmonic(
-            9.3e-4, 2 * np.pi * 5.6e6, 10.0, 6e-6, _MU, coefficient="single_pulse"
+            9.3e-4, 2 * np.pi * 5.6e6, 10.0, 6e-6, coefficient="single_pulse"
         ) / base
         assert ratio == pytest.approx((3 * np.pi / 4) ** 2 / 4.0, rel=1e-12)
 

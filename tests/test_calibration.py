@@ -22,7 +22,6 @@ from qubitbench.calibration import (
     walsh_coefficient,
     walsh_fit,
     walsh_function,
-    walsh_reconstruct,
     walsh_sign_train,
 )
 from qubitbench.presets import thermal_amp_drift
@@ -51,7 +50,7 @@ class TestTestbed:
         tb = SimulatedQubitTestbed(master_seed=44)
         assert tb.clock == 0.0
         tb.run_train(np.zeros(9), 100)
-        per_shot = 9 * (tb.t_half_pi + tb.gap_time) + tb.shot_overhead
+        per_shot = 9 * (tb.t_half_pi + tb.gap_time) + 5e-3  # pulses, then the dead time
         assert tb.clock == pytest.approx(100 * per_shot, rel=1e-9)
 
     @pytest.mark.parametrize("shots", [0, -3])
@@ -150,19 +149,17 @@ class TestLoops:
             (frequency_cal_loop, {"freq_drift": _const(2 * np.pi * 150.0)}),
         ],
     )
-    def test_linear_threshold_decides_linear_ok(self, loop, drift):
-        first = {
-            threshold: loop(
-                _quiet_testbed(6, **drift), CalLoopConfig(n_start=64, linear_threshold=threshold)
-            )[0]
-            for threshold in (0.35, 0.1)
-        }
-        # the same measurement, judged against two thresholds
-        assert first[0.35].p_zero == first[0.1].p_zero
-        assert 0.1 < abs(first[0.35].p_zero - 0.5) < 0.35
-        assert first[0.35].linear_ok
-        assert not first[0.1].linear_ok
-        assert not first[0.1].corrected
+    def test_linear_threshold_decides_linear_ok(self, loop, drift, monkeypatch):
+        first = loop(_quiet_testbed(6, **drift), CalLoopConfig(n_start=64))[0]
+        assert 0.1 < abs(first.p_zero - 0.5) < 0.35
+        assert first.linear_ok and first.corrected
+        # readings pinned 0.345 and 0.355 from the steep point: either side of 0.35
+        for bright, inside in ((31, True), (29, False)):
+            tb = _quiet_testbed(6, **drift)
+            monkeypatch.setattr(tb, "run_train", lambda phases, shots, bright=bright: bright)
+            pinned = loop(tb, CalLoopConfig(n_start=64, shots=200))[0]
+            assert pinned.linear_ok is inside
+            assert inside or not pinned.corrected
 
     def test_records_serialize_to_jsonl(self):
         tb = SimulatedQubitTestbed(master_seed=9, amp_drift=_const(-3e-4))
@@ -206,7 +203,7 @@ class TestWalshAlgebra:
         rng = np.random.default_rng(7)
         coeffs = {order: float(c) for order, c in enumerate(rng.normal(size=8))}
         x = (np.arange(64) + 0.5) / 64
-        series = walsh_reconstruct(coeffs, x)
+        series = sum(a * walsh_function(order, x) for order, a in coeffs.items())
         for order, a in coeffs.items():
             assert walsh_coefficient(series, order) == pytest.approx(a, abs=1e-12)
 

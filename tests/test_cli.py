@@ -256,6 +256,14 @@ class TestErrorsAndOutput:
             ("phase-noise", "--ssb", _File("frequency_hz,dbc_per_hz\n1.0,x\n1000000.0,-140.0\n")),
             # durations past the linearized idle model
             ("idle-rates", "--durations", "100,200", "--shots", "10"),
+            # rules that join options name each of them
+            ("calibrate", "--n-start", "300", "--n-max", "256"),
+            (*TINY_RB, "--t-half-pi", "1e-8"),
+            (*TINY_RB, "--ramp-time", "1e-5"),
+            ("irmb", "--t-half-pi", "1e-8", "--lengths", "10,100", "--sequences", "2", "--shots", "10"),
+            ("walsh", "--n-pulses", "100"),
+            # one length cannot separate the decay from its amplitude
+            ("irmb", "--lengths", "10"),
         ],
     )
     def test_bad_input_exits_one_with_one_error_line(self, args, tmp_path):
@@ -265,7 +273,10 @@ class TestErrorsAndOutput:
         assert [line for line in proc.stderr.splitlines() if line.startswith("qubitbench: error:")] == [
             proc.stderr.strip()
         ]
-        for option in ("--ssb", "--durations"):
+        # the error names an option that was set, by flag or config key
+        flags = [a.split("=")[0] for a in args if isinstance(a, str) and a.startswith("--")]
+        assert any(flag in proc.stderr for flag in flags) or "config key" in proc.stderr
+        for option in ("--ssb", "--durations", "--n-start", "--n-max", "--t-half-pi", "--ramp-time", "--n-pulses"):
             assert option not in args or option in proc.stderr
 
     @pytest.mark.parametrize("delays", ["1e-6,1e-6", "0,1e-5,-1e-6", "0,nan", "0,inf"])
@@ -466,6 +477,14 @@ class TestSubcommands:
         assert cli.main([*TINY_RB, "--seed", "11", "--bootstrap", "25"]) == 0
         assert "epsilon_ci68" in json.loads(capsys.readouterr().out)["fit"]
         assert len(fits) == 1
+
+    @pytest.mark.parametrize("override", [("--sigma0", "0.05"), ("--t2", "1e-3")])
+    def test_noise_overrides_apply_to_the_depol_preset(self, override, capsys):
+        docs = []
+        for extra in ((), override):
+            assert cli.main([*TINY_RB, "--seed", "11", "--fit", "0", *extra]) == 0
+            docs.append(json.loads(capsys.readouterr().out)["dataset"]["records"])
+        assert docs[0] != docs[1]
 
     def test_rb_bootstrap_zero_means_none(self):
         proc = run_cli(*TINY_RB, "--seed", "11", "--bootstrap", "0")

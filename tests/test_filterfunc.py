@@ -14,13 +14,11 @@ from qubitbench.filterfunc import (
     chi_overlap,
     chi_ramsey,
     chi_timeline,
-    coherence_decay,
     filter_function,
     g_echo,
     g_free,
     predict_irmb,
     predict_t2,
-    thermal_floor_dbc,
 )
 from qubitbench.presets import default_phase_psd, default_ssb_curve
 
@@ -103,12 +101,6 @@ class TestWhiteNoiseIdentity:
         )
         assert chi_timeline(psd, ramsey) == pytest.approx(chi_ramsey(psd, tau), rel=1e-6)
         assert chi_timeline(psd, echo) == pytest.approx(chi_echo(psd, tau), rel=1e-6)
-
-    def test_coherence_decay_exponentiates_chi(self):
-        psd = PhasePSD.white_fm(69.0)
-        w = coherence_decay(psd, [6.9, 69.0])
-        assert w[0] == pytest.approx(np.exp(-0.1), rel=1e-3)
-        assert w[1] == pytest.approx(np.exp(-1.0), rel=1e-3)
 
     def test_zero_delay_is_exactly_zero_and_negative_rejects(self):
         psd = PhasePSD.white_fm(69.0)
@@ -197,8 +189,6 @@ class TestPredictions:
     def test_unknown_kind_is_rejected_by_decay_and_t2(self, kind):
         psd = PhasePSD.white_fm(69.0)
         with pytest.raises(ValueError, match="kind must be"):
-            coherence_decay(psd, [6.9], kind=kind)
-        with pytest.raises(ValueError, match="kind must be"):
             predict_t2(psd, kind)
 
     def test_predict_t2_reports_spectral_mass_past_the_edges(self):
@@ -213,9 +203,3 @@ class TestPredictions:
         assert out[0] == pytest.approx(baseline)
         for delay, val in zip((0.01, 0.02), out[1:]):
             assert val == pytest.approx(baseline + mu * chi_ramsey(psd, delay) / 3.0, rel=1e-9)
-
-    def test_thermal_floor_reference_point(self):
-        # kT at 300 K is -173.83 dBm/Hz; a +30 dBm carrier puts the floor
-        # 203.83 dB below the carrier
-        assert thermal_floor_dbc(30.0) == pytest.approx(-203.83, abs=0.01)
-        assert thermal_floor_dbc(20.0) == pytest.approx(-193.83, abs=0.01)

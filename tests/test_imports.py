@@ -1,6 +1,7 @@
-"""No module binds a name by import and then never uses it.
+"""No module binds a name by import and then never uses it, and no package
+module lists a name in ``__all__`` that it does not bind.
 
-No linter runs with the tests, so this is a small AST check of its own
+No linter runs with the tests, so the first is a small AST check of its own
 (pyflakes' F401) over the package modules, the tests and the scripts.  A
 name counts as used where it is read anywhere in the module, named in a
 string annotation, or listed in the module's ``__all__``; an import line
@@ -11,6 +12,7 @@ design and is left out.
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -88,3 +90,14 @@ def test_no_module_imports_a_name_it_never_uses():
         for name, line in unused_imports(path.read_text())
     ]
     assert unused == []
+
+
+def test_every_all_entry_is_bound():
+    # the traced benchmark looks up each module's __all__ names with getattr,
+    # so a stale entry would crash it
+    stale = []
+    for path in sorted((ROOT / "src" / "qubitbench").glob("*.py")):
+        name = "qubitbench" if path.stem == "__init__" else f"qubitbench.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [f"{name}.{entry}" for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
+    assert stale == []

@@ -8,7 +8,7 @@ import inspect
 import numpy as np
 import pytest
 
-from qubitbench import budget, cli, presets
+from qubitbench import budget, cli, presets, pulsesim
 from qubitbench.budget import BudgetInput
 from qubitbench.calibration import SimulatedQubitTestbed
 from qubitbench.cliffords import PulseSpec
@@ -46,7 +46,7 @@ class TestBudgetInput:
     def test_operating_point(self):
         inp = BudgetInput()
         assert inp.gate_time == 13e-6
-        assert inp.mu == pytest.approx(52.0 / 24.0)
+        assert inp.t_half_pi == pytest.approx(6e-6)
         assert inp.t2 == 69.0 and inp.t2_unc == 7.0
         assert inp.sigma0_rel == pytest.approx(1.4571e-4)
         assert inp.awg_bits == 15
@@ -117,7 +117,7 @@ def _row(command, option):
 # where a default is restated -> (its value, the presets name it must be)
 RESTATED = {
     "BudgetInput.gate_time": (_field(BudgetInput, "gate_time"), "GATE_TIME"),
-    "BudgetInput.mu": (_field(BudgetInput, "mu"), "MEAN_PULSES_PER_CLIFFORD"),
+    "budget mu": (budget.MEAN_PULSES_PER_CLIFFORD, "MEAN_PULSES_PER_CLIFFORD"),
     "BudgetInput.t2": (_field(BudgetInput, "t2"), "T2_STAR_STAR"),
     "BudgetInput.sigma0_rel": (_field(BudgetInput, "sigma0_rel"), "SIGMA0_REL"),
     "BudgetInput.awg_bits": (_field(BudgetInput, "awg_bits"), "AWG_BITS"),
@@ -151,7 +151,7 @@ RESTATED = {
     "DriveParams.nominal.ramp_time": (_arg(DriveParams.nominal, "ramp_time"), "RAMP_TIME"),
     "spectator_error_per_gate.ramp_time": (_arg(spectator_error_per_gate, "ramp_time"), "RAMP_TIME"),
     "spectator_error_per_gate.gap_time": (_arg(spectator_error_per_gate, "gap_time"), "GAP_TIME"),
-    "spectator_error_per_gate.pulses_per_clifford": (_arg(spectator_error_per_gate, "pulses_per_clifford"), "MEAN_PULSES_PER_CLIFFORD"),
+    "pulsesim mu": (pulsesim.MEAN_PULSES_PER_CLIFFORD, "MEAN_PULSES_PER_CLIFFORD"),
     "thermal_amp_drift.a_inf": (_arg(thermal_amp_drift, "a_inf"), "DRIFT_A_INF"),
     "thermal_amp_drift.tau": (_arg(thermal_amp_drift, "tau"), "DRIFT_TAU"),
     "cli rb t_half_pi": (_row("rb", "t_half_pi"), "T_HALF_PI"),

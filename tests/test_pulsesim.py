@@ -18,7 +18,6 @@ from qubitbench.presets import (
 )
 from qubitbench.pulsesim import (
     DriveParams,
-    SpectatorConfig,
     ZeemanModel,
     avg_pulse_error,
     counter_rotating_error,
@@ -185,11 +184,11 @@ class TestErrorProbes:
     def test_spectator_leak_accumulates(self):
         pulse = PulseSpec(phase=0.0, t_half_pi=6e-6)
         drive = DriveParams(omega_q=(np.pi / 2) / 5.96e-6)
-        _, leak1 = simulate_spectator(pulse, drive, SpectatorConfig())
+        _, leak1 = simulate_spectator(pulse, drive)
         state = None
         leak = 0.0
         for _ in range(3):
-            state, leak = simulate_spectator(pulse, drive, SpectatorConfig(), state=state)
+            state, leak = simulate_spectator(pulse, drive, state=state)
         assert leak > leak1 > 0.0
 
     def test_counter_rotating_error_is_quadratic_in_drive_ratio(self):

@@ -64,7 +64,7 @@ class TestPlans:
     def test_sequence_recovery_closes_to_identity(self, group):
         plan = RBPlan(master_seed=5, lengths=(50,), n_sequences=2)
         seq = plan.sequence(50, 1, group)
-        folded = group.fold(seq.all_indices())
+        folded = group.fold(seq)
         assert folded == group.identity_index
 
     def test_geometric_lengths_endpoints_and_monotonicity(self):
@@ -255,7 +255,7 @@ def _reference_full_survival(plan, length, group, noise, timing, zeeman):
     base_gap = timing.gap_time + timing.delay_per_pulse
     drive = DriveParams.nominal(timing.t_half_pi, timing.ramp_time, detuning=noise.detuning_offset)
     labels = [
-        [lab for i in plan.sequence(length, s, group).all_indices() for lab in group.elements[i].pulses]
+        [lab for i in plan.sequence(length, s, group) for lab in group.elements[i].pulses]
         for s in range(n_seq)
     ]
     p_max = max(len(lab) for lab in labels)
@@ -351,7 +351,7 @@ class TestFullTier:
         run_rb(plan, noise=NoiseConfig(motional=motional, spam=0.01), tier="full", group=group)
         longest = [
             max(
-                sum(group.elements[i].pulse_count for i in plan.sequence(length, s, group).all_indices())
+                sum(group.elements[i].pulse_count for i in plan.sequence(length, s, group))
                 for s in range(plan.n_sequences)
             )
             for length in plan.lengths
@@ -423,14 +423,6 @@ class TestDataset:
     def test_successes_complement_errors(self):
         ds = self._small_dataset()
         assert np.array_equal(ds.successes + ds.errors, ds.shots)
-
-    def test_survival_by_length_pools_sequences(self):
-        ds = self._small_dataset()
-        uniq, frac = ds.survival_by_length()
-        assert uniq.tolist() == [10, 20]
-        for u, f in zip(uniq, frac):
-            mask = ds.lengths == u
-            assert f == pytest.approx(ds.successes[mask].sum() / ds.shots[mask].sum())
 
     def test_run_is_deterministic(self):
         a = self._small_dataset()
