@@ -25,6 +25,7 @@ immune to the static offset and to shot-to-shot noise.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -177,7 +178,7 @@ class SimulatedQubitTestbed:
         # the z rotation over the following gap folds into each pulse
         g = np.exp(0.5j * delta * self.gap_time)
         a, b = g * a, np.conj(g) * b
-        b_of = {phase: b * np.exp(1j * phase) for phase in np.unique(phases)}
+        b_of = {phase: b * np.exp(1j * phase) for phase in set(phases.tolist())}
         alpha = np.ones(shots, dtype=complex)
         beta = np.zeros(shots, dtype=complex)
         for phase in phases:
@@ -197,8 +198,9 @@ class SimulatedQubitTestbed:
 
 # a loop corrects an estimate beyond this many standard deviations
 _SIGNIFICANCE = 3.0
-# a reading is inverted only within this distance of the fringe's steep point
-_LINEAR_THRESHOLD = 0.35
+# a reading is inverted only within this fraction of its fringe's peak
+# distance from the steep point
+_LINEAR_FRACTION = 0.7
 # steps of one loop at most
 _MAX_STEPS = 40
 
@@ -260,10 +262,10 @@ def amplitude_cal_step(
     """Measure the relative amplitude error with a 4N+1 pulse train.
 
     Returns (p_zero, estimate, sigma, linear_ok); `linear_ok` holds when
-    ``|p_zero - 1/2| <= 0.35``.
+    ``|p_zero - 1/2| <= 0.7 * 1/2 = 0.35``, the fringe's peak being 1/2.
     """
     p, estimate, sigma = _fringe(testbed, np.zeros(4 * n_group), (4 * n_group + 1) * np.pi / 2, shots)
-    return p, estimate, sigma, abs(p - 0.5) <= _LINEAR_THRESHOLD
+    return p, estimate, sigma, abs(p - 0.5) <= _LINEAR_FRACTION * 0.5
 
 
 def _freq_model_p_zero(
@@ -285,6 +287,19 @@ def _freq_model_p_zero(
     return float(abs(total[0, 0]) ** 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _freq_fringe_peak(n_pairs: int, omega: float, t_pulse: float, gap: float) -> float:
+    """Largest ``|p_zero - 1/2|`` of the N-pair train's fringe over detunings
+    within ``+-omega / (2 N)``, read on 17 points.
+
+    Off-resonant pulses lose contrast, so the peak stays below 1/2: at the
+    default pulse it is 0.257, 0.322, 0.343, 0.348 and 0.349 for N = 1, 4,
+    16, 64 and 256.
+    """
+    deltas = np.linspace(-0.5, 0.5, 17) * omega / n_pairs
+    return max(abs(_freq_model_p_zero(d, n_pairs, omega, t_pulse, gap) - 0.5) for d in deltas)
+
+
 def frequency_cal_step(
     testbed: SimulatedQubitTestbed, n_pairs: int, shots: int
 ) -> tuple[float, float, float, bool]:
@@ -294,13 +309,15 @@ def frequency_cal_step(
     into a population signal.  Returns (p_zero, estimate, sigma,
     linear_ok) as ``amplitude_cal_step`` does; the estimate is the detuning
     in rad/s, found by Newton inversion of the exact propagator model.
+    `linear_ok` holds when ``|p_zero - 1/2|`` is at most 0.7 times the
+    fringe's peak (``_freq_fringe_peak``), the amplitude step's rule.
     """
     phases = np.concatenate([np.tile([0.0, np.pi], n_pairs), [np.pi / 2]])
     bright = testbed.run_train(phases, shots)
     p = bright / shots
-    linear_ok = abs(p - 0.5) <= _LINEAR_THRESHOLD
-
     omega = testbed.omega_nominal
+    peak = _freq_fringe_peak(n_pairs, omega, testbed.t_half_pi, testbed.gap_time)
+    linear_ok = abs(p - 0.5) <= _LINEAR_FRACTION * peak
 
     def model(d: float) -> float:
         return _freq_model_p_zero(d, n_pairs, omega, testbed.t_half_pi, testbed.gap_time)

@@ -329,13 +329,12 @@ def build_clifford_table() -> CliffordGroup:
     if n != 24:
         raise RuntimeError(f"expected 24 Clifford elements, found {n}")
 
-    compose = np.zeros((n, n), dtype=int)
-    for i, ei in enumerate(elements):
-        for j, ej in enumerate(elements):
-            compose[i, j] = index_by_key[_table_key(ej.matrix @ ei.matrix)]
-    inverse = np.zeros(n, dtype=int)
-    for i, ei in enumerate(elements):
-        inverse[i] = index_by_key[_table_key(ei.matrix.conj().T)]
+    # every product M_j M_i at once; it is the element k with |tr(M_k^H P)| = 2,
+    # and every other element gives at most sqrt(2)
+    mats = np.array([e.matrix for e in elements])
+    products = np.einsum("jab,ibc->ijac", mats, mats)
+    compose = np.abs(np.einsum("kab,ijab->ijk", mats.conj(), products)).argmax(axis=-1)
+    inverse = (compose == 0).argmax(axis=1)
 
     group = CliffordGroup(
         elements=elements, compose_table=compose, inverse_table=inverse

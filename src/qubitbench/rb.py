@@ -156,8 +156,7 @@ def geometric_lengths(l_min: int = 300, l_max: int = 30000, n: int = 5) -> tuple
     """Roughly geometric ladder of sequence lengths, deduplicated."""
     if not 1 <= l_min <= l_max or n < 1:
         raise ValueError("need 1 <= l_min <= l_max and n >= 1")
-    vals = np.unique(np.rint(np.geomspace(l_min, l_max, n)).astype(int))
-    return tuple(int(v) for v in vals)
+    return tuple(sorted(set(np.rint(np.geomspace(l_min, l_max, n)).astype(int).tolist())))
 
 
 def generate_plan(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qubitbench.calibration import (
+    _freq_fringe_peak,
     CalLoopConfig,
     SimulatedQubitTestbed,
     amplitude_cal_loop,
@@ -125,6 +126,19 @@ class TestFrequencyStep:
             sigmas[n_pairs] = sigma
         assert sigmas[256] < 0.35 * sigmas[64]
 
+    def test_fringe_peak_stays_below_one_half(self):
+        tb = _quiet_testbed(4)
+        peaks = [_freq_fringe_peak(n, tb.omega_nominal, tb.t_half_pi, tb.gap_time) for n in (1, 4, 16, 64, 256)]
+        assert peaks == pytest.approx([0.258, 0.322, 0.343, 0.348, 0.349], abs=2e-3)
+
+    def test_flags_a_reading_near_the_fringe_peak(self):
+        # a 300 Hz shift reads within 0.35 of the steep point, the amplitude
+        # fringe's limit, but past 0.7 of this fringe's lower peak
+        tb = _quiet_testbed(7, freq_drift=_const(2 * np.pi * 300.0))
+        p, _, _, ok = frequency_cal_step(tb, 64, 200)
+        assert 0.7 * _freq_fringe_peak(64, tb.omega_nominal, tb.t_half_pi, tb.gap_time) < abs(p - 0.5) < 0.35
+        assert not ok
+
 
 class TestLoops:
     def test_amplitude_loop_corrects_static_offset(self):
@@ -150,11 +164,19 @@ class TestLoops:
         ],
     )
     def test_linear_threshold_decides_linear_ok(self, loop, drift, monkeypatch):
+        # 0.7 of the fringe's peak distance from the steep point at N = 64
+        if loop is amplitude_cal_loop:
+            threshold = 0.7 * 0.5
+        else:
+            tb = _quiet_testbed(6)
+            threshold = 0.7 * _freq_fringe_peak(64, tb.omega_nominal, tb.t_half_pi, tb.gap_time)
         first = loop(_quiet_testbed(6, **drift), CalLoopConfig(n_start=64))[0]
-        assert 0.1 < abs(first.p_zero - 0.5) < 0.35
+        assert 0.1 < abs(first.p_zero - 0.5) < threshold
         assert first.linear_ok and first.corrected
-        # readings pinned 0.345 and 0.355 from the steep point: either side of 0.35
-        for bright, inside in ((31, True), (29, False)):
+        # readings pinned 0.005 inside and outside the threshold (0.345 and
+        # 0.355 for the amplitude loop)
+        for bright, inside in ((round(200 * (0.5 - threshold + 0.005)), True),
+                               (round(200 * (0.5 - threshold - 0.005)), False)):
             tb = _quiet_testbed(6, **drift)
             monkeypatch.setattr(tb, "run_train", lambda phases, shots, bright=bright: bright)
             pinned = loop(tb, CalLoopConfig(n_start=64, shots=200))[0]

@@ -141,6 +141,21 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="at least 1"):
             bootstrap_ci(lengths, successes, shots, rng_stream(1, 2), n_resamples=n_resamples)
 
+    @pytest.mark.parametrize("level", [-0.1, 1.5])
+    def test_level_is_a_fraction(self, level):
+        lengths, successes, shots = _synthetic_counts(rng_stream(99, 7), [30, 300, 3000], 2000, 1e-4, 0.5)
+        with pytest.raises(ValueError, match="level"):
+            bootstrap_ci(lengths, successes, shots, rng_stream(1, 2), n_resamples=5, level=level)
+
+    @given(
+        values=st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=50),
+        level=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_quantiles_are_numpys_bit_for_bit(self, values, level):
+        qs = [(1 - level) / 2, (1 + level) / 2, level, 0.0, 1.0]
+        assert fitting._quantiles(np.array(values), qs).tobytes() == np.quantile(values, qs).tobytes()
+
     def test_estimates_are_deterministic_given_rng(self):
         rng = rng_stream(99, 7)
         lengths, successes, shots = _synthetic_counts(rng, [30, 300, 3000], 2000, 1e-4, 0.5)

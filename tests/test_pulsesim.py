@@ -181,6 +181,23 @@ class TestErrorProbes:
             res = counter_rotating_error(DriveParams.nominal(g / MEAN_PULSES_PER_CLIFFORD))
             assert res.per_gate_error <= bound, g
 
+    def test_pulse_ramping_stays_below_budget_bound_along_the_curve(self):
+        # the +X90 pulse with its sin^2 ramps against the same rotation as a
+        # rectangle, both under the drive-induced Zeeman shift, per Clifford
+        bound = BudgetInput().ramp_bound
+        gate_times = np.linspace(CURVE_GATE_TIME_MIN, CURVE_GATE_TIME_MAX, CURVE_POINTS)
+        for g in gate_times:
+            t_half_pi = g / MEAN_PULSES_PER_CLIFFORD
+            ramped = pulse_propagator(
+                PulseSpec(phase=0.0, t_half_pi=t_half_pi), DriveParams.nominal(t_half_pi), zeeman=ZeemanModel()
+            )
+            rectangle = pulse_propagator(
+                PulseSpec(phase=0.0, t_half_pi=t_half_pi, ramp_time=0.0),
+                DriveParams.nominal(t_half_pi, ramp_time=0.0),
+                zeeman=ZeemanModel(),
+            )
+            assert MEAN_PULSES_PER_CLIFFORD * avg_pulse_error(ramped, rectangle) <= bound, g
+
     def test_spectator_leak_accumulates(self):
         pulse = PulseSpec(phase=0.0, t_half_pi=6e-6)
         drive = DriveParams(omega_q=(np.pi / 2) / 5.96e-6)

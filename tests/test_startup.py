@@ -1,16 +1,21 @@
 """Start-up cost of the package and the CLI.
 
 Importing ``scipy.optimize`` takes about half a second, so no command imports
-it.  The decay fit (``rb``, ``irmb``) loads only ``scipy`` and the
-compiled L-BFGS-B kernel, and polishes a fit that did not converge with its
-own port of scipy's Nelder-Mead; ``walsh_fit`` loads only ``scipy`` and
-MINPACK, which its port of scipy's ``least_squares(method="lm")`` drives.
-These tests run each case in a fresh interpreter and look at
-``sys.modules``: importing the package and running the commands that never
-fit must leave scipy unloaded, and no command, an ``rb`` fit converged or
-polished and ``walsh`` among them, may load ``scipy.optimize``.
+it.  The decay fit (``rb``, ``irmb``) loads only the compiled L-BFGS-B kernel,
+``scipy.optimize._lbfgsb``, without running the ``scipy`` package init, and
+polishes a fit that did not converge with its own port of scipy's
+Nelder-Mead; ``walsh_fit`` loads ``scipy`` and MINPACK, which its port of
+scipy's ``least_squares(method="lm")`` drives (MINPACK's extension imports
+the ``scipy`` package itself).  No command loads ``numpy.ma``, which numpy's
+``np.unique`` imports on its first call.  These tests run each case in a
+fresh interpreter and look at ``sys.modules``: importing the package and
+running the commands that never fit must leave scipy unloaded, an ``rb`` fit
+of either tier, converged or polished, and an ``irmb`` fit must load no scipy
+module but the kernel, and no command may load ``scipy.optimize`` or
+``numpy.ma``.
 """
 
+import functools
 import json
 import os
 import pathlib
@@ -24,8 +29,9 @@ from qubitbench import cli
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# runs the CLI in-process, then reports the exit code, which of scipy and
-# scipy.optimize were loaded and how many fits went to the Nelder-Mead polish
+# runs the CLI in-process, then reports the exit code, which scipy modules
+# and whether numpy.ma were loaded, and how many fits went to the Nelder-Mead
+# polish
 CHILD = """
 import json, sys
 from qubitbench import cli, fitting
@@ -33,7 +39,7 @@ polishes = []
 nelder_mead = fitting._nelder_mead
 fitting._nelder_mead = lambda *args: polishes.append(1) or nelder_mead(*args)
 rc = cli.main(sys.argv[1:])
-loaded = [name for name in ("scipy", "scipy.optimize") if name in sys.modules]
+loaded = sorted(name for name in sys.modules if name == "numpy.ma" or name.split(".")[0] == "scipy")
 print(json.dumps({"rc": rc, "loaded": loaded, "polishes": len(polishes)}), file=sys.stderr)
 """
 
@@ -45,8 +51,8 @@ def run_python(*args):
 
 
 def run_cli(*args):
-    """(document, loaded modules among scipy and scipy.optimize, polished
-    fits) of one CLI run in a fresh interpreter."""
+    """(document, loaded modules of scipy and numpy.ma, polished fits) of
+    one CLI run in a fresh interpreter."""
     proc = run_python("-c", CHILD, *args)
     assert proc.returncode == 0, proc.stderr
     status = json.loads(proc.stderr.strip().splitlines()[-1])
@@ -55,9 +61,9 @@ def run_cli(*args):
 
 
 def test_importing_the_package_and_cli_leaves_scipy_out():
-    proc = run_python("-c", "import sys, qubitbench, qubitbench.cli; print('scipy' in sys.modules)")
+    proc = run_python("-c", "import sys, qubitbench, qubitbench.cli; print({'scipy', 'numpy.ma'} & set(sys.modules))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "set()"
 
 
 @pytest.mark.parametrize(
@@ -76,16 +82,16 @@ def test_commands_that_do_not_fit_never_import_scipy(args):
     assert not loaded
 
 
-def assert_converged_without_scipy_optimize(document, loaded, polishes):
+def assert_converged_on_the_kernel_alone(document, loaded, polishes):
     fit = json.loads(document)["fit"]
     assert 0 < fit["epsilon"] < 0.49 and 0 < fit["amplitude"] <= 0.6
     assert fit["converged"]
-    assert loaded == ["scipy"]
+    assert loaded == ["scipy.optimize._lbfgsb"]
     return polishes
 
 
 def test_rb_still_fits():
-    assert_converged_without_scipy_optimize(*run_cli(
+    assert_converged_on_the_kernel_alone(*run_cli(
         "rb", "--lengths", "20,60", "--sequences", "3", "--shots", "20", "--noise", "depol", "--depol", "1e-3"
     ))
 
@@ -93,7 +99,7 @@ def test_rb_still_fits():
 def test_a_polishing_bootstrap_leaves_scipy_optimize_out():
     # depolarizing data without SPAM: some bootstrap refits stop short in
     # L-BFGS-B and go to the Nelder-Mead polish
-    polishes = assert_converged_without_scipy_optimize(*run_cli(
+    polishes = assert_converged_on_the_kernel_alone(*run_cli(
         "rb", "--noise", "depol", "--depol", "1.5e-7", "--lengths", "100,1000,10000", "--sequences", "10",
         "--shots", "100", "--bootstrap", "20", "--seed", "20260825"
     ))
@@ -101,19 +107,9 @@ def test_a_polishing_bootstrap_leaves_scipy_optimize_out():
 
 
 def test_full_tier_rb_still_fits():
-    assert_converged_without_scipy_optimize(*run_cli(
+    assert_converged_on_the_kernel_alone(*run_cli(
         "rb", "--tier", "full", "--lengths", "8,24", "--sequences", "2", "--shots", "2", "--detuning-hz", "2e4"
     ))
-
-
-def test_walsh_still_fits():
-    document, loaded, _ = run_cli(
-        "walsh", "--max-order", "2", "--n-pulses", "16", "--shots", "200", "--sweep", "4,16"
-    )
-    doc = json.loads(document)
-    assert np.isfinite(doc["sigma_rel"]) and doc["sigma_rel"] > 0
-    assert set(doc["coefficients"]) == {"1", "2"}
-    assert loaded == ["scipy"]
 
 
 def test_presets_is_a_leaf():
@@ -149,8 +145,35 @@ def test_every_subcommand_has_a_small_size():
     assert set(TINY) == set(cli._PARAMS)
 
 
+@functools.cache
+def tiny_run(command):
+    """``run_cli`` of ``command`` at its small size, run once per session."""
+    return run_cli(command, *TINY[command])
+
+
 @pytest.mark.parametrize("command", sorted(TINY))
 def test_no_subcommand_imports_scipy_optimize(command):
-    document, loaded, _ = run_cli(command, *TINY[command])
+    document, loaded, _ = tiny_run(command)
     assert document
     assert "scipy.optimize" not in loaded
+
+
+@pytest.mark.parametrize("command", sorted(TINY))
+def test_no_subcommand_imports_numpy_ma(command):
+    document, loaded, _ = tiny_run(command)
+    assert document
+    assert "numpy.ma" not in loaded
+
+
+def test_irmb_loads_the_kernel_alone():
+    _, loaded, _ = tiny_run("irmb")
+    assert loaded == ["scipy.optimize._lbfgsb"]
+
+
+def test_walsh_still_fits():
+    document, loaded, _ = tiny_run("walsh")
+    doc = json.loads(document)
+    assert np.isfinite(doc["sigma_rel"]) and doc["sigma_rel"] > 0
+    assert set(doc["coefficients"]) == {"1", "2"}
+    assert {"scipy", "scipy.optimize._minpack"} <= set(loaded)
+    assert "scipy.optimize._lbfgsb" not in loaded
