@@ -350,6 +350,9 @@ def _noise_from(resolved: dict) -> NoiseConfig:
 
 
 def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str | dict:
+    if resolved["bootstrap"] and (fmt == "csv" or not resolved["fit"]):
+        clash = "--format csv" if fmt == "csv" else "--fit 0"
+        raise ValueError(f"--bootstrap {resolved['bootstrap']} needs the JSON fit, which {clash} leaves out")
     plan = generate_plan(
         seed,
         lengths=_parse_int_list(resolved["lengths"]),

@@ -11,17 +11,19 @@ maximized over ``(eps, A)`` with a coarse logarithmic grid over ``eps``
 followed by bounded quasi-Newton refinement.  Uncertainties come from a
 parametric bootstrap.
 
-The refinement is L-BFGS-B over ``(log eps, A)``, driven here through
-scipy's own kernel (``setulb``) so that many fits run in lockstep: the
-bootstrap's refits advance together, and each round evaluates every point
+A fit alone is the one-row case of the bootstrap's pipeline.  The start
+grid is searched once for all rows (``_grid_starts``).  The refinement is
+L-BFGS-B over ``(log eps, A)``, driven here through scipy's own kernel
+(``setulb``) so that many fits run in lockstep in ``_BLOCK`` slots, each
+handed to the next fit as its fit finishes; each round evaluates every point
 they ask for in one broadcast likelihood call.  The gradient is scipy's own
 forward difference (``'2-point'``, absolute step 1e-8, the step reversed where
 it would cross an upper bound), formed in that same call from each point and
 its two stepped copies.  Every fit takes the iterates that
 ``scipy.optimize.minimize(method="L-BFGS-B")`` with finite differences would
 give; fits it leaves unconverged get a Nelder-Mead polish (``_nelder_mead``,
-a port of scipy's bounded Nelder-Mead with the same iterates).  While the
-kernel runs, the OpenBLAS it calls is held to one thread.
+a port of scipy's bounded Nelder-Mead with the same iterates), all in
+lockstep.  While the kernel runs, its OpenBLAS is held to one thread.
 
 The kernel is one compiled extension, loaded from its file in scipy's
 package directory (``_kernel``) so that a fit does not run the
@@ -85,7 +87,7 @@ _MAX_FAILURE_FRACTION = 0.05
 _MAXCOR, _MAXLS = 10, 20
 # the fit's L-BFGS-B stop rule: iterations, then evaluations (see _lbfgsb)
 _MAXITER, _MAXFUN = 500, 5000
-# bootstrap refits run through L-BFGS-B together in blocks of this many
+# most L-BFGS-B fits live at once: the bootstrap's refits share this many slots
 _BLOCK = 25
 # the polish's Nelder-Mead stop rule: simplex size, value spread, iterations
 _NM_XATOL, _NM_FATOL, _NM_MAXITER = 1e-8, 1e-10, 4000
@@ -154,15 +156,18 @@ def _clip(x):
     return np.minimum(np.maximum(x, _LOWER), _UPPER)
 
 
+def _log_probabilities(log_eps, amplitude, lengths):
+    """``log p`` and ``log(1 - p)`` of the model, ``p`` clipped to
+    ``[_P_CLIP, 1 - _P_CLIP]``; the arguments broadcast against each other."""
+    p = np.minimum(np.maximum(amplitude * (1.0 - 2.0 * np.exp(log_eps)) ** lengths + 0.5, _P_CLIP), 1.0 - _P_CLIP)
+    return np.log(p), np.log1p(-p)
+
+
 def _nll(log_eps, amplitude, lengths, k, n):
     """Binomial negative log-likelihood of pooled counts, summed over the
     last axis; ``log_eps`` and ``amplitude`` broadcast against it."""
-    p = np.minimum(np.maximum(amplitude * (1.0 - 2.0 * np.exp(log_eps)) ** lengths + 0.5, _P_CLIP), 1.0 - _P_CLIP)
-    return -(k * np.log(p) + (n - k) * np.log1p(-p)).sum(axis=-1)
-
-
-def _neg_log_likelihood(params, lengths, k, n):
-    return float(_nll(params[0], params[1], lengths, k, n))
+    log_p, log_q = _log_probabilities(log_eps, amplitude, lengths)
+    return -(k * log_p + (n - k) * log_q).sum(axis=-1)
 
 
 def _nll_and_grad(x, lengths, k, n):
@@ -259,69 +264,87 @@ def _one_blas_thread():
 
 def _lbfgsb(x0, lengths, k, n):
     """L-BFGS-B from each row of ``x0`` on the counts in the same row of
-    ``k``, all rows in lockstep.  Returns ``(x, fun, success, message)``.
+    ``k``, at most ``_BLOCK`` rows at a time in lockstep.  Returns ``(x, fun,
+    success, message)``.
 
     This is the loop of scipy's ``minimize(method="L-BFGS-B")`` with
     ``ftol=1e-12``, ``gtol=1e-10`` and ``_nll_and_grad`` as the objective, run
     on scipy's own kernel, so every row takes scipy's iterates.  Each round
-    drives every unfinished row until it asks for the objective (task 3) or
-    stops, then answers all the asks with one ``_nll_and_grad`` call.
-    Evaluations are counted as scipy's ``ScalarFunction`` counts them: one
-    at the start point, then one per asked point that differs from the last.
-    The gradient's 3 likelihood points count once, so ``_MAXFUN`` 5000 stops
-    where scipy's default of 15000 did with its own finite differences.
+    drives every live row until it asks for the objective (task 3) or stops,
+    then answers all the asks with one ``_nll_and_grad`` call.  A row that
+    stops hands its slot, the workspaces zeroed as scipy allocates them, to
+    the next row, which starts in the same round.  Evaluations are counted
+    as scipy's ``ScalarFunction`` counts them: one at the start point, then
+    one per asked point that differs from the last.  The gradient's 3
+    likelihood points count once, so ``_MAXFUN`` 5000 stops where scipy's
+    default of 15000 did with its own finite differences.
     """
     setulb = _kernel("_lbfgsb").setulb
-    rows = len(x0)
+    rows, slots = len(x0), min(len(x0), _BLOCK)
     x = _clip(x0)
     evaluated = x.copy()
     nfev = np.ones(rows, dtype=int)
-    nit = np.zeros(rows, dtype=int)
+    nit = [0] * rows
     f = np.zeros(rows)
     g = np.zeros((rows, 2))
     task = np.zeros((rows, 2), dtype=np.int32)
-    # setulb's workspaces, sized as scipy sizes them for two parameters
-    wa = np.zeros((rows, 2 * _MAXCOR * 2 + 5 * 2 + 11 * _MAXCOR**2 + 8 * _MAXCOR))
-    iwa = np.zeros((rows, 3 * 2), dtype=np.int32)
-    lsave = np.zeros((rows, 4), dtype=np.int32)
-    isave = np.zeros((rows, 44), dtype=np.int32)
-    dsave = np.zeros((rows, 29))
-    ln_task = np.zeros((rows, 2), dtype=np.int32)
+    # setulb's workspaces wa, iwa, lsave, isave, dsave and ln_task, one row per
+    # slot, sized as scipy sizes them for two parameters
+    workspaces = (
+        np.zeros((slots, 2 * _MAXCOR * 2 + 5 * 2 + 11 * _MAXCOR**2 + 8 * _MAXCOR)),
+        np.zeros((slots, 3 * 2), dtype=np.int32),
+        np.zeros((slots, 4), dtype=np.int32),
+        np.zeros((slots, 44), dtype=np.int32),
+        np.zeros((slots, 29)),
+        np.zeros((slots, 2), dtype=np.int32),
+    )
     nbd = np.full(2, 2, dtype=np.int32)  # both bounds on both parameters
     factr = 1e-12 / np.finfo(float).eps
-    state = list(zip(x, g, wa, iwa, task, lsave, isave, dsave, ln_task))
 
-    waiting = list(range(rows))
+    spaces = list(zip(*workspaces))
+    held = [(x[r], g[r], task[r]) for r in range(slots)]  # each slot's row, as views
+    queue = iter(range(slots, rows))
+    live = list(enumerate(range(slots)))  # (slot, row) pairs
     with _one_blas_thread():
-        while waiting:
+        while live:
             asked = []
-            for r in waiting:
-                xr, gr, war, iwar, taskr, lsaver, isaver, dsaver, lnr = state[r]
+            for s, r in live:
+                war, iwar, lsaver, isaver, dsaver, lnr = spaces[s]
+                xr, gr, taskr = held[s]
                 while True:
                     setulb(_MAXCOR, xr, _LOWER, _UPPER, nbd, f[r], gr, factr, 1e-10,
                            war, iwar, taskr, lsaver, isaver, dsaver, _MAXLS, lnr)
-                    if taskr[0] == 3:
-                        asked.append(r)
+                    code = taskr.item(0)
+                    if code == 3:
+                        asked.append((s, r))
                         break
-                    if taskr[0] != 1:  # converged or stopped
-                        break
+                    if code != 1:  # converged or stopped: the next row takes the slot
+                        if (r := next(queue, None)) is None:
+                            break
+                        for w in workspaces:
+                            w[s] = 0
+                        held[s] = xr, gr, taskr = x[r], g[r], task[r]
+                        continue
                     nit[r] += 1
                     if nit[r] >= _MAXITER:
                         taskr[:] = 5, 504
                     elif nfev[r] > _MAXFUN:
                         taskr[:] = 5, 502
             if asked:
-                f[asked], g[asked] = _nll_and_grad(x[asked], lengths, k[asked], n)
-                nfev[asked] += np.any(x[asked] != evaluated[asked], axis=1)
-                evaluated[asked] = x[asked]
-            waiting = asked
+                a = np.array([r for _, r in asked])
+                xa = x[a]
+                f[a], g[a] = _nll_and_grad(xa, lengths, k[a], n)
+                nfev[a] += (xa != evaluated[a]).any(axis=1)
+                evaluated[a] = xa
+            live = asked
     message = [f"{_STATUS_MESSAGES[a]}: {_TASK_MESSAGES[b]}" for a, b in task]
     return x, f, task[:, 0] == 4, message
 
 
 def _nelder_mead(x0, lengths, k, n):
-    """Nelder-Mead from ``x0`` on the counts ``k``, clipped to the bounds.
-    Returns ``(x, fun, success, message)``.
+    """Nelder-Mead from each row of ``x0``, clipped to the bounds, on the
+    counts in the same row of ``k``, all rows in lockstep.  Returns ``(x,
+    fun, success, message)``.
 
     This is scipy 1.17.1's ``minimize(method="Nelder-Mead")`` with
     ``bounds=_BOUNDS`` and ``xatol``, ``fatol``, ``maxiter`` from
@@ -335,59 +358,62 @@ def _nelder_mead(x0, lengths, k, n):
     infinite), the warning for a start outside the bounds (L-BFGS-B's ``x``
     is inside), and the adaptive coefficients, given simplex, history and
     callback, which the polish never asks for.
-    """
-    def f(point):
-        return _neg_log_likelihood(np.copy(point), lengths, k, n)
 
-    x0 = _clip(x0)
+    Each row keeps its own simplex, iteration count and stop rule; each trial
+    point is evaluated for all the rows that need it in one ``_nll`` call.
+    """
+    def f(points, rows):
+        return _nll(points[:, :1], points[:, 1:], lengths, k[rows], n)
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim, axis=1)
+        return np.take_along_axis(sim, ind[..., None], 1), np.take_along_axis(fsim, ind, 1)
+
+    x0 = _clip(x0)[:, None]
+    live = np.arange(len(x0))
     # each vertex past x0 scales one coordinate by 1.05; one past an upper
     # bound is reflected into the box, then clipped to it
-    sim = np.vstack([x0, np.where(np.eye(2, dtype=bool), (1 + 0.05) * x0, x0)])
-    sim = np.where(sim > _UPPER, 2 * _UPPER - sim, sim)
-    sim = _clip(sim)
-    fsim = np.array([f(vertex) for vertex in sim])
+    sim = np.concatenate([x0, np.where(np.eye(2, dtype=bool), (1 + 0.05) * x0, x0)], axis=1)
+    sim = _clip(np.where(sim > _UPPER, 2 * _UPPER - sim, sim))
+    fsim = np.stack([f(sim[:, j], live) for j in range(3)], axis=1)
     for _ in range(2):  # scipy sorts twice after the first evaluations
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = ordered(sim, fsim)
 
-    iterations = 1
-    while iterations < _NM_MAXITER:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _NM_XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL):
+    iterations = np.ones(len(x0), dtype=int)
+    while True:
+        s, fs = sim[live], fsim[live]
+        converged = ((np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= _NM_XATOL)
+                     & (np.max(np.abs(fs[:, :1] - fs[:, 1:]), axis=1) <= _NM_FATOL))
+        keep = (iterations[live] < _NM_MAXITER) & ~converged
+        if not keep.any():
             break
-        xbar = np.add.reduce(sim[:-1], 0) / 2
-        xr = _clip(2 * xbar - sim[-1])
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = _clip(3 * xbar - 2 * sim[-1])
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # contract outside
-                xc = _clip(1.5 * xbar - 0.5 * sim[-1])
-                fxc = f(xc)
-                shrink = not fxc <= fxr
-            else:  # contract inside
-                xc = _clip(0.5 * xbar + 0.5 * sim[-1])
-                fxc = f(xc)
-                shrink = not fxc < fsim[-1]
-            if not shrink:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                for j in (1, 2):
-                    sim[j] = _clip(sim[0] + 0.5 * (sim[j] - sim[0]))
-                    fsim[j] = f(sim[j])
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        live, s, fs = live[keep], s[keep], fs[keep]
+        xbar = (s[:, 0] + s[:, 1]) / 2
+        xr = _clip(2 * xbar - s[:, -1])
+        fxr = f(xr, live)
+        expand = fxr < fs[:, 0]
+        reflect = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~reflect & (fxr < fs[:, -1])
+        # the second point: expansion, or contraction outside or inside
+        x2 = _clip(np.where(expand[:, None], 3 * xbar - 2 * s[:, -1],
+                            np.where(outside[:, None], 1.5 * xbar - 0.5 * s[:, -1], 0.5 * xbar + 0.5 * s[:, -1])))
+        f2 = np.full(len(live), np.nan)
+        f2[~reflect] = f(x2[~reflect], live[~reflect])
+        take2 = expand & (f2 < fxr) | outside & (f2 <= fxr) | ~expand & ~reflect & ~outside & (f2 < fs[:, -1])
+        take_r = reflect | expand & ~take2
+        s[:, -1] = np.where(take2[:, None], x2, np.where(take_r[:, None], xr, s[:, -1]))
+        fs[:, -1] = np.where(take2, f2, np.where(take_r, fxr, fs[:, -1]))
+        shrink = ~take2 & ~take_r
+        if shrink.any():
+            for j in (1, 2):
+                s[shrink, j] = _clip(s[shrink, 0] + 0.5 * (s[shrink, j] - s[shrink, 0]))
+                fs[shrink, j] = f(s[shrink, j], live[shrink])
+        iterations[live] += 1
+        sim[live], fsim[live] = ordered(s, fs)
 
-    if iterations >= _NM_MAXITER:
-        return sim[0], np.min(fsim), False, "Maximum number of iterations has been exceeded."
-    return sim[0], np.min(fsim), True, "Optimization terminated successfully."
+    success = iterations < _NM_MAXITER
+    message = np.where(success, "Optimization terminated successfully.", "Maximum number of iterations has been exceeded.")
+    return sim[:, 0], np.min(fsim, axis=1), success, message.tolist()
 
 
 def _levenberg_marquardt(fun, x0):
@@ -436,26 +462,31 @@ def _levenberg_marquardt(fun, x0):
 
 def _fit(x0, lengths, k, n):
     """``_lbfgsb``, then a derivative-free polish of every row it left
-    unconverged.  Returns ``(x, fun, success, message)``."""
+    unconverged, taken where it is no worse.  Returns ``(x, fun, success,
+    message)``."""
     x, fun, success, message = _lbfgsb(x0, lengths, k, n)
-    for r in np.flatnonzero(~success):
+    stalled = np.flatnonzero(~success)
+    if stalled.size:
         # next to the optimum the line search can fail even along the plain
         # gradient, with no stored corrections left (task ABNORMAL): the
         # likelihood has a kink where the model reaches the clip at
         # 1 - _P_CLIP, and with p near 1 its curvature in A is so large that
         # the forward difference's error, step * f'' / 2, outweighs the true
         # gradient; polish with a derivative-free step instead
-        polish = _nelder_mead(x[r], lengths, k[r], n)
-        if polish[1] <= fun[r]:
-            x[r], fun[r], success[r], message[r] = polish
+        polish = _nelder_mead(x[stalled], lengths, k[stalled], n)
+        for i, r in enumerate(stalled):
+            if polish[1][i] <= fun[r]:
+                x[r], fun[r], success[r], message[r] = (column[i] for column in polish)
     return x, fun, success, message
 
 
-def _grid_start(lengths, k, n):
-    """Start of the fit: the best point of the coarse (eps, A) grid."""
-    nll_grid = _nll(np.log(_GRID_EPS)[:, None, None], _GRID_AMP[:, None], lengths, k, n)
-    i, j = np.unravel_index(np.argmin(nll_grid), nll_grid.shape)
-    return np.log(_GRID_EPS[i]), _GRID_AMP[j]
+def _grid_starts(lengths, k, n):
+    """Start of each row's fit: the best point of the coarse (eps, A) grid
+    for that row of ``k``, each likelihood formed as ``_nll`` forms it."""
+    log_p, log_q = _log_probabilities(np.log(_GRID_EPS)[:, None, None], _GRID_AMP[:, None], lengths)
+    best = [np.argmin(-(kr * log_p + (n - kr) * log_q).sum(axis=-1)) for kr in k]
+    i, j = np.divmod(best, len(_GRID_AMP))
+    return np.column_stack([np.log(_GRID_EPS[i]), _GRID_AMP[j]])
 
 
 def mle_fit(lengths: np.ndarray, successes: np.ndarray, shots: np.ndarray) -> DecayFit:
@@ -468,7 +499,7 @@ def mle_fit(lengths: np.ndarray, successes: np.ndarray, shots: np.ndarray) -> De
     uniq, k, n = _pool(lengths, successes, shots)
 
     identifiable = len(uniq) >= 2
-    x, fun, success, message = _fit(np.array([_grid_start(uniq, k, n)]), uniq, k[None], n)
+    x, fun, success, message = _fit(_grid_starts(uniq, k[None], n), uniq, k[None], n)
     x, fun = x[0], fun[0]
     log_eps, amplitude = x
     epsilon = float(np.exp(log_eps))
@@ -506,7 +537,9 @@ def bootstrap_ci(
     """Parametric-bootstrap confidence interval for the per-element error.
 
     Counts are redrawn from the fitted model and refit; the interval is the
-    central ``level`` quantile range of the refitted errors.  ``fit`` is the
+    central ``level`` quantile range of the refitted errors.  The refits run
+    as one queue through ``_BLOCK`` refilled L-BFGS-B slots and a lockstep
+    polish; each gets the estimate it would get alone.  ``fit`` is the
     ``mle_fit`` of these counts, where the caller already has it; it is
     computed otherwise.  Raises ``ValueError`` unless ``n_resamples >= 1``
     and ``0 <= level <= 1``, and ``RuntimeError`` if more than 5% of refits
@@ -521,23 +554,15 @@ def bootstrap_ci(
     uniq, _, n = _pool(lengths, successes, shots)
     p_model = survival_model(uniq, fit.epsilon, fit.amplitude)
 
-    # the fits draw nothing, so all resamples come first, in the same order;
-    # each start is searched on its own, as a grid over all of them is large
+    # the fits draw nothing, so all resamples come first, in the same order
     k_sim = rng.binomial(n.astype(int), p_model, size=(n_resamples, len(n))).astype(float)
-    x0 = np.array([_grid_start(uniq, k, n) for k in k_sim])
-    log_eps = np.empty(n_resamples)
-    converged = np.empty(n_resamples, dtype=bool)
-    # in blocks, to bound the live L-BFGS-B workspaces
-    for b in range(0, n_resamples, _BLOCK):
-        rows = slice(b, b + _BLOCK)
-        x, _, converged[rows], _ = _fit(x0[rows], uniq, k_sim[rows], n)
-        log_eps[rows] = x[:, 0]
+    x, _, converged, _ = _fit(_grid_starts(uniq, k_sim, n), uniq, k_sim, n)
     failures = int(np.count_nonzero(~converged))
     if failures > _MAX_FAILURE_FRACTION * n_resamples:
         raise RuntimeError(
             f"bootstrap unstable: {failures}/{n_resamples} refits failed to converge"
         )
-    estimates = np.exp(log_eps[converged])
+    estimates = np.exp(x[converged, 0])
     lo, hi = _quantiles(estimates, [(1 - level) / 2, (1 + level) / 2])
     return float(lo), float(hi), estimates
 
@@ -548,8 +573,11 @@ def _quantiles(values, qs):
     inside ``np.quantile`` that imports ``numpy.ma``."""
     s = np.sort(values)
     v = (len(s) - 1) * np.asarray(qs, dtype=float)
-    i = np.floor(v).astype(np.intp)
-    lo, hi = s[i], s[np.minimum(i + 1, len(s) - 1)]
+    # from the last index on, numpy takes the last value on both sides, with
+    # weight v + 1 (which keeps the sign of a zero there)
+    top = v >= len(s) - 1
+    i = np.where(top, -1, np.floor(v)).astype(np.intp)
+    lo, hi = s[i], s[np.where(top, -1, i + 1)]
     t, diff = v - i, hi - lo
     return np.where(t >= 0.5, hi - diff * (1 - t), lo + diff * t)
 

@@ -264,6 +264,9 @@ class TestErrorsAndOutput:
             ("walsh", "--n-pulses", "100"),
             # one length cannot separate the decay from its amplitude
             ("irmb", "--lengths", "10"),
+            # a bootstrap needs the JSON fit to report
+            (*TINY_RB, "--bootstrap", "5", "--fit", "0"),
+            (*TINY_RB, "--bootstrap", "5", "--format", "csv"),
         ],
     )
     def test_bad_input_exits_one_with_one_error_line(self, args, tmp_path):
@@ -276,7 +279,8 @@ class TestErrorsAndOutput:
         # the error names an option that was set, by flag or config key
         flags = [a.split("=")[0] for a in args if isinstance(a, str) and a.startswith("--")]
         assert any(flag in proc.stderr for flag in flags) or "config key" in proc.stderr
-        for option in ("--ssb", "--durations", "--n-start", "--n-max", "--t-half-pi", "--ramp-time", "--n-pulses"):
+        for option in ("--ssb", "--durations", "--n-start", "--n-max", "--t-half-pi", "--ramp-time", "--n-pulses",
+                       "--bootstrap", "--fit", "--format"):
             assert option not in args or option in proc.stderr
 
     @pytest.mark.parametrize("delays", ["1e-6,1e-6", "0,1e-5,-1e-6", "0,nan", "0,inf"])
@@ -294,6 +298,8 @@ class TestErrorsAndOutput:
             (*TINY_RB, "--detuning-hz", "nan"),
             (*TINY_RB, "--delay", "nan"),
             (*TINY_RB, "--motional", "2"),
+            (*TINY_RB, "--bootstrap", "5", "--fit", "0"),
+            (*TINY_RB, "--bootstrap", "5", "--format", "csv"),
         ],
     )
     def test_bad_values_are_rejected_before_any_run(self, args, monkeypatch, capsys):

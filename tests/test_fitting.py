@@ -7,10 +7,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubitbench import fitting
@@ -23,6 +24,11 @@ from qubitbench.fitting import (
     weighted_line,
 )
 from qubitbench.noise import rng_stream
+
+
+def _neg_log_likelihood(params, lengths, k, n):
+    """The fit's objective at one point, as scipy's ``minimize`` takes it."""
+    return float(fitting._nll(params[0], params[1], lengths, k, n))
 
 
 def _synthetic_counts(rng, lengths, shots_each, eps, amp):
@@ -151,6 +157,7 @@ class TestBootstrap:
         values=st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=50),
         level=st.floats(0.0, 1.0),
     )
+    @example(values=[-0.0], level=0.0)  # numpy keeps the sign of a zero at the last index
     @settings(max_examples=300, deadline=None)
     def test_quantiles_are_numpys_bit_for_bit(self, values, level):
         qs = [(1 - level) / 2, (1 + level) / 2, level, 0.0, 1.0]
@@ -182,7 +189,7 @@ class TestLikelihood:
         assert grid.shape == (len(log_eps), len(fitting._GRID_AMP))
         for i, le in enumerate(log_eps):
             for j, amp in enumerate(fitting._GRID_AMP):
-                assert grid[i, j] == fitting._neg_log_likelihood(
+                assert grid[i, j] == _neg_log_likelihood(
                     np.array([le, amp]), lengths, successes, shots
                 )
 
@@ -198,7 +205,7 @@ def _finite_difference_fit(lengths, successes, shots):
     i, j = np.unravel_index(np.argmin(grid), grid.shape)
     bounds = [(np.log(fitting._EPS_BOUNDS[0]), np.log(fitting._EPS_BOUNDS[1])), fitting._AMP_BOUNDS]
     res = minimize(
-        fitting._neg_log_likelihood,
+        _neg_log_likelihood,
         x0=np.array([np.log(fitting._GRID_EPS[i]), fitting._GRID_AMP[j]]),
         args=(uniq, k, n),
         method="L-BFGS-B",
@@ -208,7 +215,7 @@ def _finite_difference_fit(lengths, successes, shots):
     polished = not res.success
     if polished:
         polish = minimize(
-            fitting._neg_log_likelihood,
+            _neg_log_likelihood,
             x0=res.x,
             args=(uniq, k, n),
             method="Nelder-Mead",
@@ -327,10 +334,10 @@ class TestGradientInOneCall:
         monkeypatch.setattr(fitting, "_MAXITER", maxiter)
         monkeypatch.setattr(fitting, "_MAXFUN", maxfun)
         lengths, k, n = fitting._pool(*_synthetic_counts(rng_stream(8, 7), [30, 300, 1000, 3000], 1000, 2e-4, 0.45))
-        x0 = np.array([fitting._grid_start(lengths, k, n)])
+        x0 = fitting._grid_starts(lengths, k[None], n)
         x, fun, success, message = fitting._lbfgsb(x0, lengths, k[None], n)
         # scipy's own finite differences count 3 evaluations per gradient
-        res = minimize(fitting._neg_log_likelihood, x0[0], args=(lengths, k, n), method="L-BFGS-B",
+        res = minimize(_neg_log_likelihood, x0[0], args=(lengths, k, n), method="L-BFGS-B",
                        bounds=fitting._BOUNDS,
                        options={"ftol": 1e-12, "gtol": 1e-10, "maxiter": maxiter, "maxfun": 3 * maxfun})
         assert res.message.startswith("CONVERGENCE" if (maxiter, maxfun) == (500, 5000) else "STOP")
@@ -368,6 +375,71 @@ class TestGradientInOneCall:
         assert any(fit.at_boundary for fit, _ in refits)
 
 
+class TestRefillQueue:
+    """The refits share ``_BLOCK`` L-BFGS-B slots, each handed to the next
+    row as its row finishes, and the polish steps every stalled row in
+    lockstep; every row still gets its own fit, bit for bit."""
+
+    @given(
+        log10_eps=st.floats(-8.0, -1.5),
+        spam=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+        lengths=st.lists(st.sampled_from([1, 10, 30, 100, 300, 1000, 3000, 10000]),
+                         min_size=2, max_size=5, unique=True),
+        shots=st.sampled_from([100, 1000, 3000]),
+        rows=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    # no SPAM and long sequences: half of these rows stall in L-BFGS-B and are polished
+    @example(log10_eps=np.log10(1.5e-7), spam=0.0, lengths=[100, 300, 1000, 3000, 10000], shots=3000, rows=12, seed=0)
+    @settings(max_examples=30, deadline=None)
+    def test_rows_fit_together_as_each_fits_alone(self, log10_eps, spam, lengths, shots, rows, seed):
+        lengths = np.array(lengths, dtype=float)
+        p = survival_model(lengths, 10**log10_eps, 0.5 * (1 - 2 * spam))
+        k = rng_stream(seed, 7).binomial(shots, p, size=(rows, len(lengths))).astype(float)
+        n = np.full(len(lengths), float(shots))
+        x0 = fitting._grid_starts(lengths, k, n)
+        alone = [fitting._fit(fitting._grid_starts(lengths, kr[None], n), lengths, kr[None], n) for kr in k]
+        assert x0.tobytes() == b"".join(fitting._grid_starts(lengths, kr[None], n).tobytes() for kr in k)
+        expected = [b"".join(fit[i].tobytes() for fit in alone) for i in range(3)]
+        expected.append([fit[3][0] for fit in alone])
+        for block in sorted({1, 2, 7, rows}):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fitting, "_BLOCK", block)
+                x, fun, success, message = fitting._fit(x0, lengths, k, n)
+            assert [x.tobytes(), fun.tobytes(), success.tobytes(), message] == expected
+
+    def test_the_example_reaches_the_polish(self):
+        lengths, n = np.array([100.0, 300, 1000, 3000, 10000]), np.full(5, 3000.0)
+        k = rng_stream(0, 7).binomial(3000, survival_model(lengths, 1.5e-7, 0.5), size=(12, 5)).astype(float)
+        _, _, success, _ = fitting._lbfgsb(fitting._grid_starts(lengths, k, n), lengths, k, n)
+        assert 1 < np.count_nonzero(~success) < len(k)
+
+    def test_a_bootstrap_keeps_at_most_a_block_of_fits_live(self, monkeypatch):
+        rows_per_round, workspaces, allocated = [], set(), []
+        nll_and_grad, kernel = fitting._nll_and_grad, fitting._kernel("_lbfgsb")
+
+        def counting(x, *args):
+            rows_per_round.append(len(x))
+            return nll_and_grad(x, *args)
+
+        def setulb(*args):
+            wa = args[9]  # the kernel's largest workspace
+            workspaces.add(wa.ctypes.data)
+            allocated.append((wa if wa.base is None else wa.base).nbytes // wa.nbytes)
+            return kernel.setulb(*args)
+
+        lengths = np.array([100.0, 300, 1000, 3000, 10000])
+        data = _synthetic_counts(rng_stream(21, 7), lengths, 3000, 1.5e-7, 0.5 * (1 - 2 * 0.01))
+        fit = mle_fit(*data)
+        monkeypatch.setattr(fitting, "_nll_and_grad", counting)
+        monkeypatch.setattr(fitting, "_kernel", lambda name: types.SimpleNamespace(setulb=setulb, __file__=kernel.__file__))
+        bootstrap_ci(*data, rng_stream(21, 8), n_resamples=1000, fit=fit)
+        assert max(rows_per_round) == fitting._BLOCK
+        assert len(workspaces) <= fitting._BLOCK and max(allocated) <= fitting._BLOCK
+        # every round is full until the queue runs dry; then rows only finish
+        assert rows_per_round == sorted(rows_per_round, reverse=True)
+
+
 # counts on which L-BFGS-B stops short (task ABNORMAL) and the polish runs
 _POLISHED = ([100.0, 300, 1000, 3000, 10000], [3000, 3000, 2999, 2999, 2994], [3000] * 5)
 
@@ -380,19 +452,22 @@ def _assert_nelder_mead_is_scipys(x0, lengths, k, n):
 
     scipy_points, points = [], []
 
-    def recording(seen):
-        def nll(params, *args):
-            seen.append(params.tolist())
-            return nll_of(params, *args)
-        return nll
+    def nll(params, *args):
+        scipy_points.append(params.tolist())
+        return _neg_log_likelihood(params, *args)
 
-    nll_of = fitting._neg_log_likelihood
-    res = minimize(recording(scipy_points), x0, args=(lengths, k, n), method="Nelder-Mead",
+    def batched(log_eps, amplitude, *args):
+        # the polish evaluates one point per row; here there is one row
+        points.extend(np.concatenate([log_eps, amplitude], axis=-1).tolist())
+        return nll_of(log_eps, amplitude, *args)
+
+    nll_of = fitting._nll
+    res = minimize(nll, x0, args=(lengths, k, n), method="Nelder-Mead",
                    bounds=fitting._BOUNDS,
                    options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": fitting._NM_MAXITER})
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fitting, "_neg_log_likelihood", recording(points))
-        x, fun, success, message = fitting._nelder_mead(np.array(x0, dtype=float), lengths, k, n)
+        mp.setattr(fitting, "_nll", batched)
+        x, fun, success, message = (column[0] for column in fitting._nelder_mead(np.array([x0], dtype=float), lengths, k[None], n))
     assert points == scipy_points
     assert (x.tobytes(), fun, success, message) == (res.x.tobytes(), res.fun, res.success, res.message)
     assert type(fun) is type(res.fun)
@@ -440,12 +515,12 @@ class TestNelderMead:
     @pytest.mark.parametrize("worse", [False, True])
     def test_a_polish_is_taken_unless_it_is_worse(self, monkeypatch, worse):
         lengths, k, n = fitting._pool(*map(np.array, _POLISHED))
-        x0 = np.array([fitting._grid_start(lengths, k, n)])
+        x0 = fitting._grid_starts(lengths, k[None], n)
         x, fun, success, message = fitting._lbfgsb(x0, lengths, k[None], n)
         assert not success[0]
         polished = np.array([np.log(2e-7), 0.4])
         polished_fun = np.nextafter(fun[0], np.inf) if worse else fun[0]
-        monkeypatch.setattr(fitting, "_nelder_mead", lambda *args: (polished, polished_fun, True, "polished"))
+        monkeypatch.setattr(fitting, "_nelder_mead", lambda *args: ([polished], [polished_fun], [True], ["polished"]))
         fit = mle_fit(*map(np.array, _POLISHED))
         taken = (np.exp(x[0, 0]), x[0, 1], False, message[0]) if worse else (np.exp(polished[0]), 0.4, True, "polished")
         assert (fit.epsilon, fit.amplitude, fit.converged, fit.message) == taken

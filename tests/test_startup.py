@@ -30,17 +30,17 @@ from qubitbench import cli
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 # runs the CLI in-process, then reports the exit code, which scipy modules
-# and whether numpy.ma were loaded, and how many fits went to the Nelder-Mead
-# polish
+# and whether numpy.ma were loaded, and how many fits (rows of the lockstep
+# polish) went to the Nelder-Mead polish
 CHILD = """
 import json, sys
 from qubitbench import cli, fitting
 polishes = []
 nelder_mead = fitting._nelder_mead
-fitting._nelder_mead = lambda *args: polishes.append(1) or nelder_mead(*args)
+fitting._nelder_mead = lambda x0, *args: polishes.append(len(x0)) or nelder_mead(x0, *args)
 rc = cli.main(sys.argv[1:])
 loaded = sorted(name for name in sys.modules if name == "numpy.ma" or name.split(".")[0] == "scipy")
-print(json.dumps({"rc": rc, "loaded": loaded, "polishes": len(polishes)}), file=sys.stderr)
+print(json.dumps({"rc": rc, "loaded": loaded, "polishes": sum(polishes)}), file=sys.stderr)
 """
 
 
