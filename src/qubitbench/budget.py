@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -157,38 +157,17 @@ def mean_n_bar(n_bar0: float, heating_rate: float, sequence_duration: float) -> 
 # ---------------------------------------------------------------------------
 
 
-def _default_drift_trace() -> tuple[np.ndarray, np.ndarray]:
-    """Representative slow amplitude wander: +-1.29e-4 over three 600 s cycles."""
-    t = np.linspace(0.0, 1800.0, 721)
-    return t, 1.29e-4 * np.cos(2 * np.pi * t / 600.0)
-
-
 @dataclass(frozen=True)
 class BudgetInput:
-    """Hardware quantities feeding the error budget."""
+    """The hardware quantities a budget varies; the rest of the operating
+    point is read from ``presets`` where each row is formed."""
 
     gate_time: float = presets.GATE_TIME
     t2: float = presets.T2_STAR_STAR
-    t2_unc: float = 7.0
     sigma0_rel: float = presets.SIGMA0_REL
-    idle: IdleRates = field(
-        default_factory=lambda: IdleRates(
-            bright_per_s=presets.BRIGHT_PER_S,
-            dark_plus_leak_prep0_per_s=presets.DARK_PLUS_LEAK_PREP0_PER_S,
-            dark_plus_leak_prep1_per_s=presets.DARK_PLUS_LEAK_PREP1_PER_S,
-        )
-    )
-    motional: MotionalMode = field(default_factory=MotionalMode)
-    longest_sequence_gates: int = 30000
-    drift_trace: tuple[np.ndarray, np.ndarray] = field(default_factory=_default_drift_trace)
-    awg_bits: int = presets.AWG_BITS
-    awg_fraction: float = presets.AWG_FRACTION
     zeeman_residual_hz: float = presets.ZEEMAN_RESIDUAL_HZ
     zeeman_convention: str = "twirl"
     harmonic_coefficient: str = "rb"
-    spectator_bound: float = 1e-9
-    ramp_bound: float = 1e-9
-    counter_rotating_bound: float = 1e-10
 
     def __post_init__(self):
         if self.gate_time <= 0 or self.t2 <= 0:
@@ -257,9 +236,13 @@ class BudgetTable:
 def budget_table(inputs: BudgetInput | None = None) -> BudgetTable:
     """Assemble the per-element error budget at the configured gate time."""
     inp = inputs or BudgetInput()
-    t_seq = inp.longest_sequence_gates * inp.gate_time
-    mode = inp.motional
-    n_bar = mean_n_bar(mode.n_bar0, mode.heating_rate, t_seq)
+    mode = MotionalMode()
+    n_bar = mean_n_bar(mode.n_bar0, mode.heating_rate, max(presets.RB_LENGTHS) * inp.gate_time)
+    idle = IdleRates(
+        bright_per_s=presets.BRIGHT_PER_S,
+        dark_plus_leak_prep0_per_s=presets.DARK_PLUS_LEAK_PREP0_PER_S,
+        dark_plus_leak_prep1_per_s=presets.DARK_PLUS_LEAK_PREP1_PER_S,
+    )
 
     a = err_decoherence(inp.gate_time, inp.t2)
     rows = [
@@ -267,12 +250,12 @@ def budget_table(inputs: BudgetInput | None = None) -> BudgetTable:
             "decoherence",
             a,
             "estimate",
-            uncertainty=a * inp.t2_unc / inp.t2,
+            uncertainty=a * presets.T2_UNC / inp.t2,
             note="slow dephasing, t_gate / (3 T2)",
         ),
         BudgetRow(
             "idle_and_leakage",
-            err_idle_leakage(inp.idle, inp.gate_time),
+            err_idle_leakage(idle, inp.gate_time),
             "estimate",
             note="state-twirled idle error rates over one element",
         ),
@@ -290,13 +273,13 @@ def budget_table(inputs: BudgetInput | None = None) -> BudgetTable:
         ),
         BudgetRow(
             "amplitude_drift",
-            err_amp_drift(*inp.drift_trace),
+            err_amp_drift(*presets.default_drift_trace()),
             "estimate",
             note="slow drift between calibrations, trace-averaged",
         ),
         BudgetRow(
             "awg_resolution",
-            err_awg(inp.awg_fraction, inp.awg_bits),
+            err_awg(presets.AWG_FRACTION, presets.AWG_BITS),
             "estimate",
             note="half-LSB amplitude rounding",
         ),
@@ -306,9 +289,10 @@ def budget_table(inputs: BudgetInput | None = None) -> BudgetTable:
             "estimate",
             note="uncompensated drive-induced frequency shift",
         ),
-        BudgetRow("spectator_transitions", inp.spectator_bound, "bound"),
-        BudgetRow("pulse_ramping", inp.ramp_bound, "bound"),
-        BudgetRow("counter_rotating", inp.counter_rotating_bound, "bound"),
+        # ceilings that the pulse-level simulators are checked against
+        BudgetRow("spectator_transitions", 1e-9, "bound"),
+        BudgetRow("pulse_ramping", 1e-9, "bound"),
+        BudgetRow("counter_rotating", 1e-10, "bound"),
     ]
     return BudgetTable(rows=tuple(rows), gate_time=inp.gate_time)
 

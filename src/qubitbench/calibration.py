@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
+import warnings
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -207,15 +208,18 @@ _MAX_STEPS = 40
 
 @dataclass(frozen=True)
 class CalLoopConfig:
-    """Shared knobs for the closed-loop calibration routines."""
+    """Shared knobs for the closed-loop calibration routines.
 
-    n_start: int = 1
+    Both loops start at N = 1, so that each reading's branch of its fringe
+    is picked by the shorter reading before it.
+    """
+
     n_max: int = 256
     shots: int = 200
 
     def __post_init__(self):
-        if not 1 <= self.n_start <= self.n_max:
-            raise ValueError("need 1 <= n_start <= n_max")
+        if self.n_max < 1:
+            raise ValueError("n_max must be at least 1")
         if self.shots < 10:
             raise ValueError("shots must be at least 10")
 
@@ -350,7 +354,7 @@ def _run_loop(
     apply_correction: Callable[[float], float],
 ) -> list[CalRecord]:
     records: list[CalRecord] = []
-    n = config.n_start
+    n = 1
     for step in range(_MAX_STEPS):
         t = testbed.clock
         p, estimate, sigma, linear_ok = measure(n, config.shots)
@@ -358,7 +362,7 @@ def _run_loop(
         corrected = converged = False
         if not linear_ok:
             # outside the invertible fringe region: shorten the train
-            n = max(n // 2, config.n_start)
+            n = max(n // 2, 1)
         elif significant:
             apply_correction(estimate)
             corrected = True
@@ -383,7 +387,10 @@ def _run_loop(
             )
         )
         if converged:
-            break
+            return records
+    # a warning, not a document key: a new key would change every calibrate document
+    message = f"the {kind} loop did not converge in {_MAX_STEPS} steps (last N = {n})"
+    warnings.warn(message, RuntimeWarning, stacklevel=3)
     return records
 
 
@@ -392,11 +399,11 @@ def amplitude_cal_loop(
 ) -> list[CalRecord]:
     """Iteratively null the relative amplitude error.
 
-    The train length grows geometrically until the estimate is significant
-    at three binomial standard deviations, corrections
-    divide the amplitude setting by ``1 + estimate`` (rounded by the
-    hardware quantizer), and the loop ends once the longest train resolves
-    no error.
+    The train length grows geometrically from N = 1 until the estimate is
+    significant at three binomial standard deviations, corrections divide
+    the amplitude setting by ``1 + estimate`` (rounded by the hardware
+    quantizer), and the loop ends once the longest train resolves no error.
+    A loop that has not ended after 40 steps warns (``RuntimeWarning``).
     """
     config = config or CalLoopConfig()
 
@@ -417,7 +424,8 @@ def amplitude_cal_loop(
 def frequency_cal_loop(
     testbed: SimulatedQubitTestbed, config: CalLoopConfig | None = None
 ) -> list[CalRecord]:
-    """Iteratively steer the drive frequency onto the qubit."""
+    """Iteratively steer the drive frequency onto the qubit, by the steps
+    of ``amplitude_cal_loop``."""
     config = config or CalLoopConfig()
 
     def correct(d: float) -> float:

@@ -18,8 +18,8 @@ help in ``_PARAMS`` (``_RUN_PARAMS`` for ``--seed`` and ``--workers``).
 config file or one of the two environment variables, before any work runs.
 A value outside its domain, or a config value of the wrong type (``2.9`` or
 ``true`` for an integer), exits 1 with one error line that names the option.
-A rule that joins options, such as ``--n-start`` at most ``--n-max``, names
-each of them (``_about``).
+A rule that joins options, such as ``rb``'s ``--t-half-pi`` above twice
+``--ramp-time``, names each of them (``_about``).
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ _SWEEP = _list_of(_parse_int_list, _Domain("a positive multiple of 4", lambda v:
 # means "not set", and a config file may set such an option to null
 _PARAMS = {
     "rb": {
-        "lengths": (str, "300,950,3000,9500,30000", "comma-separated sequence lengths", _LENGTHS),
+        "lengths": (str, ",".join(map(str, presets.RB_LENGTHS)), "comma-separated sequence lengths", _LENGTHS),
         "sequences": (int, 30, "random sequences per length", _at_least(1)),
         "shots": (int, 100, "shots per sequence", _at_least(1)),
         "tier": (str, "fast", "physics tier: fast or full", _one_of("fast", "full")),
@@ -129,7 +129,7 @@ _PARAMS = {
     },
     "irmb": {
         "delays": (str, "0,2e-6,5e-6,1e-5", "comma-separated per-pulse delays, s", _TWO_TIMES),
-        "lengths": (str, "300,950,3000,9500,30000", "comma-separated sequence lengths", _DECAY_LENGTHS),
+        "lengths": (str, ",".join(map(str, presets.RB_LENGTHS)), "comma-separated sequence lengths", _DECAY_LENGTHS),
         "sequences": (int, 30, "random sequences per length", _at_least(1)),
         "shots": (int, 100, "shots per sequence", _at_least(1)),
         "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration incl. ramps, s", _POSITIVE),
@@ -140,7 +140,6 @@ _PARAMS = {
     "calibrate": {
         "kind": (str, "both", "amplitude, frequency, or both", _one_of("amplitude", "frequency", "both")),
         "shots": (int, 200, "shots per calibration point", _at_least(10)),
-        "n_start": (int, 1, "initial pulse-group count", _at_least(1)),
         "n_max": (int, 256, "maximum pulse-group count", _at_least(1)),
         "sigma0": (float, presets.SIGMA0_REL, "shot-to-shot relative amplitude noise", _NON_NEGATIVE),
         "spam": (float, presets.SPAM, "readout flip probability", _SPAM),
@@ -429,8 +428,7 @@ def _make_testbed(resolved: dict, seed: int) -> SimulatedQubitTestbed:
 
 def _cmd_calibrate(resolved: dict, seed: int, fmt: str):
     testbed = _make_testbed(resolved, seed)
-    with _about(resolved, "n_start", "n_max"):
-        config = CalLoopConfig(n_start=resolved["n_start"], n_max=resolved["n_max"], shots=resolved["shots"])
+    config = CalLoopConfig(n_max=resolved["n_max"], shots=resolved["shots"])
     records = []
     if resolved["kind"] in ("amplitude", "both"):
         records.extend(amplitude_cal_loop(testbed, config))

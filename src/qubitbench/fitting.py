@@ -91,21 +91,6 @@ _MAXITER, _MAXFUN = 500, 5000
 _BLOCK = 25
 # the polish's Nelder-Mead stop rule: simplex size, value spread, iterations
 _NM_XATOL, _NM_FATOL, _NM_MAXITER = 1e-8, 1e-10, 4000
-# the kernel's stop codes, task[0] and task[1], as scipy's _lbfgsb_py words them
-_STATUS_MESSAGES = dict(enumerate(
-    ("START", "NEW_X", "RESTART", "FG", "CONVERGENCE", "STOP", "WARNING", "ERROR", "ABNORMAL")))
-_TASK_MESSAGES = {
-    0: "", 301: "", 302: "",
-    401: "NORM OF PROJECTED GRADIENT <= PGTOL", 402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
-    501: "CPU EXCEEDING THE TIME LIMIT", 502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
-    503: "PROJECTED GRADIENT IS SUFFICIENTLY SMALL", 504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
-    505: "CALLBACK REQUESTED HALT", 601: "ROUNDING ERRORS PREVENT PROGRESS",
-    602: "STP = STPMAX", 603: "STP = STPMIN", 604: "XTOL TEST SATISFIED",
-    701: "NO FEASIBLE SOLUTION", 702: "FACTR < 0", 703: "FTOL < 0", 704: "GTOL < 0",
-    705: "XTOL < 0", 706: "STP < STPMIN", 707: "STP > STPMAX", 708: "STPMIN < 0",
-    709: "STPMAX < STPMIN", 710: "INITIAL G >= 0", 711: "M <= 0", 712: "N <= 0",
-    713: "INVALID NBD",
-}
 
 
 @dataclass(frozen=True)
@@ -124,7 +109,6 @@ class DecayFit:
     converged: bool
     at_boundary: bool
     identifiable: bool
-    message: str = ""
 
 
 def survival_model(
@@ -265,7 +249,7 @@ def _one_blas_thread():
 def _lbfgsb(x0, lengths, k, n):
     """L-BFGS-B from each row of ``x0`` on the counts in the same row of
     ``k``, at most ``_BLOCK`` rows at a time in lockstep.  Returns ``(x, fun,
-    success, message)``.
+    success)``.
 
     This is the loop of scipy's ``minimize(method="L-BFGS-B")`` with
     ``ftol=1e-12``, ``gtol=1e-10`` and ``_nll_and_grad`` as the objective, run
@@ -337,14 +321,13 @@ def _lbfgsb(x0, lengths, k, n):
                 nfev[a] += (xa != evaluated[a]).any(axis=1)
                 evaluated[a] = xa
             live = asked
-    message = [f"{_STATUS_MESSAGES[a]}: {_TASK_MESSAGES[b]}" for a, b in task]
-    return x, f, task[:, 0] == 4, message
+    return x, f, task[:, 0] == 4
 
 
 def _nelder_mead(x0, lengths, k, n):
     """Nelder-Mead from each row of ``x0``, clipped to the bounds, on the
     counts in the same row of ``k``, all rows in lockstep.  Returns ``(x,
-    fun, success, message)``.
+    fun, success)``.
 
     This is scipy 1.17.1's ``minimize(method="Nelder-Mead")`` with
     ``bounds=_BOUNDS`` and ``xatol``, ``fatol``, ``maxiter`` from
@@ -411,9 +394,7 @@ def _nelder_mead(x0, lengths, k, n):
         iterations[live] += 1
         sim[live], fsim[live] = ordered(s, fs)
 
-    success = iterations < _NM_MAXITER
-    message = np.where(success, "Optimization terminated successfully.", "Maximum number of iterations has been exceeded.")
-    return sim[:, 0], np.min(fsim, axis=1), success, message.tolist()
+    return sim[:, 0], np.min(fsim, axis=1), iterations < _NM_MAXITER
 
 
 def _levenberg_marquardt(fun, x0):
@@ -462,9 +443,8 @@ def _levenberg_marquardt(fun, x0):
 
 def _fit(x0, lengths, k, n):
     """``_lbfgsb``, then a derivative-free polish of every row it left
-    unconverged, taken where it is no worse.  Returns ``(x, fun, success,
-    message)``."""
-    x, fun, success, message = _lbfgsb(x0, lengths, k, n)
+    unconverged, taken where it is no worse.  Returns ``(x, fun, success)``."""
+    x, fun, success = _lbfgsb(x0, lengths, k, n)
     stalled = np.flatnonzero(~success)
     if stalled.size:
         # next to the optimum the line search can fail even along the plain
@@ -476,8 +456,8 @@ def _fit(x0, lengths, k, n):
         polish = _nelder_mead(x[stalled], lengths, k[stalled], n)
         for i, r in enumerate(stalled):
             if polish[1][i] <= fun[r]:
-                x[r], fun[r], success[r], message[r] = (column[i] for column in polish)
-    return x, fun, success, message
+                x[r], fun[r], success[r] = (column[i] for column in polish)
+    return x, fun, success
 
 
 def _grid_starts(lengths, k, n):
@@ -499,7 +479,7 @@ def mle_fit(lengths: np.ndarray, successes: np.ndarray, shots: np.ndarray) -> De
     uniq, k, n = _pool(lengths, successes, shots)
 
     identifiable = len(uniq) >= 2
-    x, fun, success, message = _fit(_grid_starts(uniq, k[None], n), uniq, k[None], n)
+    x, fun, success = _fit(_grid_starts(uniq, k[None], n), uniq, k[None], n)
     x, fun = x[0], fun[0]
     log_eps, amplitude = x
     epsilon = float(np.exp(log_eps))
@@ -521,7 +501,6 @@ def mle_fit(lengths: np.ndarray, successes: np.ndarray, shots: np.ndarray) -> De
         converged=bool(success[0]),
         at_boundary=bool(at_boundary),
         identifiable=bool(identifiable),
-        message=str(message[0]),
     )
 
 
@@ -556,7 +535,7 @@ def bootstrap_ci(
 
     # the fits draw nothing, so all resamples come first, in the same order
     k_sim = rng.binomial(n.astype(int), p_model, size=(n_resamples, len(n))).astype(float)
-    x, _, converged, _ = _fit(_grid_starts(uniq, k_sim, n), uniq, k_sim, n)
+    x, _, converged = _fit(_grid_starts(uniq, k_sim, n), uniq, k_sim, n)
     failures = int(np.count_nonzero(~converged))
     if failures > _MAX_FAILURE_FRACTION * n_resamples:
         raise RuntimeError(

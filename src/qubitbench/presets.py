@@ -42,12 +42,13 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MEAN_PULSES_PER_CLIFFORD", "GATE_TIME", "T_HALF_PI", "RAMP_TIME", "GAP_TIME",
-    "SIGMA0_REL", "AWG_BITS", "AWG_FRACTION", "SPAM", "T2_STAR_STAR",
+    "SIGMA0_REL", "AWG_BITS", "AWG_FRACTION", "SPAM", "T2_STAR_STAR", "T2_UNC", "RB_LENGTHS",
     "BRIGHT_PER_S", "DARK_PLUS_LEAK_PREP0_PER_S", "DARK_PLUS_LEAK_PREP1_PER_S",
     "ETA", "OMEGA_MOTIONAL", "N_BAR0", "HEATING_RATE", "ZEEMAN_RESIDUAL_HZ",
     "DRIFT_A_INF", "DRIFT_TAU", "CURVE_GATE_TIME_MIN", "CURVE_GATE_TIME_MAX", "CURVE_POINTS",
     "OMEGA_QUBIT", "SPECTATOR_DETUNING", "SPECTATOR_RABI_RATIO", "SPECTATOR_T2",
-    "default_noise_config", "default_ssb_curve", "default_phase_psd", "thermal_amp_drift", "linear_freq_drift",
+    "default_noise_config", "default_ssb_curve", "default_phase_psd", "default_drift_trace", "thermal_amp_drift",
+    "linear_freq_drift",
 ]
 
 #: ``build_clifford_table().mean_pulses_per_clifford``, without building the table
@@ -63,6 +64,11 @@ AWG_BITS = 15
 AWG_FRACTION = 0.23675
 SPAM = 1.1e-3
 T2_STAR_STAR = 69.0
+T2_UNC = 7.0  # standard uncertainty of T2_STAR_STAR, s
+
+# the default sequence lengths of rb and irmb; the longest sets the heating
+# that the budget's harmonic row averages over
+RB_LENGTHS = (300, 950, 3000, 9500, 30000)
 
 BRIGHT_PER_S = 5.3549e-3
 DARK_PLUS_LEAK_PREP0_PER_S = 4.3508e-3
@@ -109,16 +115,14 @@ def default_noise_config(include_motional: bool = True) -> NoiseConfig:
     )
 
 
-def default_ssb_curve(
-    f_min: float = 1e-4, f_max: float = 1e7, points_per_decade: int = 12
-) -> SSBCurve:
-    """Synthetic oscillator phase-noise curve (see module docstring)."""
+def default_ssb_curve() -> SSBCurve:
+    """Synthetic oscillator phase-noise curve (see module docstring),
+    tabulated at 12 points per decade over 1e-4 Hz to 10 MHz."""
     from .filterfunc import SSBCurve
 
     level_1hz = 10 * np.log10(1.0 / (2 * np.pi**2 * T2_STAR_STAR))
     floor = -140.0
-    n = int(np.ceil(np.log10(f_max / f_min) * points_per_decade)) + 1
-    f = np.logspace(np.log10(f_min), np.log10(f_max), n)
+    f = np.logspace(-4.0, 7.0, 11 * 12 + 1)
     lin = 10 ** ((level_1hz - 20 * np.log10(f)) / 10) + 10 ** (floor / 10)
     return SSBCurve(freqs_hz=tuple(f), dbc_per_hz=tuple(10 * np.log10(lin)))
 
@@ -127,6 +131,13 @@ def default_phase_psd() -> PhasePSD:
     from .filterfunc import PhasePSD
 
     return PhasePSD.from_ssb(default_ssb_curve(), label="synthetic")
+
+
+def default_drift_trace() -> tuple[np.ndarray, np.ndarray]:
+    """Representative slow amplitude wander between calibrations, the budget's
+    drift row: +-1.29e-4 relative over three 600 s cycles, sampled every 2.5 s."""
+    t = np.linspace(0.0, 1800.0, 721)
+    return t, 1.29e-4 * np.cos(2 * np.pi * t / 600.0)
 
 
 def thermal_amp_drift(a_inf: float = DRIFT_A_INF, tau: float = DRIFT_TAU, sign: float = -1.0):

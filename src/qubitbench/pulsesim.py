@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cliffords import PulseSpec, apply_ab, pulse_ab, rotation_matrix
-from .presets import GAP_TIME, MEAN_PULSES_PER_CLIFFORD, OMEGA_QUBIT, RAMP_TIME
+from .presets import MEAN_PULSES_PER_CLIFFORD, OMEGA_QUBIT, RAMP_TIME
 from .presets import SPECTATOR_DETUNING, SPECTATOR_RABI_RATIO, SPECTATOR_T2
 
 __all__ = [
@@ -255,18 +255,15 @@ def _expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
 
 
 def simulate_spectator(
-    pulse: PulseSpec,
-    drive: DriveParams,
-    state: np.ndarray | None = None,
-    ramp_substeps: int = 512,
+    pulse: PulseSpec, drive: DriveParams, state: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """Propagate the six-level system through one pulse.
 
     Returns the final six-component amplitude vector and the population
     that leaked out of the qubit subspace.  The flat top is advanced with a
-    single exact exponential; the ramps are discretized (the default of 512
-    substeps over a 40 ns ramp keeps the discretization bias well below the
-    1e-9 leakage scale being estimated).
+    single exact exponential; the ramps are discretized (512 substeps over
+    a 40 ns ramp keep the discretization bias well below the 1e-9 leakage
+    scale being estimated).
     """
     if state is None:
         state = np.zeros(_N_LEVELS, dtype=complex)
@@ -278,7 +275,7 @@ def simulate_spectator(
     def step(omega: float, dt: float, vec: np.ndarray) -> np.ndarray:
         return _expm_hermitian(_spectator_hamiltonian(omega, phi), dt) @ vec
 
-    starts, ends, shape, _ = _pulse_grid(pulse.ramp_time, pulse.t_half_pi, pulse.gap_time, ramp_substeps, 1)
+    starts, ends, shape, _ = _pulse_grid(pulse.ramp_time, pulse.t_half_pi, pulse.gap_time, 512, 1)
     for amp, dt in zip(shape, (ends - starts)[:-1]):
         state = step(drive.omega_q * amp, dt, state)
     if pulse.gap_time > 0:
@@ -288,22 +285,17 @@ def simulate_spectator(
     return state, max(leak, 0.0)
 
 
-def spectator_error_per_gate(
-    t_half_pi: float,
-    ramp_time: float = RAMP_TIME,
-    gap_time: float = GAP_TIME,
-    n_pulses: int = 24,
-    seed: int = 20260825,
-    ramp_substeps: int = 512,
-) -> float:
+def spectator_error_per_gate(t_half_pi: float) -> float:
     """Spectator error bound per Clifford from a short random pulse train.
 
-    Combines the simulated leakage accumulated over ``n_pulses`` random-axis
-    pulses with the dressed-population decoherence bound
+    Combines the simulated leakage accumulated over 24 random-axis pulses of
+    the default ramps and gaps, drawn from a fixed seed, with the
+    dressed-population decoherence bound
     ``<P_spectator> * t / (3 * SPECTATOR_T2)``.
     """
-    drive = DriveParams.nominal(t_half_pi, ramp_time)
-    rng = np.random.default_rng(seed)
+    n_pulses = 24
+    drive = DriveParams.nominal(t_half_pi)
+    rng = np.random.default_rng(20260825)
     state = None  # simulate_spectator starts from |0>
     dressed = (SPECTATOR_RABI_RATIO * drive.omega_q / SPECTATOR_DETUNING) ** 2
     for _ in range(n_pulses):
@@ -311,12 +303,8 @@ def spectator_error_per_gate(
             phase=float(rng.choice([0.0, np.pi / 2])),
             sign=int(rng.choice([-1, 1])),
             t_half_pi=t_half_pi,
-            ramp_time=ramp_time,
-            gap_time=gap_time,
         )
-        state, leak = simulate_spectator(
-            pulse, drive, state=state, ramp_substeps=ramp_substeps
-        )
+        state, leak = simulate_spectator(pulse, drive, state=state)
     leak_per_pulse = leak / n_pulses
     deco_per_pulse = dressed * t_half_pi / (3 * SPECTATOR_T2)
     return MEAN_PULSES_PER_CLIFFORD * (leak_per_pulse + deco_per_pulse)

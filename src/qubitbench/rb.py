@@ -61,7 +61,7 @@ from .noise import (
     NoiseConfig,
     rng_stream,
 )
-from .presets import GAP_TIME, RAMP_TIME, T_HALF_PI
+from .presets import GAP_TIME, RAMP_TIME, RB_LENGTHS, T_HALF_PI
 from .pulsesim import DriveParams, ZeemanModel
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "RBDataset",
     "RBTiming",
     "generate_plan",
-    "geometric_lengths",
     "run_rb",
     "irmb_slope",
     "IRMBResult",
@@ -152,21 +151,13 @@ class RBPlan:
         return np.append(idx, recovery_gate(idx, group=group))
 
 
-def geometric_lengths(l_min: int = 300, l_max: int = 30000, n: int = 5) -> tuple[int, ...]:
-    """Roughly geometric ladder of sequence lengths, deduplicated."""
-    if not 1 <= l_min <= l_max or n < 1:
-        raise ValueError("need 1 <= l_min <= l_max and n >= 1")
-    return tuple(sorted(set(np.rint(np.geomspace(l_min, l_max, n)).astype(int).tolist())))
-
-
 def generate_plan(
     master_seed: int,
-    lengths: Sequence[int] | None = None,
+    lengths: Sequence[int] = RB_LENGTHS,
     n_sequences: int = 30,
     shots_per_sequence: int = 100,
     prepared_state: int = 0,
 ) -> RBPlan:
-    lengths = tuple(lengths) if lengths is not None else geometric_lengths()
     return RBPlan(
         master_seed=master_seed,
         lengths=tuple(sorted(lengths)),
@@ -206,8 +197,8 @@ class RBDataset:
     def successes(self) -> np.ndarray:
         return self.shots - self.errors
 
-    def fit(self, **kwargs) -> DecayFit:
-        return mle_fit(self.lengths, self.successes, self.shots, **kwargs)
+    def fit(self) -> DecayFit:
+        return mle_fit(self.lengths, self.successes, self.shots)
 
     def to_json(self) -> str:
         records = [
@@ -245,7 +236,7 @@ class RBDataset:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, meta: dict | None = None) -> "RBDataset":
+    def from_csv(cls, text: str) -> "RBDataset":
         reader = csv.DictReader(io.StringIO(text))
         rows = list(reader)
         return cls(
@@ -253,7 +244,6 @@ class RBDataset:
             seq_ids=np.array([int(r["seq_id"]) for r in rows]),
             errors=np.array([int(r["errors"]) for r in rows]),
             shots=np.array([int(r["shots"]) for r in rows]),
-            meta=meta or {},
         )
 
 
@@ -500,8 +490,6 @@ def run_rb(
     timing: RBTiming | None = None,
     tier: str = "fast",
     group: CliffordGroup | None = None,
-    zeeman: ZeemanModel | None = None,
-    meta: dict | None = None,
 ) -> RBDataset:
     """Execute a benchmarking plan and return per-sequence error counts.
 
@@ -517,9 +505,9 @@ def run_rb(
     rec_lengths, rec_seq, rec_err, rec_shots = [], [], [], []
     for length in plan.lengths:
         n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
-        if _has_coherent_noise(noise) or tier == "full" or zeeman is not None:
+        if _has_coherent_noise(noise) or tier == "full":
             engine = _coherent_survival_fast if tier == "fast" else _coherent_survival_full
-            survival = engine(plan, length, group, noise, timing, zeeman)
+            survival = engine(plan, length, group, noise, timing)
         else:
             survival = np.ones((n_seq, n_shot))
 
@@ -545,7 +533,7 @@ def run_rb(
         rec_err.extend(int(e) for e in errors)
         rec_shots.extend([n_shot] * n_seq)
 
-    base_meta = {
+    meta = {
         "master_seed": plan.master_seed,
         "tier": tier,
         "prepared_state": plan.prepared_state,
@@ -555,14 +543,12 @@ def run_rb(
         "gap_time": timing.gap_time,
         "delay_per_pulse": timing.delay_per_pulse,
     }
-    if meta:
-        base_meta.update(meta)
     return RBDataset(
         lengths=np.array(rec_lengths),
         seq_ids=np.array(rec_seq),
         errors=np.array(rec_err),
         shots=np.array(rec_shots),
-        meta=base_meta,
+        meta=meta,
     )
 
 

@@ -164,24 +164,57 @@ class TestLoops:
         ],
     )
     def test_linear_threshold_decides_linear_ok(self, loop, drift, monkeypatch):
-        # 0.7 of the fringe's peak distance from the steep point at N = 64
-        if loop is amplitude_cal_loop:
-            threshold = 0.7 * 0.5
-        else:
+        step = amplitude_cal_step if loop is amplitude_cal_loop else frequency_cal_step
+
+        def threshold(n):
+            # 0.7 of the fringe's peak distance from the steep point at N = n
+            if loop is amplitude_cal_loop:
+                return 0.7 * 0.5
             tb = _quiet_testbed(6)
-            threshold = 0.7 * _freq_fringe_peak(64, tb.omega_nominal, tb.t_half_pi, tb.gap_time)
-        first = loop(_quiet_testbed(6, **drift), CalLoopConfig(n_start=64))[0]
-        assert 0.1 < abs(first.p_zero - 0.5) < threshold
-        assert first.linear_ok and first.corrected
-        # readings pinned 0.005 inside and outside the threshold (0.345 and
-        # 0.355 for the amplitude loop)
-        for bright, inside in ((round(200 * (0.5 - threshold + 0.005)), True),
-                               (round(200 * (0.5 - threshold - 0.005)), False)):
+            return 0.7 * _freq_fringe_peak(n, tb.omega_nominal, tb.t_half_pi, tb.gap_time)
+
+        p, estimate, sigma, linear_ok = step(_quiet_testbed(6, **drift), 64, 200)
+        assert 0.1 < abs(p - 0.5) < threshold(64)
+        assert linear_ok and abs(estimate) > 3 * sigma  # the loop would correct it
+        # the loop's first reading, at N = 1, pinned 0.005 inside and outside
+        # the threshold (0.345 and 0.355 for the amplitude loop); pinned
+        # readings never converge
+        for bright, inside in ((round(200 * (0.5 - threshold(1) + 0.005)), True),
+                               (round(200 * (0.5 - threshold(1) - 0.005)), False)):
             tb = _quiet_testbed(6, **drift)
             monkeypatch.setattr(tb, "run_train", lambda phases, shots, bright=bright: bright)
-            pinned = loop(tb, CalLoopConfig(n_start=64, shots=200))[0]
+            with pytest.warns(RuntimeWarning, match="did not converge"):
+                pinned = loop(tb, CalLoopConfig(shots=200))[0]
             assert pinned.linear_ok is inside
             assert inside or not pinned.corrected
+
+    # each reading's branch is picked by the shorter reading before it; from
+    # N = 16 or 64, 3% was left in place and 1% never converged, 5 kHz was
+    # left at -5.76 kHz and 700 Hz at -722 Hz, each ending "converged"
+    @pytest.mark.parametrize("offset", [0.03, 0.01])
+    def test_amplitude_loop_climbs_to_the_resolution_of_its_longest_train(self, offset):
+        tb = _quiet_testbed(7, amp_drift=_const(offset))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records = amplitude_cal_loop(tb)
+        assert records[-1].n_group == 256 and not records[-1].significant
+        assert abs(tb.true_relative_error(tb.clock)) < 1e-4
+
+    @pytest.mark.parametrize("shift_hz", [5e3, 700.0, 2e4])
+    def test_frequency_loop_climbs_to_the_resolution_of_its_longest_train(self, shift_hz):
+        tb = _quiet_testbed(7, freq_drift=_const(2 * np.pi * shift_hz))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records = frequency_cal_loop(tb)
+        assert records[-1].n_group == 256 and not records[-1].significant
+        assert abs(tb.detuning_setting / (2 * np.pi) - shift_hz) < 10.0
+
+    def test_a_loop_that_does_not_converge_warns(self):
+        # 40 kHz lies past the N = 1 fringe's +-omega / 2 = +-20.8 kHz
+        tb = _quiet_testbed(7, freq_drift=_const(2 * np.pi * 4e4))
+        with pytest.warns(RuntimeWarning, match="frequency loop did not converge in 40 steps"):
+            records = frequency_cal_loop(tb)
+        assert len(records) == 40
 
     def test_records_serialize_to_jsonl(self):
         tb = SimulatedQubitTestbed(master_seed=9, amp_drift=_const(-3e-4))

@@ -256,8 +256,9 @@ class TestErrorsAndOutput:
             ("phase-noise", "--ssb", _File("frequency_hz,dbc_per_hz\n1.0,x\n1000000.0,-140.0\n")),
             # durations past the linearized idle model
             ("idle-rates", "--durations", "100,200", "--shots", "10"),
+            # the loops climb from N = 1, so --n-max alone bounds them
+            ("calibrate", "--n-max", "0"),
             # rules that join options name each of them
-            ("calibrate", "--n-start", "300", "--n-max", "256"),
             (*TINY_RB, "--t-half-pi", "1e-8"),
             (*TINY_RB, "--ramp-time", "1e-5"),
             ("irmb", "--t-half-pi", "1e-8", "--lengths", "10,100", "--sequences", "2", "--shots", "10"),
@@ -279,7 +280,7 @@ class TestErrorsAndOutput:
         # the error names an option that was set, by flag or config key
         flags = [a.split("=")[0] for a in args if isinstance(a, str) and a.startswith("--")]
         assert any(flag in proc.stderr for flag in flags) or "config key" in proc.stderr
-        for option in ("--ssb", "--durations", "--n-start", "--n-max", "--t-half-pi", "--ramp-time", "--n-pulses",
+        for option in ("--ssb", "--durations", "--n-max", "--t-half-pi", "--ramp-time", "--n-pulses",
                        "--bootstrap", "--fit", "--format"):
             assert option not in args or option in proc.stderr
 

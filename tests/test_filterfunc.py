@@ -68,6 +68,27 @@ class TestFilterFunctions:
         numeric = filter_function(timeline, omega)
         assert np.allclose(numeric, g_echo(omega, tau), rtol=1e-6)
 
+    def test_driven_segment_matches_analytic(self):
+        # a drive at Rabi rate rabi about x turns the z noise axis, so the noise
+        # is seen at the two sidebands omega +- rabi
+        d = 6e-6
+        rabi = (np.pi / 2) / d
+        omega = np.logspace(3, 8, 60)
+        numeric = filter_function(ControlTimeline(segments=(Segment(duration=d, rabi=rabi),)), omega)
+        sidebands = sum(np.sin((omega + s) * d / 2) ** 2 / (omega + s) ** 2 for s in (rabi, -rabi))
+        assert np.allclose(numeric, omega**2 / 2 * sidebands, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("phase", [0.0, np.pi / 2], ids=["x", "y"])
+    def test_a_short_driven_pi_pulse_echoes(self, phase):
+        # a pi pulse of 1e-5 tau centred in tau: its finite width enters at
+        # (omega * width)**2, below 1e-8 for omega tau <= 10
+        tau, width = 1.0, 1e-5
+        free = Segment(duration=(tau - width) / 2)
+        pulse = Segment(duration=width, rabi=np.pi / width, phase=phase)
+        omega = np.logspace(-1, 1, 50)
+        numeric = filter_function(ControlTimeline(segments=(free, pulse, free)), omega)
+        assert np.allclose(numeric, g_echo(omega, tau), rtol=0, atol=1e-8)
+
     def test_echo_suppresses_dc(self):
         omega = np.array([1e-4, 1e-3])
         tau = 1.0

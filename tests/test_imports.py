@@ -1,5 +1,6 @@
-"""No module binds a name by import and then never uses it, and no package
-module lists a name in ``__all__`` that it does not bind.
+"""No module binds a name by import and then never uses it, no package
+module lists a name in ``__all__`` that it does not bind, and every public
+field of a package dataclass that has a default is set by some caller.
 
 No linter runs with the tests, so the first is a small AST check of its own
 (pyflakes' F401) over the package modules, the tests and the scripts.  A
@@ -7,12 +8,16 @@ name counts as used where it is read anywhere in the module, named in a
 string annotation, or listed in the module's ``__all__``; an import line
 marked ``# noqa: F401`` is exempt.  The package ``__init__`` re-exports by
 design and is left out.
+
+The third is an AST check too: a default that no caller overrides is a
+constant, and belongs where it is read.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import itertools
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -20,6 +25,8 @@ CHECKED = sorted(
     {*(ROOT / "src" / "qubitbench").glob("*.py"), *(ROOT / "tests").rglob("*.py"), *(ROOT / "scripts").glob("*.py")}
     - {ROOT / "src" / "qubitbench" / "__init__.py"}
 )
+# where a dataclass field may be set
+CALLERS = sorted(path for folder in ("src", "scripts", "perfbench", "tests") for path in (ROOT / folder).rglob("*.py"))
 
 
 def _bound_names(tree: ast.Module):
@@ -101,3 +108,88 @@ def test_every_all_entry_is_bound():
         module = importlib.import_module(name)
         stale += [f"{name}.{entry}" for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
     assert stale == []
+
+
+def _name(node: ast.expr) -> str | None:
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _dataclasses(source: str) -> dict[str, list[tuple[str, bool]]]:
+    """Each ``@dataclass``'s fields in order, with whether each has a default."""
+    return {
+        node.name: [(s.target.id, s.value is not None) for s in node.body
+                    if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in node.decorator_list)
+    }
+
+
+def unset_fields(defining: list[str], calling: list[str]) -> list[str]:
+    """``Class.field`` of each public field with a default, of a dataclass in
+    `defining`, that no call in `calling` sets.
+
+    A constructor call (``cls(...)`` inside the class too) sets fields by
+    position up to the first ``*args``, and by keyword; a ``**mapping`` sets
+    nothing.  ``replace`` cannot name its class, so its keyword sets a field
+    only where one dataclass has a field of that name.
+    """
+    classes = {name: fields for source in defining for name, fields in _dataclasses(source).items()}
+    owners: dict[str, list[str]] = {}
+    for name, fields in classes.items():
+        for field, _ in fields:
+            owners.setdefault(field, []).append(name)
+    set_ = set()
+    for source in calling:
+        tree = ast.parse(source)
+        calls = [(_name(n.func), n) for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        calls += [(c.name, n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                  for n in ast.walk(c) if isinstance(n, ast.Call) and _name(n.func) == "cls"]
+        for target, call in calls:
+            keywords = {k.arg for k in call.keywords if k.arg is not None}
+            if target == "replace":
+                set_ |= {(owners[k][0], k) for k in keywords if len(owners.get(k, ())) == 1}
+            elif target in classes:
+                positional = itertools.takewhile(lambda a: not isinstance(a, ast.Starred), call.args)
+                set_ |= {(target, field) for (field, _), _ in zip(classes[target], positional)}
+                set_ |= {(target, k) for k in keywords}
+    return sorted(
+        f"{name}.{field}" for name, fields in classes.items() for field, default in fields
+        if default and not field.startswith("_") and (name, field) not in set_
+    )
+
+
+def test_field_checker_counts_positions_keywords_cls_and_one_owner_replace():
+    defining = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclasses.dataclass\n"
+        "class A:\n"
+        "    required: int\n"
+        "    by_position: int = 0\n"
+        "    past_star: int = 0\n"
+        "    by_keyword: list = field(default_factory=list)\n"
+        "    by_mapping: int = 0\n"
+        "    shared: int = 0\n"
+        "    _private: int = 0\n"
+        "@dataclass(frozen=True)\n"
+        "class B:\n"
+        "    by_cls: float = 0.0\n"
+        "    by_replace: float = 0.0\n"
+        "    shared: int = 0\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls(1.0)\n"
+        "class C:\n"
+        "    not_a_dataclass: int = 0\n"
+    )
+    calling = (
+        "a = A(1, 2, *rest, by_keyword=[3], **{'by_mapping': 4})\n"
+        "b = replace(B(), by_replace=5.0, shared=6)\n"
+    )
+    assert unset_fields([defining], [defining, calling]) == ["A.by_mapping", "A.past_star", "A.shared", "B.shared"]
+
+
+def test_every_dataclass_default_is_set_by_some_caller():
+    defining = [path.read_text() for path in sorted((ROOT / "src" / "qubitbench").glob("*.py"))]
+    assert unset_fields(defining, [path.read_text() for path in CALLERS]) == []

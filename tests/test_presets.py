@@ -20,8 +20,8 @@ from qubitbench.presets import (
     linear_freq_drift,
     thermal_amp_drift,
 )
-from qubitbench.pulsesim import DriveParams, spectator_error_per_gate
-from qubitbench.rb import RBTiming
+from qubitbench.pulsesim import DriveParams
+from qubitbench.rb import RBTiming, generate_plan
 
 
 class TestNoiseConfig:
@@ -47,23 +47,21 @@ class TestBudgetInput:
         inp = BudgetInput()
         assert inp.gate_time == 13e-6
         assert inp.t_half_pi == pytest.approx(6e-6)
-        assert inp.t2 == 69.0 and inp.t2_unc == 7.0
+        assert inp.t2 == 69.0 and presets.T2_UNC == 7.0
         assert inp.sigma0_rel == pytest.approx(1.4571e-4)
-        assert inp.awg_bits == 15
-        assert inp.awg_fraction == pytest.approx(0.23675)
+        assert presets.AWG_BITS == 15
+        assert presets.AWG_FRACTION == pytest.approx(0.23675)
         assert inp.zeeman_residual_hz == 2.5
-        assert inp.longest_sequence_gates == 30000
+        assert max(presets.RB_LENGTHS) == 30000
 
     def test_idle_rates_are_subsecond_scaled(self):
-        inp = BudgetInput()
         scale = 0.33468
-        assert inp.idle.bright_per_s == pytest.approx(1.6e-2 * scale, rel=1e-4)
-        assert inp.idle.dark_plus_leak_prep0_per_s == pytest.approx(1.3e-2 * scale, rel=1e-4)
-        assert inp.idle.dark_plus_leak_prep1_per_s == pytest.approx(1.2e-2 * scale, rel=1e-4)
+        assert presets.BRIGHT_PER_S == pytest.approx(1.6e-2 * scale, rel=1e-4)
+        assert presets.DARK_PLUS_LEAK_PREP0_PER_S == pytest.approx(1.3e-2 * scale, rel=1e-4)
+        assert presets.DARK_PLUS_LEAK_PREP1_PER_S == pytest.approx(1.2e-2 * scale, rel=1e-4)
 
     def test_drift_trace_is_a_sampled_pair(self):
-        inp = BudgetInput()
-        times, offsets = inp.drift_trace
+        times, offsets = presets.default_drift_trace()
         assert len(times) == len(offsets)
         assert np.all(np.diff(times) > 0)
 
@@ -120,16 +118,7 @@ RESTATED = {
     "budget mu": (budget.MEAN_PULSES_PER_CLIFFORD, "MEAN_PULSES_PER_CLIFFORD"),
     "BudgetInput.t2": (_field(BudgetInput, "t2"), "T2_STAR_STAR"),
     "BudgetInput.sigma0_rel": (_field(BudgetInput, "sigma0_rel"), "SIGMA0_REL"),
-    "BudgetInput.awg_bits": (_field(BudgetInput, "awg_bits"), "AWG_BITS"),
-    "BudgetInput.awg_fraction": (_field(BudgetInput, "awg_fraction"), "AWG_FRACTION"),
     "BudgetInput.zeeman_residual_hz": (_field(BudgetInput, "zeeman_residual_hz"), "ZEEMAN_RESIDUAL_HZ"),
-    "BudgetInput.idle.bright_per_s": (_field(BudgetInput, "idle").bright_per_s, "BRIGHT_PER_S"),
-    "BudgetInput.idle.dark_plus_leak_prep0_per_s": (_field(BudgetInput, "idle").dark_plus_leak_prep0_per_s, "DARK_PLUS_LEAK_PREP0_PER_S"),
-    "BudgetInput.idle.dark_plus_leak_prep1_per_s": (_field(BudgetInput, "idle").dark_plus_leak_prep1_per_s, "DARK_PLUS_LEAK_PREP1_PER_S"),
-    "BudgetInput.motional.eta": (_field(BudgetInput, "motional").eta, "ETA"),
-    "BudgetInput.motional.omega_m": (_field(BudgetInput, "motional").omega_m, "OMEGA_MOTIONAL"),
-    "BudgetInput.motional.n_bar0": (_field(BudgetInput, "motional").n_bar0, "N_BAR0"),
-    "BudgetInput.motional.heating_rate": (_field(BudgetInput, "motional").heating_rate, "HEATING_RATE"),
     "MotionalMode.eta": (MotionalMode().eta, "ETA"),
     "MotionalMode.omega_m": (MotionalMode().omega_m, "OMEGA_MOTIONAL"),
     "MotionalMode.n_bar0": (MotionalMode().n_bar0, "N_BAR0"),
@@ -145,12 +134,11 @@ RESTATED = {
     "RBTiming.t_half_pi": (_field(RBTiming, "t_half_pi"), "T_HALF_PI"),
     "RBTiming.ramp_time": (_field(RBTiming, "ramp_time"), "RAMP_TIME"),
     "RBTiming.gap_time": (_field(RBTiming, "gap_time"), "GAP_TIME"),
+    "generate_plan.lengths": (_arg(generate_plan, "lengths"), "RB_LENGTHS"),
     "PulseSpec.t_half_pi": (_field(PulseSpec, "t_half_pi"), "T_HALF_PI"),
     "PulseSpec.ramp_time": (_field(PulseSpec, "ramp_time"), "RAMP_TIME"),
     "PulseSpec.gap_time": (_field(PulseSpec, "gap_time"), "GAP_TIME"),
     "DriveParams.nominal.ramp_time": (_arg(DriveParams.nominal, "ramp_time"), "RAMP_TIME"),
-    "spectator_error_per_gate.ramp_time": (_arg(spectator_error_per_gate, "ramp_time"), "RAMP_TIME"),
-    "spectator_error_per_gate.gap_time": (_arg(spectator_error_per_gate, "gap_time"), "GAP_TIME"),
     "pulsesim mu": (pulsesim.MEAN_PULSES_PER_CLIFFORD, "MEAN_PULSES_PER_CLIFFORD"),
     "thermal_amp_drift.a_inf": (_arg(thermal_amp_drift, "a_inf"), "DRIFT_A_INF"),
     "thermal_amp_drift.tau": (_arg(thermal_amp_drift, "tau"), "DRIFT_TAU"),
@@ -201,3 +189,25 @@ class TestOneOperatingPoint:
         monkeypatch.setattr(presets, "CURVE_GATE_TIME_MAX", 7e-6)
         monkeypatch.setattr(presets, "CURVE_POINTS", 3)
         assert budget.budget_curve()["gate_time"] == [5e-6, 6e-6, 7e-6]
+
+    def test_budget_reads_the_presets_where_it_forms_its_rows(self, monkeypatch):
+        base = budget.budget_table()
+        monkeypatch.setattr(presets, "T2_UNC", 2 * presets.T2_UNC)
+        for name in ("BRIGHT_PER_S", "DARK_PLUS_LEAK_PREP0_PER_S", "DARK_PLUS_LEAK_PREP1_PER_S"):
+            monkeypatch.setattr(presets, name, 2 * getattr(presets, name))
+        monkeypatch.setattr(presets, "AWG_BITS", presets.AWG_BITS - 1)
+        monkeypatch.setattr(presets, "RB_LENGTHS", (300, 60000))  # twice the heating time
+        table = budget.budget_table()
+        assert table["decoherence"].uncertainty == pytest.approx(2 * base["decoherence"].uncertainty, rel=1e-12)
+        assert table["idle_and_leakage"].value == pytest.approx(2 * base["idle_and_leakage"].value, rel=1e-12)
+        assert table["awg_resolution"].value == pytest.approx(4 * base["awg_resolution"].value, rel=1e-12)
+        mode = MotionalMode()
+        heating = mode.heating_rate * 30000 * presets.GATE_TIME / 2
+        assert table["harmonic_motion"].value / base["harmonic_motion"].value == pytest.approx(
+            (mode.n_bar0 + 2 * heating + 0.5) / (mode.n_bar0 + heating + 0.5), rel=1e-12
+        )
+
+    def test_the_rb_ladder_is_declared_once(self):
+        # config_hash hashes this text, so it stays exactly this string
+        assert _row("rb", "lengths") == _row("irmb", "lengths") == "300,950,3000,9500,30000"
+        assert tuple(int(x) for x in _row("rb", "lengths").split(",")) == presets.RB_LENGTHS

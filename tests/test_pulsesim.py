@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qubitbench.budget import BudgetInput
+from qubitbench.budget import budget_table
 from qubitbench.cliffords import PulseSpec, canonicalize_phase, rotation_matrix
 from qubitbench.presets import (
     CURVE_GATE_TIME_MAX,
@@ -175,7 +175,7 @@ class TestErrorProbes:
             assert 0.8e-10 < eps < 2.0e-10
 
     def test_counter_rotating_error_stays_below_budget_bound_along_the_curve(self):
-        bound = BudgetInput().counter_rotating_bound
+        bound = budget_table()["counter_rotating"].value
         gate_times = np.linspace(CURVE_GATE_TIME_MIN, CURVE_GATE_TIME_MAX, CURVE_POINTS)
         for g in gate_times:
             res = counter_rotating_error(DriveParams.nominal(g / MEAN_PULSES_PER_CLIFFORD))
@@ -184,7 +184,7 @@ class TestErrorProbes:
     def test_pulse_ramping_stays_below_budget_bound_along_the_curve(self):
         # the +X90 pulse with its sin^2 ramps against the same rotation as a
         # rectangle, both under the drive-induced Zeeman shift, per Clifford
-        bound = BudgetInput().ramp_bound
+        bound = budget_table()["pulse_ramping"].value
         gate_times = np.linspace(CURVE_GATE_TIME_MIN, CURVE_GATE_TIME_MAX, CURVE_POINTS)
         for g in gate_times:
             t_half_pi = g / MEAN_PULSES_PER_CLIFFORD

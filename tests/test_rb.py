@@ -32,7 +32,6 @@ from qubitbench.rb import (
     _coherent_survival_fast,
     _coherent_survival_full,
     generate_plan,
-    geometric_lengths,
     irmb_slope,
     run_rb,
 )
@@ -67,17 +66,12 @@ class TestPlans:
         folded = group.fold(seq)
         assert folded == group.identity_index
 
-    def test_geometric_lengths_endpoints_and_monotonicity(self):
-        ls = geometric_lengths(30, 30000, 5)
-        assert ls[0] == 30 and ls[-1] == 30000
-        assert all(b > a for a, b in zip(ls, ls[1:]))
-
     def test_generate_plan_defaults(self):
         plan = generate_plan(99)
         assert plan.master_seed == 99
         assert plan.n_sequences == 30
         assert plan.shots_per_sequence == 100
-        assert len(plan.lengths) == 5
+        assert plan.lengths == (300, 950, 3000, 9500, 30000)  # the CLI's ladder
 
 
 class TestOutcomeChannels:
