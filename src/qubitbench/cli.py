@@ -9,8 +9,10 @@ byte-identical output.
 Config files are strict JSON: ``{"schema": "qubitbench.config.v1",
 "command": "<name>", <param>: <value>, ...}``.  Unknown keys are rejected.
 The environment variables ``QUBITBENCH_SEED`` and ``QUBITBENCH_WORKERS``
-supply fallback values for ``--seed`` and ``--workers``; every command runs
-serially (a thread pool was slower).
+supply fallback values for ``--seed`` and ``--workers``.  ``--workers`` is
+checked and otherwise ignored: ``rb`` and ``irmb`` spread their lengths over
+the CPUs the process may use on their own (``rb.run_rb``), and no other
+command runs in parallel (a thread pool was slower).
 
 Each option has one declared domain, written next to its type, default and
 help in ``_PARAMS`` (``_RUN_PARAMS`` for ``--seed`` and ``--workers``).
@@ -196,7 +198,7 @@ _PARAMS = {
 # they are not hashed
 _RUN_PARAMS = {
     "seed": (int, 20260825, "master seed (env QUBITBENCH_SEED)", _at_least(0)),
-    "workers": (int, 1, "runs serially (env QUBITBENCH_WORKERS)", _at_least(1)),
+    "workers": (int, 1, "ignored: rb and irmb use the CPUs they may (env QUBITBENCH_WORKERS)", _at_least(1)),
 }
 
 # --format choices of the commands that can write more than the JSON document

@@ -231,27 +231,39 @@ def avg_pulse_error(actual: np.ndarray, ideal: np.ndarray) -> float:
 _N_LEVELS = 6
 
 
-def _spectator_hamiltonian(omega: float, phi: float) -> np.ndarray:
-    h = np.zeros((_N_LEVELS, _N_LEVELS), dtype=complex)
+def _spectator_hamiltonian(omega: np.ndarray, phi: float) -> np.ndarray:
+    """Hamiltonians at the drive rates ``omega``, shape ``(len(omega), 6, 6)``."""
+    h = np.zeros((len(omega), _N_LEVELS, _N_LEVELS), dtype=complex)
     # qubit drive
-    h[0, 1] = 0.5 * omega * np.exp(-1j * phi)
-    h[1, 0] = np.conj(h[0, 1])
+    h[:, 0, 1] = 0.5 * omega * np.exp(-1j * phi)
+    h[:, 1, 0] = np.conj(h[:, 0, 1])
     # spectator couplings, sharing the drive phase
     omega_s = SPECTATOR_RABI_RATIO * omega
     for q, s_minus, s_plus in ((0, 2, 3), (1, 4, 5)):
         for s in (s_minus, s_plus):
-            h[q, s] = 0.5 * omega_s * np.exp(-1j * phi)
-            h[s, q] = np.conj(h[q, s])
-    h[2, 2] = -SPECTATOR_DETUNING
-    h[3, 3] = +SPECTATOR_DETUNING
-    h[4, 4] = -SPECTATOR_DETUNING
-    h[5, 5] = +SPECTATOR_DETUNING
+            h[:, q, s] = 0.5 * omega_s * np.exp(-1j * phi)
+            h[:, s, q] = np.conj(h[:, q, s])
+    h[:, 2, 2] = -SPECTATOR_DETUNING
+    h[:, 3, 3] = +SPECTATOR_DETUNING
+    h[:, 4, 4] = -SPECTATOR_DETUNING
+    h[:, 5, 5] = +SPECTATOR_DETUNING
     return h
 
 
-def _expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals * dt)) @ vecs.conj().T
+@lru_cache(maxsize=8)
+def _spectator_steps(omega_q, phi, ramp_time, t_half_pi, gap_time):
+    """Read-only exact propagators of the cells of one pulse window, in time
+    order, shape ``(n_cells, 6, 6)``: the ramped pulse, then the free gap if
+    there is one.  A train has one window per drive phase, so cached."""
+    starts, ends, shape, _ = _pulse_grid(ramp_time, t_half_pi, gap_time, 512, 1)
+    omega, dt = omega_q * shape, (ends - starts)[:-1]
+    if gap_time > 0:
+        omega, dt = np.append(omega, 0.0), np.append(dt, gap_time)
+    # one stacked eigh; LAPACK sees each cell as it would alone
+    vals, vecs = np.linalg.eigh(_spectator_hamiltonian(omega, phi))
+    steps = (vecs * np.exp(-1j * vals * dt[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    steps.flags.writeable = False
+    return steps
 
 
 def simulate_spectator(
@@ -263,23 +275,18 @@ def simulate_spectator(
     that leaked out of the qubit subspace.  The flat top is advanced with a
     single exact exponential; the ramps are discretized (512 substeps over
     a 40 ns ramp keep the discretization bias well below the 1e-9 leakage
-    scale being estimated).
+    scale being estimated).  The cells are applied to the state one at a
+    time: a product of the cell propagators would round the ~1e-10 leak
+    differently.
     """
     if state is None:
         state = np.zeros(_N_LEVELS, dtype=complex)
         state[0] = 1.0
     state = np.asarray(state, dtype=complex)
 
-    phi = pulse.effective_phase
-
-    def step(omega: float, dt: float, vec: np.ndarray) -> np.ndarray:
-        return _expm_hermitian(_spectator_hamiltonian(omega, phi), dt) @ vec
-
-    starts, ends, shape, _ = _pulse_grid(pulse.ramp_time, pulse.t_half_pi, pulse.gap_time, 512, 1)
-    for amp, dt in zip(shape, (ends - starts)[:-1]):
-        state = step(drive.omega_q * amp, dt, state)
-    if pulse.gap_time > 0:
-        state = step(0.0, pulse.gap_time, state)
+    steps = _spectator_steps(drive.omega_q, pulse.effective_phase, pulse.ramp_time, pulse.t_half_pi, pulse.gap_time)
+    for u in steps:
+        state = u @ state
 
     leak = 1.0 - float(abs(state[0]) ** 2 + abs(state[1]) ** 2)
     return state, max(leak, 0.0)

@@ -27,6 +27,13 @@ real arithmetic, and a block of pulses with any angle at or above
 ``_SMALL_ANGLE`` through ``np.cos``/``np.sin``.  A detuning or a drive-induced
 shift keeps ``pulse_ab``.
 
+Each length draws only from its own RNG lanes, so ``run_rb`` may compute
+them in any split.  On Linux (``os.sched_getaffinity``) it deals them, longest
+first by estimated pulse-shots, over min(usable CPUs, lengths) bins; each bin
+other than the longest length's that reaches ``_FORK_PULSE_SHOTS`` runs in an
+``os.fork``ed worker, which pickles its arrays back over a pipe.  Threads
+would not help: the engine holds the interpreter lock.
+
 Benchmarking with a per-pulse idle delay (used to probe slow dephasing and
 idle-time error rates) reuses the same machinery with stretched gaps.
 """
@@ -36,6 +43,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -83,6 +92,9 @@ _PHASORS = np.array([1, 1j, -1, -1j])
 _STEP_BLOCK = 4
 #: below this |angle| ``_cos_sin`` uses degree-6/7 polynomials (error < 3e-21)
 _SMALL_ANGLE = 1e-2
+#: estimated pulse-shots a bin of lengths needs to run in a forked worker:
+#: about 60 ms of engine, against a few ms to fork and read the arrays back
+_FORK_PULSE_SHOTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -484,6 +496,64 @@ def _coherent_survival_full(
     return _replay(plan, length, group, noise, timing, drive.detuning * base_gap, tier_ab)
 
 
+def _survivals(plan: RBPlan, engine: Callable, group: CliffordGroup, noise: NoiseConfig, timing: RBTiming) -> list:
+    """``engine``'s survival array of each length, in plan order, split over
+    forked workers as the module docstring says.  A worker's exception is
+    raised here; every worker is reaped before this returns or raises, and
+    killed first if it raises."""
+    lengths = plan.lengths
+    n_bins = min(len(os.sched_getaffinity(0)), len(lengths)) if hasattr(os, "sched_getaffinity") else 1
+    bins, loads = [[] for _ in range(n_bins)], [0.0] * n_bins
+    per_clifford = group.mean_pulses_per_clifford * plan.n_sequences * plan.shots_per_sequence
+    for i in sorted(range(len(lengths)), key=lambda i: -lengths[i]):
+        j = loads.index(min(loads))  # the longest length goes to bin 0
+        bins[j].append(i)
+        loads[j] += (lengths[i] + 1) * per_clifford
+    forked = [b for b, load in zip(bins[1:], loads[1:]) if load >= _FORK_PULSE_SHOTS]
+    here = [i for b in bins if b not in forked for i in b]
+
+    def run(indices):
+        return {i: engine(plan, lengths[i], group, noise, timing) for i in indices}
+
+    workers = []  # (pid, read end of its pipe)
+    try:
+        for indices in forked:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker never returns into the caller's frames
+                try:
+                    try:
+                        payload = pickle.dumps((True, run(indices)))
+                    except BaseException as exc:
+                        payload = pickle.dumps((False, exc))
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(payload)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            workers.append((pid, os.fdopen(read_fd, "rb")))
+        out = run(here)
+        for pid, pipe in workers:
+            payload = pipe.read()
+            if not payload:
+                raise RuntimeError(f"survival worker {pid} ended without a result")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            out.update(value)
+    except BaseException:
+        import signal
+
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return [out[i] for i in range(len(lengths))]
+
+
 def run_rb(
     plan: RBPlan,
     noise: NoiseConfig | None = None,
@@ -495,6 +565,12 @@ def run_rb(
 
     The qubit phase is tracked through the gaps and programmed idle delays,
     so a static detuning offset acts only while pulses are playing.
+
+    All survival arrays are computed before the readout.  On Linux, lengths
+    beyond the longest run in forked workers, one per further usable CPU,
+    where a worker's share reaches ``_FORK_PULSE_SHOTS`` estimated
+    pulse-shots (``taskset -c 0`` gives a one-process run); the dataset is
+    the same byte for byte.
     """
     noise = noise or NoiseConfig()
     timing = timing or RBTiming()
@@ -502,15 +578,15 @@ def run_rb(
     if tier not in ("fast", "full"):
         raise ValueError("tier must be 'fast' or 'full'")
 
-    rec_lengths, rec_seq, rec_err, rec_shots = [], [], [], []
-    for length in plan.lengths:
-        n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
-        if _has_coherent_noise(noise) or tier == "full":
-            engine = _coherent_survival_fast if tier == "fast" else _coherent_survival_full
-            survival = engine(plan, length, group, noise, timing)
-        else:
-            survival = np.ones((n_seq, n_shot))
+    n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
+    if _has_coherent_noise(noise) or tier == "full":
+        engine = _coherent_survival_fast if tier == "fast" else _coherent_survival_full
+        survivals = _survivals(plan, engine, group, noise, timing)
+    else:
+        survivals = [np.ones((n_seq, n_shot))] * len(plan.lengths)
 
+    rec_lengths, rec_seq, rec_err, rec_shots = [], [], [], []
+    for length, survival in zip(plan.lengths, survivals):
         read_rng = rng_stream(plan.master_seed, LANE_READOUT, length)
         n_gates = length + 1  # recovery counts as a gate for error channels
         if noise.depolarizing_per_gate:

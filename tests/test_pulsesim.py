@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qubitbench import pulsesim
 from qubitbench.budget import budget_table
 from qubitbench.cliffords import PulseSpec, canonicalize_phase, rotation_matrix
 from qubitbench.presets import (
@@ -197,6 +198,27 @@ class TestErrorProbes:
                 zeeman=ZeemanModel(),
             )
             assert MEAN_PULSES_PER_CLIFFORD * avg_pulse_error(ramped, rectangle) <= bound, g
+
+    def test_spectator_error_stays_below_budget_bound_along_the_curve(self):
+        bound = budget_table()["spectator_transitions"].value
+        gate_times = np.linspace(CURVE_GATE_TIME_MIN, CURVE_GATE_TIME_MAX, CURVE_POINTS)
+        for g in gate_times:
+            assert spectator_error_per_gate(g / MEAN_PULSES_PER_CLIFFORD) <= bound, g
+
+    def test_spectator_cells_match_one_eigh_per_cell_bit_for_bit(self):
+        # the per-cell loop the stacked propagators replaced, as the reference
+        pulse = PulseSpec(phase=np.pi / 2, sign=-1, t_half_pi=6e-6)
+        drive = DriveParams.nominal(6e-6)
+        starts, ends, shape, _ = pulsesim._pulse_grid(pulse.ramp_time, pulse.t_half_pi, pulse.gap_time, 512, 1)
+        cells = [*zip(drive.omega_q * shape, (ends - starts)[:-1]), (0.0, pulse.gap_time)]
+        state = np.array([0.6, 0.8j, 0, 0, 0, 0])
+        expected = state
+        for omega, dt in cells:
+            vals, vecs = np.linalg.eigh(pulsesim._spectator_hamiltonian(np.array([omega]), pulse.effective_phase)[0])
+            expected = ((vecs * np.exp(-1j * vals * dt)) @ vecs.conj().T) @ expected
+        got, leak = simulate_spectator(pulse, drive, state=state)
+        assert np.array_equal(got, expected)
+        assert leak == 1.0 - float(abs(expected[0]) ** 2 + abs(expected[1]) ** 2) > 0.0
 
     def test_spectator_leak_accumulates(self):
         pulse = PulseSpec(phase=0.0, t_half_pi=6e-6)

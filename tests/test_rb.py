@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -353,6 +357,117 @@ class TestFullTier:
         blocks = sum(math.ceil(p / rb._STEP_BLOCK) for p in longest)
         assert len(calls) == (len(plan.lengths) if motional is None else blocks)
         assert fast_calls == []
+
+
+_USABLE_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+_needs_two_cpus = pytest.mark.skipif(
+    len(_USABLE_CPUS) < 2, reason="lengths fan out only to a second usable CPU, and this process has one"
+)
+
+# each argv's document on stdout, each argv's exit code and os.fork count as a
+# JSON line on stderr; argv[1] is the CPU set to narrow to ([] keeps the mask)
+_COUNTED_RUN = """
+import json, os, sys
+cpus, argvs = json.loads(sys.argv[1])
+if cpus:
+    os.sched_setaffinity(0, cpus)
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+from qubitbench.cli import main
+for argv in argvs:
+    forks.clear()
+    code = main(argv)
+    print(json.dumps([code, len(forks)]), file=sys.stderr)
+"""
+
+
+class TestLengthFanOut:
+    # at 30 x 100 trajectories a length of L is (L + 1) * 6500 estimated
+    # pulse-shots: 152 is just below the fork threshold, 153 just above
+    BELOW = RBPlan(master_seed=6, lengths=(152, 1000), n_sequences=30, shots_per_sequence=100)
+    ABOVE = replace(BELOW, lengths=(153, 1000))
+
+    @staticmethod
+    def _fake_engine(monkeypatch, failing=None, fail=None):
+        def engine(plan, length, *args):
+            if length == failing:
+                fail(length)
+            return np.full((plan.n_sequences, plan.shots_per_sequence), length / 2000)
+
+        monkeypatch.setattr(rb, "_coherent_survival_fast", engine)
+
+    @staticmethod
+    def _count_forks(monkeypatch) -> list:
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    def test_a_run_below_the_threshold_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked below the threshold")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        run_rb(RBPlan(master_seed=6, lengths=(20, 60), n_sequences=3, shots_per_sequence=20),
+               noise=default_noise_config())
+        self._fake_engine(monkeypatch)
+        run_rb(self.BELOW, noise=default_noise_config())
+
+    @_needs_two_cpus
+    def test_a_bin_above_the_threshold_runs_in_a_worker(self, monkeypatch):
+        self._fake_engine(monkeypatch)
+        forks = self._count_forks(monkeypatch)
+        parallel = run_rb(self.ABOVE, noise=default_noise_config())
+        assert forks == [1]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = run_rb(self.ABOVE, noise=default_noise_config())
+        assert forks == [1]
+        assert parallel.to_json() == serial.to_json()
+
+    @_needs_two_cpus
+    @pytest.mark.parametrize("failing", [153, 1000], ids=["in-worker", "in-caller"])
+    def test_an_engine_error_reaches_the_caller_as_in_a_serial_run(self, monkeypatch, failing):
+        def fail(length):
+            raise ValueError(f"no survival at length {length}")
+
+        self._fake_engine(monkeypatch, failing, fail)
+        forks = self._count_forks(monkeypatch)
+        with pytest.raises(ValueError) as parallel:
+            run_rb(self.ABOVE, noise=default_noise_config())
+        assert forks == [1]
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with pytest.raises(ValueError) as serial:
+            run_rb(self.ABOVE, noise=default_noise_config())
+        assert forks == [1]
+        assert str(parallel.value) == str(serial.value) == f"no survival at length {failing}"
+
+    @_needs_two_cpus
+    def test_a_worker_that_dies_is_an_error(self, monkeypatch):
+        self._fake_engine(monkeypatch, 153, lambda length: os._exit(3))
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            run_rb(self.ABOVE, noise=default_noise_config())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @_needs_two_cpus
+    def test_documents_are_the_same_on_one_cpu(self):
+        # the rb-fast benchmark's command, the same plan with the engine
+        # bypassed, and an irmb whose lengths fan out
+        argvs = [
+            ["rb", "--lengths", "300,950,1500", "--sequences", "30", "--shots", "100"],
+            ["rb", "--noise", "depol", "--lengths", "300,950,1500", "--sequences", "30", "--shots", "100"],
+            ["irmb", "--delays", "0,1e-5", "--lengths", "200,400", "--sequences", "30", "--shots", "100"],
+        ]
+        runs = [
+            subprocess.run([sys.executable, "-c", _COUNTED_RUN, json.dumps([cpus, argvs])],
+                           capture_output=True, text=True, timeout=120)
+            for cpus in ([], [min(_USABLE_CPUS)])
+        ]
+        counts = [[json.loads(line) for line in run.stderr.splitlines()] for run in runs]
+        rb_forks = min(len(_USABLE_CPUS), 3) - 1  # every length is above the threshold
+        assert counts == [[[0, rb_forks], [0, 0], [0, 2]], [[0, 0]] * 3], [run.stderr for run in runs]
+        assert runs[0].stdout == runs[1].stdout
 
 
 @st.composite
