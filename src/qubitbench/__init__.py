@@ -23,7 +23,6 @@ from .cliffords import (
     CliffordGroup,
     PulseSpec,
     build_clifford_table,
-    decompose_clifford,
     recovery_gate,
 )
 from .filterfunc import (

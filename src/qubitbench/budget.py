@@ -375,7 +375,6 @@ class IdleRatesEstimate:
     sigma_flip: float
     sigma_combo: tuple[float, float]
     flip_consistent: bool
-    details: dict
 
 
 def _wls_slope(durations: np.ndarray, errors: np.ndarray, shots: np.ndarray) -> tuple[float, float]:
@@ -446,5 +445,4 @@ def estimate_idle_rates(
         sigma_flip=sigma_f,
         sigma_combo=(float(combo_sigs[0]), float(combo_sigs[1])),
         flip_consistent=bool(consistent),
-        details={str(k): v for k, v in slopes.items()},
     )

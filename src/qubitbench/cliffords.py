@@ -14,8 +14,11 @@ Conventions
 * Words are stored in temporal order: the first label is played first, i.e.
   the matrix of a word ``(g1, g2, ...)`` is ``... @ U(g2) @ U(g1)``.
 * Global phase is fixed by making the first row-major entry with magnitude
-  above tolerance real and positive; all table lookups compare canonical
-  matrices.
+  above tolerance real and positive; the stored matrices are canonical.
+* One rule decides which element a matrix is: the overlap ``|tr(M_k^H u)|``
+  is 2 for the element ``u`` equals up to global phase and at most sqrt(2)
+  for every other one.  The search, the composition table and
+  ``find_index`` all use it.
 * ``compose(i, j)`` is "apply i, then j".
 
 The breadth-first search assigns indices in discovery order (identity is 0,
@@ -29,22 +32,20 @@ mean of 52/24 = 2.1667 pulses per Clifford.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .presets import GAP_TIME, MEAN_PULSES_PER_CLIFFORD, RAMP_TIME, T_HALF_PI
+from .presets import GAP_TIME, RAMP_TIME, T_HALF_PI
 
 __all__ = [
+    "GENERATOR_QUARTERS",
     "GENERATOR_LABELS",
-    "MEAN_PULSES_PER_CLIFFORD",
     "PulseSpec",
     "CliffordElement",
     "CliffordGroup",
     "build_clifford_table",
-    "decompose_clifford",
-    "min_pulse_decomposition",
     "recovery_gate",
     "canonicalize_phase",
 ]
@@ -53,13 +54,16 @@ _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _ID = np.eye(2, dtype=complex)
 
-#: Expansion / tie-break order for the generator search (lexicographic).
-GENERATOR_LABELS = ("+X90", "+Y90", "-X90", "-Y90")
+#: Drive phase of each generator in quarter turns (a minus sign is a half
+#: turn); the dict order is the expansion / tie-break order of the search.
+GENERATOR_QUARTERS = {"+X90": 0, "+Y90": 1, "-X90": 2, "-Y90": 3}
+GENERATOR_LABELS = tuple(GENERATOR_QUARTERS)
 
 # an entry above this magnitude can fix the global phase
 _PHASE_TOL = 1e-9
-# largest entrywise difference of two matrices taken as the same element
-_MATCH_TOL = 1e-8
+# largest |2 - |tr(M^H u)|| taken as the same element: entrywise noise of
+# 1e-10 moves the overlap by at most 4e-10, a rotation by theta by theta^2 / 4
+_MATCH_TOL = 1e-9
 
 
 def _axis_matrix(phase: float) -> np.ndarray:
@@ -100,10 +104,8 @@ def apply_ab(a, b, alpha, beta) -> None:
 
 
 _GENERATOR_MATRICES = {
-    "+X90": rotation_matrix(0.0, np.pi / 2),
-    "-X90": rotation_matrix(0.0, -np.pi / 2),
-    "+Y90": rotation_matrix(np.pi / 2, np.pi / 2),
-    "-Y90": rotation_matrix(np.pi / 2, -np.pi / 2),
+    label: rotation_matrix((q % 2) * np.pi / 2, np.pi / 2 if q < 2 else -np.pi / 2)
+    for label, q in GENERATOR_QUARTERS.items()
 }
 
 
@@ -117,9 +119,16 @@ def canonicalize_phase(matrix: np.ndarray) -> np.ndarray:
     return matrix * (abs(pivot) / pivot)
 
 
-def _table_key(matrix: np.ndarray) -> tuple:
-    canon = canonicalize_phase(matrix)
-    return tuple(np.round(canon.reshape(-1), 8).tolist())
+def _overlaps(mats: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``|tr(M_k^H u)|`` for each ``M_k`` in the stack `mats`, over the
+    leading axes of `u` too: 2 where ``u`` is ``M_k`` up to global phase."""
+    # einsum, not a matmul: its BLAS call raised `rb --tier full`'s peak RSS by ~0.2 MiB
+    return np.abs(np.einsum("kab,...ab->...k", mats.conj(), u))
+
+
+def _same(overlaps: np.ndarray) -> np.ndarray:
+    """Where an overlap says "the same element"."""
+    return np.abs(overlaps - 2.0) <= _MATCH_TOL
 
 
 @dataclass(frozen=True)
@@ -166,11 +175,10 @@ class PulseSpec:
 
 def pulse_from_label(label: str, **kwargs) -> PulseSpec:
     """Build the PulseSpec for a generator label such as '+X90' or '-Y90'."""
-    if label not in GENERATOR_LABELS:
+    if label not in GENERATOR_QUARTERS:
         raise ValueError(f"unknown generator label {label!r}")
-    sign = 1 if label[0] == "+" else -1
-    phase = 0.0 if label[1] == "X" else np.pi / 2
-    return PulseSpec(phase=phase, sign=sign, **kwargs)
+    q = GENERATOR_QUARTERS[label]
+    return PulseSpec(phase=(q % 2) * np.pi / 2, sign=1 if q < 2 else -1, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -198,7 +206,6 @@ class CliffordGroup:
     elements: list[CliffordElement]
     compose_table: np.ndarray  # [i, j] -> index of (i then j)
     inverse_table: np.ndarray
-    _index_by_key: dict = field(repr=False, default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -207,11 +214,6 @@ class CliffordGroup:
     def identity_index(self) -> int:
         return 0
 
-    @property
-    def mean_pulses_per_clifford(self) -> float:
-        """Mean minimal word length; all budget formulas use this constant."""
-        return float(np.mean([e.pulse_count for e in self.elements]))
-
     def compose(self, first: int, then: int) -> int:
         return int(self.compose_table[first, then])
 
@@ -219,17 +221,13 @@ class CliffordGroup:
         return int(self.inverse_table[index])
 
     def find_index(self, matrix: np.ndarray) -> int:
-        """Index of the element equal to the 2x2 ``matrix`` up to global phase."""
-        matrix = np.asarray(matrix)
-        key = _table_key(matrix)
-        if key in self._index_by_key:
-            return self._index_by_key[key]
-        # slow path for matrices with rounding noise
-        canon = canonicalize_phase(matrix)
-        for elem in self.elements:
-            if np.max(np.abs(elem.matrix - canon)) <= _MATCH_TOL:
-                return elem.index
-        raise KeyError("matrix is not a Clifford element within tolerance")
+        """Index of the element equal to the 2x2 ``matrix`` up to global phase;
+        ``KeyError`` if no overlap is within ``_MATCH_TOL`` of 2."""
+        overlaps = _overlaps(np.array([e.matrix for e in self.elements]), np.asarray(matrix))
+        k = int(overlaps.argmax())
+        if not _same(overlaps[k]):
+            raise KeyError("matrix is not a Clifford element within tolerance")
+        return k
 
     def fold(self, indices: Iterable[int]) -> int:
         """Compose a temporal sequence of element indices into one element."""
@@ -257,35 +255,6 @@ class CliffordGroup:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CliffordGroup":
-        payload = json.loads(text)
-        if payload.get("format") != "qubitbench.clifford_table.v1":
-            raise ValueError("unrecognized clifford table format")
-        elements = []
-        for rec in payload["elements"]:
-            matrix = np.array(
-                [[complex(re, im) for re, im in row] for row in rec["matrix"]]
-            )
-            elements.append(
-                CliffordElement(rec["index"], matrix, tuple(rec["pulses"]))
-            )
-        group = cls(
-            elements=elements,
-            compose_table=np.array(payload["compose"], dtype=int),
-            inverse_table=np.array(payload["inverse"], dtype=int),
-        )
-        group._index_by_key = {_table_key(e.matrix): e.index for e in elements}
-        return group
-
-
-def word_matrix(word: Sequence[str]) -> np.ndarray:
-    """Matrix of a pulse word applied in temporal order."""
-    mat = _ID.copy()
-    for label in word:
-        mat = _GENERATOR_MATRICES[label] @ mat
-    return mat
-
 
 _GROUP_CACHE: CliffordGroup | None = None
 
@@ -300,76 +269,31 @@ def build_clifford_table() -> CliffordGroup:
     if _GROUP_CACHE is not None:
         return _GROUP_CACHE
 
-    elements: list[CliffordElement] = []
-    index_by_key: dict = {}
-
-    identity = canonicalize_phase(_ID.copy())
-    elements.append(CliffordElement(0, identity, ()))
-    index_by_key[_table_key(identity)] = 0
-
+    elements = [CliffordElement(0, canonicalize_phase(_ID.copy()), ())]
+    found = np.empty((24, 2, 2), dtype=complex)  # canonical matrices found so far
+    found[0] = elements[0].matrix
     frontier: list[tuple[tuple[str, ...], np.ndarray]] = [((), _ID.copy())]
     while frontier:
         next_frontier = []
         for word, mat in frontier:
             for label in GENERATOR_LABELS:
                 new_mat = _GENERATOR_MATRICES[label] @ mat
-                key = _table_key(new_mat)
-                if key in index_by_key:
+                n = len(elements)
+                if _same(_overlaps(found[:n], new_mat)).any():
                     continue
                 new_word = word + (label,)
-                idx = len(elements)
-                elements.append(
-                    CliffordElement(idx, canonicalize_phase(new_mat), new_word)
-                )
-                index_by_key[key] = idx
+                elements.append(CliffordElement(n, canonicalize_phase(new_mat), new_word))
+                found[n] = elements[n].matrix
                 next_frontier.append((new_word, new_mat))
         frontier = next_frontier
 
-    n = len(elements)
-    if n != 24:
-        raise RuntimeError(f"expected 24 Clifford elements, found {n}")
-
-    # every product M_j M_i at once; it is the element k with |tr(M_k^H P)| = 2,
-    # and every other element gives at most sqrt(2)
-    mats = np.array([e.matrix for e in elements])
-    products = np.einsum("jab,ibc->ijac", mats, mats)
-    compose = np.abs(np.einsum("kab,ijab->ijk", mats.conj(), products)).argmax(axis=-1)
+    # every product M_j M_i at once, each the element of largest overlap
+    products = np.einsum("jab,ibc->ijac", found, found)
+    compose = _overlaps(found, products).argmax(axis=-1)
     inverse = (compose == 0).argmax(axis=1)
 
-    group = CliffordGroup(
-        elements=elements, compose_table=compose, inverse_table=inverse
-    )
-    group._index_by_key = index_by_key
-    _GROUP_CACHE = group
-    return group
-
-
-def decompose_clifford(index: int, group: CliffordGroup | None = None) -> tuple[str, ...]:
-    """Minimal pulse word for element `index`, from the fixed table."""
-    group = group or build_clifford_table()
-    return group.elements[index].pulses
-
-
-def min_pulse_decomposition(target: np.ndarray | int, group: CliffordGroup | None = None) -> tuple[str, ...]:
-    """Independent oracle: exhaustively enumerate words by length, then rank.
-
-    Unlike ``decompose_clifford`` this does not consult the stored table; it
-    scans all words of length 0..4, the longest minimal word, in
-    lexicographic order and returns the first that reproduces the target up
-    to global phase.
-    """
-    import itertools
-
-    if isinstance(target, int):
-        target = (group or build_clifford_table()).elements[target].matrix
-    target_canon = canonicalize_phase(np.asarray(target))
-
-    for length in range(5):
-        for word in itertools.product(GENERATOR_LABELS, repeat=length):
-            candidate = canonicalize_phase(word_matrix(word))
-            if np.max(np.abs(candidate - target_canon)) <= _MATCH_TOL:
-                return word
-    raise ValueError("no generator word of length <= 4 matches target")
+    _GROUP_CACHE = CliffordGroup(elements=elements, compose_table=compose, inverse_table=inverse)
+    return _GROUP_CACHE
 
 
 def recovery_gate(cliffords: Sequence[int], group: CliffordGroup | None = None) -> int:

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cliffords import MEAN_PULSES_PER_CLIFFORD
+from .presets import MEAN_PULSES_PER_CLIFFORD
 
 __all__ = [
     "SSBCurve",
@@ -79,6 +79,8 @@ class SSBCurve:
         d = np.asarray(self.dbc_per_hz, dtype=float)
         if len(f) < 2 or len(f) != len(d):
             raise ValueError("need at least two (frequency, dBc) points")
+        if not (np.isfinite(f).all() and np.isfinite(d).all()):
+            raise ValueError("frequencies and levels must be finite")
         if np.any(f <= 0) or np.any(np.diff(f) <= 0):
             raise ValueError("frequencies must be positive and strictly increasing")
 

@@ -573,10 +573,18 @@ def binomial_variance(p, shots):
 def inverse_variance_mean(values, sigmas) -> tuple[float, float]:
     """Inverse-variance weighted mean of ``values`` and its standard error."""
     w = 1.0 / np.asarray(sigmas, dtype=float) ** 2
-    # a power-of-two scale leaves every rounding as it was, but keeps w * values
-    # out of the subnormal range when the values are tiny
+    values = np.asarray(values, dtype=float)
+    # a power-of-two scale leaves every rounding as it was, but keeps w * values finite
     wn = np.ldexp(w, -np.frexp(w.max())[1])
-    return float((wn * np.asarray(values, dtype=float)).sum() / wn.sum()), float(np.sqrt(1.0 / w.sum()))
+    mean = float((wn * values).sum() / wn.sum())
+    if abs(mean) < np.finfo(float).tiny:
+        # below the normal range a product or the quotient can lose a whole
+        # subnormal step (0.5 * 5e-324 is 0), so divide the exact sums instead
+        from fractions import Fraction
+
+        num = sum(Fraction(x) * Fraction(y) for x, y in zip(w.tolist(), values.tolist()))
+        mean = float(num / sum(map(Fraction, w.tolist())))
+    return mean, float(np.sqrt(1.0 / w.sum()))
 
 
 def weighted_line(x, y, w):

@@ -76,20 +76,19 @@ def rng_stream(master_seed: int, lane: int, *ids: int) -> np.random.Generator:
 class AmplitudeNoiseModel:
     """Quasi-static relative scaling of the Rabi rate.
 
-    Each shot draws one multiplier ``1 + mean_offset_rel + sigma_rel * g``
-    with ``g`` standard normal, held constant for the whole sequence (the
-    noise is slow compared to a single sequence).
+    Each shot draws one multiplier ``1 + sigma_rel * g`` with ``g`` standard
+    normal, held constant for the whole sequence (the noise is slow compared
+    to a single sequence).
     """
 
     sigma_rel: float = 0.0
-    mean_offset_rel: float = 0.0
 
     def __post_init__(self):
         if self.sigma_rel < 0:
             raise ValueError("sigma_rel must be non-negative")
 
     def sample_multipliers(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return 1.0 + self.mean_offset_rel + self.sigma_rel * rng.standard_normal(n)
+        return 1.0 + self.sigma_rel * rng.standard_normal(n)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +173,10 @@ class QuantizerConfig:
 # Idle-time errors
 # ---------------------------------------------------------------------------
 
+# share of each measured dark-plus-leakage rate taken as dark-state error (the
+# rest is leakage); joint measurements fix only the sum, so this is a choice
+_DARK_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class IdleRates:
@@ -183,7 +186,7 @@ class IdleRates:
     dark.  The two ``dark_plus_leak_*`` rates are the sums of dark-state
     readout error and leakage out of the qubit manifold for preparations 0
     and 1; joint measurements determine only the sums, so the split is an
-    explicit modelling choice (``dark_fraction``).  Leaked population reads
+    explicit modelling choice (``_DARK_FRACTION``).  Leaked population reads
     bright.  ``flip_per_s`` is the rate of real spin flips.
     """
 
@@ -191,7 +194,6 @@ class IdleRates:
     dark_plus_leak_prep0_per_s: float = 0.0
     dark_plus_leak_prep1_per_s: float = 0.0
     flip_per_s: float = 0.0
-    dark_fraction: float = 0.5
 
     def __post_init__(self):
         for name in (
@@ -202,20 +204,18 @@ class IdleRates:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if not 0.0 <= self.dark_fraction <= 1.0:
-            raise ValueError("dark_fraction must lie in [0, 1]")
 
     def dark_per_s(self, prepared: int) -> float:
         combo = (
             self.dark_plus_leak_prep0_per_s if prepared == 0 else self.dark_plus_leak_prep1_per_s
         )
-        return self.dark_fraction * combo
+        return _DARK_FRACTION * combo
 
     def leak_per_s(self, prepared: int) -> float:
         combo = (
             self.dark_plus_leak_prep0_per_s if prepared == 0 else self.dark_plus_leak_prep1_per_s
         )
-        return (1.0 - self.dark_fraction) * combo
+        return (1.0 - _DARK_FRACTION) * combo
 
     def probability(self, rate_per_s: float, duration: float) -> float:
         """Linearized event probability; rejects durations where it breaks."""

@@ -51,7 +51,7 @@ __all__ = [
     "linear_freq_drift",
 ]
 
-#: ``build_clifford_table().mean_pulses_per_clifford``, without building the table
+#: mean minimal word length of the 24-element gate table, without building the table
 MEAN_PULSES_PER_CLIFFORD = 52 / 24
 
 GATE_TIME = 13e-6

@@ -53,6 +53,7 @@ import numpy as np
 from . import noise as noise_mod
 from . import pulsesim
 from .cliffords import (
+    GENERATOR_QUARTERS,
     CliffordGroup,
     apply_ab,
     build_clifford_table,
@@ -70,7 +71,7 @@ from .noise import (
     NoiseConfig,
     rng_stream,
 )
-from .presets import GAP_TIME, RAMP_TIME, RB_LENGTHS, T_HALF_PI
+from .presets import GAP_TIME, MEAN_PULSES_PER_CLIFFORD, RAMP_TIME, RB_LENGTHS, T_HALF_PI
 from .pulsesim import DriveParams, ZeemanModel
 
 __all__ = [
@@ -85,7 +86,6 @@ __all__ = [
 
 DATASET_FORMAT = "qubitbench.rb_dataset.v1"
 
-_LABEL_QUARTERS = {"+X90": 0, "+Y90": 1, "-X90": 2, "-Y90": 3}
 #: exp(1j * q * pi / 2) for q quarter turns, exactly
 _PHASORS = np.array([1, 1j, -1, -1j])
 #: pulses whose noise the replay evaluates at once (bounds its temporaries)
@@ -267,7 +267,7 @@ class RBDataset:
 def _phase_table(group: CliffordGroup) -> list[np.ndarray]:
     """Drive phase of each pulse in each group element's word, in quarter turns."""
     return [
-        np.array([_LABEL_QUARTERS[label] for label in el.pulses], dtype=np.int8)
+        np.array([GENERATOR_QUARTERS[label] for label in el.pulses], dtype=np.int8)
         for el in group.elements
     ]
 
@@ -504,7 +504,7 @@ def _survivals(plan: RBPlan, engine: Callable, group: CliffordGroup, noise: Nois
     lengths = plan.lengths
     n_bins = min(len(os.sched_getaffinity(0)), len(lengths)) if hasattr(os, "sched_getaffinity") else 1
     bins, loads = [[] for _ in range(n_bins)], [0.0] * n_bins
-    per_clifford = group.mean_pulses_per_clifford * plan.n_sequences * plan.shots_per_sequence
+    per_clifford = MEAN_PULSES_PER_CLIFFORD * plan.n_sequences * plan.shots_per_sequence
     for i in sorted(range(len(lengths)), key=lambda i: -lengths[i]):
         j = loads.index(min(loads))  # the longest length goes to bin 0
         bins[j].append(i)
@@ -596,8 +596,7 @@ def run_rb(
         if noise.idle is not None and timing.delay_per_pulse > 0:
             # outcome-level reduction of idle-time errors: the per-gate flip
             # probability is the state-twirled average of the idle rates
-            mean_pulses = group.mean_pulses_per_clifford
-            t_idle_total = n_gates * mean_pulses * timing.delay_per_pulse
+            t_idle_total = n_gates * MEAN_PULSES_PER_CLIFFORD * timing.delay_per_pulse
             p_flip = noise.idle.probability(noise.idle.rb_error_rate_per_s(), t_idle_total)
             success ^= read_rng.random((n_seq, n_shot)) < p_flip
         if noise.spam:

@@ -34,7 +34,6 @@ from qubitbench.calibration import (
     walsh_sign_train,
 )
 from qubitbench.calibration import CalLoopConfig
-from qubitbench.cliffords import decompose_clifford, word_matrix
 from qubitbench.filterfunc import (
     ControlTimeline,
     PhasePSD,
@@ -65,6 +64,8 @@ from qubitbench.rb import (
     irmb_slope,
     run_rb,
 )
+
+from oracles import min_pulse_decomposition as decompose_clifford, word_matrix
 
 _MU = MEAN_PULSES_PER_CLIFFORD
 

@@ -268,6 +268,9 @@ class TestErrorsAndOutput:
             # a bootstrap needs the JSON fit to report
             (*TINY_RB, "--bootstrap", "5", "--fit", "0"),
             (*TINY_RB, "--bootstrap", "5", "--format", "csv"),
+            # an --ssb level that is not finite
+            ("phase-noise", "--ssb", _File("frequency_hz,dbc_per_hz\n1.0,nan\n1000000.0,-140.0\n")),
+            ("phase-noise", "--ssb", _File("frequency_hz,dbc_per_hz\n1.0,-100.0\n1000000.0,inf\n")),
         ],
     )
     def test_bad_input_exits_one_with_one_error_line(self, args, tmp_path):

@@ -6,20 +6,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qubitbench import budget, filterfunc, pulsesim
+from qubitbench import budget, cliffords, filterfunc, pulsesim, rb
 from qubitbench.cliffords import (
-    MEAN_PULSES_PER_CLIFFORD,
-    CliffordGroup,
+    GENERATOR_LABELS,
     canonicalize_phase,
-    decompose_clifford,
-    min_pulse_decomposition,
     pulse_from_label,
     recovery_gate,
     rotation_matrix,
-    word_matrix,
 )
 from qubitbench.noise import rng_stream
+from qubitbench.presets import MEAN_PULSES_PER_CLIFFORD
+
+from oracles import min_pulse_decomposition, word_matrix
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -61,18 +62,30 @@ class TestGroupStructure:
     def test_word_lengths_histogram(self, group):
         counts = {}
         for i in range(24):
-            w = len(decompose_clifford(i, group))
+            w = len(group.elements[i].pulses)
             counts[w] = counts.get(w, 0) + 1
         assert counts == {0: 1, 1: 4, 2: 10, 3: 8, 4: 1}
 
     def test_mean_and_max_pulses(self, group):
-        assert group.mean_pulses_per_clifford == pytest.approx(52.0 / 24.0, rel=0, abs=1e-15)
+        assert np.mean([el.pulse_count for el in group.elements]) == pytest.approx(52.0 / 24.0, rel=0, abs=1e-15)
         assert max(el.pulse_count for el in group.elements) == 4
 
     def test_element_matrix_matches_its_word(self, group):
         for i, el in enumerate(group.elements):
             w = word_matrix(el.pulses)
             assert np.allclose(canonicalize_phase(w), canonicalize_phase(el.matrix), atol=1e-9)
+
+    def test_each_stored_word_is_the_oracle_word(self, group):
+        # the search keeps the lexicographically first minimal word, which is
+        # what the exhaustive oracle finds first
+        for el in group.elements:
+            assert min_pulse_decomposition(el.index, group) == el.pulses
+
+    def test_overlap_is_two_on_the_element_and_at_most_sqrt2_off_it(self, group):
+        mats = np.array([el.matrix for el in group.elements])
+        overlaps = cliffords._overlaps(mats, mats)
+        assert np.abs(np.diag(overlaps) - 2.0).max() <= 1e-12
+        assert (overlaps[~np.eye(24, dtype=bool)] <= np.sqrt(2.0) + 1e-12).all()
 
     def test_z_quarter_turn_needs_three_pulses(self, group):
         rz = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
@@ -125,12 +138,13 @@ class TestComposition:
 
 class TestMeanPulses:
     def test_constant_equals_the_table_mean(self, group):
-        assert MEAN_PULSES_PER_CLIFFORD == group.mean_pulses_per_clifford
+        assert MEAN_PULSES_PER_CLIFFORD == float(np.mean([el.pulse_count for el in group.elements]))
 
     def test_every_module_uses_the_one_constant(self):
         assert budget.MEAN_PULSES_PER_CLIFFORD is MEAN_PULSES_PER_CLIFFORD
         assert filterfunc.MEAN_PULSES_PER_CLIFFORD is MEAN_PULSES_PER_CLIFFORD
         assert pulsesim.MEAN_PULSES_PER_CLIFFORD is MEAN_PULSES_PER_CLIFFORD
+        assert rb.MEAN_PULSES_PER_CLIFFORD is MEAN_PULSES_PER_CLIFFORD
 
 
 class TestRecovery:
@@ -167,14 +181,6 @@ class TestPhaseCanonicalization:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self, group):
-        rebuilt = CliffordGroup.from_json(group.to_json())
-        assert rebuilt.compose_table.tolist() == group.compose_table.tolist()
-        assert rebuilt.inverse_table.tolist() == group.inverse_table.tolist()
-        for a, b in zip(rebuilt.elements, group.elements):
-            assert a.pulses == b.pulses
-            assert np.allclose(a.matrix, b.matrix, atol=1e-12)
-
     def test_matches_golden_table(self, group, data_dir):
         golden = json.loads((data_dir / "clifford_table.json").read_text())
         current = json.loads(group.to_json())
@@ -182,6 +188,8 @@ class TestSerialization:
         assert current["compose"] == golden["compose"]
         assert current["inverse"] == golden["inverse"]
         assert current["generator_order"] == golden["generator_order"]
+        # the whole document, matrices and words included, byte for byte
+        assert group.to_json() == (data_dir / "clifford_table.json").read_text()
 
 
 class TestPulsePrimitives:
@@ -200,3 +208,58 @@ class TestPulsePrimitives:
         u = rotation_matrix(np.pi / 2, np.pi / 2)
         r = _bloch_rotation(u)
         assert np.allclose(r @ np.array([0, 0, 1.0]), np.array([1.0, 0, 0]), atol=1e-12)
+
+    def test_each_label_plays_its_generator(self):
+        # the pulse a label programs is the rotation the oracle multiplies out
+        for label in GENERATOR_LABELS:
+            pulse = pulse_from_label(label)
+            u = rotation_matrix(pulse.phase, pulse.sign * np.pi / 2)
+            assert np.abs(u - word_matrix((label,))).max() <= 1e-15
+        with pytest.raises(ValueError, match="unknown generator"):
+            pulse_from_label("+Z90")
+
+
+def _rotation(polar: float, azimuth: float, angle: float) -> np.ndarray:
+    """Rotation by `angle` about the Bloch axis at (`polar`, `azimuth`)."""
+    n = (np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar))
+    sigma = n[0] * _SX + n[1] * _SY + n[2] * _SZ
+    return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * sigma
+
+
+_WORDS = st.lists(st.sampled_from(GENERATOR_LABELS), max_size=40)
+_ANGLES = st.floats(0.0, 2 * np.pi)
+
+
+class TestTableProperties:
+    """The lookup, the composition table and the recovery agree with the
+    matrix product of any pulse word, at any global phase."""
+
+    @staticmethod
+    def _generator_indices(group, word):
+        index = {el.pulses: el.index for el in group.elements if el.pulse_count == 1}
+        return [index[(label,)] for label in word]
+
+    @settings(max_examples=200, deadline=None)
+    @given(word=_WORDS, phi=_ANGLES, noise=st.lists(st.complex_numbers(max_magnitude=1e-10), min_size=4, max_size=4))
+    def test_lookup_of_a_word_is_its_fold(self, group, word, phi, noise):
+        indices = self._generator_indices(group, word)
+        u = np.exp(1j * phi) * word_matrix(word)
+        k = group.fold(indices)
+        assert group.find_index(u) == k
+        assert group.find_index(u + np.reshape(noise, (2, 2))) == k
+
+    @settings(max_examples=200, deadline=None)
+    @given(word=_WORDS, phi=_ANGLES, polar=st.floats(0.0, np.pi), azimuth=_ANGLES)
+    def test_a_rotation_1e4_rad_off_an_element_is_no_element(self, group, word, phi, polar, azimuth):
+        u = np.exp(1j * phi) * _rotation(polar, azimuth, 1e-4) @ word_matrix(word)
+        with pytest.raises(KeyError):
+            group.find_index(u)
+
+    @settings(max_examples=200, deadline=None)
+    @given(word=_WORDS, phi=_ANGLES)
+    def test_recovery_closes_each_word(self, group, word, phi):
+        indices = self._generator_indices(group, word)
+        rec = recovery_gate(indices, group)
+        assert group.compose(group.fold(indices), rec) == group.identity_index
+        u = np.exp(1j * phi) * word_matrix(word)
+        assert group.find_index(group.elements[rec].matrix @ u) == group.identity_index

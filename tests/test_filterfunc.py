@@ -46,6 +46,14 @@ class TestSSBCurve:
         psd = PhasePSD.from_ssb(curve)
         assert psd(10.0) == pytest.approx(2e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_are_rejected(self, bad):
+        # a nan frequency passes the ordering checks, so finiteness is its own rule
+        with pytest.raises(ValueError, match="finite"):
+            SSBCurve(freqs_hz=(1.0, bad), dbc_per_hz=(-100.0, -120.0))
+        with pytest.raises(ValueError, match="finite"):
+            SSBCurve(freqs_hz=(1.0, 100.0), dbc_per_hz=(-100.0, bad))
+
 
 class TestFilterFunctions:
     def test_free_precession_matches_analytic(self):

@@ -814,6 +814,11 @@ class TestSharedEstimators:
         values=st.lists(st.floats(-1e6, 1e6, **_finite), min_size=1, max_size=20),
         sigma=st.floats(1e-6, 1e6, **_finite),
     )
+    # the smallest subnormal, whose weighted mean once came out as 0 or 1e-323
+    @example(values=[5e-324], sigma=1.0)
+    @example(values=[5e-324], sigma=1e6)
+    # three steps over two values: the mean 1.5e-323 is a tie on the subnormal grid
+    @example(values=[1.5e-323, 0.0], sigma=586102.34375)
     def test_equal_sigmas_give_the_plain_mean(self, values, sigma):
         mean, err = inverse_variance_mean(values, np.full(len(values), sigma))
         assert mean == pytest.approx(np.mean(values), rel=1e-12, abs=1e-12 * np.max(np.abs(values)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qubitbench import noise
 from qubitbench.noise import (
     AmplitudeNoiseModel,
     FrequencyNoiseTrajectory,
@@ -63,9 +64,9 @@ class TestQuantizer:
 
 class TestAmplitudeNoise:
     def test_multiplier_statistics(self):
-        model = AmplitudeNoiseModel(sigma_rel=1.4571e-4, mean_offset_rel=3e-4)
+        model = AmplitudeNoiseModel(sigma_rel=1.4571e-4)
         draws = model.sample_multipliers(rng_stream(5, 2), 200_000)
-        assert draws.mean() == pytest.approx(1.0 + 3e-4, abs=2e-6)
+        assert draws.mean() == pytest.approx(1.0, abs=2e-6)
         assert draws.std() == pytest.approx(1.4571e-4, rel=0.02)
 
     def test_negative_sigma_rejected(self):
@@ -132,12 +133,12 @@ class TestFrequencyTrajectory:
 
 
 class TestIdleRates:
-    def test_split_respects_dark_fraction(self):
+    def test_split_respects_dark_fraction(self, monkeypatch):
+        monkeypatch.setattr(noise, "_DARK_FRACTION", 0.25)
         rates = IdleRates(
             bright_per_s=1.6e-2,
             dark_plus_leak_prep0_per_s=1.3e-2,
             dark_plus_leak_prep1_per_s=1.2e-2,
-            dark_fraction=0.25,
         )
         assert rates.dark_per_s(0) == pytest.approx(0.25 * 1.3e-2)
         assert rates.leak_per_s(0) == pytest.approx(0.75 * 1.3e-2)
@@ -154,15 +155,16 @@ class TestIdleRates:
         expected = 0.5 * 1.6e-2 + 0.25 * (1.3e-2 + 1.2e-2) + 2.0e-3
         assert rates.rb_error_rate_per_s() == pytest.approx(expected, rel=1e-12)
 
-    def test_rb_error_rate_independent_of_dark_fraction(self):
-        base = dict(
+    def test_rb_error_rate_independent_of_dark_fraction(self, monkeypatch):
+        rates = IdleRates(
             bright_per_s=1.6e-2,
             dark_plus_leak_prep0_per_s=1.3e-2,
             dark_plus_leak_prep1_per_s=1.2e-2,
         )
-        a = IdleRates(dark_fraction=0.1, **base)
-        b = IdleRates(dark_fraction=0.9, **base)
-        assert a.rb_error_rate_per_s() == b.rb_error_rate_per_s()
+        monkeypatch.setattr(noise, "_DARK_FRACTION", 0.1)
+        a = rates.rb_error_rate_per_s()
+        monkeypatch.setattr(noise, "_DARK_FRACTION", 0.9)
+        assert rates.rb_error_rate_per_s() == a
 
     def test_linearized_probability_guard(self):
         rates = IdleRates(bright_per_s=1.0)
@@ -173,8 +175,6 @@ class TestIdleRates:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             IdleRates(bright_per_s=-1.0)
-        with pytest.raises(ValueError):
-            IdleRates(dark_fraction=1.5)
 
 
 class TestNoiseConfig:

@@ -28,7 +28,6 @@ class TestNoiseConfig:
     def test_default_values(self):
         cfg = default_noise_config()
         assert cfg.amplitude.sigma_rel == pytest.approx(1.4571e-4)
-        assert cfg.amplitude.mean_offset_rel == 0.0
         assert cfg.motional.eta == pytest.approx(9.3e-4)
         assert cfg.motional.omega_m == pytest.approx(2 * np.pi * 5.6e6)
         assert cfg.motional.n_bar0 == 2.6
