@@ -8,7 +8,7 @@ Both checkouts write the same documents: every invocation of the benchmark's
 workloads (``perfbench.workloads.WORKLOADS`` at ``--size``) for each of the
 first ``--seeds`` of its ``N_SEEDS`` CLI seeds, then the ``EXTRAS``, which
 the workloads do not write, at the CLI's default seed.  At the full size and
-all 16 seeds that is 128 workload documents and 5 extras.
+all 16 seeds that is 128 workload documents and 6 extras.
 
 Each checkout runs its documents in one fresh interpreter, in the checkout and
 with the benchmark's environment (``cli_env``), one ``qubitbench.cli.main``
@@ -38,6 +38,7 @@ EXTRAS = [
     ["irmb", "--delays", "0,1e-5", "--lengths", "10,100", "--sequences", "2", "--shots", "10"],
     ["rb", "--lengths", "20,60", "--sequences", "3", "--shots", "20", "--format", "csv"],
     ["calibrate", "--format", "jsonl"],
+    ["walsh"],
 ]
 
 # takes a JSON list of argument lists; writes one {"stdout", "rc"} per list

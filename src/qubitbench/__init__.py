@@ -55,7 +55,6 @@ from .rb import (
     RBDataset,
     RBPlan,
     RBTiming,
-    generate_plan,
     irmb_slope,
     run_rb,
 )

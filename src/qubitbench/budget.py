@@ -67,7 +67,6 @@ __all__ = [
     "budget_table",
     "budget_curve",
     "idle_scheme_error_prob",
-    "sample_idle_scheme",
     "IdleRatesEstimate",
     "estimate_idle_rates",
     "IDLE_SCHEMES",
@@ -352,20 +351,6 @@ def idle_scheme_error_prob(
     else:  # expected
         p = (1 - q_leak) * ((1 - ft) * ed + ft * (1 - eb)) + q_leak * (1 - eb)
     return float(p * (1 - 2 * spam) + spam)
-
-
-def sample_idle_scheme(
-    rng: np.random.Generator,
-    scheme: str,
-    prepared: int,
-    duration: float,
-    rates: IdleRates,
-    shots: int,
-    spam: float = 0.0,
-) -> int:
-    """Binomial draw of error counts for one idle measurement setting."""
-    p = idle_scheme_error_prob(scheme, prepared, duration, rates, spam)
-    return int(rng.binomial(shots, p))
 
 
 @dataclass(frozen=True)

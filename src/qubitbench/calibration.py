@@ -36,7 +36,8 @@ import numpy as np
 from .cliffords import apply_ab, pulse_ab
 from .fitting import _levenberg_marquardt, binomial_variance, inverse_variance_mean
 from .noise import LANE_CAL, QuantizerConfig, rng_stream
-from .presets import AWG_FRACTION, GAP_TIME, SIGMA0_REL, SPAM, T_HALF_PI
+from .presets import AWG_FRACTION, CAL_N_MAX, CAL_SHOTS, GAP_TIME, SIGMA0_REL, SPAM, T_HALF_PI
+from .presets import WALSH_MAX_ORDER, WALSH_N_PULSES, WALSH_SHOTS, WALSH_SWEEP
 
 __all__ = [
     "SimulatedQubitTestbed",
@@ -73,9 +74,9 @@ class SimulatedQubitTestbed:
     ----------
     master_seed:
         Seed for the testbed's RNG lane.
-    t_half_pi, gap_time:
+    t_half_pi:
         Pulse timing; pulses are modelled as rectangles of duration
-        ``t_half_pi`` separated by ``gap_time``.
+        ``t_half_pi`` separated by ``GAP_TIME``.
     amp_fraction:
         Full-scale fraction of the waveform generator used at the nominal
         setting; the quantization step relative to the pulse amplitude is
@@ -95,7 +96,6 @@ class SimulatedQubitTestbed:
         self,
         master_seed: int,
         t_half_pi: float = T_HALF_PI,
-        gap_time: float = GAP_TIME,
         amp_fraction: float = AWG_FRACTION,
         quantizer: QuantizerConfig | None = QuantizerConfig(),
         sigma0_rel: float = SIGMA0_REL,
@@ -107,7 +107,7 @@ class SimulatedQubitTestbed:
             raise ValueError("amp_fraction must lie in (0, 1]")
         self.master_seed = int(master_seed)
         self.t_half_pi = float(t_half_pi)
-        self.gap_time = float(gap_time)
+        self.gap_time = GAP_TIME
         self.amp_fraction = float(amp_fraction)
         self.quantizer = quantizer
         self.sigma0_rel = float(sigma0_rel)
@@ -214,8 +214,8 @@ class CalLoopConfig:
     is picked by the shorter reading before it.
     """
 
-    n_max: int = 256
-    shots: int = 200
+    n_max: int = CAL_N_MAX
+    shots: int = CAL_SHOTS
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -555,10 +555,10 @@ def measure_walsh_coefficient(
 
 def walsh_fit(
     testbed: SimulatedQubitTestbed,
-    max_order: int = 7,
-    n_pulses: int = 64,
-    shots: int = 400,
-    n_sweep: Sequence[int] = (64, 256, 1024, 2048, 4096),
+    max_order: int = WALSH_MAX_ORDER,
+    n_pulses: int = WALSH_N_PULSES,
+    shots: int = WALSH_SHOTS,
+    n_sweep: Sequence[int] = WALSH_SWEEP,
 ) -> dict:
     """Hierarchical drift characterization.
 

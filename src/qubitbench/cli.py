@@ -40,14 +40,14 @@ import numpy as np
 
 from . import __version__, presets
 from .budget import HARMONIC_COEFFICIENTS, IDLE_SCHEMES, ZEEMAN_CONVENTIONS, BudgetInput, budget_curve, budget_table
-from .budget import estimate_idle_rates, sample_idle_scheme
+from .budget import err_decoherence, estimate_idle_rates, idle_scheme_error_prob
 from .calibration import CalLoopConfig, SimulatedQubitTestbed, amplitude_cal_loop, frequency_cal_loop
 from .calibration import records_to_jsonl, walsh_fit, walsh_sign_train
 from .cliffords import build_clifford_table
 from .filterfunc import PhasePSD, SSBCurve, chi_echo, chi_ramsey, predict_irmb, predict_t2
 from .fitting import bootstrap_ci
 from .noise import LANE_BOOTSTRAP, LANE_IDLE, AmplitudeNoiseModel, IdleRates, NoiseConfig, QuantizerConfig, rng_stream
-from .rb import RBTiming, generate_plan, irmb_slope, run_rb
+from .rb import RBPlan, RBTiming, irmb_slope, run_rb
 
 CONFIG_SCHEMA = "qubitbench.config.v1"
 
@@ -111,8 +111,8 @@ _SWEEP = _list_of(_parse_int_list, _Domain("a positive multiple of 4", lambda v:
 _PARAMS = {
     "rb": {
         "lengths": (str, ",".join(map(str, presets.RB_LENGTHS)), "comma-separated sequence lengths", _LENGTHS),
-        "sequences": (int, 30, "random sequences per length", _at_least(1)),
-        "shots": (int, 100, "shots per sequence", _at_least(1)),
+        "sequences": (int, presets.RB_SEQUENCES, "random sequences per length", _at_least(1)),
+        "shots": (int, presets.RB_SHOTS, "shots per sequence", _at_least(1)),
         "tier": (str, "fast", "physics tier: fast or full", _one_of("fast", "full")),
         "prep": (int, 0, "prepared basis state (0 or 1)", _SWITCH),
         "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration incl. ramps, s", _POSITIVE),
@@ -132,8 +132,8 @@ _PARAMS = {
     "irmb": {
         "delays": (str, "0,2e-6,5e-6,1e-5", "comma-separated per-pulse delays, s", _TWO_TIMES),
         "lengths": (str, ",".join(map(str, presets.RB_LENGTHS)), "comma-separated sequence lengths", _DECAY_LENGTHS),
-        "sequences": (int, 30, "random sequences per length", _at_least(1)),
-        "shots": (int, 100, "shots per sequence", _at_least(1)),
+        "sequences": (int, presets.RB_SEQUENCES, "random sequences per length", _at_least(1)),
+        "shots": (int, presets.RB_SHOTS, "shots per sequence", _at_least(1)),
         "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration incl. ramps, s", _POSITIVE),
         "gap_time": (float, presets.GAP_TIME, "inter-pulse gap, s", _NON_NEGATIVE),
         "t2": (float, presets.T2_STAR_STAR, "dephasing coherence time, s", _POSITIVE),
@@ -141,8 +141,8 @@ _PARAMS = {
     },
     "calibrate": {
         "kind": (str, "both", "amplitude, frequency, or both", _one_of("amplitude", "frequency", "both")),
-        "shots": (int, 200, "shots per calibration point", _at_least(10)),
-        "n_max": (int, 256, "maximum pulse-group count", _at_least(1)),
+        "shots": (int, presets.CAL_SHOTS, "shots per calibration point", _at_least(10)),
+        "n_max": (int, presets.CAL_N_MAX, "maximum pulse-group count", _at_least(1)),
         "sigma0": (float, presets.SIGMA0_REL, "shot-to-shot relative amplitude noise", _NON_NEGATIVE),
         "spam": (float, presets.SPAM, "readout flip probability", _SPAM),
         "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration, s", _POSITIVE),
@@ -153,10 +153,10 @@ _PARAMS = {
         "freq_drift_hz_per_s": (float, 0.0, "linear qubit-frequency drift rate", _FINITE),
     },
     "walsh": {
-        "max_order": (int, 7, "highest Walsh order to measure", _at_least(0)),
-        "n_pulses": (int, 64, "pulses per modulated train", _at_least(1)),
-        "shots": (int, 400, "shots per train", _at_least(1)),
-        "sweep": (str, "4,8,16,32,64,128", "unmodulated train lengths (multiples of 4)", _SWEEP),
+        "max_order": (int, presets.WALSH_MAX_ORDER, "highest Walsh order to measure", _at_least(0)),
+        "n_pulses": (int, presets.WALSH_N_PULSES, "pulses per modulated train", _at_least(1)),
+        "shots": (int, presets.WALSH_SHOTS, "shots per train", _at_least(1)),
+        "sweep": (str, ",".join(map(str, presets.WALSH_SWEEP)), "unmodulated train lengths (multiples of 4)", _SWEEP),
         "sigma0": (float, presets.SIGMA0_REL, "shot-to-shot relative amplitude noise", _NON_NEGATIVE),
         "spam": (float, presets.SPAM, "readout flip probability", _SPAM),
         "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration, s", _POSITIVE),
@@ -354,13 +354,8 @@ def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str | dict:
     if resolved["bootstrap"] and (fmt == "csv" or not resolved["fit"]):
         clash = "--format csv" if fmt == "csv" else "--fit 0"
         raise ValueError(f"--bootstrap {resolved['bootstrap']} needs the JSON fit, which {clash} leaves out")
-    plan = generate_plan(
-        seed,
-        lengths=_parse_int_list(resolved["lengths"]),
-        n_sequences=resolved["sequences"],
-        shots_per_sequence=resolved["shots"],
-        prepared_state=resolved["prep"],
-    )
+    plan = RBPlan(seed, lengths=_parse_int_list(resolved["lengths"]), n_sequences=resolved["sequences"],
+                  shots_per_sequence=resolved["shots"], prepared_state=resolved["prep"])
     noise = _noise_from(resolved)
     with _about(resolved, "t_half_pi", "ramp_time"):
         timing = RBTiming(
@@ -392,12 +387,7 @@ def _cmd_irmb(resolved: dict, seed: int, fmt: str) -> dict:
     noise = NoiseConfig(dephasing_t2=resolved["t2"], spam=resolved["spam"])
     results = []
     for i, delay in enumerate(delays):
-        plan = generate_plan(
-            seed + i,
-            lengths=lengths,
-            n_sequences=resolved["sequences"],
-            shots_per_sequence=resolved["shots"],
-        )
+        plan = RBPlan(seed + i, lengths=lengths, n_sequences=resolved["sequences"], shots_per_sequence=resolved["shots"])
         with _about(resolved, "t_half_pi"):
             timing = RBTiming(t_half_pi=resolved["t_half_pi"], gap_time=resolved["gap_time"], delay_per_pulse=delay)
         ds = run_rb(plan, noise=noise, timing=timing)
@@ -409,7 +399,7 @@ def _cmd_irmb(resolved: dict, seed: int, fmt: str) -> dict:
         "slope_per_s": slope.slope_per_s,
         "slope_stderr": slope.slope_stderr,
         "intercept": slope.intercept,
-        "predicted_slope_per_s": presets.MEAN_PULSES_PER_CLIFFORD / (3 * resolved["t2"]),
+        "predicted_slope_per_s": err_decoherence(presets.MEAN_PULSES_PER_CLIFFORD, resolved["t2"]),
     }
 
 
@@ -497,7 +487,7 @@ def _cmd_phase_noise(resolved: dict, seed: int, fmt: str) -> dict:
         )
     payload: dict = {"psd": psd.label, "curves": rows}
     if resolved["predict_t2"]:
-        payload["t2_ramsey_s"] = predict_t2(psd, "ramsey", bracket=(1e-2, 1e4))
+        payload["t2_ramsey_s"] = predict_t2(psd, "ramsey")
     if resolved["irmb_delays"]:
         eps = predict_irmb(psd, delays)
         payload["irmb_prediction"] = [
@@ -547,7 +537,7 @@ def _cmd_idle_rates(resolved: dict, seed: int, fmt: str) -> dict:
     try:
         for scheme in IDLE_SCHEMES:
             for prep in (0, 1):
-                errs = np.array([sample_idle_scheme(rng, scheme, prep, float(t), true, shots, spam) for t in durations])
+                errs = rng.binomial(shots, [idle_scheme_error_prob(scheme, prep, t, true, spam) for t in durations])
                 data[(scheme, prep)] = (durations, errs, np.full(len(durations), shots))
     except ValueError as exc:  # a duration too long for the linearized rates
         raise ValueError(f"--durations {resolved['durations']!r}: {exc}") from None

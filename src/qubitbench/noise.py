@@ -205,17 +205,14 @@ class IdleRates:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
+    def _dark_plus_leak(self, prepared: int) -> float:
+        return self.dark_plus_leak_prep0_per_s if prepared == 0 else self.dark_plus_leak_prep1_per_s
+
     def dark_per_s(self, prepared: int) -> float:
-        combo = (
-            self.dark_plus_leak_prep0_per_s if prepared == 0 else self.dark_plus_leak_prep1_per_s
-        )
-        return _DARK_FRACTION * combo
+        return _DARK_FRACTION * self._dark_plus_leak(prepared)
 
     def leak_per_s(self, prepared: int) -> float:
-        combo = (
-            self.dark_plus_leak_prep0_per_s if prepared == 0 else self.dark_plus_leak_prep1_per_s
-        )
-        return (1.0 - _DARK_FRACTION) * combo
+        return (1.0 - _DARK_FRACTION) * self._dark_plus_leak(prepared)
 
     def probability(self, rate_per_s: float, duration: float) -> float:
         """Linearized event probability; rejects durations where it breaks."""

@@ -6,10 +6,13 @@ throughout the examples and tests: a 13 us average gate assembled from
 budget term lands at a realistic magnitude for a state-of-the-art
 trapped-ion single-qubit gate.
 
-This module is the one place where the operating point is written.  Every
-default of the budget, the simulators, the testbed and the CLI reads its
-names, so it imports nothing from the package at module level; the three
-``default_*`` builders import the types they build when they are called.
+This module is the one place where the operating point is written, and
+every default that two modules share: the RB run sizes, and the
+calibration loops' and the Walsh fit's trains and shots.  Every default of
+the budget, the simulators, the testbed and the CLI reads these names, so
+a changed value moves every caller at once.  The module imports nothing
+from the package at module level; the three ``default_*`` builders import
+the types they build when they are called.
 
 Derivations of the non-obvious numbers:
 
@@ -43,9 +46,10 @@ if TYPE_CHECKING:
 __all__ = [
     "MEAN_PULSES_PER_CLIFFORD", "GATE_TIME", "T_HALF_PI", "RAMP_TIME", "GAP_TIME",
     "SIGMA0_REL", "AWG_BITS", "AWG_FRACTION", "SPAM", "T2_STAR_STAR", "T2_UNC", "RB_LENGTHS",
-    "BRIGHT_PER_S", "DARK_PLUS_LEAK_PREP0_PER_S", "DARK_PLUS_LEAK_PREP1_PER_S",
+    "RB_SEQUENCES", "RB_SHOTS", "CAL_N_MAX", "CAL_SHOTS", "WALSH_MAX_ORDER", "WALSH_N_PULSES", "WALSH_SHOTS",
+    "WALSH_SWEEP", "BRIGHT_PER_S", "DARK_PLUS_LEAK_PREP0_PER_S", "DARK_PLUS_LEAK_PREP1_PER_S",
     "ETA", "OMEGA_MOTIONAL", "N_BAR0", "HEATING_RATE", "ZEEMAN_RESIDUAL_HZ",
-    "DRIFT_A_INF", "DRIFT_TAU", "CURVE_GATE_TIME_MIN", "CURVE_GATE_TIME_MAX", "CURVE_POINTS",
+    "ZEEMAN_SHIFT_HZ", "DRIFT_A_INF", "DRIFT_TAU", "CURVE_GATE_TIME_MIN", "CURVE_GATE_TIME_MAX", "CURVE_POINTS",
     "OMEGA_QUBIT", "SPECTATOR_DETUNING", "SPECTATOR_RABI_RATIO", "SPECTATOR_T2",
     "default_noise_config", "default_ssb_curve", "default_phase_psd", "default_drift_trace", "thermal_amp_drift",
     "linear_freq_drift",
@@ -69,6 +73,20 @@ T2_UNC = 7.0  # standard uncertainty of T2_STAR_STAR, s
 # the default sequence lengths of rb and irmb; the longest sets the heating
 # that the budget's harmonic row averages over
 RB_LENGTHS = (300, 950, 3000, 9500, 30000)
+RB_SEQUENCES = 30  # per length
+RB_SHOTS = 100  # per sequence
+
+# the calibration loops' longest train (pulse groups) and shots per reading
+CAL_N_MAX = 256
+CAL_SHOTS = 200
+
+# walsh_fit's highest order, pulses per modulated train, shots per train,
+# and unmodulated train lengths: the spread damps an n-pulse train's contrast
+# by about (pi n sigma)^2 / 8, which passes SPAM only from n = 256 on
+WALSH_MAX_ORDER = 7
+WALSH_N_PULSES = 64
+WALSH_SHOTS = 400
+WALSH_SWEEP = (64, 256, 1024, 2048, 4096)
 
 BRIGHT_PER_S = 5.3549e-3
 DARK_PLUS_LEAK_PREP0_PER_S = 4.3508e-3
@@ -80,6 +98,8 @@ N_BAR0 = 2.6
 HEATING_RATE = 370.0
 
 ZEEMAN_RESIDUAL_HZ = 2.5
+# the drive-induced (ac Zeeman) shift of the qubit at full drive amplitude, Hz
+ZEEMAN_SHIFT_HZ = 9.0
 
 # the qubit transition (rad/s), against which the counter-rotating drive
 # term is extrapolated

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cliffords import PulseSpec, apply_ab, pulse_ab, rotation_matrix
-from .presets import MEAN_PULSES_PER_CLIFFORD, OMEGA_QUBIT, RAMP_TIME
+from .presets import MEAN_PULSES_PER_CLIFFORD, OMEGA_QUBIT, RAMP_TIME, ZEEMAN_SHIFT_HZ
 from .presets import SPECTATOR_DETUNING, SPECTATOR_RABI_RATIO, SPECTATOR_T2
 
 __all__ = [
@@ -84,7 +84,7 @@ class ZeemanModel:
     amplitude and equals ``shift_at_full_amp`` (rad/s) at full scale.
     """
 
-    shift_at_full_amp: float = 2 * np.pi * 9.0
+    shift_at_full_amp: float = 2 * np.pi * ZEEMAN_SHIFT_HZ
 
     def shift(self, relative_amplitude: float) -> float:
         return self.shift_at_full_amp * relative_amplitude**2
@@ -144,7 +144,6 @@ def _pulse_grid(tr, t_half_pi, gap_time, ramp_substeps, flat_substeps):
 
 def _pulse_cells(
     pulse: PulseSpec,
-    drive: DriveParams,
     amplitude_trace: AmplitudeTrace | None,
     ramp_substeps: int,
     flat_substeps: int | None,
@@ -197,7 +196,7 @@ def pulse_propagator(
     from one ``pulse_ab`` call on arrays, and the cells are multiplied as a
     pairwise tree.
     """
-    starts, ends, rel_amp = _pulse_cells(pulse, drive, amplitude_trace, ramp_substeps, flat_substeps)
+    starts, ends, rel_amp = _pulse_cells(pulse, amplitude_trace, ramp_substeps, flat_substeps)
     # trailing gap: free evolution at zero amplitude, so no ac Zeeman shift
     rel_amp = np.concatenate([rel_amp, np.zeros(rel_amp.shape[:-1] + (1,))], axis=-1)
     vz = -drive.detuning if zeeman is None else zeeman.shift(rel_amp) - drive.detuning

@@ -71,14 +71,13 @@ from .noise import (
     NoiseConfig,
     rng_stream,
 )
-from .presets import GAP_TIME, MEAN_PULSES_PER_CLIFFORD, RAMP_TIME, RB_LENGTHS, T_HALF_PI
+from .presets import GAP_TIME, MEAN_PULSES_PER_CLIFFORD, RAMP_TIME, RB_LENGTHS, RB_SEQUENCES, RB_SHOTS, T_HALF_PI
 from .pulsesim import DriveParams, ZeemanModel
 
 __all__ = [
     "RBPlan",
     "RBDataset",
     "RBTiming",
-    "generate_plan",
     "run_rb",
     "irmb_slope",
     "IRMBResult",
@@ -128,16 +127,17 @@ class RBPlan:
 
     Sequences are not stored; they are regenerated on demand from the
     plan's seed, so a plan object is cheap no matter how long the
-    sequences are.
+    sequences are.  The lengths are stored sorted, as a tuple.
     """
 
     master_seed: int
-    lengths: tuple[int, ...]
-    n_sequences: int = 30
-    shots_per_sequence: int = 100
+    lengths: Sequence[int] = RB_LENGTHS
+    n_sequences: int = RB_SEQUENCES
+    shots_per_sequence: int = RB_SHOTS
     prepared_state: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "lengths", tuple(sorted(self.lengths)))
         if len(self.lengths) == 0 or any(l < 1 for l in self.lengths):
             raise ValueError("lengths must be positive")
         if len(set(self.lengths)) != len(self.lengths):
@@ -161,22 +161,6 @@ class RBPlan:
         group = group or build_clifford_table()
         idx = self.clifford_indices(length, seq_id, group)
         return np.append(idx, recovery_gate(idx, group=group))
-
-
-def generate_plan(
-    master_seed: int,
-    lengths: Sequence[int] = RB_LENGTHS,
-    n_sequences: int = 30,
-    shots_per_sequence: int = 100,
-    prepared_state: int = 0,
-) -> RBPlan:
-    return RBPlan(
-        master_seed=master_seed,
-        lengths=tuple(sorted(lengths)),
-        n_sequences=n_sequences,
-        shots_per_sequence=shots_per_sequence,
-        prepared_state=prepared_state,
-    )
 
 
 # ---------------------------------------------------------------------------

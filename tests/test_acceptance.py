@@ -22,7 +22,7 @@ from qubitbench.budget import (
     budget_table,
     err_zeeman,
     estimate_idle_rates,
-    sample_idle_scheme,
+    idle_scheme_error_prob,
 )
 from qubitbench.calibration import (
     SimulatedQubitTestbed,
@@ -60,7 +60,6 @@ from qubitbench.rb import (
     RBTiming,
     _coherent_survival_fast,
     _coherent_survival_full,
-    generate_plan,
     irmb_slope,
     run_rb,
 )
@@ -95,7 +94,7 @@ def test_01_rb_error_round_trip(group):
     single_run = np.inf
     for seed in range(101, 121):
         t0 = time.time()
-        plan = generate_plan(
+        plan = RBPlan(
             seed,
             lengths=(30, 300, 3000, 10000, 30000),
             n_sequences=30,
@@ -364,7 +363,7 @@ def test_08_idle_rate_recovery():
     for scheme in ("none", "other", "expected"):
         for prep in (0, 1):
             counts = np.array(
-                [sample_idle_scheme(rng, scheme, prep, d, truth, shots) for d in durations]
+                [rng.binomial(shots, idle_scheme_error_prob(scheme, prep, d, truth)) for d in durations]
             )
             data[(scheme, prep)] = (durations, counts, np.full(len(durations), shots))
     est = estimate_idle_rates(data)
@@ -453,7 +452,7 @@ def test_09_oracle_equivalences(group):
         (100.0, 0.0102, (1500, 6000), 60, 32),
     ):
         mode = MotionalMode(eta=eta, omega_m=2 * np.pi * 5.6e6, n_bar0=n_bar, heating_rate=0.0)
-        plan = generate_plan(seed, lengths=lengths, n_sequences=n_seq, shots_per_sequence=30)
+        plan = RBPlan(seed, lengths=lengths, n_sequences=n_seq, shots_per_sequence=30)
         eps = run_rb(plan, noise=NoiseConfig(motional=mode), group=group).fit().epsilon
         motional_ratios.append(eps / err_harmonic(eta, 2 * np.pi * 5.6e6, n_bar, 6e-6))
 

@@ -21,7 +21,6 @@ from qubitbench.budget import (
     estimate_idle_rates,
     idle_scheme_error_prob,
     mean_n_bar,
-    sample_idle_scheme,
 )
 from qubitbench.noise import LANE_IDLE, IdleRates, rng_stream
 
@@ -197,14 +196,6 @@ class TestIdleSchemes:
         with_spam = idle_scheme_error_prob("none", 0, 1.0, self.RATES, spam=1.1e-3)
         assert with_spam > base
 
-    def test_sampler_matches_exact_probability(self):
-        p = idle_scheme_error_prob("expected", 0, 2.0, self.RATES, spam=1.1e-3)
-        shots = 200_000
-        k = sample_idle_scheme(
-            rng_stream(5, LANE_IDLE), "expected", 0, 2.0, self.RATES, shots, spam=1.1e-3
-        )
-        assert abs(k / shots - p) < 4 * np.sqrt(p * (1 - p) / shots)
-
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             idle_scheme_error_prob("sideways", 0, 1.0, self.RATES)
@@ -221,7 +212,7 @@ class TestIdleRateEstimation:
             for prep in (0, 1):
                 counts = np.array(
                     [
-                        sample_idle_scheme(rng, scheme, prep, d, self.RATES, shots)
+                        rng.binomial(shots, idle_scheme_error_prob(scheme, prep, d, self.RATES))
                         for d in durations
                     ]
                 )

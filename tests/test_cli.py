@@ -330,7 +330,7 @@ class TestErrorsAndOutput:
     def test_out_of_domain_values_are_named_before_any_run(self, args, env, option, tmp_path, monkeypatch, capsys):
         runs = []
         monkeypatch.setattr(cli, "run_rb", lambda *a, **kw: runs.append(1))
-        monkeypatch.setattr(cli, "sample_idle_scheme", lambda *a, **kw: runs.append(1))
+        monkeypatch.setattr(cli, "idle_scheme_error_prob", lambda *a, **kw: runs.append(1))
         monkeypatch.setattr(cli, "budget_table", lambda *a, **kw: runs.append(1))
         monkeypatch.setattr(cli.SimulatedQubitTestbed, "run_train", lambda *a, **kw: runs.append(1))
         for name in ("QUBITBENCH_SEED", "QUBITBENCH_WORKERS"):
@@ -551,6 +551,12 @@ class TestSubcommands:
         assert doc["sigma_rel"] > 0
         for entry in doc["coefficients"].values():
             assert {"coefficient", "sigma", "n_pulses", "p_zero"} <= set(entry)
+
+    def test_walsh_defaults_to_the_library_sweep(self):
+        # the long trains read the spread; the old 4…128 sweep read the readout error
+        plain = run_cli("walsh")
+        assert plain.returncode == 0, plain.stderr
+        assert plain.stdout == run_cli("walsh", "--sweep", "64,256,1024,2048,4096").stdout
 
     @pytest.mark.parametrize("seed", ["20260834", "20260839"])
     def test_walsh_spread_fit_writes_no_warning(self, seed):

@@ -221,8 +221,20 @@ class TestPredictions:
             predict_t2(psd, kind)
 
     def test_predict_t2_reports_spectral_mass_past_the_edges(self):
-        with pytest.warns(RuntimeWarning, match="outside the tabulated frequency range"):
+        # at the root, 69.98 s, the lowest tabulated decade holds about 12.5% of chi
+        with pytest.warns(RuntimeWarning, match="at the low edge, the spectrum's tabulated support") as caught:
             predict_t2(default_phase_psd(), "ramsey", bracket=(1e-2, 1e4))
+        assert len(caught) == 1
+
+    def test_predict_t2_warns_only_for_the_integral_at_its_root(self):
+        # the bisection's trial at tau = 1e4 s leaks past the low edge; the
+        # integral at the root, about 1 s, does not
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            t2 = predict_t2(PhasePSD.white_fm(1.0, f_range=(1e-4, 1e7)), "ramsey", bracket=(1e-2, 1e4))
+        assert t2 == pytest.approx(1.0, rel=1e-3)
 
     def test_predict_irmb_is_linear_in_chi(self):
         psd = PhasePSD.white_fm(69.0)

@@ -360,9 +360,9 @@ class TestGradientInOneCall:
         # depolarizing data without SPAM: most shots survive at every length,
         # and nearly half of the refits go to the polish
         from qubitbench.noise import NoiseConfig
-        from qubitbench.rb import generate_plan, run_rb
+        from qubitbench.rb import RBPlan, run_rb
 
-        ds = run_rb(generate_plan(20260825, lengths=[100, 300, 1000, 3000, 10000]),
+        ds = run_rb(RBPlan(20260825, lengths=[100, 300, 1000, 3000, 10000]),
                     NoiseConfig(depolarizing_per_gate=1.5e-7))
         refits = _assert_bootstrap_matches((ds.lengths, ds.successes, ds.shots), 20260825, 200)
         assert sum(polished for _, polished in refits) > 50

@@ -10,7 +10,9 @@ marked ``# noqa: F401`` is exempt.  The package ``__init__`` re-exports by
 design and is left out.
 
 The third is an AST check too: a default that no caller overrides is a
-constant, and belongs where it is read.
+constant, and belongs where it is read.  So is the fourth: every parameter
+of a package function is read in its body, since an input that changes
+nothing is a silent no-op.
 """
 
 from __future__ import annotations
@@ -193,3 +195,49 @@ def test_field_checker_counts_positions_keywords_cls_and_one_owner_replace():
 def test_every_dataclass_default_is_set_by_some_caller():
     defining = [path.read_text() for path in sorted((ROOT / "src" / "qubitbench").glob("*.py"))]
     assert unset_fields(defining, [path.read_text() for path in CALLERS]) == []
+
+
+# every CLI handler takes these, whether or not it needs each
+_HANDLER_PARAMS = ("resolved", "seed", "fmt")
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function.parameter`` of each parameter that its function's body never
+    reads.  ``self``, ``cls``, lambdas and the ``_cmd_*`` handlers' common
+    ``(resolved, seed, fmt)`` are exempt; a read inside a nested function
+    counts."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+        read = {n.id for statement in node.body for n in ast.walk(statement) if isinstance(n, ast.Name)}
+        exempt = {"self", "cls"} | (set(_HANDLER_PARAMS) if node.name.startswith("_cmd_") else set())
+        unread += [f"{node.name}.{p}" for p in params if p not in read and p not in exempt]
+    return sorted(unread)
+
+
+def test_parameter_checker_exempts_self_lambdas_and_handlers():
+    source = (
+        "class A:\n"
+        "    def m(self, used, unused=0):\n"
+        "        return [lambda x, y: x for _ in used]\n"
+        "    @classmethod\n"
+        "    def make(cls, *args, **kwargs):\n"
+        "        def inner(z):\n"
+        "            return z, args\n"
+        "        return inner\n"
+        "def _cmd_x(resolved, seed, fmt, extra):\n"
+        "    return {}\n"
+    )
+    assert unread_parameters(source) == ["_cmd_x.extra", "m.unused", "make.kwargs"]
+
+
+def test_every_parameter_of_a_package_function_is_read():
+    unread = [
+        f"{path.stem}.{name}"
+        for path in sorted((ROOT / "src" / "qubitbench").glob("*.py"))
+        for name in unread_parameters(path.read_text())
+    ]
+    assert unread == []

@@ -50,7 +50,6 @@ from qubitbench.rb import (
     RBTiming,
     _coherent_survival_fast,
     _cos_sin,
-    generate_plan,
     run_rb,
 )
 
@@ -213,7 +212,7 @@ _GL_WEIGHTS = 0.5 * np.array(
 def _sequential_propagator(pulse, drive, trace, zeeman, flat_substeps):
     """Cell-by-cell product of matrix exponentials on the propagator's grid,
     with the trace averaged by scalar calls at each quadrature node."""
-    starts, ends, shape = _pulse_cells(pulse, drive, None, 64, flat_substeps)
+    starts, ends, shape = _pulse_cells(pulse, None, 64, flat_substeps)
     phi = pulse.effective_phase
     cells = []
     for lo, hi, amp in zip(starts[:-1], ends[:-1], shape):
@@ -311,8 +310,7 @@ class TestPulsePropagator:
         ]
         for t_half_pi, ramp_time, gap_time, ramp_substeps, flat_substeps, trace in configs:
             pulse = PulseSpec(phase=0.0, t_half_pi=t_half_pi, ramp_time=ramp_time, gap_time=gap_time)
-            drive = DriveParams(omega_q=1e6)
-            starts, ends, rel_amp = _pulse_cells(pulse, drive, trace, ramp_substeps, flat_substeps)
+            starts, ends, rel_amp = _pulse_cells(pulse, trace, ramp_substeps, flat_substeps)
             flat = flat_substeps or (256 if trace else 1)
             fresh_starts, fresh_ends, shape, ts = _pulse_grid.__wrapped__(
                 ramp_time, t_half_pi, gap_time, ramp_substeps, flat
@@ -488,7 +486,7 @@ def test_default_noise_takes_the_small_angle_path(monkeypatch, noise, delay):
     # a fallback to libm would evaluate cos/sin once per pulse-shot
     counting = _CountingNumpy()
     monkeypatch.setattr(rb, "np", counting)
-    plan = generate_plan(5, lengths=(40, 200), n_sequences=4, shots_per_sequence=10)
+    plan = RBPlan(5, lengths=(40, 200), n_sequences=4, shots_per_sequence=10)
     run_rb(plan, noise=noise, timing=RBTiming(delay_per_pulse=delay))
     per_shot = len(plan.lengths) * plan.n_sequences * plan.shots_per_sequence
     assert counting.elements == {"cos": per_shot, "sin": per_shot, "exp": per_shot if noise.motional else 0}

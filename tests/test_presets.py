@@ -10,7 +10,7 @@ import pytest
 
 from qubitbench import budget, cli, presets, pulsesim
 from qubitbench.budget import BudgetInput
-from qubitbench.calibration import SimulatedQubitTestbed
+from qubitbench.calibration import CalLoopConfig, SimulatedQubitTestbed, walsh_fit
 from qubitbench.cliffords import PulseSpec
 from qubitbench.noise import MotionalMode, QuantizerConfig
 from qubitbench.presets import (
@@ -20,8 +20,8 @@ from qubitbench.presets import (
     linear_freq_drift,
     thermal_amp_drift,
 )
-from qubitbench.pulsesim import DriveParams
-from qubitbench.rb import RBTiming, generate_plan
+from qubitbench.pulsesim import DriveParams, ZeemanModel
+from qubitbench.rb import RBPlan, RBTiming
 
 
 class TestNoiseConfig:
@@ -125,7 +125,7 @@ RESTATED = {
     "QuantizerConfig.bits": (_field(QuantizerConfig, "bits"), "AWG_BITS"),
     "err_awg.bits": (_arg(budget.err_awg, "bits"), "AWG_BITS"),
     "SimulatedQubitTestbed.t_half_pi": (_arg(SimulatedQubitTestbed, "t_half_pi"), "T_HALF_PI"),
-    "SimulatedQubitTestbed.gap_time": (_arg(SimulatedQubitTestbed, "gap_time"), "GAP_TIME"),
+    "SimulatedQubitTestbed.gap_time": (SimulatedQubitTestbed(0).gap_time, "GAP_TIME"),
     "SimulatedQubitTestbed.amp_fraction": (_arg(SimulatedQubitTestbed, "amp_fraction"), "AWG_FRACTION"),
     "SimulatedQubitTestbed.sigma0_rel": (_arg(SimulatedQubitTestbed, "sigma0_rel"), "SIGMA0_REL"),
     "SimulatedQubitTestbed.spam": (_arg(SimulatedQubitTestbed, "spam"), "SPAM"),
@@ -133,7 +133,15 @@ RESTATED = {
     "RBTiming.t_half_pi": (_field(RBTiming, "t_half_pi"), "T_HALF_PI"),
     "RBTiming.ramp_time": (_field(RBTiming, "ramp_time"), "RAMP_TIME"),
     "RBTiming.gap_time": (_field(RBTiming, "gap_time"), "GAP_TIME"),
-    "generate_plan.lengths": (_arg(generate_plan, "lengths"), "RB_LENGTHS"),
+    "RBPlan.lengths": (_field(RBPlan, "lengths"), "RB_LENGTHS"),
+    "RBPlan.n_sequences": (_field(RBPlan, "n_sequences"), "RB_SEQUENCES"),
+    "RBPlan.shots_per_sequence": (_field(RBPlan, "shots_per_sequence"), "RB_SHOTS"),
+    "CalLoopConfig.n_max": (_field(CalLoopConfig, "n_max"), "CAL_N_MAX"),
+    "CalLoopConfig.shots": (_field(CalLoopConfig, "shots"), "CAL_SHOTS"),
+    "walsh_fit.max_order": (_arg(walsh_fit, "max_order"), "WALSH_MAX_ORDER"),
+    "walsh_fit.n_pulses": (_arg(walsh_fit, "n_pulses"), "WALSH_N_PULSES"),
+    "walsh_fit.shots": (_arg(walsh_fit, "shots"), "WALSH_SHOTS"),
+    "walsh_fit.n_sweep": (_arg(walsh_fit, "n_sweep"), "WALSH_SWEEP"),
     "PulseSpec.t_half_pi": (_field(PulseSpec, "t_half_pi"), "T_HALF_PI"),
     "PulseSpec.ramp_time": (_field(PulseSpec, "ramp_time"), "RAMP_TIME"),
     "PulseSpec.gap_time": (_field(PulseSpec, "gap_time"), "GAP_TIME"),
@@ -144,10 +152,16 @@ RESTATED = {
     "cli rb t_half_pi": (_row("rb", "t_half_pi"), "T_HALF_PI"),
     "cli rb ramp_time": (_row("rb", "ramp_time"), "RAMP_TIME"),
     "cli rb gap_time": (_row("rb", "gap_time"), "GAP_TIME"),
+    "cli rb sequences": (_row("rb", "sequences"), "RB_SEQUENCES"),
+    "cli rb shots": (_row("rb", "shots"), "RB_SHOTS"),
     "cli irmb t_half_pi": (_row("irmb", "t_half_pi"), "T_HALF_PI"),
     "cli irmb gap_time": (_row("irmb", "gap_time"), "GAP_TIME"),
     "cli irmb t2": (_row("irmb", "t2"), "T2_STAR_STAR"),
     "cli irmb spam": (_row("irmb", "spam"), "SPAM"),
+    "cli irmb sequences": (_row("irmb", "sequences"), "RB_SEQUENCES"),
+    "cli irmb shots": (_row("irmb", "shots"), "RB_SHOTS"),
+    "cli calibrate n_max": (_row("calibrate", "n_max"), "CAL_N_MAX"),
+    "cli calibrate shots": (_row("calibrate", "shots"), "CAL_SHOTS"),
     "cli calibrate sigma0": (_row("calibrate", "sigma0"), "SIGMA0_REL"),
     "cli calibrate spam": (_row("calibrate", "spam"), "SPAM"),
     "cli calibrate t_half_pi": (_row("calibrate", "t_half_pi"), "T_HALF_PI"),
@@ -155,6 +169,9 @@ RESTATED = {
     "cli calibrate bits": (_row("calibrate", "bits"), "AWG_BITS"),
     "cli calibrate drift_a_inf": (_row("calibrate", "drift_a_inf"), "DRIFT_A_INF"),
     "cli calibrate drift_tau": (_row("calibrate", "drift_tau"), "DRIFT_TAU"),
+    "cli walsh max_order": (_row("walsh", "max_order"), "WALSH_MAX_ORDER"),
+    "cli walsh n_pulses": (_row("walsh", "n_pulses"), "WALSH_N_PULSES"),
+    "cli walsh shots": (_row("walsh", "shots"), "WALSH_SHOTS"),
     "cli walsh sigma0": (_row("walsh", "sigma0"), "SIGMA0_REL"),
     "cli walsh spam": (_row("walsh", "spam"), "SPAM"),
     "cli walsh t_half_pi": (_row("walsh", "t_half_pi"), "T_HALF_PI"),
@@ -210,3 +227,11 @@ class TestOneOperatingPoint:
         # config_hash hashes this text, so it stays exactly this string
         assert _row("rb", "lengths") == _row("irmb", "lengths") == "300,950,3000,9500,30000"
         assert tuple(int(x) for x in _row("rb", "lengths").split(",")) == presets.RB_LENGTHS
+
+    def test_the_walsh_sweep_is_declared_once(self):
+        # config_hash hashes this text, so it stays exactly this string
+        assert _row("walsh", "sweep") == "64,256,1024,2048,4096"
+        assert tuple(int(x) for x in _row("walsh", "sweep").split(",")) == presets.WALSH_SWEEP
+
+    def test_the_zeeman_shift_is_the_presets_frequency(self):
+        assert ZeemanModel().shift_at_full_amp == 2 * np.pi * presets.ZEEMAN_SHIFT_HZ

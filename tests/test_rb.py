@@ -35,7 +35,6 @@ from qubitbench.rb import (
     RBTiming,
     _coherent_survival_fast,
     _coherent_survival_full,
-    generate_plan,
     irmb_slope,
     run_rb,
 )
@@ -70,12 +69,15 @@ class TestPlans:
         folded = group.fold(seq)
         assert folded == group.identity_index
 
-    def test_generate_plan_defaults(self):
-        plan = generate_plan(99)
+    def test_defaults_and_sorted_lengths(self):
+        plan = RBPlan(99)
         assert plan.master_seed == 99
         assert plan.n_sequences == 30
         assert plan.shots_per_sequence == 100
         assert plan.lengths == (300, 950, 3000, 9500, 30000)  # the CLI's ladder
+        # any order of the lengths, list or tuple, makes the same plan
+        assert RBPlan(99, lengths=[30000, 300, 9500, 950, 3000]) == plan
+        assert RBPlan(99, lengths=(950, 30000, 3000, 300, 9500)) == plan
 
 
 class TestOutcomeChannels:

@@ -23,7 +23,7 @@ def same_docs(base, change):
 def test_a_checkout_matches_itself():
     proc = same_docs(ROOT, ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "13 documents compared, 0 differ"
+    assert proc.stdout.splitlines()[-1] == "14 documents compared, 0 differ"
 
 
 def test_a_moved_operating_point_is_reported(tmp_path):
@@ -41,4 +41,4 @@ def test_a_moved_operating_point_is_reported(tmp_path):
     assert any("qubitbench calibrate" in line for line in differ)
     assert any("qubitbench idle-rates" in line for line in differ)
     assert not any("qubitbench clifford-table" in line for line in differ)
-    assert proc.stdout.splitlines()[-1] == f"13 documents compared, {len(differ)} differ"
+    assert proc.stdout.splitlines()[-1] == f"14 documents compared, {len(differ)} differ"
