@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -276,11 +277,12 @@ def chi_overlap(
 
     The trapezoid rule is applied in log-frequency and the grid is doubled,
     at most four times, until the integral changes by less than 1e-4
-    relatively.  A warning is raised when either boundary decade carries
-    more than 2% of the result.  It names the edge; where that
-    edge is the spectrum's own ``f_range`` bound, the weight sits at the
-    tabulated support and widening the range cannot remove it, otherwise
-    the integration range truncates spectral mass.
+    relatively.  A warning is raised, at the line of the first caller
+    outside this module, when either boundary decade carries more than 2%
+    of the result.  It names the edge; where that edge is the spectrum's own
+    ``f_range`` bound, the weight sits at the tabulated support and widening
+    the range cannot remove it, otherwise the integration range truncates
+    spectral mass.
     """
     f_lo = psd.f_range[0] if f_min is None else f_min
     f_hi = psd.f_range[1] if f_max is None else f_max
@@ -321,11 +323,14 @@ def chi_overlap(
             if edge_mass > _EDGE_FRACTION_WARN * chi
         ]
         if notes:
+            level, frame = 1, sys._getframe()
+            while frame is not None and frame.f_globals.get("__name__") == __name__:
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 "overlap integral over the frequency range "
                 f"[{f_lo:g}, {f_hi:g}] Hz has significant weight " + "; and ".join(notes),
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=level,
             )
     return chi
 

@@ -7,8 +7,7 @@ another.
 
 Models collected here:
 
-* shot-to-shot Gaussian scaling of the drive amplitude, with an optional
-  static miscalibration offset;
+* shot-to-shot Gaussian scaling of the drive amplitude;
 * multiplicative sinusoidal modulation of the Rabi rate caused by residual
   harmonic motion (modulation depth grows with the thermal occupation,
   which itself grows linearly with time through a heating rate);

@@ -27,12 +27,14 @@ real arithmetic, and a block of pulses with any angle at or above
 ``_SMALL_ANGLE`` through ``np.cos``/``np.sin``.  A detuning or a drive-induced
 shift keeps ``pulse_ab``.
 
-Each length draws only from its own RNG lanes, so ``run_rb`` may compute
-them in any split.  On Linux (``os.sched_getaffinity``) it deals them, longest
+Each length draws only from its own RNG lanes, so ``run_rb`` may compute them
+in any split.  On Linux (``os.sched_getaffinity``) it deals them, longest
 first by estimated pulse-shots, over min(usable CPUs, lengths) bins; each bin
 other than the longest length's that reaches ``_FORK_PULSE_SHOTS`` runs in an
-``os.fork``ed worker, which pickles its arrays back over a pipe.  Threads
-would not help: the engine holds the interpreter lock.
+``os.fork``ed worker, which pickles its arrays back over a pipe.  If
+``os.pipe`` or ``os.fork`` fails, that bin and the later ones run in the
+caller, after one ``RuntimeWarning``.  Threads would not help: the engine
+holds the interpreter lock.
 
 Benchmarking with a per-pulse idle delay (used to probe slow dephasing and
 idle-time error rates) reuses the same machinery with stretched gaps.
@@ -45,6 +47,7 @@ import io
 import json
 import os
 import pickle
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -494,16 +497,24 @@ def _survivals(plan: RBPlan, engine: Callable, group: CliffordGroup, noise: Nois
         bins[j].append(i)
         loads[j] += (lengths[i] + 1) * per_clifford
     forked = [b for b, load in zip(bins[1:], loads[1:]) if load >= _FORK_PULSE_SHOTS]
-    here = [i for b in bins if b not in forked for i in b]
 
     def run(indices):
         return {i: engine(plan, lengths[i], group, noise, timing) for i in indices}
 
     workers = []  # (pid, read end of its pipe)
     try:
-        for indices in forked:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
+        for k, indices in enumerate(forked):
+            fds = ()
+            try:
+                fds = read_fd, write_fd = os.pipe()
+                pid = os.fork()
+            except OSError as exc:  # EAGAIN under a process limit, EMFILE, ENOMEM
+                for fd in fds:
+                    os.close(fd)
+                warnings.warn(f"cannot start a survival worker ({exc}); the lengths of {len(forked) - k} "
+                              "bin(s) run in this process, with the same dataset", RuntimeWarning, stacklevel=3)
+                del forked[k:]
+                break
             if pid == 0:  # the worker never returns into the caller's frames
                 try:
                     try:
@@ -516,7 +527,7 @@ def _survivals(plan: RBPlan, engine: Callable, group: CliffordGroup, noise: Nois
                     os._exit(0)
             os.close(write_fd)
             workers.append((pid, os.fdopen(read_fd, "rb")))
-        out = run(here)
+        out = run([i for b in bins if b not in forked for i in b])
         for pid, pipe in workers:
             payload = pipe.read()
             if not payload:
@@ -554,7 +565,7 @@ def run_rb(
     beyond the longest run in forked workers, one per further usable CPU,
     where a worker's share reaches ``_FORK_PULSE_SHOTS`` estimated
     pulse-shots (``taskset -c 0`` gives a one-process run); the dataset is
-    the same byte for byte.
+    the same byte for byte, also where a worker cannot start.
     """
     noise = noise or NoiseConfig()
     timing = timing or RBTiming()

@@ -12,6 +12,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_startup import TINY
 
-from qubitbench import cli
+from qubitbench import __version__, cli
 from qubitbench.cli import _json_doc
 from qubitbench.cliffords import build_clifford_table
 
@@ -80,6 +81,15 @@ class TestEntryPoints:
         proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("qubitbench ")
+
+    def test_pyproject_reads_the_package_version(self):
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # [tool.setuptools] support is marked beta
+            path = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+            project = pyprojecttoml.read_configuration(path)["project"]
+        assert "version" in project["dynamic"]
+        assert project["version"] == __version__
 
     def test_subcommand_is_required(self):
         proc = run_cli()

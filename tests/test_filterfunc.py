@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qubitbench import cli
 from qubitbench.filterfunc import (
     ControlTimeline,
     PhasePSD,
@@ -235,6 +236,21 @@ class TestPredictions:
             warnings.simplefilter("error", RuntimeWarning)
             t2 = predict_t2(PhasePSD.white_fm(1.0, f_range=(1e-4, 1e7)), "ramsey", bracket=(1e-2, 1e4))
         assert t2 == pytest.approx(1.0, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: chi_ramsey(default_phase_psd(), 100.0), lambda: predict_t2(default_phase_psd())],
+        ids=["chi_ramsey", "predict_t2"],
+    )
+    def test_edge_warnings_name_the_callers_line(self, call):
+        with pytest.warns(RuntimeWarning, match="significant weight") as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__]
+
+    def test_phase_noise_edge_warnings_name_the_cli(self):
+        with pytest.warns(RuntimeWarning, match="significant weight") as caught:
+            assert cli.main(["phase-noise"]) == 0
+        assert {w.filename for w in caught} == {cli.__file__}
 
     def test_predict_irmb_is_linear_in_chi(self):
         psd = PhasePSD.white_fm(69.0)

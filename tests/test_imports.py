@@ -6,8 +6,9 @@ No linter runs with the tests, so the first is a small AST check of its own
 (pyflakes' F401) over the package modules, the tests and the scripts.  A
 name counts as used where it is read anywhere in the module, named in a
 string annotation, or listed in the module's ``__all__``; an import line
-marked ``# noqa: F401`` is exempt.  The package ``__init__`` re-exports by
-design and is left out.
+marked ``# noqa: F401`` is exempt.  The package ``__init__`` is checked like
+any module, and binds no name but ``__version__``: the API is imported from
+the modules, each of which lists it in its ``__all__``.
 
 The third is an AST check too: a default that no caller overrides is a
 constant, and belongs where it is read.  So is the fourth: every parameter
@@ -25,7 +26,6 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CHECKED = sorted(
     {*(ROOT / "src" / "qubitbench").glob("*.py"), *(ROOT / "tests").rglob("*.py"), *(ROOT / "scripts").glob("*.py")}
-    - {ROOT / "src" / "qubitbench" / "__init__.py"}
 )
 # where a dataclass field may be set
 CALLERS = sorted(path for folder in ("src", "scripts", "perfbench", "tests") for path in (ROOT / folder).rglob("*.py"))
@@ -99,6 +99,14 @@ def test_no_module_imports_a_name_it_never_uses():
         for name, line in unused_imports(path.read_text())
     ]
     assert unused == []
+
+
+def test_the_package_init_binds_only_its_version():
+    tree = ast.parse((ROOT / "src" / "qubitbench" / "__init__.py").read_text())
+    bound = {name for name, _ in _bound_names(tree)}
+    bound |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    bound |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert bound == {"__version__"}
 
 
 def test_every_all_entry_is_bound():

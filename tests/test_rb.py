@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -451,6 +452,28 @@ class TestLengthFanOut:
             run_rb(self.ABOVE, noise=default_noise_config())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("call, error", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)], ids=["fork", "pipe"])
+    def test_a_refused_worker_runs_its_lengths_in_the_caller(self, monkeypatch, call, error):
+        def refuse():
+            raise OSError(error, os.strerror(error))
+
+        self._fake_engine(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = run_rb(self.ABOVE, noise=default_noise_config())
+        opened, pipe = [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: opened.extend(pipe()) or tuple(opened[-2:]))
+        monkeypatch.setattr(os, call, refuse)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.warns(RuntimeWarning, match="cannot start a survival worker") as caught:
+            refused = run_rb(self.ABOVE, noise=default_noise_config())
+        assert len(caught) == 1
+        assert refused.to_json() == serial.to_json()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        for fd in opened:  # the refused worker's pipe is closed
+            with pytest.raises(OSError):
+                os.fstat(fd)
 
     @_needs_two_cpus
     def test_documents_are_the_same_on_one_cpu(self):

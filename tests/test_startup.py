@@ -12,9 +12,12 @@ fresh interpreter and look at ``sys.modules``: importing the package and
 running the commands that never fit must leave scipy unloaded, an ``rb`` fit
 of either tier, converged or polished, and an ``irmb`` fit must load no scipy
 module but the kernel, and no command may load ``scipy.optimize`` or
-``numpy.ma``.
+``numpy.ma``.  Importing one package module must load exactly the package
+modules that its module-level relative imports reach, and importing the
+package alone must load none of them and not numpy.
 """
 
+import ast
 import functools
 import json
 import os
@@ -113,19 +116,76 @@ def test_full_tier_rb_still_fits():
 
 
 def test_presets_is_a_leaf():
-    # the package's __init__ imports every module, so stand in a bare package
-    # for it; presets must then load alone, and its builders import on call
-    proc = run_python("-c", f"""
-import sys, types
-package = types.ModuleType("qubitbench")
-package.__path__ = [{str(SRC / "qubitbench")!r}]
-sys.modules["qubitbench"] = package
+    # presets must load alone, and its builders import on call
+    proc = run_python("-c", """
+import sys
 import qubitbench.presets
 print(sorted(name for name in sys.modules if name.startswith("qubitbench.")))
 qubitbench.presets.default_noise_config(), qubitbench.presets.default_phase_psd()
 """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['qubitbench.presets']"
+
+
+PACKAGE = SRC / "qubitbench"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+LOADED = "n.split('.')[0] == 'qubitbench'"  # a child's test of a sys.modules name
+
+
+def load_time_imports(source: str) -> set[str]:
+    """The package modules that ``source``'s relative imports name, except
+    those inside a function or under ``if TYPE_CHECKING:``."""
+    found, stack = set(), list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            stack += node.orelse
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names if (PACKAGE / f"{alias.name}.py").is_file()}
+        stack += ast.iter_child_nodes(node)
+    return found
+
+
+def test_load_time_imports_skip_functions_and_type_checking():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from . import __version__, presets as p\n"
+        "from .rb import RBPlan\n"
+        "if TYPE_CHECKING:\n"
+        "    from .cli import main\n"
+        "else:\n"
+        "    from .noise import NoiseConfig\n"
+        "def f():\n"
+        "    from .fitting import mle_fit\n"
+        "class A:\n"
+        "    from .budget import budget_table\n"
+    )
+    assert load_time_imports(source) == {"presets", "rb", "noise", "budget"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_importing_a_module_loads_only_what_it_imports(module):
+    reached, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += load_time_imports((PACKAGE / f"{name}.py").read_text())
+    proc = run_python("-c", f"import sys, qubitbench.{module}; print(sorted(n for n in sys.modules if {LOADED}))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(sorted(["qubitbench", *(f"qubitbench.{name}" for name in reached)]))
+
+
+def test_importing_the_package_loads_no_module_and_no_numpy():
+    proc = run_python("-c", f"import sys, qubitbench; print(sorted(n for n in sys.modules if {LOADED} or n == 'numpy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['qubitbench']"
 
 
 # every subcommand at a small size
