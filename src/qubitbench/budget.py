@@ -42,15 +42,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import presets
-from .fitting import binomial_variance, inverse_variance_mean, weighted_line
 from .noise import IdleRates, MotionalMode
-from .presets import MEAN_PULSES_PER_CLIFFORD
+from .presets import HARMONIC_COEFFICIENTS, MEAN_PULSES_PER_CLIFFORD, ZEEMAN_CONVENTIONS
 
 __all__ = [
     "BudgetInput",
@@ -71,9 +70,6 @@ __all__ = [
     "estimate_idle_rates",
     "IDLE_SCHEMES",
 ]
-
-HARMONIC_COEFFICIENTS = {"rb": 4.0, "single_pulse": (3 * np.pi / 4) ** 2}
-ZEEMAN_CONVENTIONS = {"twirl": 1 / 6, "worst_case": 1 / 4}
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +204,7 @@ class BudgetTable:
     def as_dict(self) -> dict:
         return {
             "gate_time": self.gate_time,
-            "rows": [
-                {
-                    "name": r.name,
-                    "value": r.value,
-                    "kind": r.kind,
-                    "uncertainty": r.uncertainty,
-                    "note": r.note,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "total": self.total(),
             "total_uncertainty": self.total_uncertainty(),
         }
@@ -364,6 +351,8 @@ class IdleRatesEstimate:
 
 def _wls_slope(durations: np.ndarray, errors: np.ndarray, shots: np.ndarray) -> tuple[float, float]:
     """Weighted straight-line fit (free intercept); returns (slope, sigma)."""
+    from .fitting import binomial_variance, weighted_line
+
     shots = np.asarray(shots, dtype=float)
     p = np.asarray(errors, dtype=float) / shots
     slope, _, sxx = weighted_line(durations, p, 1.0 / binomial_variance(p, shots))
@@ -385,6 +374,8 @@ def estimate_idle_rates(
     'other' and 'none'); ``flip_consistent`` is False when the two
     disagree by more than three combined standard deviations.
     """
+    from .fitting import inverse_variance_mean
+
     slopes = {key: _wls_slope(*vals) for key, vals in data.items()}
 
     eb_parts = [v for (s, _), v in slopes.items() if s == "none"]

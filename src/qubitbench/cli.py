@@ -22,6 +22,11 @@ A value outside its domain, or a config value of the wrong type (``2.9`` or
 ``true`` for an integer), exits 1 with one error line that names the option.
 A rule that joins options, such as ``rb``'s ``--t-half-pi`` above twice
 ``--ramp-time``, names each of them (``_about``).
+
+At module level this file imports only the standard library, numpy,
+``__version__`` and ``presets``, which the option tables read.  Each handler
+imports what it calls from the module that defines it, so a command loads
+only the modules it runs: ``clifford-table`` loads ``cliffords`` alone.
 """
 
 from __future__ import annotations
@@ -39,15 +44,6 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__, presets
-from .budget import HARMONIC_COEFFICIENTS, IDLE_SCHEMES, ZEEMAN_CONVENTIONS, BudgetInput, budget_curve, budget_table
-from .budget import err_decoherence, estimate_idle_rates, idle_scheme_error_prob
-from .calibration import CalLoopConfig, SimulatedQubitTestbed, amplitude_cal_loop, frequency_cal_loop
-from .calibration import records_to_jsonl, walsh_fit, walsh_sign_train
-from .cliffords import build_clifford_table
-from .filterfunc import PhasePSD, SSBCurve, chi_echo, chi_ramsey, predict_irmb, predict_t2
-from .fitting import bootstrap_ci
-from .noise import LANE_BOOTSTRAP, LANE_IDLE, AmplitudeNoiseModel, IdleRates, NoiseConfig, QuantizerConfig, rng_stream
-from .rb import RBPlan, RBTiming, irmb_slope, run_rb
 
 CONFIG_SCHEMA = "qubitbench.config.v1"
 
@@ -174,8 +170,8 @@ _PARAMS = {
         "t2": (float, presets.T2_STAR_STAR, "coherence time, s", _POSITIVE),
         "sigma0": (float, presets.SIGMA0_REL, "shot-to-shot relative amplitude noise", _NON_NEGATIVE),
         "zeeman_hz": (float, presets.ZEEMAN_RESIDUAL_HZ, "residual drive-induced shift, Hz", _FINITE),
-        "zeeman_convention": (str, "twirl", "twirl or worst_case", _one_of(*ZEEMAN_CONVENTIONS)),
-        "harmonic_coefficient": (str, "rb", "rb or single_pulse", _one_of(*HARMONIC_COEFFICIENTS)),
+        "zeeman_convention": (str, "twirl", "twirl or worst_case", _one_of(*presets.ZEEMAN_CONVENTIONS)),
+        "harmonic_coefficient": (str, "rb", "rb or single_pulse", _one_of(*presets.HARMONIC_COEFFICIENTS)),
         "curve": (int, 0, "sweep gate time instead of a single table", _SWITCH),
         "curve_min": (float, presets.CURVE_GATE_TIME_MIN, "sweep start, s", _POSITIVE),
         "curve_max": (float, presets.CURVE_GATE_TIME_MAX, "sweep end, s", _POSITIVE),
@@ -323,8 +319,10 @@ def _about(resolved: dict, *names: str):
         raise ValueError(f"{options}: {exc}") from None
 
 
-def _noise_from(resolved: dict) -> NoiseConfig:
+def _noise_from(resolved: dict):
     """The preset's noise, then every override set: each applies to every preset."""
+    from .noise import AmplitudeNoiseModel, NoiseConfig
+
     preset = resolved["noise"]
     if preset == "none":
         noise = NoiseConfig()
@@ -351,6 +349,10 @@ def _noise_from(resolved: dict) -> NoiseConfig:
 
 
 def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str | dict:
+    from .fitting import bootstrap_ci
+    from .noise import LANE_BOOTSTRAP, rng_stream
+    from .rb import RBPlan, RBTiming, run_rb
+
     if resolved["bootstrap"] and (fmt == "csv" or not resolved["fit"]):
         clash = "--format csv" if fmt == "csv" else "--fit 0"
         raise ValueError(f"--bootstrap {resolved['bootstrap']} needs the JSON fit, which {clash} leaves out")
@@ -382,6 +384,10 @@ def _cmd_rb(resolved: dict, seed: int, fmt: str) -> str | dict:
 
 
 def _cmd_irmb(resolved: dict, seed: int, fmt: str) -> dict:
+    from .budget import err_decoherence
+    from .noise import NoiseConfig
+    from .rb import RBPlan, RBTiming, irmb_slope, run_rb
+
     delays = _parse_float_list(resolved["delays"])
     lengths = _parse_int_list(resolved["lengths"])
     noise = NoiseConfig(dephasing_t2=resolved["t2"], spam=resolved["spam"])
@@ -403,9 +409,12 @@ def _cmd_irmb(resolved: dict, seed: int, fmt: str) -> dict:
     }
 
 
-def _make_testbed(resolved: dict, seed: int) -> SimulatedQubitTestbed:
+def _make_testbed(resolved: dict, seed: int):
     """The testbed of `calibrate` or `walsh`, from the options the command
     declares; the testbed's own defaults set the rest."""
+    from .calibration import SimulatedQubitTestbed
+    from .noise import QuantizerConfig
+
     hardware = {}
     if "bits" in resolved:  # calibrate's waveform generator
         hardware = {"amp_fraction": resolved["amp_fraction"], "quantizer": QuantizerConfig(bits=resolved["bits"])}
@@ -419,6 +428,8 @@ def _make_testbed(resolved: dict, seed: int) -> SimulatedQubitTestbed:
 
 
 def _cmd_calibrate(resolved: dict, seed: int, fmt: str):
+    from .calibration import CalLoopConfig, amplitude_cal_loop, frequency_cal_loop, records_to_jsonl
+
     testbed = _make_testbed(resolved, seed)
     config = CalLoopConfig(n_max=resolved["n_max"], shots=resolved["shots"])
     records = []
@@ -441,6 +452,8 @@ def _cmd_calibrate(resolved: dict, seed: int, fmt: str):
 
 
 def _cmd_walsh(resolved: dict, seed: int, fmt: str) -> dict:
+    from .calibration import walsh_fit, walsh_sign_train
+
     if resolved["max_order"]:
         with _about(resolved, "n_pulses", "max_order"):
             walsh_sign_train(resolved["max_order"], resolved["n_pulses"])  # raises if the trains do not fit
@@ -460,6 +473,8 @@ def _cmd_walsh(resolved: dict, seed: int, fmt: str) -> dict:
 
 
 def _cmd_phase_noise(resolved: dict, seed: int, fmt: str) -> dict:
+    from .filterfunc import PhasePSD, SSBCurve, chi_echo, chi_ramsey, predict_irmb, predict_t2
+
     taus = _parse_float_list(resolved["taus"])
     delays = _parse_float_list(resolved["irmb_delays"])
     if path := resolved["ssb"]:
@@ -497,6 +512,8 @@ def _cmd_phase_noise(resolved: dict, seed: int, fmt: str) -> dict:
 
 
 def _cmd_budget(resolved: dict, seed: int, fmt: str):
+    from .budget import BudgetInput, budget_curve, budget_table
+
     inputs = BudgetInput(
         gate_time=resolved["gate_time"],
         t2=resolved["t2"],
@@ -524,6 +541,9 @@ def _cmd_budget(resolved: dict, seed: int, fmt: str):
 
 
 def _cmd_idle_rates(resolved: dict, seed: int, fmt: str) -> dict:
+    from .budget import IDLE_SCHEMES, estimate_idle_rates, idle_scheme_error_prob
+    from .noise import LANE_IDLE, IdleRates, rng_stream
+
     true = IdleRates(
         bright_per_s=resolved["bright"],
         dark_plus_leak_prep0_per_s=resolved["combo0"],
@@ -556,6 +576,8 @@ def _cmd_idle_rates(resolved: dict, seed: int, fmt: str) -> dict:
 
 
 def _cmd_clifford_table(resolved: dict, seed: int, fmt: str) -> str:
+    from .cliffords import build_clifford_table
+
     return build_clifford_table().to_json()
 
 

@@ -10,9 +10,9 @@ This module is the one place where the operating point is written, and
 every default that two modules share: the RB run sizes, and the
 calibration loops' and the Walsh fit's trains and shots.  Every default of
 the budget, the simulators, the testbed and the CLI reads these names, so
-a changed value moves every caller at once.  The module imports nothing
-from the package at module level; the three ``default_*`` builders import
-the types they build when they are called.
+a changed value moves every caller at once; so do the budget's named
+choices, which the CLI offers.  The module imports nothing from the package
+at module level; the ``default_*`` builders import what they build on call.
 
 Derivations of the non-obvious numbers:
 
@@ -48,9 +48,9 @@ __all__ = [
     "SIGMA0_REL", "AWG_BITS", "AWG_FRACTION", "SPAM", "T2_STAR_STAR", "T2_UNC", "RB_LENGTHS",
     "RB_SEQUENCES", "RB_SHOTS", "CAL_N_MAX", "CAL_SHOTS", "WALSH_MAX_ORDER", "WALSH_N_PULSES", "WALSH_SHOTS",
     "WALSH_SWEEP", "BRIGHT_PER_S", "DARK_PLUS_LEAK_PREP0_PER_S", "DARK_PLUS_LEAK_PREP1_PER_S",
-    "ETA", "OMEGA_MOTIONAL", "N_BAR0", "HEATING_RATE", "ZEEMAN_RESIDUAL_HZ",
+    "ETA", "OMEGA_MOTIONAL", "N_BAR0", "HEATING_RATE", "HARMONIC_COEFFICIENTS", "ZEEMAN_RESIDUAL_HZ",
     "ZEEMAN_SHIFT_HZ", "DRIFT_A_INF", "DRIFT_TAU", "CURVE_GATE_TIME_MIN", "CURVE_GATE_TIME_MAX", "CURVE_POINTS",
-    "OMEGA_QUBIT", "SPECTATOR_DETUNING", "SPECTATOR_RABI_RATIO", "SPECTATOR_T2",
+    "ZEEMAN_CONVENTIONS", "OMEGA_QUBIT", "SPECTATOR_DETUNING", "SPECTATOR_RABI_RATIO", "SPECTATOR_T2",
     "default_noise_config", "default_ssb_curve", "default_phase_psd", "default_drift_trace", "thermal_amp_drift",
     "linear_freq_drift",
 ]
@@ -96,6 +96,10 @@ ETA = 9.3e-4
 OMEGA_MOTIONAL = 2 * np.pi * 5.6e6
 N_BAR0 = 2.6
 HEATING_RATE = 370.0
+
+# the budget's named choices of the harmonic row's C and the Zeeman row's average
+HARMONIC_COEFFICIENTS = {"rb": 4.0, "single_pulse": (3 * np.pi / 4) ** 2}
+ZEEMAN_CONVENTIONS = {"twirl": 1 / 6, "worst_case": 1 / 4}
 
 ZEEMAN_RESIDUAL_HZ = 2.5
 # the drive-induced (ac Zeeman) shift of the qubit at full drive amplitude, Hz

@@ -49,12 +49,11 @@ import os
 import pickle
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import noise as noise_mod
-from . import pulsesim
 from .cliffords import (
     GENERATOR_QUARTERS,
     CliffordGroup,
@@ -75,7 +74,9 @@ from .noise import (
     rng_stream,
 )
 from .presets import GAP_TIME, MEAN_PULSES_PER_CLIFFORD, RAMP_TIME, RB_LENGTHS, RB_SEQUENCES, RB_SHOTS, T_HALF_PI
-from .pulsesim import DriveParams, ZeemanModel
+
+if TYPE_CHECKING:
+    from .pulsesim import ZeemanModel
 
 __all__ = [
     "RBPlan",
@@ -450,6 +451,8 @@ def _coherent_survival_full(
     per length; with motion, one call per block of ``_STEP_BLOCK`` pulses,
     each pulse's modulation read from its start in train time.
     """
+    from .pulsesim import DriveParams, pulse_propagator
+
     motional = noise.motional
     drive = DriveParams.nominal(timing.t_half_pi, timing.ramp_time, detuning=noise.detuning_offset)
     base_gap = timing.gap_time + timing.delay_per_pulse
@@ -458,7 +461,7 @@ def _coherent_survival_full(
     )
 
     def propagate(trace):
-        u = pulsesim.pulse_propagator(spec, drive, trace, zeeman)
+        u = pulse_propagator(spec, drive, trace, zeeman)
         return u[0, 0], u[1, 0]
 
     def tier_ab(mult, phase0, n_active):

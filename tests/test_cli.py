@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_startup import TINY
 
-from qubitbench import __version__, cli
+from qubitbench import __version__, budget, calibration, cli, rb
 from qubitbench.cli import _json_doc
 from qubitbench.cliffords import build_clifford_table
 
@@ -300,7 +300,7 @@ class TestErrorsAndOutput:
     @pytest.mark.parametrize("delays", ["1e-6,1e-6", "0,1e-5,-1e-6", "0,nan", "0,inf"])
     def test_irmb_rejects_bad_delays_before_any_run(self, delays, monkeypatch, capsys):
         runs = []
-        monkeypatch.setattr(cli, "run_rb", lambda *a, **kw: runs.append(1))
+        monkeypatch.setattr(rb, "run_rb", lambda *a, **kw: runs.append(1))
         code = cli.main(["irmb", "--delays", delays, "--lengths", "10,100", "--sequences", "2", "--shots", "10"])
         assert code == 1
         assert runs == []
@@ -318,7 +318,7 @@ class TestErrorsAndOutput:
     )
     def test_bad_values_are_rejected_before_any_run(self, args, monkeypatch, capsys):
         runs = []
-        monkeypatch.setattr(cli, "run_rb", lambda *a, **kw: runs.append(1))
+        monkeypatch.setattr(rb, "run_rb", lambda *a, **kw: runs.append(1))
         assert cli.main(list(args)) == 1
         assert runs == []
         assert capsys.readouterr().err.startswith("qubitbench: error:")
@@ -339,10 +339,10 @@ class TestErrorsAndOutput:
     )
     def test_out_of_domain_values_are_named_before_any_run(self, args, env, option, tmp_path, monkeypatch, capsys):
         runs = []
-        monkeypatch.setattr(cli, "run_rb", lambda *a, **kw: runs.append(1))
-        monkeypatch.setattr(cli, "idle_scheme_error_prob", lambda *a, **kw: runs.append(1))
-        monkeypatch.setattr(cli, "budget_table", lambda *a, **kw: runs.append(1))
-        monkeypatch.setattr(cli.SimulatedQubitTestbed, "run_train", lambda *a, **kw: runs.append(1))
+        monkeypatch.setattr(rb, "run_rb", lambda *a, **kw: runs.append(1))
+        monkeypatch.setattr(budget, "idle_scheme_error_prob", lambda *a, **kw: runs.append(1))
+        monkeypatch.setattr(budget, "budget_table", lambda *a, **kw: runs.append(1))
+        monkeypatch.setattr(calibration.SimulatedQubitTestbed, "run_train", lambda *a, **kw: runs.append(1))
         for name in ("QUBITBENCH_SEED", "QUBITBENCH_WORKERS"):
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
@@ -482,7 +482,7 @@ class TestSubcommands:
         assert 0 <= lo <= hi
 
     def test_rb_bootstrap_fits_the_counts_once(self, monkeypatch, capsys):
-        from qubitbench import fitting, rb
+        from qubitbench import fitting
 
         fits = []
         mle_fit = fitting.mle_fit

@@ -15,6 +15,13 @@ module but the kernel, and no command may load ``scipy.optimize`` or
 ``numpy.ma``.  Importing one package module must load exactly the package
 modules that its module-level relative imports reach, and importing the
 package alone must load none of them and not numpy.
+
+The CLI imports a command's modules in its handler, so importing
+``qubitbench.cli`` loads only ``presets`` besides itself, and each command
+loads exactly the modules it runs (``RUNS``): ``clifford-table`` only
+``cliffords``, ``phase-noise`` only ``filterfunc``, fast ``rb`` no
+``pulsesim``, ``calibration``, ``filterfunc`` or ``budget``, and ``rb --tier
+full`` adds ``pulsesim``.
 """
 
 import ast
@@ -33,17 +40,36 @@ from qubitbench import cli
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 # runs the CLI in-process, then reports the exit code, which scipy modules
-# and whether numpy.ma were loaded, and how many fits (rows of the lockstep
-# polish) went to the Nelder-Mead polish
+# and whether numpy.ma were loaded, how many fits (rows of the lockstep
+# polish) went to the Nelder-Mead polish, and which package modules loaded;
+# the polish is counted from the moment the command imports ``fitting``, so
+# that the command alone decides what loads
 CHILD = """
-import json, sys
-from qubitbench import cli, fitting
+import importlib.util, json, sys
 polishes = []
-nelder_mead = fitting._nelder_mead
-fitting._nelder_mead = lambda x0, *args: polishes.append(len(x0)) or nelder_mead(x0, *args)
+
+class CountPolishes:
+    def find_spec(self, name, path, target=None):
+        if name != "qubitbench.fitting":
+            return None
+        sys.meta_path.remove(self)
+        spec = importlib.util.find_spec(name)
+        exec_module = spec.loader.exec_module
+
+        def load(fitting):
+            exec_module(fitting)
+            nelder_mead = fitting._nelder_mead
+            fitting._nelder_mead = lambda x0, *args: polishes.append(len(x0)) or nelder_mead(x0, *args)
+
+        spec.loader.exec_module = load
+        return spec
+
+sys.meta_path.insert(0, CountPolishes())
+from qubitbench import cli
 rc = cli.main(sys.argv[1:])
 loaded = sorted(name for name in sys.modules if name == "numpy.ma" or name.split(".")[0] == "scipy")
-print(json.dumps({"rc": rc, "loaded": loaded, "polishes": sum(polishes)}), file=sys.stderr)
+package = sorted(name.split(".", 1)[1] for name in sys.modules if name.startswith("qubitbench."))
+print(json.dumps({"rc": rc, "loaded": loaded, "polishes": sum(polishes), "package": package}), file=sys.stderr)
 """
 
 
@@ -54,13 +80,13 @@ def run_python(*args):
 
 
 def run_cli(*args):
-    """(document, loaded modules of scipy and numpy.ma, polished fits) of
-    one CLI run in a fresh interpreter."""
+    """(document, loaded modules of scipy and numpy.ma, polished fits, loaded
+    package modules) of one CLI run in a fresh interpreter."""
     proc = run_python("-c", CHILD, *args)
     assert proc.returncode == 0, proc.stderr
     status = json.loads(proc.stderr.strip().splitlines()[-1])
     assert status["rc"] == 0, proc.stderr
-    return proc.stdout, status["loaded"], status["polishes"]
+    return proc.stdout, status["loaded"], status["polishes"], set(status["package"])
 
 
 def test_importing_the_package_and_cli_leaves_scipy_out():
@@ -80,12 +106,12 @@ def test_importing_the_package_and_cli_leaves_scipy_out():
     ids=lambda args: args[0],
 )
 def test_commands_that_do_not_fit_never_import_scipy(args):
-    document, loaded, _ = run_cli(*args)
+    document, loaded, *_ = run_cli(*args)
     assert document
     assert not loaded
 
 
-def assert_converged_on_the_kernel_alone(document, loaded, polishes):
+def assert_converged_on_the_kernel_alone(document, loaded, polishes, package):
     fit = json.loads(document)["fit"]
     assert 0 < fit["epsilon"] < 0.49 and 0 < fit["amplitude"] <= 0.6
     assert fit["converged"]
@@ -110,9 +136,12 @@ def test_a_polishing_bootstrap_leaves_scipy_optimize_out():
 
 
 def test_full_tier_rb_still_fits():
-    assert_converged_on_the_kernel_alone(*run_cli(
+    run = run_cli(
         "rb", "--tier", "full", "--lengths", "8,24", "--sequences", "2", "--shots", "2", "--detuning-hz", "2e4"
-    ))
+    )
+    assert_converged_on_the_kernel_alone(*run)
+    # the full tier alone loads the pulse-level simulator
+    assert run[3] == {"cli", "presets", "pulsesim", *RUNS["rb"]}
 
 
 def test_presets_is_a_leaf():
@@ -182,6 +211,12 @@ def test_importing_a_module_loads_only_what_it_imports(module):
     assert proc.stdout.strip() == str(sorted(["qubitbench", *(f"qubitbench.{name}" for name in reached)]))
 
 
+def test_importing_the_cli_loads_presets_alone():
+    proc = run_python("-c", f"import sys, qubitbench.cli; print(sorted(n for n in sys.modules if {LOADED}))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['qubitbench', 'qubitbench.cli', 'qubitbench.presets']"
+
+
 def test_importing_the_package_loads_no_module_and_no_numpy():
     proc = run_python("-c", f"import sys, qubitbench; print(sorted(n for n in sys.modules if {LOADED} or n == 'numpy'))")
     assert proc.returncode == 0, proc.stderr
@@ -201,8 +236,22 @@ TINY = {
 }
 
 
+# the package modules each subcommand runs, besides cli and presets: what its
+# handler imports and what those modules import in turn
+RUNS = {
+    "rb": {"rb", "cliffords", "fitting", "noise"},
+    "irmb": {"rb", "cliffords", "fitting", "noise", "budget"},
+    "calibrate": {"calibration", "cliffords", "fitting", "noise"},
+    "walsh": {"calibration", "cliffords", "fitting", "noise"},
+    "phase-noise": {"filterfunc"},
+    "budget": {"budget", "noise"},
+    "idle-rates": {"budget", "fitting", "noise"},
+    "clifford-table": {"cliffords"},
+}
+
+
 def test_every_subcommand_has_a_small_size():
-    assert set(TINY) == set(cli._PARAMS)
+    assert set(TINY) == set(cli._PARAMS) == set(RUNS)
 
 
 @functools.cache
@@ -213,25 +262,32 @@ def tiny_run(command):
 
 @pytest.mark.parametrize("command", sorted(TINY))
 def test_no_subcommand_imports_scipy_optimize(command):
-    document, loaded, _ = tiny_run(command)
+    document, loaded, *_ = tiny_run(command)
     assert document
     assert "scipy.optimize" not in loaded
 
 
 @pytest.mark.parametrize("command", sorted(TINY))
 def test_no_subcommand_imports_numpy_ma(command):
-    document, loaded, _ = tiny_run(command)
+    document, loaded, *_ = tiny_run(command)
     assert document
     assert "numpy.ma" not in loaded
 
 
+@pytest.mark.parametrize("command", sorted(TINY))
+def test_each_subcommand_loads_only_the_modules_it_runs(command):
+    document, *_, package = tiny_run(command)
+    assert document
+    assert package == {"cli", "presets", *RUNS[command]}
+
+
 def test_irmb_loads_the_kernel_alone():
-    _, loaded, _ = tiny_run("irmb")
+    _, loaded, *_ = tiny_run("irmb")
     assert loaded == ["scipy.optimize._lbfgsb"]
 
 
 def test_walsh_still_fits():
-    document, loaded, _ = tiny_run("walsh")
+    document, loaded, *_ = tiny_run("walsh")
     doc = json.loads(document)
     assert np.isfinite(doc["sigma_rel"]) and doc["sigma_rel"] > 0
     assert set(doc["coefficients"]) == {"1", "2"}
