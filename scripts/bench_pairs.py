@@ -28,11 +28,7 @@ end-to-end metric, with the direction and bound read from the base checkout's
   change run beats every base run, so no bound verdict can be read.
 
 ``more_failures`` says whether a larger share of the change's invocations
-failed.  ``bytecode`` records what the runs' start-up depends on: the value
-of ``PYTHONDONTWRITEBYTECODE`` (``null`` if unset; when set, no run writes
-byte-code, so every interpreter compiles each module it imports) and, per
-side, whether ``src/qubitbench/__pycache__`` held ``.pyc`` files before the
-first run.  ``--claim WORKLOAD:METRIC`` names a claimed gain; the top-level
+failed.  ``--claim WORKLOAD:METRIC`` names a claimed gain; the top-level
 ``outcome`` lists the bounds exceeded, the unresolved metrics, the workloads
 with more failures and whether each claim is resolved.
 
@@ -46,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -80,11 +75,6 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     result.update(failed=final["failed"], attempted=final["attempted"])
     result["env"] = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     return result
-
-
-def cached_bytecode(checkout: Path) -> bool:
-    """Whether the checkout's package holds compiled byte-code."""
-    return any((checkout / "src" / "qubitbench" / "__pycache__").glob("*.pyc"))
 
 
 def _dumps(doc: dict) -> str:
@@ -185,10 +175,6 @@ def main(argv: list[str] | None = None) -> int:
 
     doc = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
-        "bytecode": {
-            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-            "cached_before": {side: cached_bytecode(getattr(args, side)) for side in ("base", "change")},
-        },
         "workloads": {},
         "traced": {},
     }

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -204,7 +204,16 @@ class BudgetTable:
     def as_dict(self) -> dict:
         return {
             "gate_time": self.gate_time,
-            "rows": [asdict(r) for r in self.rows],
+            "rows": [
+                {
+                    "name": r.name,
+                    "value": r.value,
+                    "kind": r.kind,
+                    "uncertainty": r.uncertainty,
+                    "note": r.note,
+                }
+                for r in self.rows
+            ],
             "total": self.total(),
             "total_uncertainty": self.total_uncertainty(),
         }

@@ -1,6 +1,5 @@
 """The acceptance verdict that ``scripts/bench_pairs.py`` writes per workload and metric,
-what it reports and keeps when a benchmark run fails, and the byte-code state
-it records.
+and what it reports and keeps when a benchmark run fails.
 
 The script is loaded from its file without writing bytecode next to it.
 """
@@ -122,23 +121,3 @@ def test_a_failed_run_is_reported_and_the_pairs_run_so_far_are_kept(bench_pairs,
     runs = doc["incomplete"]["runs"]
     assert doc["incomplete"]["workload"] == "w"
     assert [r["wall_s"] for r in runs["base"]] == [r["wall_s"] for r in runs["change"]] == [1.0]
-
-
-@pytest.mark.parametrize("dont_write", ["1", None])
-def test_the_bytecode_state_of_each_side_is_recorded(bench_pairs, tmp_path, monkeypatch, dont_write):
-    base, change = _checkout(tmp_path / "base", []), _checkout(tmp_path / "change", [])
-    cache = change / "src" / "qubitbench" / "__pycache__"
-    cache.mkdir(parents=True)
-    (cache / "cli.cpython-311.pyc").write_bytes(b"")
-    (base / "src" / "qubitbench" / "__pycache__").mkdir(parents=True)  # empty: nothing cached
-    if dont_write is None:
-        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
-    else:
-        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", dont_write)
-    out = tmp_path / "out.json"
-    assert bench_pairs.main(["--base", str(base), "--change", str(change), "--out", str(out),
-                             "--pairs", "w=2", "--seconds", "1"]) == 0
-    assert json.loads(out.read_text())["bytecode"] == {
-        "PYTHONDONTWRITEBYTECODE": dont_write,
-        "cached_before": {"base": False, "change": True},
-    }
