@@ -32,6 +32,10 @@ failed.  ``--claim WORKLOAD:METRIC`` names a claimed gain; the top-level
 ``outcome`` lists the bounds exceeded, the unresolved metrics, the workloads
 with more failures and whether each claim is resolved.
 
+A ``--pairs`` entry needs N >= 2 (quartiles need two runs a side), and a
+``--claim`` names a workload of ``--pairs`` and one of ``METRICS``; anything
+else is a usage error (exit 2) before any run.
+
 If a ``perfbench/run.py`` run exits non-zero, the script prints its checkout,
 command, exit code and stderr, writes the file with the workloads done so
 far, the complete pairs of the workload under way (``incomplete``) and the
@@ -75,6 +79,22 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     result.update(failed=final["failed"], attempted=final["attempted"])
     result["env"] = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     return result
+
+
+def _pair(text: str) -> tuple[str, int]:
+    """``WORKLOAD=N`` as ``(WORKLOAD, N)``, N at least 2."""
+    workload, _, n = text.partition("=")
+    if not (workload and n.isdigit() and int(n) >= 2):
+        raise argparse.ArgumentTypeError(f"{text!r} is not WORKLOAD=N with N >= 2")
+    return workload, int(n)
+
+
+def _claim(text: str) -> str:
+    """``WORKLOAD:METRIC`` with METRIC one of ``METRICS``."""
+    workload, _, metric = text.partition(":")
+    if not (workload and metric in METRICS):
+        raise argparse.ArgumentTypeError(f"{text!r} is not WORKLOAD:METRIC with METRIC one of {', '.join(METRICS)}")
+    return text
 
 
 def _dumps(doc: dict) -> str:
@@ -124,12 +144,11 @@ def outcome(entries: dict, claims: list[str]) -> dict:
 def run_pairs(args: argparse.Namespace, rules: dict, doc: dict) -> None:
     """Fill `doc` with every workload's pairs and verdicts and the traced runs,
     writing ``--out`` after each workload."""
-    for spec in args.pairs:
-        workload, n = spec.split("=")
+    for workload, n in args.pairs:
         sides = {"base": [], "change": []}
         # the complete pairs so far, kept in the file if a run fails
         doc["incomplete"] = {"workload": workload, "runs": sides}
-        for i in range(int(n)):
+        for i in range(n):
             seed = args.first_seed + i
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             pair = {}
@@ -139,7 +158,7 @@ def run_pairs(args: argparse.Namespace, rules: dict, doc: dict) -> None:
             for side, result in pair.items():
                 sides[side].append(result)
         del doc["incomplete"]
-        entry = {"pairs": int(n), "seeds": [args.first_seed + i for i in range(int(n))]}
+        entry = {"pairs": n, "seeds": [args.first_seed + i for i in range(n)]}
         for side, results in sides.items():
             entry[side] = {m: summary([r[m] for r in results]) for m in METRICS}
             entry[side]["failed"] = sum(r["failed"] for r in results)
@@ -165,12 +184,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", nargs="+", required=True, help="WORKLOAD=N")
+    parser.add_argument("--pairs", nargs="+", required=True, type=_pair, help="WORKLOAD=N, N >= 2")
     parser.add_argument("--traced", nargs="*", default=[])
     parser.add_argument("--first-seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--claim", nargs="*", default=[], help="WORKLOAD:METRIC")
+    parser.add_argument("--claim", nargs="*", default=[], type=_claim, help="WORKLOAD:METRIC")
     args = parser.parse_args(argv)
+    paired = {workload for workload, _ in args.pairs}
+    if unpaired := [c for c in args.claim if c.partition(":")[0] not in paired]:
+        parser.error(f"--claim {' '.join(unpaired)}: no such workload in --pairs")
     rules = {m["name"]: m for m in json.loads((args.base / "BENCHMARK.json").read_text())["end_to_end"]}
 
     doc = {

@@ -1,8 +1,8 @@
 """Closed-loop calibration and Walsh-modulated drift spectroscopy.
 
 The calibration primitives talk to a simulated testbed that behaves like
-the real control stack: amplitude settings pass through the fixed-point
-resolution of the waveform generator, every shot advances a wall clock,
+the real control stack: amplitude settings are rounded to the waveform
+generator's resolution of ``bits`` bits, every shot advances a wall clock,
 and slow drift plus shot-to-shot noise corrupt the applied pulses.
 
 Amplitude errors are measured with trains of ``4N + 1`` equal-phase pi/2
@@ -35,8 +35,8 @@ import numpy as np
 
 from .cliffords import apply_ab, pulse_ab
 from .fitting import _levenberg_marquardt, binomial_variance, inverse_variance_mean
-from .noise import LANE_CAL, QuantizerConfig, rng_stream
-from .presets import AWG_FRACTION, CAL_N_MAX, CAL_SHOTS, GAP_TIME, SIGMA0_REL, SPAM, T_HALF_PI
+from .noise import LANE_CAL, rng_stream
+from .presets import AWG_BITS, AWG_FRACTION, CAL_N_MAX, CAL_SHOTS, GAP_TIME, SIGMA0_REL, SPAM, T_HALF_PI
 from .presets import WALSH_MAX_ORDER, WALSH_N_PULSES, WALSH_SHOTS, WALSH_SWEEP
 
 __all__ = [
@@ -80,7 +80,9 @@ class SimulatedQubitTestbed:
     amp_fraction:
         Full-scale fraction of the waveform generator used at the nominal
         setting; the quantization step relative to the pulse amplitude is
-        ``quantizer.step / amp_fraction``.
+        ``2**-bits / amp_fraction``.
+    bits:
+        Waveform-generator resolution, 1 to 40 bits; ``None`` rounds nothing.
     sigma0_rel:
         Shot-to-shot relative amplitude noise (quasi-static per shot).
     spam:
@@ -97,7 +99,7 @@ class SimulatedQubitTestbed:
         master_seed: int,
         t_half_pi: float = T_HALF_PI,
         amp_fraction: float = AWG_FRACTION,
-        quantizer: QuantizerConfig | None = QuantizerConfig(),
+        bits: int | None = AWG_BITS,
         sigma0_rel: float = SIGMA0_REL,
         spam: float = SPAM,
         amp_drift: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -105,11 +107,13 @@ class SimulatedQubitTestbed:
     ):
         if not 0 < amp_fraction <= 1:
             raise ValueError("amp_fraction must lie in (0, 1]")
+        if bits is not None and not 1 <= bits <= 40:
+            raise ValueError("bits must be between 1 and 40")
         self.master_seed = int(master_seed)
         self.t_half_pi = float(t_half_pi)
         self.gap_time = GAP_TIME
         self.amp_fraction = float(amp_fraction)
-        self.quantizer = quantizer
+        self.bits = bits
         self.sigma0_rel = float(sigma0_rel)
         self.spam = float(spam)
         self.amp_drift = amp_drift
@@ -128,9 +132,10 @@ class SimulatedQubitTestbed:
 
     def programmed_amp_multiplier(self) -> float:
         """Amplitude multiplier actually produced for the current setting."""
-        if self.quantizer is None:
+        if self.bits is None:
             return self.amp_setting
-        word = self.quantizer.quantize(self.amp_setting * self.amp_fraction)
+        step = 2.0 ** -self.bits
+        word = float(np.round(self.amp_setting * self.amp_fraction / step) * step)
         return word / self.amp_fraction
 
     def true_relative_error(self, t: float) -> float:
@@ -401,8 +406,8 @@ def amplitude_cal_loop(
 
     The train length grows geometrically from N = 1 until the estimate is
     significant at three binomial standard deviations, corrections divide
-    the amplitude setting by ``1 + estimate`` (rounded by the hardware
-    quantizer), and the loop ends once the longest train resolves no error.
+    the amplitude setting by ``1 + estimate`` (rounded to the testbed's
+    ``bits``), and the loop ends once the longest train resolves no error.
     A loop that has not ended after 40 steps warns (``RuntimeWarning``).
     """
     config = config or CalLoopConfig()

@@ -103,17 +103,29 @@ _TWO_TIMES = _list_of(_parse_float_list, _NON_NEGATIVE, least=2)  # a line fit's
 _SWEEP = _list_of(_parse_int_list, _Domain("a positive multiple of 4", lambda v: v > 0 and v % 4 == 0), least=1)
 
 # parameter tables: name -> (type, default, help, domain); a None default
-# means "not set", and a config file may set such an option to null
+# means "not set", and a config file may set such an option to null.  The
+# rows two commands share are written once: the RB run and its timing (rb,
+# irmb) and the testbed (calibrate, walsh)
+_RB_ROWS = {
+    "sequences": (int, presets.RB_SEQUENCES, "random sequences per length", _at_least(1)),
+    "shots": (int, presets.RB_SHOTS, "shots per sequence", _at_least(1)),
+    "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration incl. ramps, s", _POSITIVE),
+    "gap_time": (float, presets.GAP_TIME, "inter-pulse gap, s", _NON_NEGATIVE),
+}
+_TESTBED_ROWS = {
+    "sigma0": (float, presets.SIGMA0_REL, "shot-to-shot relative amplitude noise", _NON_NEGATIVE),
+    "spam": (float, presets.SPAM, "readout flip probability", _SPAM),
+    "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration, s", _POSITIVE),
+    "drift_a_inf": (float, presets.DRIFT_A_INF, "asymptotic relative amplitude drift", _RELATIVE),
+    "drift_tau": (float, presets.DRIFT_TAU, "amplitude drift time constant, s", _POSITIVE),
+}
 _PARAMS = {
     "rb": {
         "lengths": (str, ",".join(map(str, presets.RB_LENGTHS)), "comma-separated sequence lengths", _LENGTHS),
-        "sequences": (int, presets.RB_SEQUENCES, "random sequences per length", _at_least(1)),
-        "shots": (int, presets.RB_SHOTS, "shots per sequence", _at_least(1)),
+        **_RB_ROWS,
         "tier": (str, "fast", "physics tier: fast or full", _one_of("fast", "full")),
         "prep": (int, 0, "prepared basis state (0 or 1)", _SWITCH),
-        "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration incl. ramps, s", _POSITIVE),
         "ramp_time": (float, presets.RAMP_TIME, "amplitude ramp duration, s", _NON_NEGATIVE),
-        "gap_time": (float, presets.GAP_TIME, "inter-pulse gap, s", _NON_NEGATIVE),
         "delay": (float, 0.0, "extra idle after every pulse, s", _NON_NEGATIVE),
         "noise": (str, "default", "noise preset: default, none, or depol", _one_of("default", "none", "depol")),
         "depol": (float, 1e-4, "per-element depolarizing probability (noise=depol)", _PROBABILITY),
@@ -128,10 +140,7 @@ _PARAMS = {
     "irmb": {
         "delays": (str, "0,2e-6,5e-6,1e-5", "comma-separated per-pulse delays, s", _TWO_TIMES),
         "lengths": (str, ",".join(map(str, presets.RB_LENGTHS)), "comma-separated sequence lengths", _DECAY_LENGTHS),
-        "sequences": (int, presets.RB_SEQUENCES, "random sequences per length", _at_least(1)),
-        "shots": (int, presets.RB_SHOTS, "shots per sequence", _at_least(1)),
-        "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration incl. ramps, s", _POSITIVE),
-        "gap_time": (float, presets.GAP_TIME, "inter-pulse gap, s", _NON_NEGATIVE),
+        **_RB_ROWS,
         "t2": (float, presets.T2_STAR_STAR, "dephasing coherence time, s", _POSITIVE),
         "spam": (float, presets.SPAM, "readout flip probability", _SPAM),
     },
@@ -139,13 +148,9 @@ _PARAMS = {
         "kind": (str, "both", "amplitude, frequency, or both", _one_of("amplitude", "frequency", "both")),
         "shots": (int, presets.CAL_SHOTS, "shots per calibration point", _at_least(10)),
         "n_max": (int, presets.CAL_N_MAX, "maximum pulse-group count", _at_least(1)),
-        "sigma0": (float, presets.SIGMA0_REL, "shot-to-shot relative amplitude noise", _NON_NEGATIVE),
-        "spam": (float, presets.SPAM, "readout flip probability", _SPAM),
-        "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration, s", _POSITIVE),
+        **_TESTBED_ROWS,
         "amp_fraction": (float, presets.AWG_FRACTION, "full-scale fraction at nominal amplitude", _FRACTION),
         "bits": (int, presets.AWG_BITS, "amplitude resolution bits", _at_least(1, most=40)),
-        "drift_a_inf": (float, presets.DRIFT_A_INF, "asymptotic relative amplitude drift", _RELATIVE),
-        "drift_tau": (float, presets.DRIFT_TAU, "amplitude drift time constant, s", _POSITIVE),
         "freq_drift_hz_per_s": (float, 0.0, "linear qubit-frequency drift rate", _FINITE),
     },
     "walsh": {
@@ -153,11 +158,7 @@ _PARAMS = {
         "n_pulses": (int, presets.WALSH_N_PULSES, "pulses per modulated train", _at_least(1)),
         "shots": (int, presets.WALSH_SHOTS, "shots per train", _at_least(1)),
         "sweep": (str, ",".join(map(str, presets.WALSH_SWEEP)), "unmodulated train lengths (multiples of 4)", _SWEEP),
-        "sigma0": (float, presets.SIGMA0_REL, "shot-to-shot relative amplitude noise", _NON_NEGATIVE),
-        "spam": (float, presets.SPAM, "readout flip probability", _SPAM),
-        "t_half_pi": (float, presets.T_HALF_PI, "pi/2 pulse duration, s", _POSITIVE),
-        "drift_a_inf": (float, presets.DRIFT_A_INF, "asymptotic relative amplitude drift", _RELATIVE),
-        "drift_tau": (float, presets.DRIFT_TAU, "amplitude drift time constant, s", _POSITIVE),
+        **_TESTBED_ROWS,
     },
     "phase-noise": {
         "ssb": (str, None, "CSV file frequency_hz,dbc_per_hz (default: synthetic)", _TEXT),
@@ -321,7 +322,7 @@ def _about(resolved: dict, *names: str):
 
 def _noise_from(resolved: dict):
     """The preset's noise, then every override set: each applies to every preset."""
-    from .noise import AmplitudeNoiseModel, NoiseConfig
+    from .noise import NoiseConfig
 
     preset = resolved["noise"]
     if preset == "none":
@@ -331,9 +332,7 @@ def _noise_from(resolved: dict):
     else:
         noise = presets.default_noise_config(include_motional=bool(resolved["motional"]))
     if resolved["sigma0"] is not None:
-        sigma0, amp = resolved["sigma0"], noise.amplitude
-        amp = replace(amp, sigma_rel=sigma0) if amp else AmplitudeNoiseModel(sigma_rel=sigma0)
-        noise = replace(noise, amplitude=amp)
+        noise = replace(noise, sigma0_rel=resolved["sigma0"])
     if resolved["t2"] is not None:
         noise = replace(noise, dephasing_t2=resolved["t2"])
     if resolved["spam"] is not None:
@@ -413,11 +412,9 @@ def _make_testbed(resolved: dict, seed: int):
     """The testbed of `calibrate` or `walsh`, from the options the command
     declares; the testbed's own defaults set the rest."""
     from .calibration import SimulatedQubitTestbed
-    from .noise import QuantizerConfig
 
-    hardware = {}
-    if "bits" in resolved:  # calibrate's waveform generator
-        hardware = {"amp_fraction": resolved["amp_fraction"], "quantizer": QuantizerConfig(bits=resolved["bits"])}
+    # calibrate's waveform generator
+    hardware = {name: resolved[name] for name in ("amp_fraction", "bits") if name in resolved}
     if resolved.get("freq_drift_hz_per_s"):
         hardware["freq_drift"] = presets.linear_freq_drift(resolved["freq_drift_hz_per_s"])
     if resolved["drift_a_inf"]:

@@ -7,11 +7,11 @@ another.
 
 Models collected here:
 
-* shot-to-shot Gaussian scaling of the drive amplitude;
+* ``NoiseConfig``, what the benchmarking engine applies to a run, with the
+  shot-to-shot relative amplitude noise ``sigma0_rel`` as a plain number;
 * multiplicative sinusoidal modulation of the Rabi rate caused by residual
   harmonic motion (modulation depth grows with the thermal occupation,
   which itself grows linearly with time through a heating rate);
-* finite-resolution amplitude quantization of the waveform generator;
 * idle-time error rates for bright/dark state preparations, including the
   combined dark+leakage rates that joint measurements cannot separate;
 * slow frequency-noise trajectories synthesized from a one-sided power
@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .presets import AWG_BITS, ETA, HEATING_RATE, N_BAR0, OMEGA_MOTIONAL
+from .presets import ETA, HEATING_RATE, N_BAR0, OMEGA_MOTIONAL
 
 __all__ = [
     "rng_stream",
@@ -38,9 +38,7 @@ __all__ = [
     "LANE_IDLE",
     "LANE_BOOTSTRAP",
     "LANE_CAL",
-    "AmplitudeNoiseModel",
     "MotionalMode",
-    "QuantizerConfig",
     "IdleRates",
     "FrequencyNoiseTrajectory",
     "brownian_phase_std",
@@ -64,30 +62,6 @@ def rng_stream(master_seed: int, lane: int, *ids: int) -> np.random.Generator:
     statistically independent streams.
     """
     return np.random.default_rng(np.random.SeedSequence((int(master_seed), int(lane), *map(int, ids))))
-
-
-# ---------------------------------------------------------------------------
-# Amplitude noise
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AmplitudeNoiseModel:
-    """Quasi-static relative scaling of the Rabi rate.
-
-    Each shot draws one multiplier ``1 + sigma_rel * g`` with ``g`` standard
-    normal, held constant for the whole sequence (the noise is slow compared
-    to a single sequence).
-    """
-
-    sigma_rel: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma_rel < 0:
-            raise ValueError("sigma_rel must be non-negative")
-
-    def sample_multipliers(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return 1.0 + self.sigma_rel * rng.standard_normal(n)
 
 
 # ---------------------------------------------------------------------------
@@ -137,35 +111,6 @@ class MotionalMode:
         ``mean_area_factor(d, phi0 + omega_m t_start, duration) == 1 + d Im(e^{i phi0} s)``."""
         wt = self.omega_m * duration
         return np.exp(1j * self.omega_m * np.asarray(t_start)) * (np.exp(1j * wt) - 1.0) / wt
-
-
-# ---------------------------------------------------------------------------
-# Waveform-generator resolution
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuantizerConfig:
-    """Fixed-point amplitude resolution of the waveform generator."""
-
-    bits: int = AWG_BITS
-
-    def __post_init__(self):
-        if not 1 <= self.bits <= 40:
-            raise ValueError("bits must be between 1 and 40")
-
-    @property
-    def step(self) -> float:
-        """Smallest representable amplitude increment (full scale = 1)."""
-        return 2.0 ** -self.bits
-
-    def quantize(self, value: float | np.ndarray) -> float | np.ndarray:
-        """Round to the nearest representable amplitude.  Idempotent."""
-        scaled = np.asarray(value) / self.step
-        out = np.round(scaled) * self.step
-        if np.ndim(value) == 0:
-            return float(out)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +258,16 @@ def brownian_phase_std(duration: float | np.ndarray, t2: float) -> np.ndarray:
 class NoiseConfig:
     """Everything the benchmarking engine needs to corrupt a run.
 
-    Any field left ``None`` is simply skipped.  ``dephasing_t2`` is the
-    white-frequency-noise coherence time; ``depolarizing_per_gate`` is a
-    plain depolarizing probability applied once per group element, useful
-    for fast validation runs; ``spam`` is a symmetric readout flip
-    probability applied to every shot.
+    Any field left ``None`` is simply skipped.  Each shot scales the Rabi
+    rate by one multiplier ``1 + sigma0_rel * g``, ``g`` standard normal,
+    held for the whole sequence (the noise is slow compared to a sequence).
+    ``dephasing_t2`` is the white-frequency-noise coherence time;
+    ``depolarizing_per_gate`` is a plain depolarizing probability applied
+    once per group element, useful for fast validation runs; ``spam`` is a
+    symmetric readout flip probability applied to every shot.
     """
 
-    amplitude: AmplitudeNoiseModel | None = None
+    sigma0_rel: float | None = None
     motional: MotionalMode | None = None
     idle: IdleRates | None = None
     dephasing_t2: float | None = None
@@ -329,6 +276,8 @@ class NoiseConfig:
     spam: float = 0.0
 
     def __post_init__(self):
+        if self.sigma0_rel is not None and self.sigma0_rel < 0:
+            raise ValueError("sigma0_rel must be non-negative")
         if self.dephasing_t2 is not None and self.dephasing_t2 <= 0:
             raise ValueError("dephasing_t2 must be positive")
         if self.depolarizing_per_gate is not None and not 0 <= self.depolarizing_per_gate < 1:

@@ -129,10 +129,10 @@ CURVE_POINTS = 18
 
 def default_noise_config(include_motional: bool = True) -> NoiseConfig:
     """Realistic fast-tier noise at the default operating point."""
-    from .noise import AmplitudeNoiseModel, MotionalMode, NoiseConfig
+    from .noise import MotionalMode, NoiseConfig
 
     return NoiseConfig(
-        amplitude=AmplitudeNoiseModel(sigma_rel=SIGMA0_REL),
+        sigma0_rel=SIGMA0_REL,
         motional=MotionalMode() if include_motional else None,
         dephasing_t2=T2_STAR_STAR,
         spam=SPAM,

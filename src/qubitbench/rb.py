@@ -294,7 +294,7 @@ def _z_fold(a, b, c, s):
 
 def _has_coherent_noise(noise: NoiseConfig) -> bool:
     return (
-        noise.amplitude is not None
+        noise.sigma0_rel is not None
         or noise.motional is not None
         or noise.dephasing_t2 is not None
         or noise.detuning_offset != 0.0
@@ -306,9 +306,9 @@ def _draw_shot_noise(plan: RBPlan, length: int, noise: NoiseConfig):
     generator, each from its own lane; ``None`` for an absent noise source."""
     n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
     seed = plan.master_seed
-    if noise.amplitude is not None:
+    if noise.sigma0_rel is not None:
         amp_rng = rng_stream(seed, LANE_AMPLITUDE, length)
-        mult = noise.amplitude.sample_multipliers(amp_rng, n_seq * n_shot).reshape(n_seq, n_shot)
+        mult = (1.0 + noise.sigma0_rel * amp_rng.standard_normal(n_seq * n_shot)).reshape(n_seq, n_shot)
     else:
         mult = np.ones((n_seq, n_shot))
     mot_phase0 = None

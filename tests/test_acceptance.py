@@ -47,7 +47,6 @@ from qubitbench.fitting import bootstrap_ci
 from qubitbench.noise import (
     LANE_BOOTSTRAP,
     LANE_IDLE,
-    AmplitudeNoiseModel,
     FrequencyNoiseTrajectory,
     IdleRates,
     MotionalMode,
@@ -270,7 +269,7 @@ def test_06_shot_noise_decay_law():
     p_at_15000 = None
     for i, sigma0 in enumerate((5e-5, 1.4e-4, 5e-4)):
         tb = SimulatedQubitTestbed(
-            master_seed=60 + i, sigma0_rel=sigma0, spam=0.0, quantizer=None
+            master_seed=60 + i, sigma0_rel=sigma0, spam=0.0, bits=None
         )
         for n in grid:
             p_hat = tb.run_train(np.zeros(n), shots) / shots
@@ -436,7 +435,7 @@ def test_09_oracle_equivalences(group):
     gate_time = _MU * RBTiming().pulse_spacing
     deph_ratio = (1 - surv.mean()) / (3000 * gate_time / (3.0 * t2))
 
-    surv = survival(14, 1000, 200, 30, NoiseConfig(amplitude=AmplitudeNoiseModel(sigma_rel=1e-3)))
+    surv = survival(14, 1000, 200, 30, NoiseConfig(sigma0_rel=1e-3))
     amp_ratio = ((1 - surv.mean()) / (1000 * 1e-6)) / (np.pi**2 * (17.0 / 6.0) / 24.0)
 
     surv = survival(17, 500, 150, 1, NoiseConfig(detuning_offset=2 * np.pi * 100.0))

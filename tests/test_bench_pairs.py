@@ -121,3 +121,25 @@ def test_a_failed_run_is_reported_and_the_pairs_run_so_far_are_kept(bench_pairs,
     runs = doc["incomplete"]["runs"]
     assert doc["incomplete"]["workload"] == "w"
     assert [r["wall_s"] for r in runs["base"]] == [r["wall_s"] for r in runs["change"]] == [1.0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--pairs", "w=1"], "'w=1' is not WORKLOAD=N with N >= 2"),
+        (["--pairs", "w"], "'w' is not WORKLOAD=N"),
+        (["--pairs", "w=2", "--claim", "w:wall"], "'w:wall' is not WORKLOAD:METRIC"),
+        (["--pairs", "w=2", "--claim", "w"], "'w' is not WORKLOAD:METRIC"),
+        (["--pairs", "w=2", "--claim", "v:wall_s"], "--claim v:wall_s: no such workload in --pairs"),
+    ],
+    ids=["one-pair", "no-count", "unknown-metric", "no-metric", "unpaired-claim"],
+)
+def test_a_bad_pair_or_claim_is_a_usage_error_before_any_run(bench_pairs, tmp_path, capsys, argv, message):
+    # every run would fail (exit 1), so exit 2 means none was made
+    base, change = _checkout(tmp_path / "base", range(4)), _checkout(tmp_path / "change", range(4))
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--base", str(base), "--change", str(change), "--out", str(out), "--seconds", "1", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

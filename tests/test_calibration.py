@@ -37,7 +37,7 @@ def _const(value):
 def _quiet_testbed(seed, **kwargs):
     kwargs.setdefault("sigma0_rel", 0.0)
     kwargs.setdefault("spam", 0.0)
-    kwargs.setdefault("quantizer", None)
+    kwargs.setdefault("bits", None)
     return SimulatedQubitTestbed(master_seed=seed, **kwargs)
 
 
@@ -72,7 +72,7 @@ class TestTestbed:
     def test_shot_noise_contrast_matches_gaussian_closed_form(self):
         sigma = 1.4571e-4
         tb = SimulatedQubitTestbed(
-            master_seed=13, sigma0_rel=sigma, spam=0.0, quantizer=None
+            master_seed=13, sigma0_rel=sigma, spam=0.0, bits=None
         )
         n, shots = 4096, 20000
         p_emp = tb.run_train(np.zeros(n), shots) / shots
@@ -339,7 +339,7 @@ class TestWalshFit:
                 walsh_fit(tb, max_order=2, n_pulses=16, shots=200, n_sweep=(4, 16))
 
     def test_mean_is_near_zero_without_quantizer(self):
-        tb = SimulatedQubitTestbed(master_seed=7, quantizer=None)
+        tb = SimulatedQubitTestbed(master_seed=7, bits=None)
         res = walsh_fit(tb)
         assert abs(res["mean_rel"]) < 3 * res["mean_sigma"]
         assert res["sigma_rel"] == pytest.approx(1.4571e-4, rel=0.25)

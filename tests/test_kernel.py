@@ -29,7 +29,6 @@ from qubitbench.noise import (
     LANE_AMPLITUDE,
     LANE_DEPHASING,
     LANE_MOTIONAL,
-    AmplitudeNoiseModel,
     MotionalMode,
     NoiseConfig,
     brownian_phase_std,
@@ -349,9 +348,9 @@ def _masked_survival(plan, length, noise, timing, zeeman):
 
     seed = plan.master_seed
     mult = np.ones((n_seq, n_shot))
-    if noise.amplitude is not None:
+    if noise.sigma0_rel is not None:
         rng = rng_stream(seed, LANE_AMPLITUDE, length)
-        mult = noise.amplitude.sample_multipliers(rng, n_seq * n_shot).reshape(n_seq, n_shot)
+        mult = (1.0 + noise.sigma0_rel * rng.standard_normal(n_seq * n_shot)).reshape(n_seq, n_shot)
     if noise.motional is not None:
         phase0 = rng_stream(seed, LANE_MOTIONAL, length).uniform(0.0, 2 * np.pi, (n_seq, n_shot))
     deph_rng = rng_stream(seed, LANE_DEPHASING, length) if noise.dephasing_t2 else None
@@ -413,7 +412,7 @@ class TestPrefixSortedEngine:
         ]
         assume(len(set(counts)) > 1)
         noise = NoiseConfig(
-            amplitude=AmplitudeNoiseModel(sigma_rel=0.02) if amplitude else None,
+            sigma0_rel=0.02 if amplitude else None,
             # strong, slow modulation so that a wrong area factor would show
             motional=MotionalMode(eta=0.03, omega_m=2 * np.pi * 3e5) if motional else None,
             dephasing_t2=1e-3 if dephasing else None,
@@ -448,7 +447,7 @@ class TestPrefixSortedEngine:
         plan = RBPlan(seed, (length,), n_sequences=n_seq, shots_per_sequence=shots, prepared_state=prep)
         preset = presets.default_noise_config()
         noise = NoiseConfig(
-            amplitude=preset.amplitude if amplitude else None,
+            sigma0_rel=preset.sigma0_rel if amplitude else None,
             motional=preset.motional if motional else None,
             dephasing_t2=preset.dephasing_t2 if dephasing else None,
             detuning_offset=2 * np.pi * detuning_hz,

@@ -1,20 +1,25 @@
-"""Tests for noise models: RNG streams, quantizer, trajectories, idle rates."""
+"""Tests for noise models: RNG streams, the testbed's amplitude rounding and the
+RB engine's amplitude noise, trajectories, idle rates."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qubitbench import noise
+from qubitbench.calibration import SimulatedQubitTestbed
 from qubitbench.noise import (
-    AmplitudeNoiseModel,
     FrequencyNoiseTrajectory,
     IdleRates,
     NoiseConfig,
-    QuantizerConfig,
     brownian_phase_std,
     rng_stream,
 )
+from qubitbench.rb import RBPlan, _draw_shot_noise
 
 
 class TestRngStreams:
@@ -34,44 +39,66 @@ class TestRngStreams:
         assert not np.array_equal(a, b)
 
 
+def _testbed(bits, amp_fraction=1.0, setting=1.0):
+    tb = SimulatedQubitTestbed(0, amp_fraction=amp_fraction, bits=bits)
+    tb.amp_setting = setting
+    return tb
+
+
+_BITS = st.integers(1, 40)
+_FRACTIONS = st.floats(0.0, 1.0, exclude_min=True)
+_SETTINGS = st.floats(0.0, 4.0)
+
+
 class TestQuantizer:
-    def test_quantize_is_idempotent(self):
-        q = QuantizerConfig(bits=15)
-        vals = np.linspace(0.2, 1.0, 1001)
-        once = q.quantize(vals)
-        assert np.array_equal(q.quantize(once), once)
+    """The testbed plays ``amp_setting * amp_fraction`` rounded to a multiple
+    of ``2**-bits`` of the waveform generator's full scale."""
+
+    @given(bits=_BITS, amp_fraction=_FRACTIONS, setting=_SETTINGS)
+    def test_quantize_is_idempotent(self, bits, amp_fraction, setting):
+        once = _testbed(bits, amp_fraction, setting).programmed_amp_multiplier()
+        assert _testbed(bits, amp_fraction, once).programmed_amp_multiplier() == once
 
     def test_step_size(self):
-        assert QuantizerConfig(bits=15).step == 2.0**-15
-        assert QuantizerConfig(bits=3).step == 0.125
+        # 2**-bits of full scale is 2**-bits / amp_fraction of the setting
+        assert _testbed(3, 1.0, 0.3).programmed_amp_multiplier() == 0.25
+        assert _testbed(3, 0.5, 1.1).programmed_amp_multiplier() == 1.0
+        assert _testbed(3, 0.5, 1.2).programmed_amp_multiplier() == 1.25
+        assert _testbed(15, 1.0, 1.4 * 2.0**-15).programmed_amp_multiplier() == 2.0**-15
 
-    def test_rounding_error_is_at_most_half_a_step(self):
-        q = QuantizerConfig(bits=7)
-        vals = np.linspace(0.0, 1.0, 997)
-        assert np.abs(q.quantize(vals) - vals).max() <= q.step / 2 + 1e-15
+    @given(bits=_BITS, amp_fraction=_FRACTIONS, setting=_SETTINGS)
+    def test_rounding_error_is_at_most_half_a_step(self, bits, amp_fraction, setting):
+        multiplier = _testbed(bits, amp_fraction, setting).programmed_amp_multiplier()
+        assert isinstance(multiplier, float)
+        step, word = 2.0**-bits, multiplier * amp_fraction
+        # a whole multiple of the step, up to the rounding of / and * amp_fraction
+        assert word == pytest.approx(round(word / step) * step, rel=1e-12, abs=0.0)
+        assert abs(word - setting * amp_fraction) <= step / 2 + 4 * math.ulp(max(word, 1.0))
 
     def test_scalar_in_scalar_out(self):
-        q = QuantizerConfig(bits=15)
-        out = q.quantize(0.236751)
-        assert isinstance(out, float)
+        for bits in (None, 1, 15, 40):
+            assert type(_testbed(bits, 0.23675, 0.9).programmed_amp_multiplier()) is float
 
     def test_bits_validation(self):
-        with pytest.raises(ValueError):
-            QuantizerConfig(bits=0)
-        with pytest.raises(ValueError):
-            QuantizerConfig(bits=64)
+        for bits in (0, 41):
+            with pytest.raises(ValueError, match="bits"):
+                SimulatedQubitTestbed(0, bits=bits)
+
+    def test_no_bits_plays_the_setting_unrounded(self):
+        assert _testbed(None, 0.23675, 0.9876543210123).programmed_amp_multiplier() == 0.9876543210123
 
 
 class TestAmplitudeNoise:
     def test_multiplier_statistics(self):
-        model = AmplitudeNoiseModel(sigma_rel=1.4571e-4)
-        draws = model.sample_multipliers(rng_stream(5, 2), 200_000)
-        assert draws.mean() == pytest.approx(1.0, abs=2e-6)
-        assert draws.std() == pytest.approx(1.4571e-4, rel=0.02)
+        plan = RBPlan(5, lengths=(1,), n_sequences=200, shots_per_sequence=1000)
+        mult, _, _ = _draw_shot_noise(plan, 1, NoiseConfig(sigma0_rel=1.4571e-4))
+        assert mult.shape == (200, 1000)
+        assert mult.mean() == pytest.approx(1.0, abs=2e-6)
+        assert mult.std() == pytest.approx(1.4571e-4, rel=0.02)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            AmplitudeNoiseModel(sigma_rel=-1e-4)
+        with pytest.raises(ValueError, match="sigma0_rel"):
+            NoiseConfig(sigma0_rel=-1e-4)
 
 
 class TestBrownianPhase:
@@ -180,7 +207,7 @@ class TestIdleRates:
 class TestNoiseConfig:
     def test_defaults_are_noise_free(self):
         cfg = NoiseConfig()
-        assert cfg.amplitude is None
+        assert cfg.sigma0_rel is None
         assert cfg.motional is None
         assert cfg.dephasing_t2 is None
         assert cfg.depolarizing_per_gate is None

@@ -12,7 +12,7 @@ from qubitbench import budget, cli, presets, pulsesim
 from qubitbench.budget import BudgetInput
 from qubitbench.calibration import CalLoopConfig, SimulatedQubitTestbed, walsh_fit
 from qubitbench.cliffords import PulseSpec
-from qubitbench.noise import MotionalMode, QuantizerConfig
+from qubitbench.noise import MotionalMode
 from qubitbench.presets import (
     default_noise_config,
     default_phase_psd,
@@ -27,15 +27,16 @@ from qubitbench.rb import RBPlan, RBTiming
 class TestNoiseConfig:
     def test_default_values(self):
         cfg = default_noise_config()
-        assert cfg.amplitude.sigma_rel == pytest.approx(1.4571e-4)
+        assert cfg.sigma0_rel == pytest.approx(1.4571e-4)
         assert cfg.motional.eta == pytest.approx(9.3e-4)
         assert cfg.motional.omega_m == pytest.approx(2 * np.pi * 5.6e6)
         assert cfg.motional.n_bar0 == 2.6
         assert cfg.motional.heating_rate == 370.0
         assert cfg.dephasing_t2 == 69.0
         assert cfg.spam == pytest.approx(1.1e-3)
-        # no RB engine models the waveform quantizer, so the config has no such field
-        assert not hasattr(cfg, "quantizer")
+        # no RB engine models the waveform generator's resolution, so the
+        # config has no such field: ``bits`` is the testbed's
+        assert not hasattr(cfg, "bits")
 
     def test_motional_can_be_excluded(self):
         assert default_noise_config(include_motional=False).motional is None
@@ -122,14 +123,13 @@ RESTATED = {
     "MotionalMode.omega_m": (MotionalMode().omega_m, "OMEGA_MOTIONAL"),
     "MotionalMode.n_bar0": (MotionalMode().n_bar0, "N_BAR0"),
     "MotionalMode.heating_rate": (MotionalMode().heating_rate, "HEATING_RATE"),
-    "QuantizerConfig.bits": (_field(QuantizerConfig, "bits"), "AWG_BITS"),
     "err_awg.bits": (_arg(budget.err_awg, "bits"), "AWG_BITS"),
     "SimulatedQubitTestbed.t_half_pi": (_arg(SimulatedQubitTestbed, "t_half_pi"), "T_HALF_PI"),
     "SimulatedQubitTestbed.gap_time": (SimulatedQubitTestbed(0).gap_time, "GAP_TIME"),
     "SimulatedQubitTestbed.amp_fraction": (_arg(SimulatedQubitTestbed, "amp_fraction"), "AWG_FRACTION"),
     "SimulatedQubitTestbed.sigma0_rel": (_arg(SimulatedQubitTestbed, "sigma0_rel"), "SIGMA0_REL"),
     "SimulatedQubitTestbed.spam": (_arg(SimulatedQubitTestbed, "spam"), "SPAM"),
-    "SimulatedQubitTestbed.quantizer.bits": (_arg(SimulatedQubitTestbed, "quantizer").bits, "AWG_BITS"),
+    "SimulatedQubitTestbed.bits": (_arg(SimulatedQubitTestbed, "bits"), "AWG_BITS"),
     "RBTiming.t_half_pi": (_field(RBTiming, "t_half_pi"), "T_HALF_PI"),
     "RBTiming.ramp_time": (_field(RBTiming, "ramp_time"), "RAMP_TIME"),
     "RBTiming.gap_time": (_field(RBTiming, "gap_time"), "GAP_TIME"),

@@ -21,7 +21,6 @@ from qubitbench.noise import (
     LANE_AMPLITUDE,
     LANE_DEPHASING,
     LANE_MOTIONAL,
-    AmplitudeNoiseModel,
     IdleRates,
     MotionalMode,
     NoiseConfig,
@@ -142,7 +141,7 @@ class TestCoherentOracles:
             plan,
             length,
             group,
-            NoiseConfig(amplitude=AmplitudeNoiseModel(sigma_rel=sigma)),
+            NoiseConfig(sigma0_rel=sigma),
             RBTiming(),
         )
         coeff = (1 - surv.mean()) / (length * sigma**2)
@@ -179,7 +178,7 @@ class TestTierAgreement:
         return float(np.abs(sf - su).max())
 
     def test_quasi_static_channels_agree_to_machine_precision(self, group):
-        assert self._mismatch(group, NoiseConfig(amplitude=AmplitudeNoiseModel(sigma_rel=4e-4))) < 1e-11
+        assert self._mismatch(group, NoiseConfig(sigma0_rel=4e-4)) < 1e-11
         assert self._mismatch(group, NoiseConfig(dephasing_t2=2.0)) < 1e-11
 
     def test_detuning_agrees_to_ramp_shape_accuracy(self, group):
@@ -225,11 +224,11 @@ class TestTierAgreement:
         ):
             fast, full = self._tiers(group, length, cfg, zeeman)
             assert np.all(np.abs(fast - full) <= 0.05 * (1.0 - full))
-        fast, full = self._tiers(group, length, NoiseConfig(amplitude=AmplitudeNoiseModel(sigma_rel=4e-4)))
+        fast, full = self._tiers(group, length, NoiseConfig(sigma0_rel=4e-4))
         assert np.abs(fast - full).max() < 1e-11
 
     def test_outcome_counts_identical_across_tiers(self):
-        cfg = NoiseConfig(amplitude=AmplitudeNoiseModel(sigma_rel=4e-4), spam=0.05)
+        cfg = NoiseConfig(sigma0_rel=4e-4, spam=0.05)
         fast = run_rb(self.PLAN, noise=cfg, tier="fast")
         full = run_rb(self.PLAN, noise=cfg, tier="full")
         assert np.array_equal(fast.errors, full.errors)
@@ -247,9 +246,9 @@ def _reference_full_survival(plan, length, group, noise, timing, zeeman):
     n_seq, n_shot = plan.n_sequences, plan.shots_per_sequence
     seed, prep = plan.master_seed, plan.prepared_state
     mult = np.ones((n_seq, n_shot))
-    if noise.amplitude is not None:
+    if noise.sigma0_rel is not None:
         amp_rng = rng_stream(seed, LANE_AMPLITUDE, length)
-        mult = noise.amplitude.sample_multipliers(amp_rng, n_seq * n_shot).reshape(n_seq, n_shot)
+        mult = (1.0 + noise.sigma0_rel * amp_rng.standard_normal(n_seq * n_shot)).reshape(n_seq, n_shot)
     mode = noise.motional
     if mode is not None:
         phase0 = rng_stream(seed, LANE_MOTIONAL, length).uniform(0.0, 2 * np.pi, (n_seq, n_shot))
